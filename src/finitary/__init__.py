@@ -24,7 +24,7 @@ from .envelope import (
     word_product,
     word_validate,
 )
-from .ideals import BasicIdeal, GradeZeroGenerator, normalize_generators
+from .ideals import BasicIdeal, GradeZeroGenerator
 from .automata import longest_avoiding_word
 from .manifolds import (
     INFINITE,
@@ -46,8 +46,8 @@ from .topology import (
     is_t0,
     open_sets,
     poset_isomorphic,
-    specialization_order,
     t0_quotient,
+    trace_quotient,
 )
 from .coarse import (
     CorrespondenceReport,
@@ -75,8 +75,8 @@ __all__ = [
     "Covering",
     "EmptyWord",
     "EqualAdjacentLetters",
-    "FiniteSpace",
     "FinitaryError",
+    "FiniteSpace",
     "Form",
     "GaussianRational",
     "GradeZeroGenerator",
@@ -112,15 +112,14 @@ __all__ = [
     "is_subsequence",
     "is_t0",
     "longest_avoiding_word",
-    "normalize_generators",
     "open_sets",
     "poset_isomorphic",
     "realize",
     "sample",
     "sampled_substitute",
     "simplicial_substitute",
-    "specialization_order",
     "t0_quotient",
+    "trace_quotient",
     "trace_substitute",
     "unit",
     "verify_correspondence",

@@ -174,17 +174,13 @@ def _cmd_substitute(args) -> int:
             samples=args.samples,
             extra_points=STANDARD_CIRCLE_EXTRA_POINTS,
         )
-        space, _ = trace_substitute(covering)
+        space, class_of = trace_substitute(covering)
         print(f"arcs: {len(covering.cover_labels)}, sampled angles: {covering.point_count}")
         print(f"classes ({space.n}):")
-        traces = {}
-        for p, t in zip(covering.point_labels, covering.traces):
-            traces.setdefault(t, p)
         for x in range(space.n):
-            rep = space.labels[x]
-            trace = next(t for t, p in traces.items() if p == rep)
+            trace = covering.traces[class_of.index(x)]
             names = ",".join(covering.cover_labels[i] for i in sorted(trace))
-            print(f"  {rep}: trace {{{names}}}")
+            print(f"  {space.labels[x]}: trace {{{names}}}")
         if args.json:
             sys.stdout.write(fio.space_json(space))
         return 0

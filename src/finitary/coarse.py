@@ -1,9 +1,9 @@
 """Finitary substitutes: trace quotients of covered point collections.
 
 Given a finite covering of any point collection, each point gets a trace
-(the set of cover sets containing it) and points with equal traces merge.
-The quotient carries the T0 topology with min_open(class T) = all classes
-whose trace contains T.
+(the set of cover sets containing it) and points with equal traces merge
+(topology.trace_quotient).  The quotient carries the T0 topology with
+min_open(class T) = all classes whose trace contains T.
 
 A polyhedron realized from a simplicial complex is coarse grained by the
 covering of open stars.  The star interiors are constant on the open-cell
@@ -15,8 +15,11 @@ exactly that simplex), which gives two routes to the same substitute:
   * sampled  - finitely many strictly interior barycentric points per
     cell, membership decided from their supports.
 
-Both must agree with the space generated by the manifold the complex came
-from; verify_correspondence checks all three for a given manifold.
+Sample weights are strictly positive, so every sample's support equals its
+carrier simplex: the sampled route is a consistency check of the trace
+quotient, not an independent oracle.  Both must agree with the space
+generated by the manifold the complex came from; verify_correspondence
+checks all three for a given manifold.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterable, Sequence
 from .complexes import SimplicialComplex
 from .errors import FinitaryError
 from .manifolds import Manifold
-from .topology import FiniteSpace, generated_space, poset_isomorphic
+from .topology import FiniteSpace, generated_space, poset_isomorphic, trace_quotient
 
 
 class UncoveredPoint(FinitaryError):
@@ -90,27 +93,9 @@ class Covering:
 
 
 def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """Quotient by equality of traces.
-
-    Classes are ordered by first occurrence and labelled by their first
-    member point.  min_open(class T) = {classes S : T subset of S}; the
-    result is always T0.
-    """
-    class_index: dict[frozenset, int] = {}
-    class_traces: list[frozenset] = []
-    labels: list[str] = []
-    class_of = []
-    for p, t in enumerate(c.traces):
-        if t not in class_index:
-            class_index[t] = len(class_traces)
-            class_traces.append(t)
-            labels.append(c.point_labels[p])
-        class_of.append(class_index[t])
-    opens = [
-        frozenset(j for j, s in enumerate(class_traces) if t <= s)
-        for t in class_traces
-    ]
-    return FiniteSpace(labels, opens), tuple(class_of)
+    """Quotient of the covered points by equality of traces (see
+    topology.trace_quotient); returns the space and the class map."""
+    return trace_quotient(c.point_labels, c.traces)
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
@@ -125,8 +110,7 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     traces = [
         frozenset(i for i, s in enumerate(cells) if s <= t) for t in cells
     ]
-    space, _ = trace_substitute(Covering(labels, labels, traces))
-    return space
+    return trace_quotient(labels, traces)[0]
 
 
 def realize(p: SimplicialComplex) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,10 +154,6 @@ class SamplePoint:
             coords[v] = w
         return tuple(coords)
 
-    def in_star_interior(self, simplex: frozenset) -> bool:
-        """Membership in the interior of a star, by barycentric support."""
-        return frozenset(simplex) <= self.support()
-
 
 def sample(
     p: SimplicialComplex, sigma, seed: int, count: int
@@ -190,7 +170,7 @@ def sample(
     if count < 1:
         raise ValueError("count must be at least 1")
     verts = sorted(sigma)
-    rng = random.Random(hash((seed, tuple(verts))))
+    rng = random.Random(f"{seed}:{','.join(map(str, verts))}")
     out = []
     for _ in range(count):
         raw = [rng.randint(1, 997) for _ in verts]
@@ -205,27 +185,24 @@ def sampled_substitute(
 ) -> FiniteSpace:
     """Numerical enactment of the star coarse graining.
 
-    Draws per_cell interior points in every open cell, computes their
-    traces through the support membership test and quotients by trace
-    equality.  Isomorphic to simplicial_substitute(p) because traces are
-    constant on cells.
+    Draws per_cell interior points in every open cell; a point's trace is
+    the set of simplices contained in its barycentric support, and points
+    are quotiented by trace equality.  The weights are strictly positive,
+    so each support equals the carrier cell and the result is isomorphic
+    to simplicial_substitute(p) by construction: a consistency check of
+    the trace quotient, not an independent oracle.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
     cells = p.ordered()
-    cover_labels = [p.simplex_label(s) for s in cells]
     point_labels = []
     traces = []
     for cell in cells:
         for j, pt in enumerate(sample(p, cell, seed, per_cell)):
+            support = pt.support()
             point_labels.append(f"{p.simplex_label(cell)}#{j}")
-            traces.append(
-                frozenset(
-                    i for i, s in enumerate(cells) if pt.in_star_interior(s)
-                )
-            )
-    space, _ = trace_substitute(Covering(cover_labels, point_labels, traces))
-    return space
+            traces.append(frozenset(i for i, s in enumerate(cells) if s <= support))
+    return trace_quotient(point_labels, traces)[0]
 
 
 def _normalize_angle(phi: Fraction) -> Fraction:

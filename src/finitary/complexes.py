@@ -124,11 +124,3 @@ class SimplicialComplex:
         if s not in self.simplices:
             raise NotASimplex(f"{set(simplex)} is not a simplex of the complex")
         return {t for t in self.simplices if s <= t}
-
-    def local_interiors(self) -> dict[frozenset, str]:
-        """The open-cell partition of the underlying polyhedron.
-
-        Each simplex owns the cell of points whose barycentric support is
-        exactly that simplex, so cells are in bijection with simplices.
-        """
-        return {s: self.simplex_label(s) for s in self._ordered}

@@ -92,8 +92,3 @@ class BasicIdeal:
     def quotient_product(self, f: Form, g: Form) -> Form:
         """Product of the quotient calculus: multiply, then reduce."""
         return self.reduce(form_product(f, g))
-
-
-def normalize_generators(words: Iterable, vertex_count: int) -> BasicIdeal:
-    """Antichain normalization of a generator set (constructor alias)."""
-    return BasicIdeal(vertex_count, words)

@@ -189,8 +189,13 @@ def parse_relation(text: str, source: str = "<relation>") -> Relation:
     if n < 1:
         raise ParseError(source, lineno, "vertex count must be at least 1")
     table = VertexTable(str(i + 1) for i in range(n))
+    return Relation(n, _parse_pairs(lines[1:], source, table))
+
+
+def _parse_pairs(entries, source: str, table: VertexTable) -> list[tuple[int, int]]:
+    """One ``i <= j`` pair per content line, as vertex indices."""
     pairs = []
-    for lineno, line in lines[1:]:
+    for lineno, line in entries:
         if "<=" not in line:
             raise ParseError(source, lineno, f"expected 'i <= j', got {line!r}")
         left, right = (s.strip() for s in line.split("<=", 1))
@@ -198,7 +203,7 @@ def parse_relation(text: str, source: str = "<relation>") -> Relation:
             pairs.append((table.index(left), table.index(right)))
         except ValueError as exc:
             raise ParseError(source, lineno, str(exc)) from None
-    return Relation(n, pairs)
+    return pairs
 
 
 def print_relation(rel: Relation) -> str:
@@ -221,6 +226,20 @@ def _parse_vertices_line(line: str, lineno: int, source: str) -> VertexTable:
         return VertexTable(toks)
     except ValueError as exc:
         raise ParseError(source, lineno, str(exc)) from None
+
+
+def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
+    """The ``vertices:`` table if the first line gives one, else the sorted
+    labels used by the lines; plus the remaining content lines."""
+    if lines and lines[0][1].startswith("vertices:"):
+        return _parse_vertices_line(lines[0][1], lines[0][0], source), lines[1:]
+    seen: set[str] = set()
+    for _, line in lines:
+        seen.update(t.strip() for t in line.split(","))
+    try:
+        return VertexTable(sorted(seen)), lines
+    except ValueError as exc:
+        raise ParseError(source, 1, str(exc)) from None
 
 
 def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> Word:
@@ -248,16 +267,7 @@ def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
         )
     entries = lines[2:]
     if block == "relation:":
-        pairs = []
-        for lno, line in entries:
-            if "<=" not in line:
-                raise ParseError(source, lno, f"expected 'i <= j', got {line!r}")
-            left, right = (s.strip() for s in line.split("<=", 1))
-            try:
-                pairs.append((table.index(left), table.index(right)))
-            except ValueError as exc:
-                raise ParseError(source, lno, str(exc)) from None
-        rel = Relation(table.n, pairs)
+        rel = Relation(table.n, _parse_pairs(entries, source, table))
         return Manifold.from_relation(rel, labels=table.labels)
     words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
     if block == "words:":
@@ -289,21 +299,7 @@ def parse_ideal(
 ) -> tuple[BasicIdeal, VertexTable, list[Word]]:
     """Returns the normalized ideal, the vertex table and the words as
     given (so callers can report dropped redundant generators)."""
-    lines = list(_content_lines(text))
-    table = None
-    start = 0
-    if lines and lines[0][1].startswith("vertices:"):
-        table = _parse_vertices_line(lines[0][1], lines[0][0], source)
-        start = 1
-    entries = lines[start:]
-    if table is None:
-        seen: set[str] = set()
-        for _, line in entries:
-            seen.update(t.strip() for t in line.split(","))
-        try:
-            table = VertexTable(sorted(seen))
-        except ValueError as exc:
-            raise ParseError(source, 1, str(exc)) from None
+    table, entries = _table_and_entries(list(_content_lines(text)), source)
     words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
     try:
         ideal = BasicIdeal(table.n, words)
@@ -325,22 +321,9 @@ def parse_complex(
 ) -> tuple[SimplicialComplex, list[str]]:
     """Returns the complex and human-readable notes about added faces."""
     lines = list(_content_lines(text))
-    table = None
-    start = 0
-    if lines and lines[0][1].startswith("vertices:"):
-        table = _parse_vertices_line(lines[0][1], lines[0][0], source)
-        start = 1
-    entries = lines[start:]
-    if table is None:
-        seen: set[str] = set()
-        for _, line in entries:
-            seen.update(t.strip() for t in line.split(","))
-        if not seen:
-            raise ParseError(source, 1, "empty complex file")
-        try:
-            table = VertexTable(sorted(seen))
-        except ValueError as exc:
-            raise ParseError(source, 1, str(exc)) from None
+    if not lines:
+        raise ParseError(source, 1, "empty complex file")
+    table, entries = _table_and_entries(lines, source)
     simplices = []
     for lno, line in entries:
         toks = [t.strip() for t in line.split(",")]

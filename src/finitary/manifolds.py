@@ -193,14 +193,6 @@ class Manifold:
         return cls(labels, words=fully_ordered_sequences(rel))
 
     @classmethod
-    def from_words(cls, words, labels=None, vertex_count=None) -> "Manifold":
-        if labels is None:
-            if vertex_count is None:
-                raise ValueError("need labels or vertex_count")
-            labels = default_labels(vertex_count)
-        return cls(tuple(labels), words=words)
-
-    @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
         labels = tuple(labels) if labels else default_labels(ideal.vertex_count)
         return cls(labels, ideal=ideal)

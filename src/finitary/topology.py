@@ -115,34 +115,49 @@ def is_t0(s: FiniteSpace) -> bool:
     return len(set(s.min_open)) == s.n
 
 
+def trace_quotient(
+    labels: Sequence[str], traces: Sequence[frozenset]
+) -> tuple[FiniteSpace, tuple[int, ...]]:
+    """Quotient of labelled points by equality of traces.
+
+    A trace is any set (of cover sets, say) attached to a point; points
+    with equal traces merge.  Returns the quotient space and the class map
+    (point index -> class index).  Classes are ordered by first occurrence
+    and labelled by their first member; min_open(class T) = {classes S :
+    T subset of S}, so the quotient is always T0.
+    """
+    class_index: dict[frozenset, int] = {}
+    class_traces: list[frozenset] = []
+    class_labels: list[str] = []
+    class_of = []
+    for label, t in zip(labels, traces):
+        if t not in class_index:
+            class_index[t] = len(class_traces)
+            class_traces.append(t)
+            class_labels.append(label)
+        class_of.append(class_index[t])
+    opens = [
+        frozenset(j for j, s in enumerate(class_traces) if t <= s)
+        for t in class_traces
+    ]
+    return FiniteSpace(class_labels, opens), tuple(class_of)
+
+
+def _up_sets(s: FiniteSpace) -> list[frozenset]:
+    """up(x) = {y : x in min_open(y)}, the minimal open sets through x."""
+    return [
+        frozenset(y for y in range(s.n) if x in s.min_open[y]) for x in range(s.n)
+    ]
+
+
 def t0_quotient(s: FiniteSpace) -> tuple[FiniteSpace, tuple[int, ...]]:
     """Collapse points with identical minimal open sets.
 
-    Returns the quotient space and the class map (point index -> class
-    index).  Classes are ordered by first occurrence and labelled by their
-    first member; the quotient is always T0.
+    This is the trace quotient for the covering by minimal open sets: two
+    points lie in the same minimal opens exactly when their own minimal
+    opens coincide.  Returns the quotient space and the class map.
     """
-    class_index: dict[frozenset, int] = {}
-    class_of = []
-    reps = []
-    for x, u in enumerate(s.min_open):
-        if u not in class_index:
-            class_index[u] = len(reps)
-            reps.append(x)
-        class_of.append(class_index[u])
-    opens = [
-        frozenset(class_of[y] for y in s.min_open[rep])
-        for rep in reps
-    ]
-    labels = [s.labels[rep] for rep in reps]
-    return FiniteSpace(labels, opens), tuple(class_of)
-
-
-def specialization_order(s: FiniteSpace) -> tuple[tuple[int, int], ...]:
-    """All pairs (x, y) with x <= y, reflexive pairs included, sorted."""
-    return tuple(
-        sorted((x, y) for y in range(s.n) for x in s.min_open[y])
-    )
+    return trace_quotient(s.labels, _up_sets(s))
 
 
 def hasse(s: FiniteSpace) -> HasseDiagram:
@@ -188,7 +203,7 @@ def open_sets(s: FiniteSpace) -> tuple[frozenset, ...]:
 def _refine_colors(s: FiniteSpace) -> tuple[int, ...]:
     """Iterated invariant refinement over the specialization preorder."""
     down = s.min_open
-    up = [frozenset(y for y in range(s.n) if x in s.min_open[y]) for x in range(s.n)]
+    up = _up_sets(s)
     colors = [(len(down[x]), len(up[x])) for x in range(s.n)]
     while True:
         sigs = [
@@ -220,31 +235,30 @@ def poset_isomorphic(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...] | None:
     if sorted(ca) != sorted(cb):
         return None
 
-    image: list[int | None] = [None] * a.n
+    da, db = a.min_open, b.min_open
+    image: list[int] = []
     used = [False] * b.n
+    start = [0] * a.n  # next candidate to try for each point
 
     def compatible(x: int, y: int) -> bool:
-        for u, v in enumerate(image):
-            if v is None:
-                continue
-            if a.le(u, x) != b.le(v, y) or a.le(x, u) != b.le(y, v):
-                return False
-        return True
+        return all(
+            (u in da[x]) == (v in db[y]) and (x in da[u]) == (y in db[v])
+            for u, v in enumerate(image)
+        )
 
-    def assign(x: int) -> bool:
-        if x == a.n:
-            return True
-        for y in range(b.n):
-            if used[y] or cb[y] != ca[x] or not compatible(x, y):
-                continue
-            image[x] = y
-            used[y] = True
-            if assign(x + 1):
-                return True
-            image[x] = None
-            used[y] = False
-        return False
-
-    if assign(0):
-        return tuple(image)  # type: ignore[arg-type]
-    return None
+    # Depth-first search without recursion: image holds the images of
+    # points 0 .. len(image) - 1, and candidates go in index order.
+    while len(image) < a.n:
+        x = len(image)
+        for y in range(start[x], b.n):
+            if not used[y] and cb[y] == ca[x] and compatible(x, y):
+                image.append(y)
+                used[y] = True
+                start[x] = y + 1
+                break
+        else:
+            if not image:
+                return None
+            start[x] = 0
+            used[image.pop()] = False
+    return tuple(image)

@@ -175,6 +175,18 @@ class TestVerify:
         assert "correspondence: VERIFIED" in out
         assert "  12 -> 12" in out
 
+    def test_ten_vertex_total_order_verifies(self, capsys, tmp_path):
+        # 1023 words: one stack frame per point in the isomorphism search
+        # used to end in a RecursionError and exit 1
+        rel = tmp_path / "total10.relation"
+        pairs = [f"{i} <= {j}" for i in range(1, 11) for j in range(i + 1, 11)]
+        rel.write_text("\n".join(["n 10"] + pairs) + "\n")
+        code, out, _ = run(
+            capsys, "verify", "correspondence", str(rel), "--per-cell", "1", "--json"
+        )
+        assert code == 0
+        assert '"generated_points": 1023' in out and '"ok": true' in out
+
     def test_structure_violation_maps_to_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.manifold"
         bad.write_text("vertices: 1, 2\nwords:\n1\n2\n1, 2\n2, 1\n")

@@ -164,15 +164,17 @@ class TestSampling:
         midpoint = SamplePoint(fs(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 2))))
         assert midpoint.support() == fs(0, 1)  # its cell is the edge itself
 
-    def test_star_membership_law(self):
-        pt = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=9, count=1)[0]
-        for sigma in BOUNDARY_TRIANGLE.ordered():
-            assert pt.in_star_interior(sigma) == (sigma <= fs(0, 1))
-
     def test_sampling_is_deterministic(self):
         a = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=3, count=4)
         b = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=3, count=4)
         assert a == b
+
+    def test_sample_weights_are_pinned(self):
+        # The generator is seeded from a string, not from hash(), so these
+        # exact weights hold on every interpreter.
+        first, second = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=5, count=2)
+        assert first.weights == ((0, Fr(30, 467)), (1, Fr(437, 467)))
+        assert second.weights == ((0, Fr(183, 187)), (1, Fr(4, 187)))
 
     def test_ambient_coordinates_match_weights(self):
         pt = sample(SEGMENT, fs(0, 1), seed=1, count=1)[0]

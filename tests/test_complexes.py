@@ -58,11 +58,6 @@ class TestStars:
 
 
 class TestCellsAndLabels:
-    def test_local_interiors_one_cell_per_simplex(self):
-        cells = FULL_TRIANGLE.local_interiors()
-        assert set(cells) == FULL_TRIANGLE.simplices
-        assert len(set(cells.values())) == len(FULL_TRIANGLE.simplices)
-
     def test_default_label_joins_sorted_vertices(self):
         assert BOUNDARY_TRIANGLE.simplex_label(fs(2, 0)) == "13"
 

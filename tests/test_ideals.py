@@ -15,7 +15,6 @@ from finitary import (
     form_product,
     inner,
     is_subsequence,
-    normalize_generators,
 )
 from finitary.scalars import GaussianRational
 
@@ -78,7 +77,6 @@ class TestNormalization:
             shuffled = list(gens)
             rng.shuffle(shuffled)
             assert BasicIdeal(3, shuffled) == ideal
-            assert normalize_generators(gens, 3) == ideal
 
 
 class TestMembership:

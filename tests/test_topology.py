@@ -10,6 +10,7 @@ from finitary import (
     InfiniteDimensional,
     Manifold,
     Relation,
+    SimplicialComplex,
     TooLarge,
     Word,
     BasicIdeal,
@@ -19,8 +20,9 @@ from finitary import (
     is_t0,
     open_sets,
     poset_isomorphic,
-    specialization_order,
+    simplicial_substitute,
     t0_quotient,
+    trace_quotient,
 )
 
 from conftest import random_manifold
@@ -141,8 +143,25 @@ class TestT0:
                             stack.append(y)
                 opens.append(seen)
             s = FiniteSpace(tuple(f"p{i}" for i in range(n)), opens)
-            q, _ = t0_quotient(s)
+            q, class_of = t0_quotient(s)
             assert is_t0(q)
+            # classes are exactly the points with equal minimal open sets
+            for x in range(n):
+                for y in range(n):
+                    same = s.min_open[x] == s.min_open[y]
+                    assert (class_of[x] == class_of[y]) == same
+                    assert (class_of[y] in q.min_open[class_of[x]]) == s.le(y, x)
+
+    def test_trace_quotient_merges_equal_traces(self):
+        traces = [frozenset(t) for t in ({0}, {0, 1}, {0}, {1})]
+        q, class_of = trace_quotient(("p", "q", "r", "s"), traces)
+        assert class_of == (0, 1, 0, 2)
+        assert q.labels == ("p", "q", "s")
+        assert q.min_open == (
+            frozenset({0, 1}),
+            frozenset({1}),
+            frozenset({1, 2}),
+        )
 
 
 class TestOrderAndHasse:
@@ -163,7 +182,8 @@ class TestOrderAndHasse:
 
     def test_chain(self):
         assert hasse(CHAIN2).edges == ((0, 1),)
-        assert specialization_order(CHAIN2) == ((0, 0), (0, 1), (1, 1))
+        order = {(x, y) for y in range(2) for x in CHAIN2.min_open[y]}
+        assert order == {(0, 0), (0, 1), (1, 1)}
 
     def test_transitive_closure_of_hasse_is_the_order(self):
         rng = random.Random(59)
@@ -179,7 +199,7 @@ class TestOrderAndHasse:
                     if b == c and (a, d) not in closure:
                         closure.add((a, d))
                         changed = True
-            assert tuple(sorted(closure)) == specialization_order(s)
+            assert closure == {(x, y) for y in range(s.n) for x in s.min_open[y]}
             assert hasse(s) == h  # stable under recomputation
 
     def test_hasse_requires_t0(self):
@@ -239,6 +259,14 @@ class TestIsomorphism:
 
     def test_chain_vs_antichain(self):
         assert poset_isomorphic(CHAIN2, ANTICHAIN2) is None
+
+    def test_identity_on_1023_points_does_not_recurse(self):
+        # the face poset of the 9-simplex; one stack frame per point would
+        # exceed the interpreter's recursion limit
+        nine_simplex = SimplicialComplex.closed(10, [range(10)])[0]
+        s = simplicial_substitute(nine_simplex)
+        assert s.n == 1023
+        assert poset_isomorphic(s, s) == tuple(range(s.n))
 
     def test_permuted_copy_is_isomorphic(self):
         rng = random.Random(67)
