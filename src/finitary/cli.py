@@ -119,26 +119,29 @@ def _cmd_manifold(args) -> int:
             return 0
         print("structure: FAILED")
         return 1
-    # info
+    # info: enumerate before the first print, so a refusal leaves stdout empty
     kind = (
         f"explicit ({sum(1 for _ in m.words())} words)"
         if m.is_explicit
         else f"ideal complement ({len(m.ideal.generators)} generators)"
     )
+    if math.isinf(dim):
+        network = "n/a (infinite dimensional)"
+    else:
+        network = "yes" if m.is_network() else "no"
+    unlisted = math.isinf(dim) and args.max_grade is None
+    by_grade: dict[int, list[str]] = {}
+    if not unlisted:
+        for w in m.words(max_grade=args.max_grade):
+            by_grade.setdefault(w.grade, []).append(m.word_label(w))
     print("vertices: " + ", ".join(m.labels))
     print(f"representation: {kind}")
     print(f"dimension: {dim_text}")
-    if math.isinf(dim):
-        print("network: n/a (infinite dimensional)")
-        if args.max_grade is None:
-            print("words: pass --max-grade to enumerate")
-            return 0
-    else:
-        print("network: " + ("yes" if m.is_network() else "no"))
+    print(f"network: {network}")
+    if unlisted:
+        print("words: pass --max-grade to enumerate")
+        return 0
     print("words:")
-    by_grade: dict[int, list[str]] = {}
-    for w in m.words(max_grade=args.max_grade):
-        by_grade.setdefault(w.grade, []).append(m.word_label(w))
     for g in sorted(by_grade):
         print(f"  grade {g}: " + ", ".join(by_grade[g]))
     return 0

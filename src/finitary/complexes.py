@@ -9,7 +9,7 @@ the unique nonvanishing word ordering).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FinitaryError
 
@@ -22,11 +22,16 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
-def join_labels(labels: Iterable[str]) -> str:
-    labels = tuple(labels)
-    if all(len(lbl) == 1 for lbl in labels):
-        return "".join(labels)
-    return ",".join(labels)
+def join_labels(table: Sequence[str], indices: Iterable[int]) -> str:
+    """Label of a word or simplex from its vertex indices.
+
+    The separator is decided by the whole vertex table, not by the labels
+    joined: only when every table label is one character is it omitted, so
+    a joined label can never equal a vertex label (as "12" would on a
+    12-vertex table).
+    """
+    sep = "" if all(len(lbl) == 1 for lbl in table) else ","
+    return sep.join(table[i] for i in indices)
 
 
 class SimplicialComplex:
@@ -116,7 +121,7 @@ class SimplicialComplex:
         s = frozenset(simplex)
         if s in self._simplex_labels:
             return self._simplex_labels[s]
-        return join_labels(self.labels[v] for v in sorted(s))
+        return join_labels(self.labels, sorted(s))
 
     def star(self, simplex) -> set[frozenset]:
         """All simplices having the given one as a face."""

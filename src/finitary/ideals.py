@@ -46,10 +46,11 @@ class BasicIdeal:
                 raise GradeZeroGenerator(
                     f"generator {w!r} has grade 0; ideals must vanish in grade 0"
                 )
+        # a distinct word can embed into w only if it is strictly shorter
         kept = [
             w
             for w in words
-            if not any(g != w and is_subsequence(g, w) for g in words)
+            if not any(len(g) < len(w) and is_subsequence(g, w) for g in words)
         ]
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "generators", tuple(sorted(kept, key=word_key)))

@@ -21,9 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .automata import longest_avoiding_word
+from .automata import avoiding_words, longest_avoiding_word
 from .complexes import SimplicialComplex, default_labels, join_labels
-from .envelope import Word, basis_words, word_key, word_validate
+# basis_words is unused here but stays bound: the traced benchmark op in
+# bench/workloads.py replaces manifolds.basis_words to count words examined.
+from .envelope import Word, basis_words, word_key, word_validate  # noqa: F401
 from .errors import FinitaryError
 from .ideals import BasicIdeal
 
@@ -208,7 +210,7 @@ class Manifold:
         return self.ideal is None
 
     def word_label(self, w: Word) -> str:
-        return join_labels(self.labels[i] for i in w)
+        return join_labels(self.labels, w)
 
     def has_word(self, w) -> bool:
         w = word_validate(w, self.n)
@@ -229,7 +231,8 @@ class Manifold:
     def words(self, max_grade=None) -> Iterator[Word]:
         """Nonvanishing words, grade-major then lexicographic.
 
-        Ideal-complement manifolds of infinite dimension require max_grade.
+        Ideal-complement manifolds of infinite dimension require max_grade;
+        their enumeration raises TooLarge past automata.MAX_WORDS words.
         """
         if self.is_explicit:
             for g in sorted(self._by_grade):
@@ -246,10 +249,9 @@ class Manifold:
             max_grade = dim
         else:
             max_grade = min(max_grade, dim)
-        for g in range(int(max_grade) + 1):
-            for w in basis_words(self.n, g):
-                if not self.ideal.contains(w):
-                    yield w
+        for letters in avoiding_words(self.n, self.ideal.generators, int(max_grade)):
+            # the automaton never places equal letters side by side
+            yield tuple.__new__(Word, letters)
 
     # -- structure -----------------------------------------------------
 
@@ -350,7 +352,7 @@ class Manifold:
                     StructureFailure(
                         "uniqueness",
                         tuple(sorted(group, key=word_key)),
-                        f"vertex set {{{join_labels(self.labels[i] for i in sorted(vset))}}} "
+                        f"vertex set {{{join_labels(self.labels, sorted(vset))}}} "
                         f"carries several orderings: {names}",
                     )
                 )

@@ -19,12 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .envelope import is_subsequence
-from .errors import FinitaryError
+from .errors import TooLarge
 from .manifolds import InfiniteDimensional, Manifold
-
-
-class TooLarge(FinitaryError):
-    pass
 
 
 class FiniteSpace:
@@ -177,6 +173,8 @@ def open_sets(s: FiniteSpace) -> tuple[frozenset, ...]:
     """Every open set: all unions of minimal open sets.
 
     Guarded to at most 20 points; an antichain already has 2^n opens.
+    (Word enumeration of an ideal complement has its own cap,
+    automata.MAX_WORDS = 100 000 words.)
     """
     if s.n > 20:
         raise TooLarge(f"{s.n} points; open-set enumeration is capped at 20")

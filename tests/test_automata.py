@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from finitary import basis_words, longest_avoiding_word
+from finitary import TooLarge, automata, basis_words, longest_avoiding_word
+from finitary.automata import avoiding_words
 
 
 def subseq_oracle(a, b):
@@ -89,3 +90,11 @@ def test_agreement_with_brute_force_random_generators():
             assert brute == 12
         else:
             assert result < 12 and result == brute
+
+
+def test_word_cap_counts_every_grade(monkeypatch):
+    # two vertices, no generators: two words per grade
+    monkeypatch.setattr(automata, "MAX_WORDS", 10)
+    assert len(list(avoiding_words(2, [], 4))) == 10
+    with pytest.raises(TooLarge):
+        list(avoiding_words(2, [], 5))

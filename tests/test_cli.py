@@ -1,5 +1,7 @@
 """Command-line behaviour: outputs, exit codes and error mapping."""
 
+import time
+
 from finitary.cli import main
 
 
@@ -91,6 +93,16 @@ class TestManifold:
         )
         assert code == 0 and "grade 2: 121, 212" in out
 
+    def test_enumeration_past_the_word_cap_is_refused(self, capsys, tmp_path):
+        # about 5*4^40 words without the cap; refused before any output
+        f = tmp_path / "big.manifold"
+        f.write_text("vertices: 1, 2, 3, 4, 5\nideal:\n1, 2, 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "manifold", "info", str(f), "--max-grade", "40")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert "error[TooLarge]" in err
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "manifold", "dim", "no-such-file")
         assert code == 2 and "error[ParseError]" in err
@@ -157,6 +169,15 @@ class TestSubstitute:
         assert code == 0
         assert "points (2): p, q" in out
 
+    def test_word_labels_stay_apart_from_vertex_labels(self, capsys, tmp_path):
+        # the simplex {a, b} used to be labelled "ab", like the vertex ab
+        f = tmp_path / "mixed.complex"
+        f.write_text("vertices: a, b, ab\na, b\n")
+        for op in ("simplicial", "sampled"):
+            code, out, _ = run(capsys, "substitute", op, str(f))
+            assert code == 0
+        assert "a,b#0" in out
+
     def test_closure_notes_go_to_stderr(self, capsys, tmp_path):
         f = tmp_path / "open.complex"
         f.write_text("vertices: 1, 2\n1, 2\n")
@@ -186,6 +207,14 @@ class TestVerify:
         )
         assert code == 0
         assert '"generated_points": 1023' in out and '"ok": true' in out
+
+    def test_twelve_vertex_edge_label_differs_from_vertex_twelve(self, capsys, tmp_path):
+        # the edge {1,2} used to be labelled "12", like vertex 12
+        rel = tmp_path / "edge12.relation"
+        rel.write_text("n 12\n1 <= 2\n")
+        code, out, _ = run(capsys, "verify", "correspondence", str(rel))
+        assert code == 0
+        assert "correspondence: VERIFIED" in out and "  1,2 -> 1,2" in out
 
     def test_structure_violation_maps_to_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.manifold"

@@ -72,6 +72,9 @@ class TestCellsAndLabels:
     def test_multichar_labels_join_with_commas(self):
         p = SimplicialComplex(2, [fs(0), fs(1), fs(0, 1)], labels=("v1", "v2"))
         assert p.simplex_label(fs(0, 1)) == "v1,v2"
+        # one long label in the table puts commas between the short ones too
+        p = SimplicialComplex(3, [fs(0), fs(1), fs(2), fs(0, 1)], labels=("a", "b", "ab"))
+        assert p.simplex_label(fs(0, 1)) == "a,b"
 
     def test_ordered_is_size_major(self):
         sizes = [len(s) for s in FULL_TRIANGLE.ordered()]

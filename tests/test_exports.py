@@ -10,3 +10,7 @@ def test_every_export_resolves():
 
 def test_exports_are_sorted_and_unique():
     assert finitary.__all__ == sorted(set(finitary.__all__))
+
+
+def test_too_large_is_one_class():
+    assert finitary.TooLarge is finitary.topology.TooLarge is finitary.errors.TooLarge

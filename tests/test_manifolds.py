@@ -109,18 +109,27 @@ class TestDimension:
         ]
 
     def test_automaton_agrees_with_filtered_enumeration(self):
+        # oracle: every basis word up to the grade, minus the ideal's words
         rng = random.Random(31)
-        pool = [w for r in (1, 2) for w in basis_words(3, r)]
-        for _ in range(40):
-            gens = rng.sample(pool, rng.randint(1, 3))
-            m = Manifold.from_ideal(BasicIdeal(3, gens))
+        for k in range(48):
+            n = 3 + k % 3
+            pool = [w for r in (1, 2) for w in basis_words(n, r)]
+            gens = rng.sample(pool, rng.randint(1, 4))
+            if k % 2:
+                # forbidding the unrelated pairs of an antisymmetric relation
+                # bounds the dimension
+                rel = random_antisymmetric_relation(rng, n)
+                gens += [(i, j) for i in range(n) for j in range(n) if not rel.holds(i, j)]
+            ideal = BasicIdeal(n, gens)
+            m = Manifold.from_ideal(ideal)
             dim = m.dimension()
-            if math.isinf(dim):
-                assert list(m.words(max_grade=11))  # grows past any small bound
-                assert any(w.grade == 11 for w in m.words(max_grade=11))
-            else:
-                words = list(m.words())
-                assert max(w.grade for w in words) == dim
+            top = 6 if math.isinf(dim) else dim
+            oracle = [
+                w for g in range(top + 1) for w in basis_words(n, g) if not ideal.contains(w)
+            ]
+            words = list(m.words(max_grade=6) if math.isinf(dim) else m.words())
+            assert words == oracle
+            assert max(w.grade for w in words) == top
 
 
 class TestLemmaEquivalence:
