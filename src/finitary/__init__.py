@@ -27,7 +27,6 @@ from .envelope import (
 from .ideals import BasicIdeal, GradeZeroGenerator
 from .automata import longest_avoiding_word
 from .manifolds import (
-    INFINITE,
     InfiniteDimensional,
     Manifold,
     NotAntisymmetric,
@@ -58,7 +57,6 @@ from .coarse import (
     SamplePoint,
     UncoveredPoint,
     circle_covering,
-    realize,
     sample,
     sampled_substitute,
     simplicial_substitute,
@@ -81,7 +79,6 @@ __all__ = [
     "GaussianRational",
     "GradeZeroGenerator",
     "HasseDiagram",
-    "INFINITE",
     "IndexOutOfRange",
     "InfiniteDimensional",
     "Manifold",
@@ -114,7 +111,6 @@ __all__ = [
     "longest_avoiding_word",
     "open_sets",
     "poset_isomorphic",
-    "realize",
     "sample",
     "sampled_substitute",
     "simplicial_substitute",

@@ -28,7 +28,7 @@ from .envelope import differential, form_product, inner
 from .errors import FinitaryError
 from .manifolds import Manifold
 from .topology import generated_space, hasse, open_sets
-from .io import ParseError, VertexTable
+from .io import ParseError
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -40,23 +40,7 @@ def _read(path: str) -> tuple[str, str]:
 
 
 def _load_manifold(path: str) -> Manifold:
-    text, name = _read(path)
-    for _, line in fio._content_lines(text):
-        if line.startswith("n ") or line == "n":
-            rel = fio.parse_relation(text, source=name)
-            return Manifold.from_relation(rel)
-        break
-    return fio.parse_manifold(text, source=name)
-
-
-def _vertex_table(spec: str) -> VertexTable:
-    toks = [t.strip() for t in spec.split(",") if t.strip()]
-    if not toks:
-        raise ParseError("<vertices>", 1, "no vertex labels given")
-    try:
-        return VertexTable(toks)
-    except ValueError as exc:
-        raise ParseError("<vertices>", 1, str(exc)) from None
+    return fio.parse_manifold(*_read(path))
 
 
 def _print_space(space, as_json: bool) -> None:
@@ -73,7 +57,7 @@ def _print_space(space, as_json: bool) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_envelope(args) -> int:
-    table = _vertex_table(args.vertices)
+    table = fio.parse_vertex_table(args.vertices)
     forms = [fio.parse_form(text, table) for text in args.form]
     if args.op == "d":
         result = differential(forms[0], table.n)

@@ -8,18 +8,19 @@ min_open(class T) = all classes whose trace contains T.
 A polyhedron realized from a simplicial complex is coarse grained by the
 covering of open stars.  The star interiors are constant on the open-cell
 partition (one cell per simplex, the points whose barycentric support is
-exactly that simplex), which gives two routes to the same substitute:
+exactly that simplex), so each cell has one star trace: the cells s with
+s included in it.  That gives two routes to the same substitute:
 
-  * symbolic - one representative per cell, membership decided by the
-    subset test "simplex included in carrier";
+  * symbolic - one representative per cell, carrying the cell's trace;
   * sampled  - finitely many strictly interior barycentric points per
-    cell, membership decided from their supports.
+    cell, each carrying the trace of the cell its support names.
 
 Sample weights are strictly positive, so every sample's support equals its
 carrier simplex: the sampled route is a consistency check of the trace
 quotient, not an independent oracle.  Both must agree with the space
 generated by the manifold the complex came from; verify_correspondence
-checks all three for a given manifold.
+checks all three for a given manifold.  Both the circle probe and the
+sampled route refuse with TooLarge past MAX_SAMPLES sample points.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .errors import FinitaryError
+from .errors import FinitaryError, TooLarge
 from .manifolds import Manifold
 from .topology import FiniteSpace, generated_space, poset_isomorphic, trace_quotient
+
+MAX_SAMPLES = 100_000
 
 
 class UncoveredPoint(FinitaryError):
@@ -80,11 +83,6 @@ class Covering:
     def point_count(self) -> int:
         return len(self.point_labels)
 
-    def members(self, cover_index: int) -> tuple[int, ...]:
-        return tuple(
-            p for p, t in enumerate(self.traces) if cover_index in t
-        )
-
     def __repr__(self):
         return (
             f"Covering({len(self.cover_labels)} sets, "
@@ -105,25 +103,15 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     of the star of s exactly when s is a face of t.  The resulting space
     has one point per simplex with min_open equal to the star.
     """
+    traces = _cell_traces(p)
+    return trace_quotient([p.simplex_label(t) for t in traces], traces.values())[0]
+
+
+def _cell_traces(p: SimplicialComplex) -> dict[frozenset, frozenset]:
+    """Star trace of each open cell t, in canonical cell order: the indices
+    of the cells s with s included in t."""
     cells = p.ordered()
-    labels = [p.simplex_label(s) for s in cells]
-    traces = [
-        frozenset(i for i, s in enumerate(cells) if s <= t) for t in cells
-    ]
-    return trace_quotient(labels, traces)[0]
-
-
-def realize(p: SimplicialComplex) -> tuple[tuple[Fraction, ...], ...]:
-    """Standard-basis placement: vertex i at the i-th unit vector.
-
-    Distinct simplices then span geometrically independent faces, so the
-    placement is automatically well-positioned.
-    """
-    n = p.vertex_count
-    return tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    return {t: frozenset(i for i, s in enumerate(cells) if s <= t) for t in cells}
 
 
 @dataclass(frozen=True)
@@ -147,12 +135,6 @@ class SamplePoint:
 
     def support(self) -> frozenset:
         return frozenset(v for v, w in self.weights if w > 0)
-
-    def ambient(self, vertex_count: int) -> tuple[Fraction, ...]:
-        coords = [Fraction(0)] * vertex_count
-        for v, w in self.weights:
-            coords[v] = w
-        return tuple(coords)
 
 
 def sample(
@@ -186,22 +168,24 @@ def sampled_substitute(
     """Numerical enactment of the star coarse graining.
 
     Draws per_cell interior points in every open cell; a point's trace is
-    the set of simplices contained in its barycentric support, and points
+    the star trace of the cell its barycentric support names, and points
     are quotiented by trace equality.  The weights are strictly positive,
     so each support equals the carrier cell and the result is isomorphic
     to simplicial_substitute(p) by construction: a consistency check of
-    the trace quotient, not an independent oracle.
+    the trace quotient, not an independent oracle.  Raises TooLarge when
+    the cell count times per_cell exceeds MAX_SAMPLES.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
-    cells = p.ordered()
+    if len(p) * per_cell > MAX_SAMPLES:
+        raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
+    cell_traces = _cell_traces(p)
     point_labels = []
     traces = []
-    for cell in cells:
+    for cell in cell_traces:
         for j, pt in enumerate(sample(p, cell, seed, per_cell)):
-            support = pt.support()
             point_labels.append(f"{p.simplex_label(cell)}#{j}")
-            traces.append(frozenset(i for i, s in enumerate(cells) if s <= support))
+            traces.append(cell_traces[pt.support()])
     return trace_quotient(point_labels, traces)[0]
 
 
@@ -230,10 +214,13 @@ def circle_covering(
     (lo, hi) with hi wrapped below lo passes through pi; an arc with
     lo == hi is the complement of the single point lo.  The sample set is
     `samples` uniform angles plus `extra_points`; an uncovered sample
-    raises NotACover naming the angle.
+    raises NotACover naming the angle, and more than MAX_SAMPLES samples
+    raise TooLarge.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > MAX_SAMPLES:
+        raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
     norm_arcs = [
         (_normalize_angle(Fraction(lo)), _normalize_angle(Fraction(hi)))
         for lo, hi in arcs

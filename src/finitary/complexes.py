@@ -109,10 +109,6 @@ class SimplicialComplex:
     def __repr__(self):
         return f"SimplicialComplex(n={self.vertex_count}, {len(self.simplices)} simplices)"
 
-    @property
-    def dim(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
-
     def ordered(self) -> tuple[frozenset, ...]:
         """Simplices in canonical order: size-major, then sorted vertices."""
         return self._ordered
@@ -122,10 +118,3 @@ class SimplicialComplex:
         if s in self._simplex_labels:
             return self._simplex_labels[s]
         return join_labels(self.labels, sorted(s))
-
-    def star(self, simplex) -> set[frozenset]:
-        """All simplices having the given one as a face."""
-        s = frozenset(simplex)
-        if s not in self.simplices:
-            raise NotASimplex(f"{set(simplex)} is not a simplex of the complex")
-        return {t for t in self.simplices if s <= t}

@@ -156,15 +156,6 @@ class Form:
     def support(self) -> set[Word]:
         return set(self._terms)
 
-    def grades(self) -> set[int]:
-        return {w.grade for w in self._terms}
-
-    def homogeneous(self, grade: int) -> "Form":
-        return Form((w, c) for w, c in self._terms.items() if w.grade == grade)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
-
     def __len__(self):
         return len(self._terms)
 

@@ -1,12 +1,14 @@
-"""Parsing and serialization for every file format the tools speak.
+"""The file formats the tools read, form printing, and JSON/DOT export
+of finite spaces.
 
-All output is canonically ordered (grade-major, then lexicographic) so
-that identical inputs produce byte-identical files.  Formats:
+Printed forms are canonically ordered (grade-major, then lexicographic)
+so that identical inputs give byte-identical output.  Formats:
 
   form      ``3/2*e[1,2] - e[2,1] + (1+2i)*e[3]``; ``0`` is the zero form
   relation  header ``n <count>``, then one ``i <= j`` line per pair
   manifold  ``vertices:`` line, then a ``relation:``, ``words:`` or
-            ``ideal:`` block (one entry per line)
+            ``ideal:`` block (one entry per line); or a relation file,
+            read as its network manifold
   ideal     optional ``vertices:`` line, then one generator word per line
             as comma-separated labels
   complex   optional ``vertices:`` line, then one simplex per line;
@@ -73,6 +75,19 @@ class VertexTable:
 
     def label(self, i: int) -> str:
         return self.labels[i]
+
+
+def parse_vertex_table(
+    spec: str, source: str = "<vertices>", line: int = 1
+) -> VertexTable:
+    """A vertex table from a comma-separated label list."""
+    toks = [t.strip() for t in spec.split(",") if t.strip()]
+    if not toks:
+        raise ParseError(source, line, "no vertex labels given")
+    try:
+        return VertexTable(toks)
+    except ValueError as exc:
+        raise ParseError(source, line, str(exc)) from None
 
 
 def _content_lines(text: str):
@@ -181,6 +196,11 @@ def parse_relation(text: str, source: str = "<relation>") -> Relation:
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(source, 1, "empty relation file")
+    return _relation(lines, source)
+
+
+def _relation(lines, source: str) -> Relation:
+    """A relation from the content lines of a file with an ``n`` header."""
     lineno, header = lines[0]
     bits = header.split()
     if len(bits) != 2 or bits[0] != "n" or not bits[1].isdigit():
@@ -206,33 +226,14 @@ def _parse_pairs(entries, source: str, table: VertexTable) -> list[tuple[int, in
     return pairs
 
 
-def print_relation(rel: Relation) -> str:
-    table = VertexTable(str(i + 1) for i in range(rel.n))
-    lines = [f"n {rel.n}"]
-    lines += [
-        f"{table.label(i)} <= {table.label(j)}" for i, j in rel.strict_pairs()
-    ]
-    return "\n".join(lines) + "\n"
-
-
 # -- manifolds ---------------------------------------------------------------
-
-def _parse_vertices_line(line: str, lineno: int, source: str) -> VertexTable:
-    body = line.split(":", 1)[1].strip()
-    toks = [t.strip() for t in body.split(",") if t.strip()]
-    if not toks:
-        raise ParseError(source, lineno, "vertices: line lists no labels")
-    try:
-        return VertexTable(toks)
-    except ValueError as exc:
-        raise ParseError(source, lineno, str(exc)) from None
-
 
 def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
     """The ``vertices:`` table if the first line gives one, else the sorted
     labels used by the lines; plus the remaining content lines."""
     if lines and lines[0][1].startswith("vertices:"):
-        return _parse_vertices_line(lines[0][1], lines[0][0], source), lines[1:]
+        lineno, first = lines[0]
+        return parse_vertex_table(first.split(":", 1)[1], source, lineno), lines[1:]
     seen: set[str] = set()
     for _, line in lines:
         seen.update(t.strip() for t in line.split(","))
@@ -251,13 +252,17 @@ def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) ->
 
 
 def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
+    """A manifold file, or a relation file (first content line ``n`` or
+    ``n ...``) read as the network manifold of its relation."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(source, 1, "empty manifold file")
     lineno, first = lines[0]
+    if first == "n" or first.startswith("n "):
+        return Manifold.from_relation(_relation(lines, source))
     if not first.startswith("vertices:"):
         raise ParseError(source, lineno, "manifold file must start with 'vertices:'")
-    table = _parse_vertices_line(first, lineno, source)
+    table = parse_vertex_table(first.split(":", 1)[1], source, lineno)
     if len(lines) < 2:
         raise ParseError(source, lineno, "missing 'relation:', 'words:' or 'ideal:' block")
     lineno, block = lines[1]
@@ -281,17 +286,6 @@ def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
     return Manifold.from_ideal(ideal, labels=table.labels)
 
 
-def print_manifold(m: Manifold) -> str:
-    lines = ["vertices: " + ", ".join(m.labels)]
-    if m.is_explicit:
-        lines.append("words:")
-        lines += [", ".join(m.labels[i] for i in w) for w in m.words()]
-    else:
-        lines.append("ideal:")
-        lines += [", ".join(m.labels[i] for i in g) for g in m.ideal.generators]
-    return "\n".join(lines) + "\n"
-
-
 # -- ideals ------------------------------------------------------------------
 
 def parse_ideal(
@@ -306,12 +300,6 @@ def parse_ideal(
     except FinitaryError as exc:
         raise ParseError(source, entries[0][0] if entries else 1, str(exc)) from None
     return ideal, table, words
-
-
-def print_ideal(ideal: BasicIdeal, table: VertexTable) -> str:
-    lines = ["vertices: " + ", ".join(table.labels)]
-    lines += [", ".join(table.label(i) for i in g) for g in ideal.generators]
-    return "\n".join(lines) + "\n"
 
 
 # -- complexes ---------------------------------------------------------------
@@ -339,14 +327,6 @@ def parse_complex(
     )
     notes = [f"added missing face {complex_.simplex_label(s)}" for s in added]
     return complex_, notes
-
-
-def print_complex(p: SimplicialComplex) -> str:
-    lines = ["vertices: " + ", ".join(p.labels)]
-    lines += [
-        ", ".join(p.labels[v] for v in sorted(s)) for s in p.ordered()
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # -- coverings ---------------------------------------------------------------
@@ -379,14 +359,6 @@ def parse_covering(text: str, source: str = "<covering>") -> Covering:
         return Covering(cover_labels, point_labels, traces)
     except (FinitaryError, ValueError) as exc:
         raise ParseError(source, 1, str(exc)) from None
-
-
-def print_covering(c: Covering) -> str:
-    lines = ["covers: " + ", ".join(c.cover_labels)]
-    for label, trace in zip(c.point_labels, c.traces):
-        names = ", ".join(c.cover_labels[i] for i in sorted(trace))
-        lines.append(f"{label}: {names}")
-    return "\n".join(lines) + "\n"
 
 
 # -- finite spaces -----------------------------------------------------------

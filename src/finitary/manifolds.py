@@ -2,10 +2,12 @@
 nonvanishing basis words of a calculus on it.
 
 Two representations are supported.  An explicit manifold stores the finite
-word family directly (grade-bucketed, lexicographically sorted).  An
-ideal-complement manifold stores a BasicIdeal and treats every word outside
-the ideal as nonvanishing; that family may be infinite, so only dimension
-detection and grade-truncated enumeration are offered for it.
+word family directly, as one tuple in canonical order (grade-major, then
+lexicographic).  An ideal-complement manifold stores a BasicIdeal and
+treats every word outside the ideal as nonvanishing; that family may be
+infinite, so only dimension detection and grade-truncated enumeration are
+offered for it.  When it is finite, its first full listing is kept in the
+same tuple.
 
 A manifold built from a reflexive relation r ("network" construction)
 takes as words exactly the sequences (i_0, ..., i_k) with i_s r i_t for
@@ -19,17 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Iterator
 
-from .automata import avoiding_words, longest_avoiding_word
+from .automata import MAX_WORDS, avoiding_words, longest_avoiding_word
 from .complexes import SimplicialComplex, default_labels, join_labels
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
 from .envelope import Word, basis_words, word_key, word_validate  # noqa: F401
-from .errors import FinitaryError
+from .errors import FinitaryError, TooLarge
 from .ideals import BasicIdeal
-
-INFINITE = math.inf
 
 
 class NotAntisymmetric(FinitaryError):
@@ -97,10 +98,16 @@ def fully_ordered_sequences(rel: Relation) -> Iterator[Word]:
     distinct vertices with every earlier element related to every later one.
 
     For an antisymmetric relation these are exactly the subsets totally
-    ordered by it, each in its unique admissible arrangement.
+    ordered by it, each in its unique admissible arrangement.  Raises
+    TooLarge once more than automata.MAX_WORDS sequences have been built.
     """
+    built = 0
 
     def extend(seq: tuple[int, ...]) -> Iterator[Word]:
+        nonlocal built
+        built += 1
+        if built > MAX_WORDS:
+            raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
         yield Word(seq)
         for k in range(rel.n):
             if k in seq:
@@ -147,7 +154,7 @@ class Manifold:
     """A vertex table plus the family of nonvanishing words (explicit or as
     the complement of a basic ideal)."""
 
-    __slots__ = ("labels", "_by_grade", "_word_set", "ideal", "_dim")
+    __slots__ = ("labels", "_words", "ideal", "_dim")
 
     def __init__(self, labels: tuple[str, ...], words=None, ideal: BasicIdeal | None = None):
         if (words is None) == (ideal is None):
@@ -156,24 +163,14 @@ class Manifold:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "_dim", None)
+        object.__setattr__(self, "_words", None)
         if words is not None:
             validated = {word_validate(w, len(labels)) for w in words}
             if not validated:
                 raise ValueError("explicit manifold needs at least one word")
-            by_grade: dict[int, list[Word]] = {}
-            for w in validated:
-                by_grade.setdefault(w.grade, []).append(w)
-            object.__setattr__(
-                self,
-                "_by_grade",
-                {g: tuple(sorted(ws)) for g, ws in sorted(by_grade.items())},
-            )
-            object.__setattr__(self, "_word_set", frozenset(validated))
-        else:
-            if ideal.vertex_count != len(labels):
-                raise ValueError("ideal vertex count does not match label count")
-            object.__setattr__(self, "_by_grade", None)
-            object.__setattr__(self, "_word_set", None)
+            object.__setattr__(self, "_words", tuple(sorted(validated, key=word_key)))
+        elif ideal.vertex_count != len(labels):
+            raise ValueError("ideal vertex count does not match label count")
 
     def __setattr__(self, name, value):
         raise AttributeError("Manifold is immutable")
@@ -212,17 +209,11 @@ class Manifold:
     def word_label(self, w: Word) -> str:
         return join_labels(self.labels, w)
 
-    def has_word(self, w) -> bool:
-        w = word_validate(w, self.n)
-        if self.is_explicit:
-            return w in self._word_set
-        return not self.ideal.contains(w)
-
     def dimension(self) -> int | float:
         """Largest grade carrying a nonvanishing word; math.inf if unbounded."""
         if self._dim is None:
             if self.is_explicit:
-                dim = max(self._by_grade)
+                dim = self._words[-1].grade
             else:
                 dim = longest_avoiding_word(self.n, self.ideal.generators) - 1
             object.__setattr__(self, "_dim", dim)
@@ -233,48 +224,51 @@ class Manifold:
 
         Ideal-complement manifolds of infinite dimension require max_grade;
         their enumeration raises TooLarge past automata.MAX_WORDS words.
+        The first full listing of a finite one is kept; a truncated or
+        infinite listing walks the automaton each time.
         """
-        if self.is_explicit:
-            for g in sorted(self._by_grade):
-                if max_grade is not None and g > max_grade:
-                    break
-                yield from self._by_grade[g]
-            return
-        dim = self.dimension()
-        if max_grade is None:
-            if math.isinf(dim):
+        if self._words is None:
+            dim = self.dimension()
+            if max_grade is None and math.isinf(dim):
                 raise InfiniteDimensional(
                     "infinite family of words; pass max_grade to truncate"
                 )
-            max_grade = dim
-        else:
-            max_grade = min(max_grade, dim)
-        for letters in avoiding_words(self.n, self.ideal.generators, int(max_grade)):
-            # the automaton never places equal letters side by side
-            yield tuple.__new__(Word, letters)
+            top = dim if max_grade is None else min(max_grade, dim)
+            walk = (
+                # the automaton never places equal letters side by side
+                tuple.__new__(Word, letters)
+                for letters in avoiding_words(self.n, self.ideal.generators, int(top))
+            )
+            if top < dim:
+                return walk
+            object.__setattr__(self, "_words", tuple(walk))
+        if max_grade is None:
+            return iter(self._words)
+        return takewhile(lambda w: w.grade <= max_grade, self._words)
 
     # -- structure -----------------------------------------------------
 
     def relation(self) -> Relation:
         """The binary relation read off the 1-forms: i <= j iff the word
         (i, j) is nonvanishing (plus the diagonal)."""
-        pairs = [
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.has_word((i, j))
-        ]
-        return Relation(self.n, pairs)
+        return Relation(self.n, (w for w in self.words(max_grade=1) if w.grade == 1))
 
     def is_network(self) -> bool:
         """True iff the word family equals all fully ordered arrangements of
-        its own 1-form relation."""
+        its own 1-form relation.  Stops at the first arrangement that is not
+        a word, so a large relation behind a small family is not listed."""
         if math.isinf(self.dimension()):
             raise InfiniteDimensional("network test needs a finite word family")
+        word_set = set(self.words())
         rel = self.relation()
         if rel.antisymmetry_witness():
             return False
-        return set(fully_ordered_sequences(rel)) == set(self.words())
+        arranged = 0
+        for seq in fully_ordered_sequences(rel):
+            if seq not in word_set:
+                return False
+            arranged += 1
+        return arranged == len(word_set)
 
     def check_structure(self) -> StructureReport:
         """Verify the combinatorial shape of a finite word family:
@@ -377,23 +371,19 @@ class Manifold:
             raise StructureViolation(report)
         simplex_labels = {frozenset(w): self.word_label(w) for w in self.words()}
         return SimplicialComplex(
-            self.n,
-            (frozenset(w) for w in self.words()),
-            labels=self.labels,
-            simplex_labels=simplex_labels,
+            self.n, simplex_labels.keys(), labels=self.labels, simplex_labels=simplex_labels
         )
+
+    def _key(self):
+        return (self.labels, self._words if self.is_explicit else self.ideal)
 
     def __eq__(self, other):
         if isinstance(other, Manifold):
-            return (
-                self.labels == other.labels
-                and self._word_set == other._word_set
-                and self.ideal == other.ideal
-            )
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.labels, self._word_set, self.ideal))
+        return hash(self._key())
 
     def __repr__(self):
         kind = "explicit" if self.is_explicit else "ideal-complement"

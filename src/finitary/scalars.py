@@ -127,6 +127,3 @@ class GaussianRational:
         re = Fraction(re_tok) if re_tok else Fraction(0)
         return GaussianRational(re, im)
 
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)

@@ -2,6 +2,7 @@
 
 import time
 
+from finitary import manifolds
 from finitary.cli import main
 
 
@@ -103,6 +104,32 @@ class TestManifold:
         assert code == 2 and out == ""
         assert "error[TooLarge]" in err
 
+    def test_relation_paths_past_the_word_cap_are_refused(self, capsys, tmp_path):
+        # a 1895-byte file: the total order on 22 vertices has 2**22 - 1 words
+        f = tmp_path / "total22.relation"
+        pairs = [f"{i} <= {j}" for i in range(1, 23) for j in range(i + 1, 23)]
+        f.write_text("\n".join(["n 22", *pairs]) + "\n")
+        code, out, err = run(capsys, "manifold", "dim", str(f))
+        assert code == 2 and out == ""
+        assert "error[TooLarge]" in err
+
+    def test_info_walks_the_automaton_once(self, capsys, tmp_path, monkeypatch):
+        walks = []
+        original = manifolds.avoiding_words
+
+        def counted(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(manifolds, "avoiding_words", counted)
+        # the total order on 4 vertices as an ideal complement: j, i for i < j
+        f = tmp_path / "total4.manifold"
+        gens = [f"{j}, {i}" for i in range(1, 5) for j in range(i + 1, 5)]
+        f.write_text("\n".join(["vertices: 1, 2, 3, 4", "ideal:", *gens]) + "\n")
+        code, out, _ = run(capsys, "manifold", "info", str(f))
+        assert code == 0 and "network: yes" in out
+        assert len(walks) == 1
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "manifold", "dim", "no-such-file")
         assert code == 2 and "error[ParseError]" in err
@@ -163,6 +190,19 @@ class TestSubstitute:
         code, out, _ = run(capsys, "substitute", "circle", "--samples", "64")
         assert code == 0
         assert "classes (6):" in out
+
+    def test_circle_sample_count_is_capped(self, capsys):
+        code, out, err = run(capsys, "substitute", "circle", "--samples", "1000000000")
+        assert code == 2 and out == ""
+        assert "error[TooLarge]" in err
+
+    def test_sampled_point_count_is_capped(self, capsys, data_dir):
+        complex_file = str(data_dir / "triangle_boundary.complex")
+        code, out, err = run(
+            capsys, "substitute", "sampled", complex_file, "--per-cell", "1000000000"
+        )
+        assert code == 2 and out == ""
+        assert "error[TooLarge]" in err
 
     def test_trace_on_covering_file(self, capsys, data_dir):
         code, out, _ = run(capsys, "substitute", "trace", str(data_dir / "pair.covering"))

@@ -19,7 +19,6 @@ from finitary import (
     generated_space,
     is_t0,
     poset_isomorphic,
-    realize,
     sample,
     sampled_substitute,
     simplicial_substitute,
@@ -55,11 +54,6 @@ class TestTraceSubstitute:
     def test_uncovered_point_rejected(self):
         with pytest.raises(UncoveredPoint):
             Covering(("A",), ("p",), [frozenset()])
-
-    def test_cover_set_members(self):
-        c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
-        assert c.members(0) == (0, 1)
-        assert c.members(1) == (1,)
 
     @given(
         st.lists(
@@ -150,10 +144,6 @@ class TestSimplicialSubstitute:
 
 
 class TestSampling:
-    def test_standard_placement(self):
-        placement = realize(SEGMENT)
-        assert placement[1] == (Fr(0), Fr(1))
-
     def test_weights_positive_and_normalized(self):
         for pt in sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=5, count=10):
             assert sum(w for _, w in pt.weights) == 1
@@ -175,12 +165,6 @@ class TestSampling:
         first, second = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=5, count=2)
         assert first.weights == ((0, Fr(30, 467)), (1, Fr(437, 467)))
         assert second.weights == ((0, Fr(183, 187)), (1, Fr(4, 187)))
-
-    def test_ambient_coordinates_match_weights(self):
-        pt = sample(SEGMENT, fs(0, 1), seed=1, count=1)[0]
-        coords = pt.ambient(2)
-        assert sum(coords) == 1
-        assert coords[0] == dict(pt.weights)[0]
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(ValueError):

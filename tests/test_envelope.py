@@ -241,11 +241,6 @@ class TestFormRepresentation:
         f = Form([(W(0, 1), 1), (W(0, 1), 2)])
         assert f.coeff((0, 1)) == GaussianRational(3)
 
-    def test_homogeneous_component(self):
-        f = F((0,)) + F((0, 1)) + F((1, 0))
-        assert f.homogeneous(1) == F((0, 1)) + F((1, 0))
-        assert f.homogeneous(2) == Form()
-
     def test_items_canonical_order(self):
         f = F((1, 0)) + F((0,)) + F((0, 1))
         assert [w for w, _ in f.items()] == [W(0), W(0, 1), W(1, 0)]

@@ -11,6 +11,7 @@ from finitary import (
     Form,
     Manifold,
     Relation,
+    SimplicialComplex,
     Word,
     basis_words,
     generated_space,
@@ -26,12 +27,7 @@ from finitary.io import (
     parse_ideal,
     parse_manifold,
     parse_relation,
-    print_complex,
-    print_covering,
     print_form,
-    print_ideal,
-    print_manifold,
-    print_relation,
     space_json,
 )
 from finitary.scalars import GaussianRational
@@ -108,7 +104,7 @@ class TestRelations:
 
     def test_round_trip(self):
         rel = Relation(3, [(0, 1), (1, 2), (2, 0)])
-        assert parse_relation(print_relation(rel)) == rel
+        assert parse_relation("n 3\n1 <= 2\n2 <= 3\n3 <= 1\n") == rel
 
     @pytest.mark.parametrize("text", ["", "m 3", "n x", "n 2\n1 < 2", "n 2\n1 <= 9"])
     def test_errors(self, text):
@@ -140,11 +136,16 @@ class TestManifolds:
 
     def test_round_trip_explicit(self):
         m = parse_manifold(TRIANGLE_TEXT)
-        assert parse_manifold(print_manifold(m)) == m
+        text = "vertices: 1, 2, 3\nwords:\n1\n2\n3\n1, 2\n2, 3\n3, 1\n"
+        assert parse_manifold(text) == m
 
     def test_round_trip_ideal(self):
         m = Manifold.from_ideal(BasicIdeal(2, [Word((0, 1))]))
-        assert parse_manifold(print_manifold(m)) == m
+        assert parse_manifold("vertices: 1, 2\nideal:\n1, 2\n") == m
+
+    def test_relation_file_is_its_network_manifold(self):
+        text = "n 3\n1 <= 2\n2 <= 3\n3 <= 1\n"
+        assert parse_manifold(text) == parse_manifold(TRIANGLE_TEXT)
 
     @pytest.mark.parametrize(
         "text",
@@ -177,9 +178,8 @@ class TestIdeals:
 
     def test_round_trip(self):
         ideal = BasicIdeal(3, [Word((0, 1)), Word((1, 0))])
-        table = VertexTable(("1", "2", "3"))
-        parsed, parsed_table, _ = parse_ideal(print_ideal(ideal, table))
-        assert parsed == ideal and parsed_table.labels == table.labels
+        parsed, parsed_table, _ = parse_ideal("vertices: 1, 2, 3\n1, 2\n2, 1\n")
+        assert parsed == ideal and parsed_table.labels == ("1", "2", "3")
 
     def test_grade_zero_is_a_parse_error(self):
         with pytest.raises(ParseError):
@@ -194,9 +194,11 @@ class TestComplexes:
         assert any("12" in note for note in notes)
 
     def test_round_trip(self):
-        complex_, _ = parse_complex("vertices: 1, 2, 3\n1, 2\n2, 3\n")
-        again, notes = parse_complex(print_complex(complex_))
-        assert again == complex_ and notes == []
+        text = "vertices: 1, 2, 3\n1\n2\n3\n1, 2\n2, 3\n"
+        complex_, notes = parse_complex(text)
+        fs = frozenset
+        expected = SimplicialComplex(3, [fs({0}), fs({1}), fs({2}), fs({0, 1}), fs({1, 2})])
+        assert complex_ == expected and notes == []
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ParseError):
@@ -210,7 +212,12 @@ class TestCoverings:
 
     def test_round_trip(self):
         c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
-        assert print_covering(parse_covering(print_covering(c))) == print_covering(c)
+        parsed = parse_covering("covers: A, B\np: A\nq: A, B\n")
+        assert (parsed.cover_labels, parsed.point_labels, parsed.traces) == (
+            c.cover_labels,
+            c.point_labels,
+            c.traces,
+        )
 
     @pytest.mark.parametrize(
         "text",
