@@ -3,7 +3,7 @@
 # 1 <= 2 <= 3 <= 1 (deliberately not transitive) induces a one-dimensional
 # manifold whose generated space is a hexagon poset.
 
-from finitary import Manifold, Relation, generated_space, hasse, open_sets
+from finitary import Manifold, Relation, generated_space, hasse, members, open_sets
 from finitary.io import hasse_dot
 
 rel = Relation(3, [(0, 1), (1, 2), (2, 0)])
@@ -19,12 +19,13 @@ print()
 print(report)
 
 # the generated space: points are the words, the smallest open set of a
-# word collects its superwords, so edges sit below their endpoints
+# word collects its superwords (one bitmask per point; members lists it),
+# so edges sit below their endpoints
 space = generated_space(m)
 print()
 for x in range(space.n):
-    members = ", ".join(space.labels[y] for y in sorted(space.min_open[x]))
-    print(f"min_open({space.labels[x]}) = {{{members}}}")
+    points = ", ".join(space.labels[y] for y in members(space.min_open[x]))
+    print(f"min_open({space.labels[x]}) = {{{points}}}")
 
 diagram = hasse(space)
 print()

@@ -43,6 +43,7 @@ from .topology import (
     generated_space,
     hasse,
     is_t0,
+    members,
     open_sets,
     poset_isomorphic,
     t0_quotient,
@@ -109,6 +110,7 @@ __all__ = [
     "is_subsequence",
     "is_t0",
     "longest_avoiding_word",
+    "members",
     "open_sets",
     "poset_isomorphic",
     "sample",

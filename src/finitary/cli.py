@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .coarse import (
 from .envelope import differential, form_product, inner
 from .errors import FinitaryError
 from .manifolds import Manifold
-from .topology import generated_space, hasse, open_sets
+from .topology import generated_space, hasse, members, open_sets
 from .io import ParseError
 
 
@@ -50,8 +51,8 @@ def _print_space(space, as_json: bool) -> None:
     print(f"points ({space.n}): " + ", ".join(space.labels))
     print("min_open:")
     for x in range(space.n):
-        members = ", ".join(space.labels[y] for y in sorted(space.min_open[x]))
-        print(f"  {space.labels[x]}: {members}")
+        points = ", ".join(space.labels[y] for y in members(space.min_open[x]))
+        print(f"  {space.labels[x]}: {points}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -141,7 +142,7 @@ def _cmd_topology(args) -> int:
         opens = open_sets(space)
         print(f"open sets ({len(opens)}):")
         for u in opens:
-            print("  {" + ", ".join(space.labels[x] for x in sorted(u)) + "}")
+            print("  {" + ", ".join(space.labels[x] for x in members(u)) + "}")
         return 0
     diagram = hasse(space)
     if args.dot:
@@ -256,8 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main and kept for the rest
+    of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "envelope":
         need = args.needs(args)

@@ -26,6 +26,7 @@ sampled route refuse with TooLarge past MAX_SAMPLES sample points.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,7 +34,13 @@ from typing import Iterable, Sequence
 from .complexes import SimplicialComplex
 from .errors import FinitaryError, TooLarge
 from .manifolds import Manifold
-from .topology import FiniteSpace, generated_space, poset_isomorphic, trace_quotient
+from .topology import (
+    FiniteSpace,
+    generated_space,
+    members,
+    poset_isomorphic,
+    trace_quotient,
+)
 
 MAX_SAMPLES = 100_000
 
@@ -93,7 +100,8 @@ class Covering:
 def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
     """Quotient of the covered points by equality of traces (see
     topology.trace_quotient); returns the space and the class map."""
-    return trace_quotient(c.point_labels, c.traces)
+    masks = [sum(1 << i for i in t) for t in c.traces]
+    return trace_quotient(c.point_labels, masks)
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
@@ -103,15 +111,24 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     of the star of s exactly when s is a face of t.  The resulting space
     has one point per simplex with min_open equal to the star.
     """
-    traces = _cell_traces(p)
+    return _symbolic(p, _cell_traces(p))
+
+
+def _symbolic(p: SimplicialComplex, traces: dict[frozenset, int]) -> FiniteSpace:
     return trace_quotient([p.simplex_label(t) for t in traces], traces.values())[0]
 
 
-def _cell_traces(p: SimplicialComplex) -> dict[frozenset, frozenset]:
-    """Star trace of each open cell t, in canonical cell order: the indices
-    of the cells s with s included in t."""
-    cells = p.ordered()
-    return {t: frozenset(i for i, s in enumerate(cells) if s <= t) for t in cells}
+def _cell_traces(p: SimplicialComplex) -> dict[frozenset, int]:
+    """Star trace of each open cell t, in canonical cell order: the mask of
+    the indices of the cells s included in t, built as t's own bit OR the
+    traces of its facets, smallest cells first."""
+    traces: dict[frozenset, int] = {}
+    for i, t in enumerate(p.ordered()):
+        trace = 1 << i
+        for v in t if len(t) > 1 else ():
+            trace |= traces[t - {v}]
+        traces[t] = trace
+    return traces
 
 
 @dataclass(frozen=True)
@@ -175,18 +192,23 @@ def sampled_substitute(
     the trace quotient, not an independent oracle.  Raises TooLarge when
     the cell count times per_cell exceeds MAX_SAMPLES.
     """
+    return _sampled(p, _cell_traces(p), per_cell, seed)
+
+
+def _sampled(
+    p: SimplicialComplex, traces: dict[frozenset, int], per_cell: int, seed: int
+) -> FiniteSpace:
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
     if len(p) * per_cell > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
-    cell_traces = _cell_traces(p)
     point_labels = []
-    traces = []
-    for cell in cell_traces:
+    point_traces = []
+    for cell in traces:
         for j, pt in enumerate(sample(p, cell, seed, per_cell)):
             point_labels.append(f"{p.simplex_label(cell)}#{j}")
-            traces.append(cell_traces[pt.support()])
-    return trace_quotient(point_labels, traces)[0]
+            point_traces.append(traces[pt.support()])
+    return trace_quotient(point_labels, point_traces)[0]
 
 
 def _normalize_angle(phi: Fraction) -> Fraction:
@@ -274,32 +296,52 @@ class CorrespondenceReport:
     def ok(self) -> bool:
         return self.gen_to_sym is not None and self.sym_to_sam is not None
 
-    def _bijection_lines(self, a: FiniteSpace, b: FiniteSpace, mapping) -> list[str]:
-        return [
-            f"  {a.labels[x]} -> {b.labels[y]}" for x, y in enumerate(mapping)
-        ]
+    @staticmethod
+    def _pair_lines(a, a_name, b, b_name, mapping, certificate, how) -> list[str]:
+        """The bijection, or NOT ISOMORPHIC and why the certificate fails:
+        the first pair whose order it does not carry over, and the number
+        of points per grade on both sides."""
+        if mapping is not None:
+            return [f"{a_name} ~ {b_name}:"] + [
+                f"  {a.labels[x]} -> {b.labels[y]}" for x, y in enumerate(mapping)
+            ]
+        lines = [f"{a_name} ~ {b_name}: NOT ISOMORPHIC"]
+        pair = None if certificate is None else _unpreserved(a, b, certificate)
+        if pair is not None:
+            x, y = pair
+            fx, fy = certificate[x], certificate[y]
+            a_not, b_not = ("", "not ") if a.le(x, y) else ("not ", "")
+            lines.append(
+                f"  order not preserved by {how}: "
+                f"{a_not}{a.labels[x]} <= {a.labels[y]} in {a_name}, "
+                f"{b_not}{b.labels[fx]} <= {b.labels[fy]} in {b_name}"
+            )
+        lines.append(
+            f"  points per grade: {a_name} {_grade_counts(a)}; {b_name} {_grade_counts(b)}"
+        )
+        return lines
 
     def render_symbolic(self) -> str:
+        gen, sym = self.generated, self.symbolic
         lines = [
-            f"generated space: {self.generated.n} points",
-            f"symbolic substitute: {self.symbolic.n} points",
+            f"generated space: {gen.n} points",
+            f"symbolic substitute: {sym.n} points",
         ]
-        if self.gen_to_sym is None:
-            lines.append("generated ~ symbolic: NOT ISOMORPHIC")
-        else:
-            lines.append("generated ~ symbolic:")
-            lines += self._bijection_lines(self.generated, self.symbolic, self.gen_to_sym)
+        lines += self._pair_lines(
+            gen, "generated", sym, "symbolic", self.gen_to_sym,
+            _label_map(gen, sym), "matching labels",
+        )
         return "\n".join(lines)
 
     def render_sampled(self) -> str:
+        sym, sam = self.symbolic, self.sampled
         lines = [
-            f"sampled substitute (per_cell={self.per_cell}): {self.sampled.n} points",
+            f"sampled substitute (per_cell={self.per_cell}): {sam.n} points",
         ]
-        if self.sym_to_sam is None:
-            lines.append("symbolic ~ sampled: NOT ISOMORPHIC")
-        else:
-            lines.append("symbolic ~ sampled:")
-            lines += self._bijection_lines(self.symbolic, self.sampled, self.sym_to_sam)
+        lines += self._pair_lines(
+            sym, "symbolic", sam, "sampled", self.sym_to_sam,
+            _identity(sym, sam), "the identity",
+        )
         return "\n".join(lines)
 
     def render(self) -> str:
@@ -307,6 +349,53 @@ class CorrespondenceReport:
         return "\n".join(
             [self.render_symbolic(), self.render_sampled(), f"correspondence: {verdict}"]
         )
+
+
+def _label_map(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...] | None:
+    """Each point of a to the point of b with the same label, when that is
+    a bijection."""
+    index = {label: y for y, label in enumerate(b.labels)}
+    phi = tuple(index.get(label, -1) for label in a.labels)
+    return phi if a.n == b.n and -1 not in phi else None
+
+
+def _identity(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...] | None:
+    return tuple(range(a.n)) if a.n == b.n else None
+
+
+def _unpreserved(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, int] | None:
+    """The first pair (x, y), by y and then x, whose order the bijection
+    phi does not carry over (x <= y holds in exactly one of a and b after
+    mapping); None when phi is an order isomorphism."""
+    identity = phi == tuple(range(a.n))
+    for y, u in enumerate(a.min_open):
+        image = u if identity else sum(1 << phi[x] for x in members(u))
+        diff = image ^ b.min_open[phi[y]]
+        if diff:
+            inverse = {v: x for x, v in enumerate(phi)}
+            return min(inverse[v] for v in members(diff)), y
+    return None
+
+
+def _certified(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, ...] | None:
+    """phi when it is an order isomorphism, else the result of the search."""
+    if phi is not None and _unpreserved(a, b, phi) is None:
+        return phi
+    return poset_isomorphic(a, b)
+
+
+def _grade_counts(s: FiniteSpace) -> str:
+    """Points per grade, grade 0 first; the grade of x is the length of the
+    longest chain x < y_1 < ... < y_g (a word's grade, a simplex's
+    dimension).  A point above x has the larger min_open, so the points are
+    taken in decreasing min_open size."""
+    grade = [0] * s.n
+    for y in sorted(range(s.n), key=lambda y: -s.min_open[y].bit_count()):
+        for x in members(s.min_open[y]):
+            if x != y:
+                grade[x] = max(grade[x], grade[y] + 1)
+    counts = Counter(grade)
+    return ", ".join(str(counts[g]) for g in range(max(grade, default=0) + 1))
 
 
 def verify_correspondence(
@@ -318,18 +407,29 @@ def verify_correspondence(
     B  the symbolic substitute of its simplicial complex,
     C  the sampled substitute of the same complex.
 
-    Reports explicit bijections A ~ B ~ C, or the failing pair.
+    Reports explicit bijections A ~ B ~ C, or the failing pair.  The
+    bijections are certificates checked against min_open.  to_simplicial
+    has checked the structure of m, under which a word is a subsequence of
+    another exactly when its letter set is a face of the other's: so word
+    -> its letter set (the simplex carrying the word's label) is an order
+    isomorphism A -> B, and B -> C is the identity, the sampled classes
+    coming in cell order.  These are the lexicographically first
+    isomorphisms, which poset_isomorphic returns: every space lists the
+    singletons first, in vertex order, and any other isomorphism of face
+    posets moves a vertex to a later index.  The search runs only when a
+    certificate fails, to decide the verdict.
     """
     complex_ = m.to_simplicial()
     gen = generated_space(m)
-    sym = simplicial_substitute(complex_)
-    sam = sampled_substitute(complex_, per_cell, seed)
+    traces = _cell_traces(complex_)
+    sym = _symbolic(complex_, traces)
+    sam = _sampled(complex_, traces, per_cell, seed)
     return CorrespondenceReport(
         generated=gen,
         symbolic=sym,
         sampled=sam,
         per_cell=per_cell,
         seed=seed,
-        gen_to_sym=poset_isomorphic(gen, sym),
-        sym_to_sam=poset_isomorphic(sym, sam),
+        gen_to_sym=_certified(gen, sym, _label_map(gen, sym)),
+        sym_to_sam=_certified(sym, sam, _identity(sym, sam)),
     )

@@ -30,7 +30,7 @@ from .errors import FinitaryError
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
 from .scalars import GaussianRational
-from .topology import FiniteSpace, HasseDiagram
+from .topology import FiniteSpace, HasseDiagram, members
 
 
 class ParseError(FinitaryError):
@@ -367,7 +367,7 @@ def space_json(s: FiniteSpace) -> str:
     payload = {
         "points": list(s.labels),
         "min_open": {
-            s.labels[x]: [s.labels[y] for y in sorted(s.min_open[x])]
+            s.labels[x]: [s.labels[y] for y in members(s.min_open[x])]
             for x in range(s.n)
         },
     }

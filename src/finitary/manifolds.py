@@ -98,25 +98,30 @@ def fully_ordered_sequences(rel: Relation) -> Iterator[Word]:
     distinct vertices with every earlier element related to every later one.
 
     For an antisymmetric relation these are exactly the subsets totally
-    ordered by it, each in its unique admissible arrangement.  Raises
-    TooLarge once more than automata.MAX_WORDS sequences have been built.
+    ordered by it, each in its unique admissible arrangement.  Each chain
+    carries the mask of the vertices that may extend it (related from every
+    element, and none of them).  Raises TooLarge once more than
+    automata.MAX_WORDS sequences have been built.
     """
+    after = [
+        sum(1 << k for k in range(rel.n) if k != i and rel.holds(i, k))
+        for i in range(rel.n)
+    ]
     built = 0
-
-    def extend(seq: tuple[int, ...]) -> Iterator[Word]:
-        nonlocal built
+    stack = [((i,), after[i]) for i in reversed(range(rel.n))]
+    while stack:
+        seq, admissible = stack.pop()
         built += 1
         if built > MAX_WORDS:
             raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
-        yield Word(seq)
-        for k in range(rel.n):
-            if k in seq:
-                continue
-            if all(rel.holds(s, k) for s in seq):
-                yield from extend(seq + (k,))
-
-    for i in range(rel.n):
-        yield from extend((i,))
+        yield tuple.__new__(Word, seq)  # distinct letters, so a valid word
+        rest, children = admissible, []
+        while rest:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            children.append((seq + (k,), admissible & after[k]))
+            rest ^= low
+        stack.extend(reversed(children))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Finite topological spaces as preorders.
+"""Finite topological spaces as preorders, stored as bitmasks.
 
 A finite space is stored as its minimal-open-set map: min_open(x) is the
 smallest open set containing x (the intersection of all opens through x).
-That map determines the topology, and the specialization preorder is read
-off as x <= y iff x in min_open(y).  The space is T0 exactly when min_open
-is injective, i.e. when the preorder is a partial order.
+Each min_open(x) is one int bitmask over the point indices: bit y is set
+when y belongs to it, so union, intersection and inclusion are |, & and
+u & ~v == 0, and members() lists the points of a mask.  The map determines
+the topology, and the specialization preorder is read off as x <= y iff bit
+x of min_open(y) is set.  The space is T0 exactly when min_open is
+injective, i.e. when the preorder is a partial order.
 
 For spaces generated by a manifold the points are the nonvanishing words
 and min_open(a) collects every word having a as a subsequence; under the
@@ -15,7 +18,10 @@ usual picture where an edge lies under its endpoints in the Hasse graph.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 from .envelope import is_subsequence
@@ -23,33 +29,70 @@ from .errors import TooLarge
 from .manifolds import InfiniteDimensional, Manifold
 
 
-class FiniteSpace:
-    """Points with display labels plus the minimal-open-set map.
+def members(mask: int) -> list[int]:
+    """The points of a mask: the indices of its set bits, ascending."""
+    bits = bin(mask)[:1:-1]  # binary digits, lowest first
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
-    Construction checks x in min_open(x) and the nesting coherence
-    y in min_open(x) => min_open(y) subset of min_open(x); together these
-    make min_open the basis of an actual topology.
+
+def _transpose(rows: Sequence[Iterable[int]], size: int) -> list[int]:
+    """The `size` masks t with bit y of t[x] set iff x is in rows[y]."""
+    columns = [bytearray((len(rows) + 7) >> 3) for _ in range(size)]
+    for y, row in enumerate(rows):
+        byte, bit = y >> 3, 1 << (y & 7)
+        for x in row:
+            columns[x][byte] |= bit
+    return [int.from_bytes(column, "little") for column in columns]
+
+
+class FiniteSpace:
+    """Points with display labels plus the minimal-open-set map, one int
+    bitmask per point (bit y of min_open[x] set iff y lies in it).
+
+    Construction checks that min_open(x) contains x and no point outside
+    the space, and the nesting coherence y in min_open(x) => min_open(y)
+    subset of min_open(x); together these make min_open the basis of an
+    actual topology.  The spaces this module builds are nested by
+    construction and skip the nesting check, which costs one mask test per
+    comparable pair.
     """
 
     __slots__ = ("labels", "min_open")
 
-    def __init__(self, labels: Sequence[str], min_open: Iterable):
-        labels = tuple(labels)
-        opens = tuple(frozenset(s) for s in min_open)
+    def __init__(self, labels: Sequence[str], min_open: Sequence[int]):
+        labels, opens = tuple(labels), tuple(min_open)
         if len(labels) != len(opens):
-            raise ValueError("one min_open set per point required")
-        if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be unique")
+            raise ValueError("one min_open mask per point required")
         for x, u in enumerate(opens):
-            if x not in u:
+            if type(u) is not int:
+                raise TypeError("min_open masks must be ints")
+            if not u >> x & 1:
                 raise ValueError(f"point {labels[x]} missing from its own min_open")
-            if not all(0 <= y < len(opens) for y in u):
+            if u >> len(opens):
                 raise ValueError(f"min_open of {labels[x]} mentions unknown points")
-            for y in u:
-                if not opens[y] <= u:
+        for x, u in enumerate(opens):
+            for y in members(u):
+                if opens[y] & ~u:
                     raise ValueError(
                         f"min_open({labels[y]}) not nested inside min_open({labels[x]})"
                     )
+        self._fill(labels, opens)
+
+    @classmethod
+    def _nested(cls, labels: Sequence[str], opens: Sequence[int]) -> "FiniteSpace":
+        """A space whose masks are reflexive and nested by construction."""
+        space = object.__new__(cls)
+        space._fill(tuple(labels), tuple(opens))
+        return space
+
+    def _fill(self, labels: tuple, opens: tuple) -> None:
+        if len(set(labels)) != len(labels):
+            raise ValueError("point labels must be unique")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "min_open", opens)
 
@@ -65,7 +108,7 @@ class FiniteSpace:
 
     def le(self, x: int, y: int) -> bool:
         """Specialization preorder: x <= y iff x belongs to min_open(y)."""
-        return x in self.min_open[y]
+        return bool(self.min_open[y] >> x & 1)
 
     def __eq__(self, other):
         if isinstance(other, FiniteSpace):
@@ -95,15 +138,43 @@ def generated_space(m: Manifold) -> FiniteSpace:
 
     min_open(a) = all words containing a as a subsequence.  Only finite
     dimensional manifolds have a finite point set.
+
+    When every valid one-letter deletion of a word is again a word (a
+    hereditary family, as every ideal complement and network manifold is),
+    a is a subsequence of b exactly when a chain of such deletions leads
+    from b to a: delete, from the leftmost embedding of a in b, the last
+    letter of a run of unused letters, or an unused end letter.  So one
+    pass over the words in decreasing canonical order, OR-ing the mask of
+    each word into the masks of its deletions, builds every min_open.  A
+    family missing some deletion falls back to testing all pairs.
     """
     if not m.is_explicit and math.isinf(m.dimension()):
         raise InfiniteDimensional("generated space needs a finite word family")
     words = list(m.words())
-    opens = [
-        frozenset(j for j, b in enumerate(words) if is_subsequence(a, b))
-        for a in words
-    ]
-    return FiniteSpace([m.word_label(w) for w in words], opens)
+    opens = _deletion_closure(words)
+    if opens is None:
+        opens = [
+            sum(1 << j for j, v in enumerate(words) if is_subsequence(u, v))
+            for u in words
+        ]
+    return FiniteSpace._nested([m.word_label(w) for w in words], opens)
+
+
+def _deletion_closure(words: Sequence) -> list[int] | None:
+    """Superword masks of words in canonical order, OR-ed down the valid
+    one-letter deletions; None when some such deletion is not a word."""
+    index = {w: i for i, w in enumerate(words)}
+    opens = [1 << i for i in range(len(words))]
+    for b in range(len(words) - 1, -1, -1):
+        w = words[b]
+        for pos in range(len(w)) if len(w) > 1 else ():
+            if 0 < pos < len(w) - 1 and w[pos - 1] == w[pos + 1]:
+                continue  # deletion would create equal adjacent letters
+            a = index.get(w[:pos] + w[pos + 1 :])
+            if a is None:
+                return None
+            opens[a] |= opens[b]
+    return opens
 
 
 def is_t0(s: FiniteSpace) -> bool:
@@ -112,18 +183,19 @@ def is_t0(s: FiniteSpace) -> bool:
 
 
 def trace_quotient(
-    labels: Sequence[str], traces: Sequence[frozenset]
+    labels: Sequence[str], traces: Sequence[int]
 ) -> tuple[FiniteSpace, tuple[int, ...]]:
     """Quotient of labelled points by equality of traces.
 
-    A trace is any set (of cover sets, say) attached to a point; points
-    with equal traces merge.  Returns the quotient space and the class map
+    A trace is a mask of the cover sets (say) holding a point; points with
+    equal traces merge.  Returns the quotient space and the class map
     (point index -> class index).  Classes are ordered by first occurrence
     and labelled by their first member; min_open(class T) = {classes S :
-    T subset of S}, so the quotient is always T0.
+    T subset of S}, the AND over the cover sets i in T of the mask of
+    classes holding i, so the quotient is always T0.
     """
-    class_index: dict[frozenset, int] = {}
-    class_traces: list[frozenset] = []
+    class_index: dict[int, int] = {}
+    class_traces: list[int] = []
     class_labels: list[str] = []
     class_of = []
     for label, t in zip(labels, traces):
@@ -132,45 +204,43 @@ def trace_quotient(
             class_traces.append(t)
             class_labels.append(label)
         class_of.append(class_index[t])
-    opens = [
-        frozenset(j for j, s in enumerate(class_traces) if t <= s)
-        for t in class_traces
-    ]
-    return FiniteSpace(class_labels, opens), tuple(class_of)
-
-
-def _up_sets(s: FiniteSpace) -> list[frozenset]:
-    """up(x) = {y : x in min_open(y)}, the minimal open sets through x."""
-    return [
-        frozenset(y for y in range(s.n) if x in s.min_open[y]) for x in range(s.n)
-    ]
+    # each trace's members are listed once, compactly, for both passes
+    rows = [array("I", members(t)) for t in class_traces]
+    holders = _transpose(rows, max((t.bit_length() for t in class_traces), default=0))
+    everything = (1 << len(class_traces)) - 1
+    opens = [reduce(and_, map(holders.__getitem__, row), everything) for row in rows]
+    return FiniteSpace._nested(class_labels, opens), tuple(class_of)
 
 
 def t0_quotient(s: FiniteSpace) -> tuple[FiniteSpace, tuple[int, ...]]:
     """Collapse points with identical minimal open sets.
 
-    This is the trace quotient for the covering by minimal open sets: two
-    points lie in the same minimal opens exactly when their own minimal
-    opens coincide.  Returns the quotient space and the class map.
+    This is the trace quotient for the covering by minimal open sets: the
+    trace of x is the mask of the y with x in min_open(y), and two points
+    lie in the same minimal opens exactly when their own minimal opens
+    coincide.  Returns the quotient space and the class map.
     """
-    return trace_quotient(s.labels, _up_sets(s))
+    return trace_quotient(s.labels, _transpose(list(map(members, s.min_open)), s.n))
 
 
 def hasse(s: FiniteSpace) -> HasseDiagram:
-    """Transitive reduction of the specialization order of a T0 space."""
+    """Transitive reduction of the specialization order of a T0 space: the
+    covers of y are below(y) minus everything below a point of below(y)."""
     if not is_t0(s):
         raise ValueError("Hasse diagram requires a T0 space")
+    below = [u & ~(1 << y) for y, u in enumerate(s.min_open)]
     edges = []
-    for y in range(s.n):
-        below = s.min_open[y] - {y}
-        for x in below:
-            if not any(x in s.min_open[z] for z in below if z != x):
-                edges.append((x, y))
+    for y, b in enumerate(below):
+        deeper = 0
+        for z in members(b):
+            deeper |= below[z]
+        edges.extend((x, y) for x in members(b & ~deeper))
     return HasseDiagram(s.labels, tuple(sorted(edges)))
 
 
-def open_sets(s: FiniteSpace) -> tuple[frozenset, ...]:
-    """Every open set: all unions of minimal open sets.
+def open_sets(s: FiniteSpace) -> tuple[int, ...]:
+    """Every open set, as a mask: all unions of minimal open sets, by size
+    and then by members.
 
     Guarded to at most 20 points; an antichain already has 2^n opens.
     (Word enumeration of an ideal complement has its own cap,
@@ -179,43 +249,44 @@ def open_sets(s: FiniteSpace) -> tuple[frozenset, ...]:
     if s.n > 20:
         raise TooLarge(f"{s.n} points; open-set enumeration is capped at 20")
     q, class_of = t0_quotient(s)
-    order = sorted(range(q.n), key=lambda x: len(q.min_open[x]))
-    downs: list[frozenset] = []
+    order = sorted(range(q.n), key=lambda x: q.min_open[x].bit_count())
+    downs: list[int] = []
 
-    def build(i: int, current: frozenset):
+    def build(i: int, current: int):
         if i == len(order):
             downs.append(current)
             return
         p = order[i]
         build(i + 1, current)
-        if q.min_open[p] - {p} <= current:
-            build(i + 1, current | {p})
+        if not q.min_open[p] & ~current & ~(1 << p):
+            build(i + 1, current | 1 << p)
 
-    build(0, frozenset())
-    expanded = [
-        frozenset(x for x in range(s.n) if class_of[x] in d) for d in downs
-    ]
-    return tuple(sorted(expanded, key=lambda u: (len(u), sorted(u))))
+    build(0, 0)
+    expanded = [sum(1 << x for x, c in enumerate(class_of) if d >> c & 1) for d in downs]
+    return tuple(sorted(expanded, key=lambda u: (u.bit_count(), members(u))))
 
 
-def _refine_colors(s: FiniteSpace) -> tuple[int, ...]:
-    """Iterated invariant refinement over the specialization preorder."""
-    down = s.min_open
-    up = _up_sets(s)
-    colors = [(len(down[x]), len(up[x])) for x in range(s.n)]
+def _invariants(s: FiniteSpace) -> tuple[list[int], tuple[int, ...]]:
+    """The up-set mask of each point (the y with x in min_open(y)) and its
+    color from iterated invariant refinement over the specialization
+    preorder."""
+    down = list(map(members, s.min_open))
+    up = _transpose(down, s.n)
+    above = list(map(members, up))
+    colors = [(len(down[x]), len(above[x])) for x in range(s.n)]
     while True:
         sigs = [
             (
                 colors[x],
                 tuple(sorted(colors[y] for y in down[x])),
-                tuple(sorted(colors[y] for y in up[x])),
+                tuple(sorted(colors[y] for y in above[x])),
             )
             for x in range(s.n)
         ]
         palette = {sig: rank for rank, sig in enumerate(sorted(set(sigs)))}
         new = [palette[sig] for sig in sigs]
         if len(set(new)) == len(set(colors)):
-            return tuple(new)
+            return up, tuple(new)
         colors = new
 
 
@@ -224,39 +295,45 @@ def poset_isomorphic(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...] | None:
 
     Returns a tuple mapping each point index of `a` to its image in `b`,
     or None.  Candidates are pruned by iterated degree/level invariants and
-    tried in index order, so the result is deterministic and the identity
-    is found first whenever it works.
+    tried in index order, so the result is the lexicographically first
+    isomorphism, and the identity whenever it works.
     """
     if a.n != b.n:
         return None
-    ca, cb = _refine_colors(a), _refine_colors(b)
+    (ua, ca), (ub, cb) = _invariants(a), _invariants(b)
     if sorted(ca) != sorted(cb):
         return None
 
     da, db = a.min_open, b.min_open
     image: list[int] = []
-    used = [False] * b.n
+    used = 0  # mask of the points of b already in the image
     start = [0] * a.n  # next candidate to try for each point
 
-    def compatible(x: int, y: int) -> bool:
-        return all(
-            (u in da[x]) == (v in db[y]) and (x in da[u]) == (y in db[v])
-            for u, v in enumerate(image)
-        )
+    def mapped(mask: int) -> int:
+        return sum(1 << image[u] for u in members(mask))
 
     # Depth-first search without recursion: image holds the images of
-    # points 0 .. len(image) - 1, and candidates go in index order.
+    # points 0 .. len(image) - 1, and candidates go in index order.  y can
+    # stand for x when it relates to the image exactly as x relates to the
+    # points already mapped, in both directions.
     while len(image) < a.n:
         x = len(image)
+        done = (1 << x) - 1
+        want_down, want_up = mapped(da[x] & done), mapped(ua[x] & done)
         for y in range(start[x], b.n):
-            if not used[y] and cb[y] == ca[x] and compatible(x, y):
+            if (
+                not used >> y & 1
+                and cb[y] == ca[x]
+                and db[y] & used == want_down
+                and ub[y] & used == want_up
+            ):
                 image.append(y)
-                used[y] = True
+                used |= 1 << y
                 start[x] = y + 1
                 break
         else:
             if not image:
                 return None
             start[x] = 0
-            used[image.pop()] = False
+            used &= ~(1 << image.pop())
     return tuple(image)

@@ -263,27 +263,50 @@ class TestVerify:
         assert code == 2 and "error[StructureViolation]" in err
 
     def test_isomorphism_failure_maps_to_exit_one(self, capsys, data_dir, monkeypatch):
-        # unreachable with a correct engine, so force a failing report
-        import finitary.cli as cli_module
+        # unreachable with a correct engine, so break the symbolic route:
+        # the edge 12 no longer lies below the vertex 1
+        from finitary import FiniteSpace, coarse
 
-        real = cli_module.verify_correspondence
+        real = coarse._symbolic
 
-        def sabotaged(m, per_cell, seed):
-            report = real(m, per_cell=per_cell, seed=seed)
-            return type(report)(
-                generated=report.generated,
-                symbolic=report.symbolic,
-                sampled=report.sampled,
-                per_cell=report.per_cell,
-                seed=report.seed,
-                gen_to_sym=None,
-                sym_to_sam=report.sym_to_sam,
-            )
+        def sabotaged(p, traces):
+            s = real(p, traces)
+            opens = list(s.min_open)
+            opens[s.index("1")] &= ~(1 << s.index("12"))
+            return FiniteSpace(s.labels, opens)
 
-        monkeypatch.setattr(cli_module, "verify_correspondence", sabotaged)
+        monkeypatch.setattr(coarse, "_symbolic", sabotaged)
         code, out, _ = run(
             capsys, "verify", "correspondence", str(data_dir / "triangle.manifold")
         )
         assert code == 1
-        assert "generated ~ symbolic: NOT ISOMORPHIC" in out
-        assert "correspondence: FAILED" in out
+        lines = out.splitlines()
+        at = lines.index("generated ~ symbolic: NOT ISOMORPHIC")
+        assert lines[at + 1 : at + 3] == [
+            "  order not preserved by matching labels: 12 <= 1 in generated, "
+            "not 12 <= 1 in symbolic",
+            "  points per grade: generated 3, 3; symbolic 3, 3",
+        ]
+        at = lines.index("symbolic ~ sampled: NOT ISOMORPHIC")
+        assert lines[at + 1] == (
+            "  order not preserved by the identity: not 12 <= 1 in symbolic, "
+            "12#0 <= 1#0 in sampled"
+        )
+        assert lines[-1] == "correspondence: FAILED"
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, data_dir, monkeypatch):
+        from finitary import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                code, _, _ = run(capsys, "manifold", "dim", str(data_dir / "triangle.manifold"))
+                assert code == 0
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from finitary import (
     Covering,
+    FiniteSpace,
     Manifold,
     NotACover,
     Relation,
@@ -18,6 +19,7 @@ from finitary import (
     circle_covering,
     generated_space,
     is_t0,
+    members,
     poset_isomorphic,
     sample,
     sampled_substitute,
@@ -25,6 +27,7 @@ from finitary import (
     trace_substitute,
     verify_correspondence,
 )
+from finitary import coarse
 from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
 
 from conftest import random_manifold
@@ -44,7 +47,7 @@ class TestTraceSubstitute:
         c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
         space, class_of = trace_substitute(c)
         assert space.n == 2 and class_of == (0, 1)
-        assert space.min_open[space.index("p")] == frozenset({0, 1})
+        assert members(space.min_open[space.index("p")]) == [0, 1]
 
     def test_constant_trace_collapses_everything(self):
         c = Covering(("A",), ("p", "q", "r"), [{0}, {0}, {0}])
@@ -113,9 +116,9 @@ class TestSimplicialSubstitute:
         space = simplicial_substitute(SEGMENT)
         assert space.n == 3
         edge = space.index("12")
-        assert space.min_open[edge] == frozenset({edge})
+        assert members(space.min_open[edge]) == [edge]
         v = space.index("1")
-        assert space.min_open[v] == frozenset({v, edge})
+        assert members(space.min_open[v]) == sorted({v, edge})
 
     def test_point_per_simplex_and_star_topology(self):
         rng = random.Random(73)
@@ -125,8 +128,8 @@ class TestSimplicialSubstitute:
             cells = p.ordered()
             assert space.n == len(cells)
             for x, sigma in enumerate(cells):
-                expected = {y for y, tau in enumerate(cells) if sigma <= tau}
-                assert space.min_open[x] == frozenset(expected)
+                expected = [y for y, tau in enumerate(cells) if sigma <= tau]
+                assert members(space.min_open[x]) == expected
 
     def test_cover_intersections_are_covers_or_empty(self):
         cells = BOUNDARY_TRIANGLE.ordered()
@@ -253,3 +256,36 @@ class TestCorrespondence:
         text = report.render()
         assert "correspondence: VERIFIED" in text
         assert "generated ~ symbolic:" in text
+
+    def test_certificates_are_what_the_search_returns(self, monkeypatch):
+        rng = random.Random(79)
+        cases = [random_manifold(rng) for _ in range(60)]
+        reports = [verify_correspondence(m, per_cell=2, seed=1) for m in cases]
+        for r in reports:
+            assert r.gen_to_sym == poset_isomorphic(r.generated, r.symbolic)
+            assert r.sym_to_sam == poset_isomorphic(r.symbolic, r.sampled)
+            assert r.sym_to_sam == tuple(range(r.symbolic.n))
+
+        # and the certificates hold without the search
+        def no_search(a, b):
+            raise AssertionError("poset_isomorphic called")
+
+        monkeypatch.setattr(coarse, "poset_isomorphic", no_search)
+        for m, r in zip(cases, reports):
+            assert verify_correspondence(m, per_cell=2, seed=1) == r
+
+    def test_failed_certificate_falls_back_to_the_search(self, monkeypatch):
+        # relabel the symbolic substitute: the labels no longer match, the
+        # order is unchanged, so only the search can find the bijection
+        expected = verify_correspondence(TRIANGLE, per_cell=1, seed=0).gen_to_sym
+        real = coarse._symbolic
+
+        def renamed(p, traces):
+            s = real(p, traces)
+            return FiniteSpace([f"<{label}>" for label in s.labels], s.min_open)
+
+        monkeypatch.setattr(coarse, "_symbolic", renamed)
+        report = verify_correspondence(TRIANGLE, per_cell=1, seed=0)
+        assert report.ok
+        assert report.gen_to_sym == expected == (0, 1, 2, 3, 5, 4)
+        assert "  31 -> <31>" in report.render()

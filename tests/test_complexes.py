@@ -1,6 +1,6 @@
 import pytest
 
-from finitary import NotASimplex, SimplicialComplex, simplicial_substitute
+from finitary import NotASimplex, SimplicialComplex, members, simplicial_substitute
 
 
 def fs(*verts):
@@ -47,7 +47,7 @@ def star_labels(p, simplex):
     the symbolic substitute."""
     space = simplicial_substitute(p)
     x = space.labels.index(p.simplex_label(simplex))
-    return {space.labels[y] for y in space.min_open[x]}
+    return {space.labels[y] for y in members(space.min_open[x])}
 
 
 class TestStars:

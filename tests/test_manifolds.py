@@ -237,6 +237,25 @@ class TestWordFamilies:
                             expected.add(Word(perm))
             assert chains == expected
 
+    def test_chains_come_in_lexicographic_order(self):
+        # depth-first, children ascending: every chain right after its
+        # prefix, so the listing is the lexicographic order of the tuples,
+        # for relations that are not antisymmetric too
+        rng = random.Random(43)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            rel = Relation(
+                n, [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.5]
+            )
+            chains = [tuple(w) for w in fully_ordered_sequences(rel)]
+            expected = [
+                perm
+                for size in range(1, n + 1)
+                for perm in itertools.permutations(range(n), size)
+                if all(rel.holds(perm[s], perm[t]) for t in range(size) for s in range(t))
+            ]
+            assert chains == sorted(expected)
+
 
 class TestToSimplicial:
     def test_triangle_complex(self):

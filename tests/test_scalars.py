@@ -26,6 +26,20 @@ def test_conjugate_and_division():
         z / gr(0)
 
 
+@given(
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50),
+)
+def test_division_inverts_multiplication(a, b, c, d):
+    x, y = gr(a, b), gr(c, d)
+    if y:
+        assert (x * y) / y == x
+        assert x / y * y == x
+    assert gr(1, 2) / gr(3, -1) == gr(Fraction(1, 10), Fraction(7, 10))
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         GaussianRational.of(0.5)

@@ -14,24 +14,42 @@ from finitary import (
     TooLarge,
     Word,
     BasicIdeal,
+    basis_words,
     generated_space,
     hasse,
     is_subsequence,
     is_t0,
+    members,
     open_sets,
     poset_isomorphic,
     simplicial_substitute,
     t0_quotient,
     trace_quotient,
 )
+from finitary.topology import _deletion_closure
 
 from conftest import random_manifold
 
 
+def mask(points):
+    """The bitmask of a set of point indices."""
+    return sum(1 << x for x in set(points))
+
+
+def space(labels, opens):
+    """A FiniteSpace from min_open sets given as point-index sets."""
+    return FiniteSpace(labels, [mask(u) for u in opens])
+
+
+def pairwise_masks(words):
+    """min_open of each word by the definition: its superwords."""
+    return [mask(j for j, b in enumerate(words) if is_subsequence(a, b)) for a in words]
+
+
 TRIANGLE = Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)]))
-CHAIN2 = FiniteSpace(("a", "b"), [{0}, {0, 1}])
-ANTICHAIN2 = FiniteSpace(("a", "b"), [{0}, {1}])
-INDISCRETE2 = FiniteSpace(("a", "b"), [{0, 1}, {0, 1}])
+CHAIN2 = space(("a", "b"), [{0}, {0, 1}])
+ANTICHAIN2 = space(("a", "b"), [{0}, {1}])
+INDISCRETE2 = space(("a", "b"), [{0, 1}, {0, 1}])
 
 
 def down_set_space(n, strict_pairs, labels=None):
@@ -44,47 +62,53 @@ def down_set_space(n, strict_pairs, labels=None):
             if b == c and (a, d) not in closure:
                 closure.add((a, d))
                 changed = True
-    opens = [
-        frozenset({y} | {x for x, z in closure if z == y}) for y in range(n)
-    ]
-    return FiniteSpace(labels or tuple(f"p{i}" for i in range(n)), opens)
+    opens = [{y} | {x for x, z in closure if z == y} for y in range(n)]
+    return space(labels or tuple(f"p{i}" for i in range(n)), opens)
 
 
 class TestFiniteSpaceValidation:
     def test_point_must_be_in_its_min_open(self):
         with pytest.raises(ValueError):
-            FiniteSpace(("a", "b"), [{1}, {1}])
+            space(("a", "b"), [{1}, {1}])
 
     def test_nesting_coherence_enforced(self):
         # b's min_open contains a, but min_open(a) is not inside it
         with pytest.raises(ValueError):
-            FiniteSpace(("a", "b", "c"), [{0, 2}, {0, 1}, {2}])
+            space(("a", "b", "c"), [{0, 2}, {0, 1}, {2}])
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            FiniteSpace(("a", "a"), [{0}, {1}])
+            space(("a", "a"), [{0}, {1}])
+
+    def test_masks_must_stay_inside_the_space(self):
+        with pytest.raises(ValueError):
+            FiniteSpace(("a",), [0b11])
+
+    def test_masks_must_be_ints(self):
+        with pytest.raises(TypeError):
+            FiniteSpace(("a",), [{0}])
 
 
 class TestGeneratedSpace:
     def test_triangle_min_opens(self):
         s = generated_space(TRIANGLE)
         assert s.labels == ("1", "2", "3", "12", "23", "31")
-        by = {s.labels[x]: {s.labels[y] for y in s.min_open[x]} for x in range(s.n)}
+        by = {s.labels[x]: {s.labels[y] for y in members(s.min_open[x])} for x in range(s.n)}
         assert by["1"] == {"1", "12", "31"}
         assert by["12"] == {"12"}
 
     def test_singleton_manifold(self):
         m = Manifold(("1",), words=[Word((0,))])
         s = generated_space(m)
-        assert s.n == 1 and s.min_open == (frozenset({0}),)
+        assert s.n == 1 and s.min_open == (0b1,)
 
     def test_full_simplex_min_opens(self):
         m = Manifold.from_relation(Relation(3, [(0, 1), (0, 2), (1, 2)]))
         s = generated_space(m)
         assert s.n == 7
         top = s.index("123")
-        assert s.min_open[top] == frozenset({top})
-        assert len(s.min_open[s.index("1")]) == 4
+        assert s.min_open[top] == mask({top})
+        assert s.min_open[s.index("1")].bit_count() == 4
 
     def test_membership_is_the_subword_relation(self):
         rng = random.Random(43)
@@ -94,7 +118,38 @@ class TestGeneratedSpace:
             s = generated_space(m)
             for x, a in enumerate(words):
                 for y, b in enumerate(words):
-                    assert (y in s.min_open[x]) == is_subsequence(a, b)
+                    assert s.le(y, x) == is_subsequence(a, b)
+
+    def test_deletion_closure_equals_pairwise_subsequence_test(self):
+        # ideal complements whose generators repeat letters: words like
+        # 1,2,1 where deleting the middle letter is not a valid word
+        rng = random.Random(44)
+        checked = repeats = 0
+        while checked < 800:
+            n = rng.randint(2, 3)
+            pool = [w for g in range(1, 5) for w in basis_words(n, g)]
+            m = Manifold.from_ideal(BasicIdeal(n, rng.sample(pool, rng.randint(1, 4))))
+            if m.dimension() > 6:  # words up to length 7
+                continue
+            words = list(m.words())
+            assert _deletion_closure(words) is not None  # hereditary
+            assert generated_space(m).min_open == tuple(pairwise_masks(words))
+            checked += 1
+            repeats += any(len(set(w)) < len(w) for w in words)
+        assert repeats > 200
+
+    def test_explicit_families_with_and_without_every_deletion(self):
+        rng = random.Random(45)
+        fallbacks = 0
+        for _ in range(500):
+            n = rng.randint(2, 3)
+            pool = [w for g in range(0, 4) for w in basis_words(n, g)]
+            words = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+            m = Manifold(tuple("abc"[:n]), words=words)
+            ordered = list(m.words())
+            fallbacks += _deletion_closure(ordered) is None
+            assert generated_space(m).min_open == tuple(pairwise_masks(ordered))
+        assert 100 < fallbacks < 500  # random families are rarely hereditary
 
     def test_infinite_dimensional_rejected(self):
         with pytest.raises(InfiniteDimensional):
@@ -111,7 +166,7 @@ class TestT0:
         assert not is_t0(INDISCRETE2)
 
     def test_one_point_space(self):
-        assert is_t0(FiniteSpace(("x",), [{0}]))
+        assert is_t0(space(("x",), [{0}]))
 
     def test_quotient_of_t0_space_is_isomorphic(self):
         s = generated_space(TRIANGLE)
@@ -142,7 +197,7 @@ class TestT0:
                             seen.add(y)
                             stack.append(y)
                 opens.append(seen)
-            s = FiniteSpace(tuple(f"p{i}" for i in range(n)), opens)
+            s = space(tuple(f"p{i}" for i in range(n)), opens)
             q, class_of = t0_quotient(s)
             assert is_t0(q)
             # classes are exactly the points with equal minimal open sets
@@ -150,18 +205,14 @@ class TestT0:
                 for y in range(n):
                     same = s.min_open[x] == s.min_open[y]
                     assert (class_of[x] == class_of[y]) == same
-                    assert (class_of[y] in q.min_open[class_of[x]]) == s.le(y, x)
+                    assert q.le(class_of[y], class_of[x]) == s.le(y, x)
 
     def test_trace_quotient_merges_equal_traces(self):
-        traces = [frozenset(t) for t in ({0}, {0, 1}, {0}, {1})]
+        traces = [mask(t) for t in ({0}, {0, 1}, {0}, {1})]
         q, class_of = trace_quotient(("p", "q", "r", "s"), traces)
         assert class_of == (0, 1, 0, 2)
         assert q.labels == ("p", "q", "s")
-        assert q.min_open == (
-            frozenset({0, 1}),
-            frozenset({1}),
-            frozenset({1, 2}),
-        )
+        assert q.min_open == (mask({0, 1}), mask({1}), mask({1, 2}))
 
 
 class TestOrderAndHasse:
@@ -182,7 +233,7 @@ class TestOrderAndHasse:
 
     def test_chain(self):
         assert hasse(CHAIN2).edges == ((0, 1),)
-        order = {(x, y) for y in range(2) for x in CHAIN2.min_open[y]}
+        order = {(x, y) for y in range(2) for x in members(CHAIN2.min_open[y])}
         assert order == {(0, 0), (0, 1), (1, 1)}
 
     def test_transitive_closure_of_hasse_is_the_order(self):
@@ -199,7 +250,10 @@ class TestOrderAndHasse:
                     if b == c and (a, d) not in closure:
                         closure.add((a, d))
                         changed = True
-            assert closure == {(x, y) for y in range(s.n) for x in s.min_open[y]}
+            assert closure == {(x, y) for y in range(s.n) for x in members(s.min_open[y])}
+            # and nothing smaller generates it: no edge passes through a point
+            for x, y in h.edges:
+                assert not any(s.le(x, z) and s.le(z, y) for z in range(s.n) if z not in (x, y))
             assert hasse(s) == h  # stable under recomputation
 
     def test_hasse_requires_t0(self):
@@ -209,12 +263,12 @@ class TestOrderAndHasse:
 
 class TestOpenSets:
     def test_antichain_powerset(self):
-        opens = open_sets(FiniteSpace(("a", "b", "c"), [{0}, {1}, {2}]))
+        opens = open_sets(space(("a", "b", "c"), [{0}, {1}, {2}]))
         assert len(opens) == 8
 
     def test_chain_has_linear_lattice(self):
         opens = open_sets(CHAIN2)
-        assert opens == (frozenset(), frozenset({0}), frozenset({0, 1}))
+        assert opens == (0, mask({0}), mask({0, 1}))
 
     def test_closure_under_union_and_intersection(self):
         rng = random.Random(61)
@@ -223,20 +277,20 @@ class TestOpenSets:
             if s.n > 12:
                 continue
             opens = set(open_sets(s))
-            assert frozenset() in opens
-            assert frozenset(range(s.n)) in opens
+            assert 0 in opens
+            assert mask(range(s.n)) in opens
             for u, v in itertools.combinations(opens, 2):
                 assert u | v in opens
                 assert u & v in opens
 
     def test_non_t0_opens_contain_whole_classes(self):
         opens = open_sets(INDISCRETE2)
-        assert opens == (frozenset(), frozenset({0, 1}))
+        assert opens == (0, mask({0, 1}))
 
     def test_guard(self):
         n = 21
         with pytest.raises(TooLarge):
-            open_sets(FiniteSpace(tuple(map(str, range(n))), [{i} for i in range(n)]))
+            open_sets(space(tuple(map(str, range(n))), [{i} for i in range(n)]))
 
 
 def iso_oracle(a: FiniteSpace, b: FiniteSpace):
@@ -244,7 +298,7 @@ def iso_oracle(a: FiniteSpace, b: FiniteSpace):
         return None
     for perm in itertools.permutations(range(b.n)):
         if all(
-            (x in a.min_open[y]) == (perm[x] in b.min_open[perm[y]])
+            a.le(x, y) == b.le(perm[x], perm[y])
             for x in range(a.n)
             for y in range(a.n)
         ):
@@ -277,8 +331,8 @@ class TestIsomorphism:
             labels = tuple(s.labels[perm.index(i)] for i in range(s.n))
             opens = [None] * s.n
             for x in range(s.n):
-                opens[perm[x]] = frozenset(perm[y] for y in s.min_open[x])
-            t = FiniteSpace(labels, opens)
+                opens[perm[x]] = {perm[y] for y in members(s.min_open[x])}
+            t = space(labels, opens)
             mapping = poset_isomorphic(s, t)
             assert mapping is not None
             for x in range(s.n):
@@ -302,3 +356,35 @@ class TestIsomorphism:
                 for x in range(n):
                     for y in range(n):
                         assert a.le(x, y) == b.le(mine[x], mine[y])
+
+    def test_existence_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def graph(s):
+            g = nx.DiGraph()
+            g.add_nodes_from(range(s.n))
+            g.add_edges_from((x, y) for y in range(s.n) for x in members(s.min_open[y]) if x != y)
+            return g
+
+        rng = random.Random(83)
+        found = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35}
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = {(perm[i], perm[j]) for i, j in pairs}
+            if n > 1 and rng.random() < 0.5:  # add or drop one relation
+                i, j = sorted(rng.sample(range(n), 2))
+                moved ^= {(perm[i], perm[j])}
+            # both relations only go up in the order perm, so both are acyclic
+            a, b = down_set_space(n, pairs), down_set_space(n, moved)
+            mine = poset_isomorphic(a, b)
+            theirs = nx.algorithms.isomorphism.DiGraphMatcher(graph(a), graph(b)).is_isomorphic()
+            assert (mine is not None) == theirs
+            found[theirs] += 1
+            if mine is not None:
+                for x in range(n):
+                    for y in range(n):
+                        assert a.le(x, y) == b.le(mine[x], mine[y])
+        assert min(found.values()) > 50
