@@ -26,9 +26,11 @@ sampled route refuse with TooLarge past MAX_SAMPLES sample points.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
@@ -211,12 +213,12 @@ def _sampled(
     return trace_quotient(point_labels, point_traces)[0]
 
 
-def _normalize_angle(phi: Fraction) -> Fraction:
-    """Wrap an angle (in units of pi) into (-1, 1]."""
-    return 1 - ((1 - phi) % 2)
+def _normalize_angle(num: int, den: int) -> int:
+    """Wrap the angle num/den (in units of pi) into (-1, 1]; same den."""
+    return den - (den - num) % (2 * den)
 
 
-def _arc_contains(lo: Fraction, hi: Fraction, phi: Fraction) -> bool:
+def _arc_contains(lo: int, hi: int, phi: int) -> bool:
     if lo == hi:  # the whole circle minus the single point lo
         return phi != lo
     if lo < hi:
@@ -237,30 +239,45 @@ def circle_covering(
     lo == hi is the complement of the single point lo.  The sample set is
     `samples` uniform angles plus `extra_points`; an uncovered sample
     raises NotACover naming the angle, and more than MAX_SAMPLES samples
-    raise TooLarge.
+    raise TooLarge.  Angles are compared as integer numerators over one
+    common denominator.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
-    norm_arcs = [
-        (_normalize_angle(Fraction(lo)), _normalize_angle(Fraction(hi)))
-        for lo, hi in arcs
-    ]
+    arcs = [(Fraction(lo), Fraction(hi)) for lo, hi in arcs]
+    extra_points = [Fraction(p) for p in extra_points]
     if labels is None:
-        labels = tuple(chr(ord("A") + i) for i in range(len(norm_arcs)))
-    angles = {_normalize_angle(Fraction(2 * k, samples) - 1) for k in range(1, samples + 1)}
-    angles.update(_normalize_angle(Fraction(p)) for p in extra_points)
-    ordered = sorted(angles)
+        labels = tuple(chr(ord("A") + i) for i in range(len(arcs)))
+    den = lcm(
+        samples,
+        *(q.denominator for arc in arcs for q in arc),
+        *(p.denominator for p in extra_points),
+    )
+
+    def numerator(phi: Fraction) -> int:
+        return _normalize_angle(phi.numerator * (den // phi.denominator), den)
+
+    norm_arcs = [(numerator(lo), numerator(hi)) for lo, hi in arcs]
+    # the uniform angles 2k/samples - 1, k = 1..samples, already lie in (-1, 1]
+    step = 2 * (den // samples)
+    ordered = list(range(step - den, den + 1, step))
+    for phi in map(numerator, extra_points):
+        pos = bisect_left(ordered, phi)
+        if pos == len(ordered) or ordered[pos] != phi:
+            ordered.insert(pos, phi)
     traces = []
+    shared: dict[tuple[int, ...], frozenset[int]] = {}  # one frozenset per trace
     for phi in ordered:
-        t = frozenset(
-            i for i, (lo, hi) in enumerate(norm_arcs) if _arc_contains(lo, hi, phi)
-        )
+        t = tuple(i for i, (lo, hi) in enumerate(norm_arcs) if _arc_contains(lo, hi, phi))
         if not t:
-            raise NotACover(f"sampled angle {phi}*pi lies in no arc")
-        traces.append(t)
-    return Covering(labels, [str(phi) for phi in ordered], traces)
+            raise NotACover(f"sampled angle {Fraction(phi, den)}*pi lies in no arc")
+        trace = shared.get(t)
+        if trace is None:
+            trace = shared[t] = frozenset(t)
+        traces.append(trace)
+    return Covering(labels, [str(Fraction(phi, den)) for phi in ordered], traces)
 
 
 #: The corrected three-arc covering of the circle whose trace quotient is

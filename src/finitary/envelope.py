@@ -68,6 +68,11 @@ class Word(tuple):
         return "e(" + ",".join(str(i) for i in self) + ")"
 
 
+def _word(letters: tuple[int, ...]) -> Word:
+    """A Word from letters that are valid by construction, unchecked."""
+    return tuple.__new__(Word, letters)
+
+
 def word_key(w: Word):
     """Canonical sort key: grade-major, then lexicographic."""
     return (len(w), tuple(w))
@@ -175,14 +180,14 @@ class Form:
             return NotImplemented
         merged = dict(self._terms)
         for w, c in other._terms.items():
-            s = merged.get(w, GaussianRational(0)) + c
-            if s:
+            old = merged.get(w)
+            if old is None:
+                merged[w] = c
+            elif s := old + c:
                 merged[w] = s
             else:
-                merged.pop(w, None)
-        out = Form()
-        out._terms = merged
-        return out
+                del merged[w]
+        return _form(merged)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -190,9 +195,7 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        out = Form()
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return _form({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Form):
@@ -201,14 +204,10 @@ class Form:
             c = GaussianRational.of(other)
         except TypeError:
             return NotImplemented
-        return Form((w, c0 * c) for w, c0 in self._terms.items())
+        # a product of two nonzero scalars is nonzero
+        return _form({w: c0 * c for w, c0 in self._terms.items()} if c else {})
 
-    def __rmul__(self, other):
-        try:
-            c = GaussianRational.of(other)
-        except TypeError:
-            return NotImplemented
-        return Form((w, c * c0) for w, c0 in self._terms.items())
+    __rmul__ = __mul__
 
     def __repr__(self):
         if not self._terms:
@@ -220,6 +219,13 @@ class Form:
 
 
 ZERO_FORM = Form()
+
+
+def _form(terms: dict[Word, GaussianRational]) -> Form:
+    """A Form over a term dict with Word keys and no zero coefficient."""
+    out = Form()
+    out._terms = terms
+    return out
 
 
 def unit(vertex_count: int) -> Form:
@@ -242,45 +248,61 @@ def word_product(a: Word, b: Word) -> Form:
     """Overlap product of two words: concatenate when last(a) = first(b)."""
     if a[-1] != b[0]:
         return ZERO_FORM
-    return Form(((Word(tuple(a) + tuple(b)[1:]), 1),))
+    return _form({_word(a + b[1:]): GaussianRational(1)})
 
 
 def form_product(f: Form, g: Form) -> Form:
     """Bilinear extension of the overlap product; associative."""
-    acc: list[tuple[Word, GaussianRational]] = []
+    tails: dict[int, list[tuple[tuple[int, ...], GaussianRational]]] = {}
+    for wb, cb in g._terms.items():
+        tails.setdefault(wb[0], []).append((wb[1:], cb))
+    acc: dict[Word, GaussianRational] = {}
     for wa, ca in f._terms.items():
-        for wb, cb in g._terms.items():
-            if wa[-1] != wb[0]:
-                continue
-            acc.append((Word(tuple(wa) + tuple(wb)[1:]), ca * cb))
-    return Form(acc)
+        for tail, cb in tails.get(wa[-1], ()):
+            _accumulate(acc, _word(wa + tail), ca * cb)
+    return _form({w: c for w, c in acc.items() if c})
+
+
+def _accumulate(acc: dict, w: Word, c: GaussianRational) -> None:
+    """Add c to the coefficient of w; the caller drops the zeros."""
+    old = acc.get(w)
+    acc[w] = c if old is None else old + c
+
+
+def _insert_letters(acc: dict, w: Word, c: GaussianRational, vertex_count: int) -> None:
+    """Add c * d(w) into acc: every vertex inserted into every gap of w.
+
+    Gap s (0-based, before the s-th letter) carries sign (-1)^s; insertions
+    that would repeat a neighbouring letter contribute nothing.
+    """
+    signed = (c, -c)
+    last = len(w)
+    for s in range(last + 1):
+        coeff = signed[s & 1]
+        head, tail = w[:s], w[s:]
+        left = w[s - 1] if s else -1
+        right = w[s] if s < last else -1
+        for k in range(vertex_count):
+            if k != left and k != right:
+                _accumulate(acc, _word(head + (k,) + tail), coeff)
 
 
 def differential_word(w: Word, vertex_count: int) -> Form:
     """Differential of a single word: one letter inserted into every gap.
 
-    Gap s (0-based, before the s-th letter) carries sign (-1)^s; insertions
-    that would repeat a neighbouring letter contribute nothing.
+    Distinct insertions give distinct words, so no coefficient cancels.
     """
-    acc: list[tuple[Word, int]] = []
-    r1 = len(w)
-    for s in range(r1 + 1):
-        sign = -1 if s % 2 else 1
-        for k in range(vertex_count):
-            if s > 0 and w[s - 1] == k:
-                continue
-            if s < r1 and w[s] == k:
-                continue
-            acc.append((Word(w[:s] + (k,) + w[s:]), sign))
-    return Form(acc)
+    acc: dict[Word, GaussianRational] = {}
+    _insert_letters(acc, w, GaussianRational(1), vertex_count)
+    return _form(acc)
 
 
 def differential(f: Form, vertex_count: int) -> Form:
     """Linear extension of the word differential; raises the grade by one."""
-    out = ZERO_FORM
+    acc: dict[Word, GaussianRational] = {}
     for w, c in f._terms.items():
-        out = out + differential_word(w, vertex_count) * c
-    return out
+        _insert_letters(acc, w, c, vertex_count)
+    return _form({w: c for w, c in acc.items() if c})
 
 
 def inner(f: Form, g: Form) -> GaussianRational:

@@ -17,6 +17,7 @@ from .errors import FinitaryError
 from .envelope import (
     Form,
     Word,
+    _form,
     differential,
     form_product,
     is_subsequence,
@@ -75,7 +76,18 @@ class BasicIdeal:
 
     def contains(self, word: Word) -> bool:
         """True iff some generator embeds into the word as a subsequence."""
-        return any(is_subsequence(g, word) for g in self.generators)
+        for g in self.generators:
+            # greedy scan: match g's letters against the word left to right
+            size = len(g)
+            if size > len(word):
+                continue
+            matched = 0
+            for letter in word:
+                if letter == g[matched]:
+                    matched += 1
+                    if matched == size:
+                        return True
+        return False
 
     def reduce(self, f: Form) -> Form:
         """Orthogonal projection onto the complement of the ideal.
@@ -84,7 +96,8 @@ class BasicIdeal:
         verbatim; this realizes the quotient map onto the calculus the
         ideal defines.
         """
-        return Form((w, c) for w, c in f.items() if not self.contains(w))
+        contains = self.contains
+        return _form({w: c for w, c in f._terms.items() if not contains(w)})
 
     def quotient_differential(self, f: Form) -> Form:
         """Differential of the quotient calculus: differentiate, then reduce."""

@@ -299,8 +299,8 @@ class Manifold:
                 sub = w[:pos] + w[pos + 1 :]
                 if pos > 0 and pos < len(w) - 1 and w[pos - 1] == w[pos + 1]:
                     continue  # deletion would create equal adjacent letters
-                subword = Word(sub)
-                if subword not in word_set:
+                if sub not in word_set:  # a Word hashes and compares as its tuple
+                    subword = Word(sub)
                     failures.append(
                         StructureFailure(
                             "hereditarity",

@@ -8,19 +8,43 @@ are deliberately rejected everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GaussianRational:
-    """A complex number re + im*i with Fraction real and imaginary parts."""
+    """A complex number (re_num + im_num*i) / den held as three integers.
 
-    __slots__ = ("re", "im")
+    The triple is normalized: den > 0 and gcd(re_num, im_num, den) == 1, so
+    equal values have equal triples.  Arithmetic stays on integers and skips
+    the gcd when both denominators are 1; the real and imaginary parts are
+    read as Fractions through ``re`` and ``im``.
+    """
+
+    __slots__ = ("_re_num", "_im_num", "_den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            den = 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # over the lcm of the two denominators the triple is already coprime
+            den = lcm(re.denominator, im.denominator)
+            re = re.numerator * (den // re.denominator)
+            im = im.numerator * (den // im.denominator)
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re_num, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im_num, self._den)
 
     @classmethod
     def of(cls, value) -> "GaussianRational":
@@ -32,72 +56,98 @@ class GaussianRational:
         raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        d, e = self._den, other._den
+        if d == e:
+            re, im = self._re_num + other._re_num, self._im_num + other._im_num
+            return _exact(re, im, 1) if d == 1 else _normalized(re, im, d)
+        return _normalized(
+            self._re_num * e + other._re_num * d,
+            self._im_num * e + other._im_num * d,
+            d * e,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -GaussianRational.of(other)
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, d = self._re_num, self._im_num, self._den
+        c, f, e = other._re_num, other._im_num, other._den
+        re, im = a * c - b * f, a * f + b * c
+        if d == 1 and e == 1:
+            return _exact(re, im, 1)
+        return _normalized(re, im, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.of(other)
-        norm = other.re * other.re + other.im * other.im
+        c, f, e = other._re_num, other._im_num, other._den
+        norm = c * c + f * f
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        # (a + bi)/d * e/(c + fi) = (a + bi)(c - fi) e / (d (c^2 + f^2))
+        a, b = self._re_num, self._im_num
+        return _normalized((a * c + b * f) * e, (b * c - a * f) * e, self._den * norm)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _exact(-self._re_num, -self._im_num, self._den)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _exact(self._re_num, -self._im_num, self._den)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._re_num) or bool(self._im_num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = GaussianRational.of(other)
-            return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return (
+                self._re_num == other._re_num
+                and self._im_num == other._im_num
+                and self._den == other._den
+            )
+        if isinstance(other, int):
+            return not self._im_num and self._den == 1 and self._re_num == other
+        if isinstance(other, Fraction):
+            return (
+                not self._im_num
+                and self._re_num == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._im_num:
+            return hash(self._re_num) if self._den == 1 else hash(self.re)
+        return hash((self._re_num, self._im_num, self._den))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             imag = "i"
-        elif self.im == -1:
+        elif im == -1:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
-        if not self.re:
+            imag = f"{im}i"
+        if not re:
             return imag
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         body = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{body}"
+        return f"{re}{sign}{body}"
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
@@ -127,3 +177,25 @@ class GaussianRational:
         re = Fraction(re_tok) if re_tok else Fraction(0)
         return GaussianRational(re, im)
 
+
+_set_re = GaussianRational._re_num.__set__
+_set_im = GaussianRational._im_num.__set__
+_set_den = GaussianRational._den.__set__
+_new = object.__new__
+
+
+def _exact(re_num: int, im_num: int, den: int) -> GaussianRational:
+    """A scalar from a triple that is already normalized."""
+    z = _new(GaussianRational)
+    _set_re(z, re_num)
+    _set_im(z, im_num)
+    _set_den(z, den)
+    return z
+
+
+def _normalized(re_num: int, im_num: int, den: int) -> GaussianRational:
+    """A scalar from a triple with den > 0, divided by its common gcd."""
+    g = gcd(re_num, im_num, den)
+    if g == 1:
+        return _exact(re_num, im_num, den)
+    return _exact(re_num // g, im_num // g, den // g)

@@ -6,6 +6,8 @@ overlap product, orthonormal basis).
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -244,3 +246,50 @@ class TestFormRepresentation:
     def test_items_canonical_order(self):
         f = F((1, 0)) + F((0,)) + F((0, 1))
         assert [w for w, _ in f.items()] == [W(0), W(0, 1), W(1, 0)]
+
+
+class TestAccumulators:
+    """`differential` and `form_product` build their result in one dict;
+    they must equal the term-by-term sums that define them."""
+
+    @staticmethod
+    def random_forms(seed, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(3, 5)
+            pool = [w for r in range(4) for w in basis_words(n, r)]
+
+            def scalar():
+                return GaussianRational(
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                )
+
+            def form():
+                return Form((rng.choice(pool), scalar()) for _ in range(rng.randint(0, 8)))
+
+            yield n, form(), form()
+
+    def test_differential_is_the_sum_over_terms(self):
+        for n, f, g in self.random_forms(11):
+            expected = Form()
+            for w, c in f.items():
+                expected = expected + differential_word(w, n) * c
+            assert differential(f, n) == expected
+            # d(d(f + g)) cancels every coefficient, and none may be kept
+            assert differential(differential(f + g, n), n) == Form()
+
+    def test_product_is_the_sum_over_term_pairs(self):
+        for _, f, g in self.random_forms(12):
+            expected = Form()
+            for wa, ca in f.items():
+                for wb, cb in g.items():
+                    expected = expected + word_product(wa, wb) * ca * cb
+            assert form_product(f, g) == expected
+
+    def test_product_terms_that_meet_cancel(self):
+        # e(0,1) e(1,2,3) and e(0,1,2) e(2,3) both give e(0,1,2,3)
+        c = GaussianRational(Fraction(2, 3), Fraction(-1, 5))
+        f = Form([(W(0, 1), c), (W(0, 1, 2), c)])
+        g = F((1, 2, 3)) - F((2, 3))
+        assert form_product(f, g) == Form()

@@ -52,6 +52,11 @@ def test_greedy_scan_agrees_with_combination_oracle():
     for _ in range(500):
         a, b = rng.choice(words), rng.choice(words)
         assert is_subsequence(a, b) == subseq_oracle(a, b)
+    # BasicIdeal.contains scans inline; it must agree with the same test
+    for _ in range(200):
+        ideal = random_ideal(rng)
+        w = rng.choice(words)
+        assert ideal.contains(w) == any(is_subsequence(g, w) for g in ideal.generators)
 
 
 class TestNormalization:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from finitary.scalars import GaussianRational
 
@@ -84,3 +84,64 @@ def test_ring_laws(a, b, c, d):
     assert x + y == y + x
     assert x * y == y * x
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+# -- the integer representation against a (Fraction, Fraction) reference -------
+
+# denominators up to 50, with 0, 1 and -1 drawn often so that 0, ±1 and ±i occur
+parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-60, max_value=60, max_denominator=50),
+)
+
+
+def ref_str(re, im):
+    """The string form defined on the real and imaginary Fractions."""
+    if not im:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if not re:
+        return imag
+    mag = abs(im)
+    return f"{re}{'+' if im > 0 else '-'}{'i' if mag == 1 else f'{mag}i'}"
+
+
+def ref_mul(a, b, c, d):
+    return a * c - b * d, a * d + b * c
+
+
+@given(parts, parts, parts, parts)
+@example(Fraction(0), Fraction(1), Fraction(0), Fraction(-1))  # i and -i
+@example(Fraction(1), Fraction(0), Fraction(-1), Fraction(0))  # 1 and -1
+@example(Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1, 3))  # 0
+def test_integer_scalar_matches_fraction_pair_reference(a, b, c, d):
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    assert (x.re, x.im) == (a, b)
+    for z, pair in [
+        (x + y, (a + c, b + d)),
+        (x - y, (a - c, b - d)),
+        (x * y, ref_mul(a, b, c, d)),
+        (-x, (-a, -b)),
+        (x.conjugate(), (a, -b)),
+    ]:
+        assert (z.re, z.im) == pair
+        assert z == GaussianRational(*pair)
+    if c or d:
+        norm = c * c + d * d
+        assert ((x / y).re, (x / y).im) == ref_mul(a, b, c / norm, -d / norm)
+    # equality and hashing against int and Fraction, as the real parts do
+    for q in (a, c, a.numerator, 0, 1, -1):
+        assert (x == q) == (not b and a == q)
+        assert (x != q) == bool(b or a != q)
+    real = GaussianRational(a)
+    assert real == a and hash(real) == hash(a)
+    if not b:
+        assert hash(x) == hash(a)
+    assert (x == y) == ((a, b) == (c, d))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert bool(x) == bool(a or b)
+    assert str(x) == ref_str(a, b)
+    assert GaussianRational.parse(str(x)) == x
+    assert repr(x) == f"GaussianRational({a!r}, {b!r})"
+
