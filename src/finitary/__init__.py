@@ -3,6 +3,7 @@ generate, and simplicial coarse graining of their polyhedral realizations.
 
 Everything is computed over exact Gaussian rationals; all operations are
 pure functions over immutable values and safe to share between threads.
+The values compare by value and can be copied, deep-copied and pickled.
 """
 
 from .scalars import GaussianRational

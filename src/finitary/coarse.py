@@ -34,7 +34,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .errors import FinitaryError, TooLarge
+from .errors import FinitaryError, TooLarge, Value
 from .manifolds import Manifold
 from .topology import (
     FiniteSpace,
@@ -55,7 +55,7 @@ class NotACover(FinitaryError):
     pass
 
 
-class Covering:
+class Covering(Value):
     """An indexed family of cover sets over an indexed point collection,
     stored as one trace (set of cover indices) per point."""
 
@@ -84,9 +84,6 @@ class Covering:
         object.__setattr__(self, "cover_labels", cover_labels)
         object.__setattr__(self, "point_labels", point_labels)
         object.__setattr__(self, "traces", traces)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Covering is immutable")
 
     @property
     def point_count(self) -> int:
@@ -230,13 +227,13 @@ def circle_covering(
     arcs: Sequence[tuple[Fraction, Fraction]],
     samples: int,
     extra_points: Iterable[Fraction] = (),
-    labels: Sequence[str] | None = None,
 ) -> Covering:
     """Open-arc covering of the unit circle, probed on exact sample angles.
 
     Angles are rational multiples of pi, normalized into (-1, 1].  An arc
     (lo, hi) with hi wrapped below lo passes through pi; an arc with
-    lo == hi is the complement of the single point lo.  The sample set is
+    lo == hi is the complement of the single point lo.  The cover sets are
+    labeled A, B, C, ... in arc order.  The sample set is
     `samples` uniform angles plus `extra_points`; an uncovered sample
     raises NotACover naming the angle, and more than MAX_SAMPLES samples
     raise TooLarge.  Angles are compared as integer numerators over one
@@ -248,8 +245,6 @@ def circle_covering(
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
     arcs = [(Fraction(lo), Fraction(hi)) for lo, hi in arcs]
     extra_points = [Fraction(p) for p in extra_points]
-    if labels is None:
-        labels = tuple(chr(ord("A") + i) for i in range(len(arcs)))
     den = lcm(
         samples,
         *(q.denominator for arc in arcs for q in arc),
@@ -277,6 +272,7 @@ def circle_covering(
         if trace is None:
             trace = shared[t] = frozenset(t)
         traces.append(trace)
+    labels = [chr(ord("A") + i) for i in range(len(arcs))]
     return Covering(labels, [str(Fraction(phi, den)) for phi in ordered], traces)
 
 

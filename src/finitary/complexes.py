@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FinitaryError
+from .errors import FinitaryError, Value
 
 
 class NotASimplex(FinitaryError):
@@ -34,7 +34,7 @@ def join_labels(table: Sequence[str], indices: Iterable[int]) -> str:
     return sep.join(table[i] for i in indices)
 
 
-class SimplicialComplex:
+class SimplicialComplex(Value):
     __slots__ = ("vertex_count", "labels", "simplices", "_simplex_labels", "_ordered")
 
     def __init__(
@@ -72,9 +72,6 @@ class SimplicialComplex:
             tuple(sorted(simps, key=lambda s: (len(s), tuple(sorted(s))))),
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
-
     @classmethod
     def closed(cls, vertex_count: int, simplices: Iterable, labels=None):
         """Build from arbitrary nonempty subsets, adding all missing faces
@@ -89,22 +86,11 @@ class SimplicialComplex:
         added = sorted(closure - given, key=lambda s: (len(s), tuple(sorted(s))))
         return cls(vertex_count, closure, labels=labels), added
 
-    def __contains__(self, simplex) -> bool:
-        return frozenset(simplex) in self.simplices
-
     def __len__(self):
         return len(self.simplices)
 
-    def __eq__(self, other):
-        if isinstance(other, SimplicialComplex):
-            return (
-                self.vertex_count == other.vertex_count
-                and self.simplices == other.simplices
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.simplices))
+    def _key(self):
+        return (self.vertex_count, self.simplices)
 
     def __repr__(self):
         return f"SimplicialComplex(n={self.vertex_count}, {len(self.simplices)} simplices)"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import FinitaryError
+from .errors import FinitaryError, Value
 from .scalars import GaussianRational
 
 
@@ -121,7 +121,7 @@ def basis_words(vertex_count: int, grade: int) -> Iterator[Word]:
     yield from extend(())
 
 
-class Form:
+class Form(Value):
     """Finitely supported exact linear combination of basis words.
 
     Canonical sparse representation: zero coefficients are never stored, so
@@ -144,7 +144,7 @@ class Form:
                 acc[w] = c
             else:
                 acc.pop(w, None)
-        self._terms = acc
+        _set_terms(self, acc)
 
     @classmethod
     def word(cls, letters, coeff=1) -> "Form":
@@ -218,13 +218,15 @@ class Form:
         return "Form(" + " + ".join(bits) + ")"
 
 
+_new = object.__new__
+_set_terms = Form._terms.__set__
 ZERO_FORM = Form()
 
 
 def _form(terms: dict[Word, GaussianRational]) -> Form:
     """A Form over a term dict with Word keys and no zero coefficient."""
-    out = Form()
-    out._terms = terms
+    out = _new(Form)
+    _set_terms(out, terms)
     return out
 
 

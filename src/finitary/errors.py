@@ -1,8 +1,10 @@
-"""Common base for all library errors.
+"""Common bases: library errors and immutable values.
 
 The CLI maps any FinitaryError on an input path to exit code 2; specific
 subclasses live next to the code that raises them, except TooLarge,
-which several modules raise.
+which several modules raise.  Value is the base of the library's
+immutable value types; it lives here because every value module already
+imports this one.
 """
 
 
@@ -12,3 +14,55 @@ class FinitaryError(Exception):
 
 class TooLarge(FinitaryError):
     """An enumeration would exceed its documented size cap."""
+
+
+class Value:
+    """Base of an immutable value whose fields are its ``__slots__``.
+
+    Invariant: every slot is set when the value is built, past the guard
+    (through object.__setattr__ or the slot's own descriptor), and nothing
+    changes a slot afterwards, except that a slot caching a derived result
+    (Manifold's dimension and word listing) may be filled once from None.
+    Assigning or deleting an attribute raises AttributeError.  Equality and
+    hash compare ``_key()``, the slot values in order unless a subclass
+    overrides it, between values of one exact type.  Since a value never
+    changes, a copy or deep copy is the value itself, and unpickling
+    restores the slots as they were, without running the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        # the state is every slot, whatever a subclass's _key compares
+        return _restore, (type(self), Value._key(self))
+
+
+def _restore(cls, state):
+    """The unpickled value: the slots of cls set to state, in slot order."""
+    value = object.__new__(cls)
+    for name, item in zip(cls.__slots__, state):
+        object.__setattr__(value, name, item)
+    return value

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import FinitaryError
+from .errors import FinitaryError, Value
 from .envelope import (
     Form,
     Word,
@@ -30,7 +30,7 @@ class GradeZeroGenerator(FinitaryError):
     pass
 
 
-class BasicIdeal:
+class BasicIdeal(Value):
     """Superword-closed span given by an antichain of generator words.
 
     The constructor normalizes: any input word that has another distinct
@@ -55,20 +55,6 @@ class BasicIdeal:
         ]
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "generators", tuple(sorted(kept, key=word_key)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasicIdeal is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, BasicIdeal):
-            return (
-                self.vertex_count == other.vertex_count
-                and self.generators == other.generators
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.generators))
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators)

@@ -26,7 +26,7 @@ import re
 from .complexes import SimplicialComplex
 from .coarse import Covering
 from .envelope import Form, Word, word_validate
-from .errors import FinitaryError
+from .errors import FinitaryError, Value
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
 from .scalars import GaussianRational
@@ -45,7 +45,7 @@ class ParseError(FinitaryError):
 _LABEL = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
-class VertexTable:
+class VertexTable(Value):
     """Display labels for the vertex set, resolving labels to indices."""
 
     __slots__ = ("labels", "_index")
@@ -60,8 +60,8 @@ class VertexTable:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(labels)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexTable is immutable")
+    def _key(self):
+        return self.labels
 
     @property
     def n(self) -> int:

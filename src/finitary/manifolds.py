@@ -29,7 +29,7 @@ from .complexes import SimplicialComplex, default_labels, join_labels
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
 from .envelope import Word, basis_words, word_key, word_validate  # noqa: F401
-from .errors import FinitaryError, TooLarge
+from .errors import FinitaryError, TooLarge, Value
 from .ideals import BasicIdeal
 
 
@@ -50,7 +50,7 @@ class StructureViolation(FinitaryError):
         super().__init__("manifold structure checks failed:\n" + str(report))
 
 
-class Relation:
+class Relation(Value):
     """Reflexive binary relation on {0..n-1}; the diagonal is implicit."""
 
     __slots__ = ("n", "pairs")
@@ -63,9 +63,6 @@ class Relation:
             all_pairs.add((i, j))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", frozenset(all_pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation is immutable")
 
     def holds(self, i: int, j: int) -> bool:
         return (i, j) in self.pairs
@@ -80,14 +77,6 @@ class Relation:
             if i < j and (j, i) in self.pairs:
                 return (i, j)
         return None
-
-    def __eq__(self, other):
-        if isinstance(other, Relation):
-            return self.n == other.n and self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.pairs))
 
     def __repr__(self):
         return f"Relation(n={self.n}, {sorted(self.strict_pairs())})"
@@ -155,7 +144,7 @@ class StructureReport:
 _CHECKS = ("hereditarity", "fully-ordered", "uniqueness", "singletons")
 
 
-class Manifold:
+class Manifold(Value):
     """A vertex table plus the family of nonvanishing words (explicit or as
     the complement of a basic ideal)."""
 
@@ -176,9 +165,6 @@ class Manifold:
             object.__setattr__(self, "_words", tuple(sorted(validated, key=word_key)))
         elif ideal.vertex_count != len(labels):
             raise ValueError("ideal vertex count does not match label count")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Manifold is immutable")
 
     # -- construction -------------------------------------------------
 
@@ -381,14 +367,6 @@ class Manifold:
 
     def _key(self):
         return (self.labels, self._words if self.is_explicit else self.ideal)
-
-    def __eq__(self, other):
-        if isinstance(other, Manifold):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         kind = "explicit" if self.is_explicit else "ideal-complement"

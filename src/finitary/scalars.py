@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import Value
 
-class GaussianRational:
+
+class GaussianRational(Value):
     """A complex number (re_num + im_num*i) / den held as three integers.
 
     The triple is normalized: den > 0 and gcd(re_num, im_num, den) == 1, so
@@ -34,9 +36,6 @@ class GaussianRational:
         _set_re(self, re)
         _set_im(self, im)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @property
     def re(self) -> Fraction:

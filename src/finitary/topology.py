@@ -25,7 +25,7 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from .envelope import is_subsequence
-from .errors import TooLarge
+from .errors import TooLarge, Value
 from .manifolds import InfiniteDimensional, Manifold
 
 
@@ -50,7 +50,7 @@ def _transpose(rows: Sequence[Iterable[int]], size: int) -> list[int]:
     return [int.from_bytes(column, "little") for column in columns]
 
 
-class FiniteSpace:
+class FiniteSpace(Value):
     """Points with display labels plus the minimal-open-set map, one int
     bitmask per point (bit y of min_open[x] set iff y lies in it).
 
@@ -96,27 +96,13 @@ class FiniteSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "min_open", opens)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSpace is immutable")
-
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def le(self, x: int, y: int) -> bool:
         """Specialization preorder: x <= y iff x belongs to min_open(y)."""
         return bool(self.min_open[y] >> x & 1)
-
-    def __eq__(self, other):
-        if isinstance(other, FiniteSpace):
-            return self.labels == other.labels and self.min_open == other.min_open
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.labels, self.min_open))
 
     def __repr__(self):
         return f"FiniteSpace({self.n} points)"

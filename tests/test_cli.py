@@ -272,7 +272,7 @@ class TestVerify:
         def sabotaged(p, traces):
             s = real(p, traces)
             opens = list(s.min_open)
-            opens[s.index("1")] &= ~(1 << s.index("12"))
+            opens[s.labels.index("1")] &= ~(1 << s.labels.index("12"))
             return FiniteSpace(s.labels, opens)
 
         monkeypatch.setattr(coarse, "_symbolic", sabotaged)

@@ -47,7 +47,7 @@ class TestTraceSubstitute:
         c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
         space, class_of = trace_substitute(c)
         assert space.n == 2 and class_of == (0, 1)
-        assert members(space.min_open[space.index("p")]) == [0, 1]
+        assert members(space.min_open[space.labels.index("p")]) == [0, 1]
 
     def test_constant_trace_collapses_everything(self):
         c = Covering(("A",), ("p", "q", "r"), [{0}, {0}, {0}])
@@ -115,9 +115,9 @@ class TestSimplicialSubstitute:
     def test_segment_min_opens(self):
         space = simplicial_substitute(SEGMENT)
         assert space.n == 3
-        edge = space.index("12")
+        edge = space.labels.index("12")
         assert members(space.min_open[edge]) == [edge]
-        v = space.index("1")
+        v = space.labels.index("1")
         assert members(space.min_open[v]) == sorted({v, edge})
 
     def test_point_per_simplex_and_star_topology(self):

@@ -106,9 +106,9 @@ class TestGeneratedSpace:
         m = Manifold.from_relation(Relation(3, [(0, 1), (0, 2), (1, 2)]))
         s = generated_space(m)
         assert s.n == 7
-        top = s.index("123")
+        top = s.labels.index("123")
         assert s.min_open[top] == mask({top})
-        assert s.min_open[s.index("1")].bit_count() == 4
+        assert s.min_open[s.labels.index("1")].bit_count() == 4
 
     def test_membership_is_the_subword_relation(self):
         rng = random.Random(43)

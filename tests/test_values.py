@@ -1,0 +1,146 @@
+"""Immutable values: copying, pickling, equality and the mutation guard."""
+
+import copy
+import pickle
+from dataclasses import fields
+from fractions import Fraction as Fr
+
+import pytest
+
+from finitary import (
+    STANDARD_CIRCLE_ARCS,
+    STANDARD_CIRCLE_EXTRA_POINTS,
+    BasicIdeal,
+    Covering,
+    FiniteSpace,
+    Form,
+    GaussianRational,
+    Manifold,
+    Relation,
+    SimplicialComplex,
+    circle_covering,
+    generated_space,
+    verify_correspondence,
+)
+from finitary.errors import Value
+from finitary.io import VertexTable
+
+
+def _triangle():
+    return Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)]))
+
+
+def _ideal_manifold():
+    # a finite one whose cached dimension and word listing are filled in
+    m = Manifold.from_ideal(BasicIdeal(3, [(1, 0), (2, 0), (2, 1)]), labels=("a", "b", "c"))
+    m.words()
+    return m
+
+
+VALUES = {
+    "GaussianRational": lambda: GaussianRational(Fr(1, 2), -3),
+    "BasicIdeal": lambda: BasicIdeal(3, [(0, 1), (1, 0), (2, 0, 1)]),
+    "Relation": lambda: Relation(3, [(0, 1), (1, 2), (2, 0)]),
+    "Manifold-relation": _triangle,
+    "Manifold-ideal": _ideal_manifold,
+    "Manifold-infinite": lambda: Manifold.from_ideal(BasicIdeal(3, [(0, 1)])),
+    "SimplicialComplex": lambda: _triangle().to_simplicial(),
+    "FiniteSpace": lambda: generated_space(_triangle()),
+    "Covering": lambda: circle_covering(
+        STANDARD_CIRCLE_ARCS, samples=8, extra_points=STANDARD_CIRCLE_EXTRA_POINTS
+    ),
+    "VertexTable": lambda: VertexTable(["a", "b", "c"]),
+    "Form": lambda: Form([((0, 1), GaussianRational(Fr(1, 3), 1)), ((1, 0, 2), -2)]),
+    "CorrespondenceReport": lambda: verify_correspondence(_triangle(), per_cell=1, seed=3),
+}
+
+
+@pytest.fixture(params=sorted(VALUES))
+def value(request):
+    return VALUES[request.param]()
+
+
+def _round_trips(v):
+    yield copy.copy(v)
+    yield copy.deepcopy(v)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(v, protocol))
+
+
+def test_copy_deepcopy_and_pickle_give_an_equal_value(value):
+    for twin in _round_trips(value):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+
+
+def test_unpickled_value_keeps_working(value):
+    twin = pickle.loads(pickle.dumps(value))
+    if type(value).__repr__ is not object.__repr__:
+        assert repr(twin) == repr(value)
+    if isinstance(value, Manifold):
+        assert twin.dimension() == value.dimension()
+        assert list(twin.words(max_grade=3)) == list(value.words(max_grade=3))
+
+
+def _fields(v):
+    if isinstance(v, Value):
+        return type(v).__slots__
+    return tuple(f.name for f in fields(v))
+
+
+def test_every_field_refuses_assignment_and_deletion(value):
+    before = copy.deepcopy(value)
+    for name in _fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == before
+
+
+def test_the_value_types_share_one_base():
+    kinds = (
+        GaussianRational, BasicIdeal, Relation, Manifold, SimplicialComplex,
+        FiniteSpace, Covering, VertexTable, Form,
+    )
+    assert all(issubclass(k, Value) for k in kinds)
+
+
+def test_mutation_message_names_the_type():
+    with pytest.raises(AttributeError, match="^Relation is immutable$"):
+        Relation(1).n = 2
+    with pytest.raises(AttributeError, match="^FiniteSpace is immutable$"):
+        del generated_space(_triangle()).labels
+
+
+class TestValueEquality:
+    def test_equal_construction_gives_equal_values(self):
+        for make in VALUES.values():
+            a, b = make(), make()
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+
+    def test_covering_and_vertex_table_compare_by_value(self):
+        assert VertexTable(["a", "b"]) == VertexTable(("a", "b"))
+        assert VertexTable(["a", "b"]) != VertexTable(["b", "a"])
+        c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
+        assert c == Covering(["A", "B"], ["p", "q"], [frozenset({0}), {1, 0}])
+        assert c != Covering(("A", "B"), ("p", "q"), [{0}, {1}])
+
+    def test_only_the_same_type_compares_equal(self):
+        assert Relation(2) != (2, Relation(2).pairs)
+        assert Relation(2).__eq__(BasicIdeal(2)) is NotImplemented
+        assert len({Relation(2), Relation(2), BasicIdeal(2)}) == 2
+
+    def test_simplicial_complex_ignores_display_labels(self):
+        p = _triangle().to_simplicial()
+        bare = SimplicialComplex(3, p.simplices)
+        assert p == bare and hash(p) == hash(bare)
+
+    def test_scalars_still_compare_with_numbers(self):
+        assert GaussianRational(3) == 3 and hash(GaussianRational(3)) == hash(3)
+        half = pickle.loads(pickle.dumps(GaussianRational(Fr(1, 2))))
+        assert half == Fr(1, 2) and hash(half) == hash(Fr(1, 2))
