@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # Coarse graining a circle by three open arcs.  Points with equal traces
-# (the set of arcs containing them) merge; the quotient is a finite T0
-# space, here the same hexagon poset as the triangle manifold produces.
+# (the set of arcs containing them, an int mask with bit i for arc i)
+# merge; the quotient is a finite T0 space, here the same hexagon poset as
+# the triangle manifold produces.
 
 from finitary import (
     Manifold,
@@ -9,6 +10,7 @@ from finitary import (
     circle_covering,
     generated_space,
     hasse,
+    members,
     poset_isomorphic,
     trace_substitute,
 )
@@ -31,8 +33,8 @@ print("trace classes:", space.n)
 traces_seen = {}
 for label, trace in zip(covering.point_labels, covering.traces):
     traces_seen.setdefault(trace, label)
-for trace, representative in sorted(traces_seen.items(), key=lambda kv: sorted(kv[0])):
-    arcs = ",".join(covering.cover_labels[i] for i in sorted(trace))
+for trace, representative in sorted(traces_seen.items(), key=lambda kv: members(kv[0])):
+    arcs = ",".join(covering.cover_labels[i] for i in members(trace))
     print(f"  trace {{{arcs}}}   first sample at {representative}*pi")
 
 # the quotient poset is the boundary-triangle space

@@ -76,12 +76,12 @@ def _cmd_ideal(args) -> int:
     if args.op == "check":
         print("vertices: " + ", ".join(table.labels))
         gens = ", ".join(
-            "e[" + ",".join(table.label(i) for i in g) + "]" for g in ideal.generators
+            "e[" + ",".join(table.labels[i] for i in g) + "]" for g in ideal.generators
         )
         print(f"generators (antichain): {gens if gens else '(none)'}")
         dropped = sorted(set(given) - set(ideal.generators), key=lambda w: (len(w), w))
         for w in dropped:
-            print("dropped (redundant): e[" + ",".join(table.label(i) for i in w) + "]")
+            print("dropped (redundant): e[" + ",".join(table.labels[i] for i in w) + "]")
         print("ok")
         return 0
     form = fio.parse_form(args.form, table)
@@ -167,7 +167,7 @@ def _cmd_substitute(args) -> int:
         print(f"classes ({space.n}):")
         for x in range(space.n):
             trace = covering.traces[class_of.index(x)]
-            names = ",".join(covering.cover_labels[i] for i in sorted(trace))
+            names = ",".join(covering.cover_labels[i] for i in members(trace))
             print(f"  {space.labels[x]}: trace {{{names}}}")
         if args.json:
             sys.stdout.write(fio.space_json(space))

@@ -1,9 +1,11 @@
 """Finitary substitutes: trace quotients of covered point collections.
 
-Given a finite covering of any point collection, each point gets a trace
-(the set of cover sets containing it) and points with equal traces merge
-(topology.trace_quotient).  The quotient carries the T0 topology with
-min_open(class T) = all classes whose trace contains T.
+Given a finite covering of any point collection, each point gets a trace,
+the int mask of the cover sets containing it (bit i for cover set i), and
+points with equal traces merge (topology.trace_quotient).  The quotient
+carries the T0 topology with min_open(class T) = all classes whose trace
+contains T.  Traces here use the same mask format as FiniteSpace.min_open
+and the star traces of the cells.
 
 A polyhedron realized from a simplicial complex is coarse grained by the
 covering of open stars.  The star interiors are constant on the open-cell
@@ -57,7 +59,8 @@ class NotACover(FinitaryError):
 
 class Covering(Value):
     """An indexed family of cover sets over an indexed point collection,
-    stored as one trace (set of cover indices) per point."""
+    stored as one trace per point: an int mask with bit i set iff the
+    point lies in cover set i."""
 
     __slots__ = ("cover_labels", "point_labels", "traces")
 
@@ -65,11 +68,11 @@ class Covering(Value):
         self,
         cover_labels: Sequence[str],
         point_labels: Sequence[str],
-        traces: Iterable,
+        traces: Iterable[int],
     ):
         cover_labels = tuple(cover_labels)
         point_labels = tuple(point_labels)
-        traces = tuple(frozenset(t) for t in traces)
+        traces = tuple(traces)
         if len(point_labels) != len(traces):
             raise ValueError("one trace per point required")
         if len(set(point_labels)) != len(point_labels):
@@ -77,9 +80,11 @@ class Covering(Value):
         if len(set(cover_labels)) != len(cover_labels):
             raise ValueError("cover labels must be unique")
         for label, t in zip(point_labels, traces):
+            if type(t) is not int:
+                raise TypeError("traces must be int masks")
             if not t:
                 raise UncoveredPoint(f"point {label} lies in no cover set")
-            if not all(0 <= i < len(cover_labels) for i in t):
+            if t >> len(cover_labels):  # also every negative mask
                 raise ValueError(f"trace of {label} mentions unknown cover sets")
         object.__setattr__(self, "cover_labels", cover_labels)
         object.__setattr__(self, "point_labels", point_labels)
@@ -99,8 +104,7 @@ class Covering(Value):
 def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
     """Quotient of the covered points by equality of traces (see
     topology.trace_quotient); returns the space and the class map."""
-    masks = [sum(1 << i for i in t) for t in c.traces]
-    return trace_quotient(c.point_labels, masks)
+    return trace_quotient(c.point_labels, c.traces)
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
@@ -263,14 +267,10 @@ def circle_covering(
         if pos == len(ordered) or ordered[pos] != phi:
             ordered.insert(pos, phi)
     traces = []
-    shared: dict[tuple[int, ...], frozenset[int]] = {}  # one frozenset per trace
     for phi in ordered:
-        t = tuple(i for i, (lo, hi) in enumerate(norm_arcs) if _arc_contains(lo, hi, phi))
-        if not t:
+        trace = sum(1 << i for i, (lo, hi) in enumerate(norm_arcs) if _arc_contains(lo, hi, phi))
+        if not trace:
             raise NotACover(f"sampled angle {Fraction(phi, den)}*pi lies in no arc")
-        trace = shared.get(t)
-        if trace is None:
-            trace = shared[t] = frozenset(t)
         traces.append(trace)
     labels = [chr(ord("A") + i) for i in range(len(arcs))]
     return Covering(labels, [str(Fraction(phi, den)) for phi in ordered], traces)
@@ -309,59 +309,48 @@ class CorrespondenceReport:
     def ok(self) -> bool:
         return self.gen_to_sym is not None and self.sym_to_sam is not None
 
-    @staticmethod
-    def _pair_lines(a, a_name, b, b_name, mapping, certificate, how) -> list[str]:
-        """The bijection, or NOT ISOMORPHIC and why the certificate fails:
-        the first pair whose order it does not carry over, and the number
-        of points per grade on both sides."""
-        if mapping is not None:
-            return [f"{a_name} ~ {b_name}:"] + [
-                f"  {a.labels[x]} -> {b.labels[y]}" for x, y in enumerate(mapping)
-            ]
-        lines = [f"{a_name} ~ {b_name}: NOT ISOMORPHIC"]
-        pair = None if certificate is None else _unpreserved(a, b, certificate)
-        if pair is not None:
-            x, y = pair
-            fx, fy = certificate[x], certificate[y]
-            a_not, b_not = ("", "not ") if a.le(x, y) else ("not ", "")
-            lines.append(
-                f"  order not preserved by {how}: "
-                f"{a_not}{a.labels[x]} <= {a.labels[y]} in {a_name}, "
-                f"{b_not}{b.labels[fx]} <= {b.labels[fy]} in {b_name}"
-            )
-        lines.append(
-            f"  points per grade: {a_name} {_grade_counts(a)}; {b_name} {_grade_counts(b)}"
-        )
-        return lines
-
-    def render_symbolic(self) -> str:
-        gen, sym = self.generated, self.symbolic
+    def render(self) -> str:
+        gen, sym, sam = self.generated, self.symbolic, self.sampled
         lines = [
             f"generated space: {gen.n} points",
             f"symbolic substitute: {sym.n} points",
-        ]
-        lines += self._pair_lines(
-            gen, "generated", sym, "symbolic", self.gen_to_sym,
-            _label_map(gen, sym), "matching labels",
-        )
-        return "\n".join(lines)
-
-    def render_sampled(self) -> str:
-        sym, sam = self.symbolic, self.sampled
-        lines = [
+            *_pair_lines(
+                gen, "generated", sym, "symbolic", self.gen_to_sym,
+                _label_map(gen, sym), "matching labels",
+            ),
             f"sampled substitute (per_cell={self.per_cell}): {sam.n} points",
+            *_pair_lines(
+                sym, "symbolic", sam, "sampled", self.sym_to_sam,
+                _identity(sym, sam), "the identity",
+            ),
+            f"correspondence: {'VERIFIED' if self.ok else 'FAILED'}",
         ]
-        lines += self._pair_lines(
-            sym, "symbolic", sam, "sampled", self.sym_to_sam,
-            _identity(sym, sam), "the identity",
-        )
         return "\n".join(lines)
 
-    def render(self) -> str:
-        verdict = "VERIFIED" if self.ok else "FAILED"
-        return "\n".join(
-            [self.render_symbolic(), self.render_sampled(), f"correspondence: {verdict}"]
+
+def _pair_lines(a, a_name, b, b_name, mapping, certificate, how) -> list[str]:
+    """The bijection, or NOT ISOMORPHIC and why the certificate fails: the
+    first pair whose order it does not carry over, and the number of points
+    per grade on both sides."""
+    if mapping is not None:
+        return [f"{a_name} ~ {b_name}:"] + [
+            f"  {a.labels[x]} -> {b.labels[y]}" for x, y in enumerate(mapping)
+        ]
+    lines = [f"{a_name} ~ {b_name}: NOT ISOMORPHIC"]
+    pair = None if certificate is None else _unpreserved(a, b, certificate)
+    if pair is not None:
+        x, y = pair
+        fx, fy = certificate[x], certificate[y]
+        a_not, b_not = ("", "not ") if a.le(x, y) else ("not ", "")
+        lines.append(
+            f"  order not preserved by {how}: "
+            f"{a_not}{a.labels[x]} <= {a.labels[y]} in {a_name}, "
+            f"{b_not}{b.labels[fx]} <= {b.labels[fy]} in {b_name}"
         )
+    lines.append(
+        f"  points per grade: {a_name} {_grade_counts(a)}; {b_name} {_grade_counts(b)}"
+    )
+    return lines
 
 
 def _label_map(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...] | None:

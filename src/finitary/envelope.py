@@ -150,16 +150,9 @@ class Form(Value):
     def word(cls, letters, coeff=1) -> "Form":
         return cls(((Word(letters), coeff),))
 
-    def coeff(self, letters) -> GaussianRational:
-        w = letters if isinstance(letters, Word) else Word(letters)
-        return self._terms.get(w, GaussianRational(0))
-
     def items(self) -> list[tuple[Word, GaussianRational]]:
         """Terms in canonical order (grade-major, then lexicographic)."""
         return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
-
-    def support(self) -> set[Word]:
-        return set(self._terms)
 
     def __len__(self):
         return len(self._terms)

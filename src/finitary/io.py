@@ -73,9 +73,6 @@ class VertexTable(Value):
         except KeyError:
             raise ValueError(f"unknown vertex label {label!r}") from None
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
 
 def parse_vertex_table(
     spec: str, source: str = "<vertices>", line: int = 1
@@ -182,7 +179,7 @@ def print_form(f: Form, table: VertexTable) -> str:
     parts = []
     for w, c in f.items():
         sign, prefix = _coeff_prefix(c)
-        body = prefix + "e[" + ",".join(table.label(i) for i in w) + "]"
+        body = prefix + "e[" + ",".join(table.labels[i] for i in w) + "]"
         if not parts:
             parts.append(("-" if sign < 0 else "") + body)
         else:
@@ -342,23 +339,22 @@ def parse_covering(text: str, source: str = "<covering>") -> Covering:
     index = {lbl: i for i, lbl in enumerate(cover_labels)}
     if len(index) != len(cover_labels):
         raise ParseError(source, lineno, "duplicate cover set label")
-    point_labels = []
-    traces = []
+    traces: dict[str, int] = {}  # point label -> trace, in file order
     for lno, line in lines[1:]:
         if ":" not in line:
             raise ParseError(source, lno, f"expected 'point: set1, set2', got {line!r}")
         label, body = (s.strip() for s in line.split(":", 1))
-        toks = [t.strip() for t in body.split(",") if t.strip()]
-        try:
-            trace = frozenset(index[t] for t in toks)
-        except KeyError as exc:
-            raise ParseError(source, lno, f"unknown cover set {exc.args[0]!r}") from None
-        point_labels.append(label)
-        traces.append(trace)
-    try:
-        return Covering(cover_labels, point_labels, traces)
-    except (FinitaryError, ValueError) as exc:
-        raise ParseError(source, 1, str(exc)) from None
+        trace = 0
+        for tok in (t.strip() for t in body.split(",") if t.strip()):
+            if tok not in index:
+                raise ParseError(source, lno, f"unknown cover set {tok!r}")
+            trace |= 1 << index[tok]
+        if label in traces:
+            raise ParseError(source, lno, "point labels must be unique")
+        if not trace:
+            raise ParseError(source, lno, f"point {label} lies in no cover set")
+        traces[label] = trace
+    return Covering(cover_labels, traces, traces.values())
 
 
 # -- finite spaces -----------------------------------------------------------

@@ -14,7 +14,9 @@ takes as words exactly the sequences (i_0, ..., i_k) with i_s r i_t for
 all s <= t.  For antisymmetric r these are the subsets of the vertex set
 on which r restricts to a total order, each in its unique admissible
 arrangement; for non-antisymmetric r the family is unbounded, which is
-reported as an error rather than materialized.
+reported as an error rather than materialized.  A Relation holds one int
+mask of strict successors per vertex, the mask format of the rest of the
+library, and the chains are extended by ANDing those masks.
 """
 
 from __future__ import annotations
@@ -51,35 +53,44 @@ class StructureViolation(FinitaryError):
 
 
 class Relation(Value):
-    """Reflexive binary relation on {0..n-1}; the diagonal is implicit."""
+    """Reflexive binary relation on {0..n-1}, stored as one strict-successor
+    mask per vertex: bit j of after[i] is set iff i <= j and i != j.  The
+    diagonal is implicit."""
 
-    __slots__ = ("n", "pairs")
+    __slots__ = ("n", "after")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
-        all_pairs = {(i, i) for i in range(n)}
+        after = [0] * n
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i},{j}) outside vertex table of size {n}")
-            all_pairs.add((i, j))
+            if i != j:
+                after[i] |= 1 << j
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", frozenset(all_pairs))
+        object.__setattr__(self, "after", tuple(after))
 
     def holds(self, i: int, j: int) -> bool:
-        return (i, j) in self.pairs
+        """i <= j; False when i or j is not a vertex."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            return False
+        return i == j or bool(self.after[i] >> j & 1)
 
     def strict_pairs(self) -> tuple[tuple[int, int], ...]:
         """Off-diagonal pairs in sorted order."""
-        return tuple(sorted(p for p in self.pairs if p[0] != p[1]))
+        return tuple(
+            (i, j) for i, a in enumerate(self.after) for j in range(self.n) if a >> j & 1
+        )
 
     def antisymmetry_witness(self) -> tuple[int, int] | None:
         """Smallest pair i < j related both ways, or None."""
-        for i, j in sorted(self.pairs):
-            if i < j and (j, i) in self.pairs:
-                return (i, j)
+        for i, a in enumerate(self.after):
+            for j in range(i + 1, self.n):
+                if a >> j & 1 and self.after[j] >> i & 1:
+                    return (i, j)
         return None
 
     def __repr__(self):
-        return f"Relation(n={self.n}, {sorted(self.strict_pairs())})"
+        return f"Relation(n={self.n}, {list(self.strict_pairs())})"
 
 
 def fully_ordered_sequences(rel: Relation) -> Iterator[Word]:
@@ -92,10 +103,7 @@ def fully_ordered_sequences(rel: Relation) -> Iterator[Word]:
     element, and none of them).  Raises TooLarge once more than
     automata.MAX_WORDS sequences have been built.
     """
-    after = [
-        sum(1 << k for k in range(rel.n) if k != i and rel.holds(i, k))
-        for i in range(rel.n)
-    ]
+    after = rel.after
     built = 0
     stack = [((i,), after[i]) for i in reversed(range(rel.n))]
     while stack:
@@ -122,7 +130,6 @@ class StructureFailure:
 
 @dataclass(frozen=True)
 class StructureReport:
-    checks: tuple[str, ...]
     failures: tuple[StructureFailure, ...]
 
     @property
@@ -131,7 +138,7 @@ class StructureReport:
 
     def __str__(self):
         lines = []
-        for check in self.checks:
+        for check in _CHECKS:
             bad = [f for f in self.failures if f.check == check]
             if not bad:
                 lines.append(f"{check}: ok")
@@ -352,7 +359,7 @@ class Manifold(Value):
                     )
                 )
 
-        return StructureReport(_CHECKS, tuple(failures))
+        return StructureReport(tuple(failures))
 
     def to_simplicial(self) -> SimplicialComplex:
         """Forget word order: valid because a finite-dimensional manifold

@@ -37,6 +37,10 @@ def fs(*verts):
     return frozenset(verts)
 
 
+def mask(indices):
+    return sum(1 << i for i in indices)
+
+
 TRIANGLE = Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)]))
 BOUNDARY_TRIANGLE = TRIANGLE.to_simplicial()
 SEGMENT = SimplicialComplex(2, [fs(0), fs(1), fs(0, 1)])
@@ -44,19 +48,30 @@ SEGMENT = SimplicialComplex(2, [fs(0), fs(1), fs(0, 1)])
 
 class TestTraceSubstitute:
     def test_two_points_one_nested_cover(self):
-        c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
+        c = Covering(("A", "B"), ("p", "q"), [0b01, 0b11])
         space, class_of = trace_substitute(c)
         assert space.n == 2 and class_of == (0, 1)
         assert members(space.min_open[space.labels.index("p")]) == [0, 1]
 
     def test_constant_trace_collapses_everything(self):
-        c = Covering(("A",), ("p", "q", "r"), [{0}, {0}, {0}])
+        c = Covering(("A",), ("p", "q", "r"), [1, 1, 1])
         space, class_of = trace_substitute(c)
         assert space.n == 1 and class_of == (0, 0, 0)
 
     def test_uncovered_point_rejected(self):
         with pytest.raises(UncoveredPoint):
-            Covering(("A",), ("p",), [frozenset()])
+            Covering(("A",), ("p",), [0])
+
+    def test_traces_must_be_int_masks(self):
+        with pytest.raises(TypeError):
+            Covering(("A",), ("p",), [{0}])
+        with pytest.raises(TypeError):
+            Covering(("A",), ("p",), [True])
+
+    @pytest.mark.parametrize("trace", [-1, -2, 0b100, 0b111])
+    def test_mask_outside_the_cover_sets_rejected(self, trace):
+        with pytest.raises(ValueError, match="unknown cover sets"):
+            Covering(("A", "B"), ("p",), [trace])
 
     @given(
         st.lists(
@@ -69,7 +84,7 @@ class TestTraceSubstitute:
         c = Covering(
             tuple("ABCDE"),
             tuple(f"p{i}" for i in range(len(traces))),
-            traces,
+            map(mask, traces),
         )
         space, _ = trace_substitute(c)
         assert is_t0(space)
@@ -86,15 +101,12 @@ class TestTraceSubstitute:
         c = Covering(
             tuple("ABCD"),
             tuple(f"p{i}" for i in range(len(traces))),
-            traces,
+            map(mask, traces),
         )
         refined = Covering(
             tuple("ABCDE"),
             c.point_labels,
-            [
-                t | ({4} if p in new_members else set())
-                for p, t in enumerate(c.traces)
-            ],
+            [t | (1 << 4 if p in new_members else 0) for p, t in enumerate(c.traces)],
         )
         before, _ = trace_substitute(c)
         after, _ = trace_substitute(refined)
@@ -204,9 +216,7 @@ class TestCircle:
         )
         space, _ = trace_substitute(cov)
         assert space.n == 6
-        assert set(cov.traces) == {
-            fs(0), fs(1), fs(2), fs(0, 1), fs(1, 2), fs(0, 2),
-        }
+        assert set(cov.traces) == {0b001, 0b010, 0b100, 0b011, 0b110, 0b101}
         assert poset_isomorphic(space, generated_space(TRIANGLE)) is not None
 
     def test_uncorrected_middle_arc_fails_to_cover_pi(self):
@@ -230,7 +240,7 @@ class TestCircle:
         # carry the same trace, so they merge into a single class
         cov = circle_covering([(Fr(-1, 2), Fr(1, 2)), (Fr(1, 4), Fr(7, 4))], samples=720)
         space, _ = trace_substitute(cov)
-        assert sorted(map(sorted, set(cov.traces))) == [[0], [0, 1], [1]]
+        assert sorted(map(members, set(cov.traces))) == [[0], [0, 1], [1]]
         assert space.n == 3
 
     def test_angles_are_exact_and_wrapped(self):

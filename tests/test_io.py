@@ -208,10 +208,10 @@ class TestComplexes:
 class TestCoverings:
     def test_parse(self):
         c = parse_covering("covers: A, B\np: A\nq: A, B\n")
-        assert c.traces == (frozenset({0}), frozenset({0, 1}))
+        assert c.traces == (0b01, 0b11)
 
     def test_round_trip(self):
-        c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
+        c = Covering(("A", "B"), ("p", "q"), [0b01, 0b11])
         parsed = parse_covering("covers: A, B\np: A\nq: A, B\n")
         assert (parsed.cover_labels, parsed.point_labels, parsed.traces) == (
             c.cover_labels,
@@ -233,6 +233,19 @@ class TestCoverings:
     def test_errors(self, text):
         with pytest.raises(ParseError):
             parse_covering(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("covers: A\np: A\nq:\n", "point q lies in no cover set"),
+            ("covers: A, B\np: A\np: B\n", "point labels must be unique"),
+        ],
+    )
+    def test_point_errors_name_the_point_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_covering(text, source="unc.covering")
+        assert err.value.line == 3
+        assert str(err.value) == f"unc.covering:3: {message}"
 
 
 TRIANGLE_DOT = """\

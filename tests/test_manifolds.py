@@ -87,6 +87,45 @@ class TestRelationOf:
             assert Manifold.from_relation(rel).relation() == rel
 
 
+class TestRelationMasks:
+    """The successor masks against a frozenset-of-pairs reference."""
+
+    @staticmethod
+    def _reference_sequences(n, ref):
+        out = []
+
+        def extend(seq):
+            out.append(seq)
+            for k in range(n):
+                if k not in seq and all((x, k) in ref for x in seq):
+                    extend(seq + (k,))
+
+        for i in range(n):
+            extend((i,))
+        return out
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_pair_set_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        ref = frozenset(pairs) | {(i, i) for i in range(n)}
+        rel = Relation(n, pairs)
+        assert all(type(a) is int for a in rel.after) and len(rel.after) == n
+        for i in range(-1, n + 1):
+            for j in range(-1, n + 1):
+                assert rel.holds(i, j) == ((i, j) in ref)
+        assert rel.strict_pairs() == tuple(sorted(p for p in ref if p[0] != p[1]))
+        witness = next((p for p in sorted(ref) if p[0] < p[1] and p[::-1] in ref), None)
+        assert rel.antisymmetry_witness() == witness
+        chains = [tuple(w) for w in fully_ordered_sequences(rel)]
+        assert chains == self._reference_sequences(n, ref)
+
+    def test_out_of_range_pair_rejected(self):
+        with pytest.raises(ValueError):
+            Relation(2, [(0, 2)])
+
+
 class TestDimension:
     def test_ideal_complement_no_generators_is_infinite(self):
         m = Manifold.from_ideal(BasicIdeal(2))

@@ -126,12 +126,12 @@ class TestValueEquality:
     def test_covering_and_vertex_table_compare_by_value(self):
         assert VertexTable(["a", "b"]) == VertexTable(("a", "b"))
         assert VertexTable(["a", "b"]) != VertexTable(["b", "a"])
-        c = Covering(("A", "B"), ("p", "q"), [{0}, {0, 1}])
-        assert c == Covering(["A", "B"], ["p", "q"], [frozenset({0}), {1, 0}])
-        assert c != Covering(("A", "B"), ("p", "q"), [{0}, {1}])
+        c = Covering(("A", "B"), ("p", "q"), [0b01, 0b11])
+        assert c == Covering(["A", "B"], ["p", "q"], (1, 3))
+        assert c != Covering(("A", "B"), ("p", "q"), [0b01, 0b10])
 
     def test_only_the_same_type_compares_equal(self):
-        assert Relation(2) != (2, Relation(2).pairs)
+        assert Relation(2) != (2, Relation(2).after)
         assert Relation(2).__eq__(BasicIdeal(2)) is NotImplemented
         assert len({Relation(2), Relation(2), BasicIdeal(2)}) == 2
 
