@@ -44,7 +44,6 @@ from .topology import (
     generated_space,
     hasse,
     is_t0,
-    members,
     open_sets,
     poset_isomorphic,
     t0_quotient,
@@ -65,7 +64,7 @@ from .coarse import (
     trace_substitute,
     verify_correspondence,
 )
-from .errors import FinitaryError
+from .errors import FinitaryError, members
 
 __version__ = "0.1.0"
 

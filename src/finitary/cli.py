@@ -26,9 +26,9 @@ from .coarse import (
     verify_correspondence,
 )
 from .envelope import differential, form_product, inner
-from .errors import FinitaryError
+from .errors import FinitaryError, members
 from .manifolds import Manifold
-from .topology import generated_space, hasse, members, open_sets
+from .topology import generated_space, hasse, open_sets
 from .io import ParseError
 
 

@@ -11,7 +11,8 @@ A polyhedron realized from a simplicial complex is coarse grained by the
 covering of open stars.  The star interiors are constant on the open-cell
 partition (one cell per simplex, the points whose barycentric support is
 exactly that simplex), so each cell has one star trace: the cells s with
-s included in it.  That gives two routes to the same substitute:
+s included in it (SimplicialComplex.traces).  That gives two routes to
+the same substitute:
 
   * symbolic - one representative per cell, carrying the cell's trace;
   * sampled  - finitely many strictly interior barycentric points per
@@ -32,19 +33,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex
-from .errors import FinitaryError, TooLarge, Value
+from .complexes import SimplicialComplex, vertex_mask
+from .errors import FinitaryError, TooLarge, Value, members
 from .manifolds import Manifold
-from .topology import (
-    FiniteSpace,
-    generated_space,
-    members,
-    poset_isomorphic,
-    trace_quotient,
-)
+from .topology import FiniteSpace, generated_space, poset_isomorphic, trace_quotient
 
 MAX_SAMPLES = 100_000
 
@@ -114,32 +109,15 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     of the star of s exactly when s is a face of t.  The resulting space
     has one point per simplex with min_open equal to the star.
     """
-    return _symbolic(p, _cell_traces(p))
-
-
-def _symbolic(p: SimplicialComplex, traces: dict[frozenset, int]) -> FiniteSpace:
-    return trace_quotient([p.simplex_label(t) for t in traces], traces.values())[0]
-
-
-def _cell_traces(p: SimplicialComplex) -> dict[frozenset, int]:
-    """Star trace of each open cell t, in canonical cell order: the mask of
-    the indices of the cells s included in t, built as t's own bit OR the
-    traces of its facets, smallest cells first."""
-    traces: dict[frozenset, int] = {}
-    for i, t in enumerate(p.ordered()):
-        trace = 1 << i
-        for v in t if len(t) > 1 else ():
-            trace |= traces[t - {v}]
-        traces[t] = trace
-    return traces
+    return trace_quotient([p.simplex_label(t) for t in p.simplices], p.traces)[0]
 
 
 @dataclass(frozen=True)
 class SamplePoint:
     """A strictly interior point of one open cell, in exact barycentric
-    coordinates over its carrier simplex."""
+    coordinates over its carrier simplex, a vertex mask."""
 
-    carrier: frozenset
+    carrier: int
     weights: tuple[tuple[int, Fraction], ...]  # (vertex, weight), sorted
 
     def __post_init__(self):
@@ -150,28 +128,26 @@ class SamplePoint:
             total += w
         if total != 1:
             raise ValueError("barycentric weights must sum to 1")
-        if frozenset(v for v, _ in self.weights) != self.carrier:
+        if vertex_mask(v for v, _ in self.weights) != self.carrier:
             raise ValueError("weights must cover exactly the carrier")
 
-    def support(self) -> frozenset:
-        return frozenset(v for v, w in self.weights if w > 0)
+    def support(self) -> int:
+        return vertex_mask(v for v, w in self.weights if w > 0)
 
 
 def sample(
-    p: SimplicialComplex, sigma, seed: int, count: int
+    p: SimplicialComplex, sigma: int, seed: int, count: int
 ) -> list[SamplePoint]:
-    """Deterministic strictly interior samples of one cell.
+    """Deterministic strictly interior samples of the cell of sigma.
 
     Weights are random positive rationals normalized to sum exactly 1;
     the generator is seeded from `seed` and the simplex, so different
     cells get independent but reproducible draws.
     """
-    sigma = frozenset(sigma)
-    if sigma not in p.simplices:
-        raise ValueError(f"{set(sigma)} is not a simplex of the complex")
+    p.index(sigma)  # raises ValueError when sigma is not a simplex of p
     if count < 1:
         raise ValueError("count must be at least 1")
-    verts = sorted(sigma)
+    verts = members(sigma)
     rng = random.Random(f"{seed}:{','.join(map(str, verts))}")
     out = []
     for _ in range(count):
@@ -195,22 +171,17 @@ def sampled_substitute(
     the trace quotient, not an independent oracle.  Raises TooLarge when
     the cell count times per_cell exceeds MAX_SAMPLES.
     """
-    return _sampled(p, _cell_traces(p), per_cell, seed)
-
-
-def _sampled(
-    p: SimplicialComplex, traces: dict[frozenset, int], per_cell: int, seed: int
-) -> FiniteSpace:
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
     if len(p) * per_cell > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
     point_labels = []
     point_traces = []
-    for cell in traces:
+    for cell in p.simplices:
+        label = p.simplex_label(cell)
         for j, pt in enumerate(sample(p, cell, seed, per_cell)):
-            point_labels.append(f"{p.simplex_label(cell)}#{j}")
-            point_traces.append(traces[pt.support()])
+            point_labels.append(f"{label}#{j}")
+            point_traces.append(p.traces[p.index(pt.support())])
     return trace_quotient(point_labels, point_traces)[0]
 
 
@@ -270,10 +241,16 @@ def circle_covering(
     for phi in ordered:
         trace = sum(1 << i for i, (lo, hi) in enumerate(norm_arcs) if _arc_contains(lo, hi, phi))
         if not trace:
-            raise NotACover(f"sampled angle {Fraction(phi, den)}*pi lies in no arc")
+            raise NotACover(f"sampled angle {_angle_label(phi, den)}*pi lies in no arc")
         traces.append(trace)
     labels = [chr(ord("A") + i) for i in range(len(arcs))]
-    return Covering(labels, [str(Fraction(phi, den)) for phi in ordered], traces)
+    return Covering(labels, [_angle_label(phi, den) for phi in ordered], traces)
+
+
+def _angle_label(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
 
 
 #: The corrected three-arc covering of the circle whose trace quotient is
@@ -423,9 +400,8 @@ def verify_correspondence(
     """
     complex_ = m.to_simplicial()
     gen = generated_space(m)
-    traces = _cell_traces(complex_)
-    sym = _symbolic(complex_, traces)
-    sam = _sampled(complex_, traces, per_cell, seed)
+    sym = simplicial_substitute(complex_)
+    sam = sampled_substitute(complex_, per_cell, seed)
     return CorrespondenceReport(
         generated=gen,
         symbolic=sym,

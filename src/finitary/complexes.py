@@ -1,17 +1,17 @@
 """Abstract simplicial complexes over an indexed vertex set.
 
 A complex is a hereditary family of nonempty vertex subsets containing
-every singleton.  Simplices are frozensets of vertex indices; the display
-label of a simplex can be overridden (a manifold labels its simplices by
-the unique nonvanishing word ordering).
+every singleton.  A simplex is an int vertex mask (bit v for vertex v),
+the index-set format of the rest of the library.  The display label of a
+simplex can be overridden (a manifold labels its simplices by the unique
+nonvanishing word ordering).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FinitaryError, Value
+from .errors import FinitaryError, Value, members
 
 
 class NotASimplex(FinitaryError):
@@ -34,57 +34,88 @@ def join_labels(table: Sequence[str], indices: Iterable[int]) -> str:
     return sep.join(table[i] for i in indices)
 
 
+def vertex_mask(indices: Iterable[int]) -> int:
+    """The mask of a vertex collection: bit v set for each vertex v in it."""
+    mask = 0
+    for v in indices:
+        mask |= 1 << v
+    return mask
+
+
+def simplex_key(simplex: int) -> tuple[int, list[int]]:
+    """Canonical sort key of a vertex mask: size, then sorted vertices."""
+    return simplex.bit_count(), members(simplex)
+
+
+def _check(simplex, vertex_count: int) -> int:
+    if type(simplex) is not int:
+        raise TypeError("simplices must be int vertex masks")
+    if not simplex:
+        raise NotASimplex("the empty set is not a simplex")
+    if simplex >> vertex_count:  # also every negative mask
+        raise NotASimplex(f"simplex mask {simplex} has vertices outside the table")
+    return simplex
+
+
 class SimplicialComplex(Value):
-    __slots__ = ("vertex_count", "labels", "simplices", "_simplex_labels", "_ordered")
+    """The simplices, as vertex masks in canonical order (size first, then
+    sorted vertices), and traces[i], the star trace of the cell of
+    simplices[i]: bit j set iff simplices[j] is a face of simplices[i]."""
+
+    __slots__ = ("vertex_count", "labels", "simplices", "traces", "_index", "_simplex_labels")
 
     def __init__(
         self,
         vertex_count: int,
-        simplices: Iterable,
+        simplices: Iterable[int],
         labels: tuple[str, ...] | None = None,
-        simplex_labels: Mapping | None = None,
+        simplex_labels: Mapping[int, str] | None = None,
     ):
-        simps = {frozenset(s) for s in simplices}
-        for s in simps:
-            if not s:
-                raise NotASimplex("the empty set is not a simplex")
-            if not all(isinstance(v, int) and 0 <= v < vertex_count for v in s):
-                raise NotASimplex(f"simplex {set(s)} has vertices outside the table")
-        for i in range(vertex_count):
-            if frozenset((i,)) not in simps:
-                raise NotASimplex(f"missing singleton {{{i}}}")
-        for s in simps:
-            if len(s) > 1:
-                for face in combinations(s, len(s) - 1):
-                    if frozenset(face) not in simps:
-                        raise NotASimplex(
-                            f"family is not hereditary: {set(s)} lacks face {set(face)}"
-                        )
+        ordered = sorted({_check(s, vertex_count) for s in simplices}, key=simplex_key)
+        index = {s: i for i, s in enumerate(ordered)}
+        for v in range(vertex_count):
+            if 1 << v not in index:
+                raise NotASimplex(f"missing singleton {{{v}}}")
+        # a facet precedes its simplex, so its trace is ready; finding every
+        # facet of every simplex also proves the family hereditary
+        traces = []
+        for i, s in enumerate(ordered):
+            trace = 1 << i
+            rest = s if s & (s - 1) else 0  # a vertex has no facet
+            while rest:
+                low = rest & -rest
+                facet = index.get(s ^ low)
+                if facet is None:
+                    raise NotASimplex(
+                        f"family is not hereditary: {set(members(s))} "
+                        f"lacks face {set(members(s ^ low))}"
+                    )
+                trace |= traces[facet]
+                rest ^= low
+            traces.append(trace)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "labels", tuple(labels) if labels else default_labels(vertex_count))
         if len(self.labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
-        object.__setattr__(self, "simplices", frozenset(simps))
+        object.__setattr__(self, "simplices", tuple(ordered))
+        object.__setattr__(self, "traces", tuple(traces))
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_simplex_labels", dict(simplex_labels) if simplex_labels else {})
-        object.__setattr__(
-            self,
-            "_ordered",
-            tuple(sorted(simps, key=lambda s: (len(s), tuple(sorted(s))))),
-        )
 
     @classmethod
-    def closed(cls, vertex_count: int, simplices: Iterable, labels=None):
-        """Build from arbitrary nonempty subsets, adding all missing faces
-        and singletons.  Returns (complex, added) with the added faces in
-        canonical order."""
-        given = {frozenset(s) for s in simplices if s}
-        closure = set(given)
+    def closed(cls, vertex_count: int, simplices: Iterable[int], labels=None):
+        """Build from arbitrary nonempty vertex masks (empty ones are
+        skipped), adding all missing faces and singletons.  Returns
+        (complex, added) with the added faces in canonical order."""
+        given = {_check(s, vertex_count) for s in simplices if s != 0}
+        closure = {1 << v for v in range(vertex_count)}
         for s in given:
-            for size in range(1, len(s)):
-                closure.update(frozenset(c) for c in combinations(sorted(s), size))
-        closure.update(frozenset((i,)) for i in range(vertex_count))
-        added = sorted(closure - given, key=lambda s: (len(s), tuple(sorted(s))))
-        return cls(vertex_count, closure, labels=labels), added
+            face = s
+            while face:
+                closure.add(face)
+                face = (face - 1) & s
+        complex_ = cls(vertex_count, closure, labels=labels)
+        return complex_, [s for s in complex_.simplices if s not in given]
 
     def __len__(self):
         return len(self.simplices)
@@ -95,12 +126,13 @@ class SimplicialComplex(Value):
     def __repr__(self):
         return f"SimplicialComplex(n={self.vertex_count}, {len(self.simplices)} simplices)"
 
-    def ordered(self) -> tuple[frozenset, ...]:
-        """Simplices in canonical order: size-major, then sorted vertices."""
-        return self._ordered
+    def index(self, simplex: int) -> int:
+        """Position of a simplex in `simplices`; ValueError for a non-simplex."""
+        try:
+            return self._index[simplex]
+        except KeyError:
+            raise ValueError(f"{simplex!r} is not a simplex of the complex") from None
 
-    def simplex_label(self, simplex) -> str:
-        s = frozenset(simplex)
-        if s in self._simplex_labels:
-            return self._simplex_labels[s]
-        return join_labels(self.labels, sorted(s))
+    def simplex_label(self, simplex: int) -> str:
+        label = self._simplex_labels.get(simplex)
+        return join_labels(self.labels, members(simplex)) if label is None else label

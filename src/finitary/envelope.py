@@ -99,6 +99,16 @@ def is_subsequence(inner: Iterable[int], outer: Iterable[int]) -> bool:
     return all(letter in it for letter in inner)
 
 
+def deletions(w: Word) -> Iterator[tuple[int, ...]]:
+    """The one-letter deletions of w that are again words, by position:
+    none of a one-letter word, none leaving equal letters side by side."""
+    last = len(w) - 1
+    for pos in range(len(w)) if last else ():
+        if 0 < pos < last and w[pos - 1] == w[pos + 1]:
+            continue
+        yield w[:pos] + w[pos + 1 :]
+
+
 def basis_words(vertex_count: int, grade: int) -> Iterator[Word]:
     """All grade-r basis words over the vertex table, in lexicographic order.
 

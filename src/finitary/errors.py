@@ -1,10 +1,10 @@
-"""Common bases: library errors and immutable values.
+"""Common bases: library errors, immutable values and index-set masks.
 
 The CLI maps any FinitaryError on an input path to exit code 2; specific
 subclasses live next to the code that raises them, except TooLarge,
-which several modules raise.  Value is the base of the library's
-immutable value types; it lives here because every value module already
-imports this one.
+which several modules raise.  Value, the base of the immutable value
+types, and members(), which lists the indices set in an int mask, live
+here because every value module already imports this one.
 """
 
 
@@ -14,6 +14,17 @@ class FinitaryError(Exception):
 
 class TooLarge(FinitaryError):
     """An enumeration would exceed its documented size cap."""
+
+
+def members(mask: int) -> list[int]:
+    """The points of a mask: the indices of its set bits, ascending."""
+    bits = bin(mask)[:1:-1]  # binary digits, lowest first
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 class Value:

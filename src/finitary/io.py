@@ -23,14 +23,14 @@ from __future__ import annotations
 import json
 import re
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, vertex_mask
 from .coarse import Covering
 from .envelope import Form, Word, word_validate
-from .errors import FinitaryError, Value
+from .errors import FinitaryError, Value, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
 from .scalars import GaussianRational
-from .topology import FiniteSpace, HasseDiagram, members
+from .topology import FiniteSpace, HasseDiagram
 
 
 class ParseError(FinitaryError):
@@ -313,12 +313,12 @@ def parse_complex(
     for lno, line in entries:
         toks = [t.strip() for t in line.split(",")]
         try:
-            verts = [table.index(t) for t in toks]
+            simplex = vertex_mask(table.index(t) for t in toks)
         except ValueError as exc:
             raise ParseError(source, lno, str(exc)) from None
-        if len(set(verts)) != len(verts):
+        if simplex.bit_count() != len(toks):
             raise ParseError(source, lno, f"simplex {line!r} repeats a vertex")
-        simplices.append(frozenset(verts))
+        simplices.append(simplex)
     complex_, added = SimplicialComplex.closed(
         table.n, simplices, labels=table.labels
     )

@@ -27,11 +27,11 @@ from itertools import takewhile
 from typing import Iterable, Iterator
 
 from .automata import MAX_WORDS, avoiding_words, longest_avoiding_word
-from .complexes import SimplicialComplex, default_labels, join_labels
+from .complexes import SimplicialComplex, default_labels, join_labels, simplex_key, vertex_mask
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
-from .envelope import Word, basis_words, word_key, word_validate  # noqa: F401
-from .errors import FinitaryError, TooLarge, Value
+from .envelope import Word, _word, basis_words, deletions, word_key, word_validate  # noqa: F401
+from .errors import FinitaryError, TooLarge, Value, members
 from .ideals import BasicIdeal
 
 
@@ -111,7 +111,7 @@ def fully_ordered_sequences(rel: Relation) -> Iterator[Word]:
         built += 1
         if built > MAX_WORDS:
             raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
-        yield tuple.__new__(Word, seq)  # distinct letters, so a valid word
+        yield _word(seq)  # distinct letters, so a valid word
         rest, children = admissible, []
         while rest:
             low = rest & -rest
@@ -232,11 +232,8 @@ class Manifold(Value):
                     "infinite family of words; pass max_grade to truncate"
                 )
             top = dim if max_grade is None else min(max_grade, dim)
-            walk = (
-                # the automaton never places equal letters side by side
-                tuple.__new__(Word, letters)
-                for letters in avoiding_words(self.n, self.ideal.generators, int(top))
-            )
+            # the automaton never places equal letters side by side
+            walk = map(_word, avoiding_words(self.n, self.ideal.generators, int(top)))
             if top < dim:
                 return walk
             object.__setattr__(self, "_words", tuple(walk))
@@ -286,14 +283,9 @@ class Manifold(Value):
         failures: list[StructureFailure] = []
 
         for w in words:
-            if w.grade == 0:
-                continue
-            for pos in range(len(w)):
-                sub = w[:pos] + w[pos + 1 :]
-                if pos > 0 and pos < len(w) - 1 and w[pos - 1] == w[pos + 1]:
-                    continue  # deletion would create equal adjacent letters
+            for sub in deletions(w):
                 if sub not in word_set:  # a Word hashes and compares as its tuple
-                    subword = Word(sub)
+                    subword = _word(sub)
                     failures.append(
                         StructureFailure(
                             "hereditarity",
@@ -315,36 +307,29 @@ class Manifold(Value):
                 continue
             for s in range(len(w)):
                 for t in range(s + 1, len(w)):
-                    if not rel.holds(w[s], w[t]):
-                        failures.append(
-                            StructureFailure(
-                                "fully-ordered",
-                                (w, (w[s], w[t])),
-                                f"{self.word_label(w)}: pair "
-                                f"({self.labels[w[s]]},{self.labels[w[t]]}) is unrelated",
-                            )
+                    a, b = w[s], w[t]
+                    if rel.holds(a, b) and not rel.holds(b, a):
+                        continue
+                    how = "is related both ways" if rel.holds(a, b) else "is unrelated"
+                    failures.append(
+                        StructureFailure(
+                            "fully-ordered",
+                            (w, (a, b)),
+                            f"{self.word_label(w)}: pair ({self.labels[a]},{self.labels[b]}) {how}",
                         )
-                    elif rel.holds(w[t], w[s]):
-                        failures.append(
-                            StructureFailure(
-                                "fully-ordered",
-                                (w, (w[s], w[t])),
-                                f"{self.word_label(w)}: pair "
-                                f"({self.labels[w[s]]},{self.labels[w[t]]}) is related both ways",
-                            )
-                        )
+                    )
 
-        by_set: dict[frozenset, list[Word]] = {}
+        by_set: dict[int, list[Word]] = {}  # each group in canonical word order
         for w in words:
-            by_set.setdefault(frozenset(w), []).append(w)
-        for vset, group in sorted(by_set.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+            by_set.setdefault(vertex_mask(w), []).append(w)
+        for vset, group in sorted(by_set.items(), key=lambda kv: simplex_key(kv[0])):
             if len(group) > 1:
-                names = ", ".join(self.word_label(w) for w in sorted(group, key=word_key))
+                names = ", ".join(map(self.word_label, group))
                 failures.append(
                     StructureFailure(
                         "uniqueness",
-                        tuple(sorted(group, key=word_key)),
-                        f"vertex set {{{join_labels(self.labels, sorted(vset))}}} "
+                        tuple(group),
+                        f"vertex set {{{join_labels(self.labels, members(vset))}}} "
                         f"carries several orderings: {names}",
                     )
                 )
@@ -367,7 +352,7 @@ class Manifold(Value):
         report = self.check_structure()
         if not report.ok:
             raise StructureViolation(report)
-        simplex_labels = {frozenset(w): self.word_label(w) for w in self.words()}
+        simplex_labels = {vertex_mask(w): self.word_label(w) for w in self.words()}
         return SimplicialComplex(
             self.n, simplex_labels.keys(), labels=self.labels, simplex_labels=simplex_labels
         )

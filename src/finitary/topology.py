@@ -24,20 +24,9 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, Sequence
 
-from .envelope import is_subsequence
-from .errors import TooLarge, Value
+from .envelope import deletions, is_subsequence
+from .errors import TooLarge, Value, members
 from .manifolds import InfiniteDimensional, Manifold
-
-
-def members(mask: int) -> list[int]:
-    """The points of a mask: the indices of its set bits, ascending."""
-    bits = bin(mask)[:1:-1]  # binary digits, lowest first
-    out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
-    return out
 
 
 def _transpose(rows: Sequence[Iterable[int]], size: int) -> list[int]:
@@ -152,11 +141,8 @@ def _deletion_closure(words: Sequence) -> list[int] | None:
     index = {w: i for i, w in enumerate(words)}
     opens = [1 << i for i in range(len(words))]
     for b in range(len(words) - 1, -1, -1):
-        w = words[b]
-        for pos in range(len(w)) if len(w) > 1 else ():
-            if 0 < pos < len(w) - 1 and w[pos - 1] == w[pos + 1]:
-                continue  # deletion would create equal adjacent letters
-            a = index.get(w[:pos] + w[pos + 1 :])
+        for sub in deletions(words[b]):
+            a = index.get(sub)
             if a is None:
                 return None
             opens[a] |= opens[b]

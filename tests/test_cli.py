@@ -267,15 +267,15 @@ class TestVerify:
         # the edge 12 no longer lies below the vertex 1
         from finitary import FiniteSpace, coarse
 
-        real = coarse._symbolic
+        real = coarse.simplicial_substitute
 
-        def sabotaged(p, traces):
-            s = real(p, traces)
+        def sabotaged(p):
+            s = real(p)
             opens = list(s.min_open)
             opens[s.labels.index("1")] &= ~(1 << s.labels.index("12"))
             return FiniteSpace(s.labels, opens)
 
-        monkeypatch.setattr(coarse, "_symbolic", sabotaged)
+        monkeypatch.setattr(coarse, "simplicial_substitute", sabotaged)
         code, out, _ = run(
             capsys, "verify", "correspondence", str(data_dir / "triangle.manifold")
         )

@@ -33,17 +33,17 @@ from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
 from conftest import random_manifold
 
 
-def fs(*verts):
-    return frozenset(verts)
-
-
 def mask(indices):
     return sum(1 << i for i in indices)
 
 
+def cell(*verts):
+    return mask(verts)
+
+
 TRIANGLE = Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)]))
 BOUNDARY_TRIANGLE = TRIANGLE.to_simplicial()
-SEGMENT = SimplicialComplex(2, [fs(0), fs(1), fs(0, 1)])
+SEGMENT = SimplicialComplex(2, [cell(0), cell(1), cell(0, 1)])
 
 
 class TestTraceSubstitute:
@@ -121,7 +121,7 @@ class TestSimplicialSubstitute:
         assert iso is not None
 
     def test_single_vertex(self):
-        space = simplicial_substitute(SimplicialComplex(1, [fs(0)]))
+        space = simplicial_substitute(SimplicialComplex(1, [cell(0)]))
         assert space.n == 1
 
     def test_segment_min_opens(self):
@@ -137,16 +137,16 @@ class TestSimplicialSubstitute:
         for _ in range(15):
             p = random_manifold(rng, max_vertices=5).to_simplicial()
             space = simplicial_substitute(p)
-            cells = p.ordered()
+            cells = p.simplices
             assert space.n == len(cells)
             for x, sigma in enumerate(cells):
-                expected = [y for y, tau in enumerate(cells) if sigma <= tau]
+                expected = [y for y, tau in enumerate(cells) if sigma & ~tau == 0]
                 assert members(space.min_open[x]) == expected
 
     def test_cover_intersections_are_covers_or_empty(self):
-        cells = BOUNDARY_TRIANGLE.ordered()
+        cells = BOUNDARY_TRIANGLE.simplices
         members = {
-            s: {t for t in cells if s <= t} for s in cells
+            s: {t for t in cells if s & ~t == 0} for s in cells
         }
         for a in cells:
             for b in cells:
@@ -160,32 +160,36 @@ class TestSimplicialSubstitute:
 
 class TestSampling:
     def test_weights_positive_and_normalized(self):
-        for pt in sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=5, count=10):
+        for pt in sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=5, count=10):
             assert sum(w for _, w in pt.weights) == 1
             assert all(w > 0 for _, w in pt.weights)
-            assert pt.support() == fs(0, 1)
+            assert pt.support() == cell(0, 1)
 
     def test_midpoint_lies_in_the_edge_cell_not_a_vertex_cell(self):
-        midpoint = SamplePoint(fs(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 2))))
-        assert midpoint.support() == fs(0, 1)  # its cell is the edge itself
+        midpoint = SamplePoint(cell(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 2))))
+        assert midpoint.support() == cell(0, 1)  # its cell is the edge itself
+
+    def test_non_simplex_rejected(self):
+        with pytest.raises(ValueError, match="not a simplex"):
+            sample(BOUNDARY_TRIANGLE, cell(0, 1, 2), seed=0, count=1)
 
     def test_sampling_is_deterministic(self):
-        a = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=3, count=4)
-        b = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=3, count=4)
+        a = sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=3, count=4)
+        b = sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=3, count=4)
         assert a == b
 
     def test_sample_weights_are_pinned(self):
         # The generator is seeded from a string, not from hash(), so these
         # exact weights hold on every interpreter.
-        first, second = sample(BOUNDARY_TRIANGLE, fs(0, 1), seed=5, count=2)
+        first, second = sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=5, count=2)
         assert first.weights == ((0, Fr(30, 467)), (1, Fr(437, 467)))
         assert second.weights == ((0, Fr(183, 187)), (1, Fr(4, 187)))
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(ValueError):
-            SamplePoint(fs(0, 1), ((0, Fr(1)), (1, Fr(0))))
+            SamplePoint(cell(0, 1), ((0, Fr(1)), (1, Fr(0))))
         with pytest.raises(ValueError):
-            SamplePoint(fs(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 4))))
+            SamplePoint(cell(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 4))))
 
 
 class TestSampledSubstitute:
@@ -203,7 +207,7 @@ class TestSampledSubstitute:
         assert poset_isomorphic(simplicial_substitute(BOUNDARY_TRIANGLE), space) is not None
 
     def test_full_triangle_gives_face_poset(self):
-        p = SimplicialComplex.closed(3, [fs(0, 1, 2)])[0]
+        p = SimplicialComplex.closed(3, [cell(0, 1, 2)])[0]
         space = sampled_substitute(p, per_cell=5, seed=2)
         assert space.n == 7
         assert poset_isomorphic(simplicial_substitute(p), space) is not None
@@ -247,6 +251,14 @@ class TestCircle:
         cov = circle_covering(STANDARD_CIRCLE_ARCS, samples=8, extra_points=(Fr(9, 4),))
         assert "1/4" in cov.point_labels  # 9/4 pi wraps to 1/4 pi
 
+    def test_point_labels_are_the_fraction_strings(self):
+        extra = (Fr(-1, 3), Fr(0), Fr(1), Fr(7, 5), Fr(-13, 10))
+        cov = circle_covering(STANDARD_CIRCLE_ARCS, samples=12, extra_points=extra)
+        angles = {Fr(2 * k, 12) - 1 for k in range(1, 13)}
+        angles |= {1 - (1 - a) % 2 for a in extra}  # wrapped into (-1, 1]
+        assert cov.point_labels == tuple(map(str, sorted(angles)))
+        assert {"-5/6", "-3/5", "0", "7/10", "1"} <= set(cov.point_labels)
+
 
 class TestCorrespondence:
     def test_triangle_bijection_is_identity_on_labels(self):
@@ -288,13 +300,13 @@ class TestCorrespondence:
         # relabel the symbolic substitute: the labels no longer match, the
         # order is unchanged, so only the search can find the bijection
         expected = verify_correspondence(TRIANGLE, per_cell=1, seed=0).gen_to_sym
-        real = coarse._symbolic
+        real = coarse.simplicial_substitute
 
-        def renamed(p, traces):
-            s = real(p, traces)
+        def renamed(p):
+            s = real(p)
             return FiniteSpace([f"<{label}>" for label in s.labels], s.min_open)
 
-        monkeypatch.setattr(coarse, "_symbolic", renamed)
+        monkeypatch.setattr(coarse, "simplicial_substitute", renamed)
         report = verify_correspondence(TRIANGLE, per_cell=1, seed=0)
         assert report.ok
         assert report.gen_to_sym == expected == (0, 1, 2, 3, 5, 4)

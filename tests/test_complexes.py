@@ -1,35 +1,56 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from finitary import NotASimplex, SimplicialComplex, members, simplicial_substitute
 
+from conftest import random_manifold
 
-def fs(*verts):
-    return frozenset(verts)
+
+def mask(*verts):
+    return sum(1 << v for v in verts)
 
 
 BOUNDARY_TRIANGLE = SimplicialComplex(
-    3, [fs(0), fs(1), fs(2), fs(0, 1), fs(1, 2), fs(0, 2)]
+    3, [mask(0), mask(1), mask(2), mask(0, 1), mask(1, 2), mask(0, 2)]
 )
 FULL_TRIANGLE = SimplicialComplex(
-    3, [fs(0), fs(1), fs(2), fs(0, 1), fs(1, 2), fs(0, 2), fs(0, 1, 2)]
+    3, [mask(0), mask(1), mask(2), mask(0, 1), mask(1, 2), mask(0, 2), mask(0, 1, 2)]
 )
 
 
 class TestValidation:
     def test_missing_face_rejected(self):
         with pytest.raises(NotASimplex):
-            SimplicialComplex(3, [fs(0), fs(1), fs(2), fs(0, 1, 2)])
+            SimplicialComplex(3, [mask(0), mask(1), mask(2), mask(0, 1, 2)])
 
     def test_missing_singleton_rejected(self):
         with pytest.raises(NotASimplex):
-            SimplicialComplex(3, [fs(0), fs(1)])
+            SimplicialComplex(3, [mask(0), mask(1)])
 
     def test_empty_simplex_rejected(self):
         with pytest.raises(NotASimplex):
-            SimplicialComplex(1, [fs(0), frozenset()])
+            SimplicialComplex(1, [mask(0), 0])
+
+    @pytest.mark.parametrize("bad", [-1, -2, 0b1000, 1 << 64])
+    def test_negative_or_outside_mask_rejected(self, bad):
+        with pytest.raises(NotASimplex):
+            SimplicialComplex(3, [mask(0), mask(1), mask(2), bad])
+        # closed() checks before listing faces: a negative mask has
+        # infinitely many submasks
+        with pytest.raises(NotASimplex):
+            SimplicialComplex.closed(3, [mask(0, 1), bad])
+
+    @pytest.mark.parametrize("bad", [frozenset({0}), (0,), True, 1.0, "1"])
+    def test_non_int_simplex_rejected(self, bad):
+        with pytest.raises(TypeError):
+            SimplicialComplex(3, [mask(0), mask(1), mask(2), bad])
+        with pytest.raises(TypeError):
+            SimplicialComplex.closed(3, [bad])
 
     def test_closed_adds_faces_and_singletons(self):
-        complex_, added = SimplicialComplex.closed(3, [fs(0, 1, 2)])
+        complex_, added = SimplicialComplex.closed(3, [0, mask(0, 1, 2)])  # 0 is skipped
         assert len(complex_) == 7
         assert len(added) == 6
         assert complex_ == FULL_TRIANGLE
@@ -52,40 +73,71 @@ def star_labels(p, simplex):
 
 class TestStars:
     def test_vertex_star_on_the_boundary(self):
-        assert star_labels(BOUNDARY_TRIANGLE, fs(0)) == {"1", "12", "13"}
+        assert star_labels(BOUNDARY_TRIANGLE, mask(0)) == {"1", "12", "13"}
 
     def test_edge_star_is_itself(self):
-        assert star_labels(BOUNDARY_TRIANGLE, fs(0, 1)) == {"12"}
+        assert star_labels(BOUNDARY_TRIANGLE, mask(0, 1)) == {"12"}
 
     def test_vertex_star_in_the_full_simplex(self):
-        assert star_labels(FULL_TRIANGLE, fs(0)) == {"1", "12", "13", "123"}
+        assert star_labels(FULL_TRIANGLE, mask(0)) == {"1", "12", "13", "123"}
 
     def test_star_of_a_non_simplex(self):
         # a non-simplex has no cell, so no point in the substitute
         with pytest.raises(ValueError):
-            star_labels(BOUNDARY_TRIANGLE, fs(0, 1, 2))
+            star_labels(BOUNDARY_TRIANGLE, mask(0, 1, 2))
 
 
 class TestCellsAndLabels:
     def test_default_label_joins_sorted_vertices(self):
-        assert BOUNDARY_TRIANGLE.simplex_label(fs(2, 0)) == "13"
+        assert BOUNDARY_TRIANGLE.simplex_label(mask(2, 0)) == "13"
 
     def test_label_override(self):
         p = SimplicialComplex(
             2,
-            [fs(0), fs(1), fs(0, 1)],
-            simplex_labels={fs(0, 1): "21"},
+            [mask(0), mask(1), mask(0, 1)],
+            simplex_labels={mask(0, 1): "21"},
         )
-        assert p.simplex_label(fs(0, 1)) == "21"
+        assert p.simplex_label(mask(0, 1)) == "21"
 
     def test_multichar_labels_join_with_commas(self):
-        p = SimplicialComplex(2, [fs(0), fs(1), fs(0, 1)], labels=("v1", "v2"))
-        assert p.simplex_label(fs(0, 1)) == "v1,v2"
+        p = SimplicialComplex(2, [mask(0), mask(1), mask(0, 1)], labels=("v1", "v2"))
+        assert p.simplex_label(mask(0, 1)) == "v1,v2"
         # one long label in the table puts commas between the short ones too
-        p = SimplicialComplex(3, [fs(0), fs(1), fs(2), fs(0, 1)], labels=("a", "b", "ab"))
-        assert p.simplex_label(fs(0, 1)) == "a,b"
+        p = SimplicialComplex(3, [mask(0), mask(1), mask(2), mask(0, 1)], labels=("a", "b", "ab"))
+        assert p.simplex_label(mask(0, 1)) == "a,b"
 
     def test_ordered_is_size_major(self):
-        sizes = [len(s) for s in FULL_TRIANGLE.ordered()]
-        assert sizes == sorted(sizes)
-        assert max(map(len, FULL_TRIANGLE.simplices)) - 1 == 2
+        assert FULL_TRIANGLE.simplices == (
+            mask(0), mask(1), mask(2), mask(0, 1), mask(0, 2), mask(1, 2), mask(0, 1, 2)
+        )
+        assert [FULL_TRIANGLE.index(s) for s in FULL_TRIANGLE.simplices] == list(range(7))
+        with pytest.raises(ValueError):
+            BOUNDARY_TRIANGLE.index(mask(0, 1, 2))
+
+
+def random_complexes(seed, count=40):
+    rng = random.Random(seed)
+    return [random_manifold(rng).to_simplicial() for _ in range(count)]
+
+
+class TestMasks:
+    def test_traces_are_the_faces(self):
+        for p in random_complexes(83):
+            for i, sigma in enumerate(p.simplices):
+                faces = [j for j, tau in enumerate(p.simplices) if tau & ~sigma == 0]
+                assert members(p.traces[i]) == faces
+
+    def test_closed_matches_a_combinations_reference(self):
+        rng = random.Random(89)
+        for p in random_complexes(89):
+            n = p.vertex_count
+            given = rng.sample(p.simplices, rng.randint(0, len(p)))
+            closure = {frozenset((v,)) for v in range(n)}
+            for s in given:
+                verts = members(s)
+                for size in range(1, len(verts) + 1):
+                    closure.update(map(frozenset, combinations(verts, size)))
+            expected = sorted(closure, key=lambda c: (len(c), sorted(c)))
+            complex_, added = SimplicialComplex.closed(n, given)
+            assert complex_.simplices == tuple(mask(*c) for c in expected)
+            assert added == [mask(*c) for c in expected if mask(*c) not in given]

@@ -196,8 +196,7 @@ class TestComplexes:
     def test_round_trip(self):
         text = "vertices: 1, 2, 3\n1\n2\n3\n1, 2\n2, 3\n"
         complex_, notes = parse_complex(text)
-        fs = frozenset
-        expected = SimplicialComplex(3, [fs({0}), fs({1}), fs({2}), fs({0, 1}), fs({1, 2})])
+        expected = SimplicialComplex(3, [0b001, 0b010, 0b100, 0b011, 0b110])
         assert complex_ == expected and notes == []
 
     def test_repeated_vertex_rejected(self):

@@ -245,6 +245,32 @@ class TestCheckStructure:
         report = m.check_structure()
         assert any(f.check == "fully-ordered" for f in report.failures)
 
+    def test_report_of_every_failure_kind_is_pinned(self):
+        words = [W(0), W(1), W(0, 1), W(1, 0), W(0, 2), W(0, 1, 0), W(0, 1, 2)]
+        report = Manifold(("1", "2", "3"), words=words).check_structure()
+        assert str(report).splitlines() == [
+            "hereditarity: FAIL - 13 present but its face 3 is missing",
+            "hereditarity: FAIL - 123 present but its face 23 is missing",
+            "fully-ordered: FAIL - 12: pair (1,2) is related both ways",
+            "fully-ordered: FAIL - 21: pair (2,1) is related both ways",
+            "fully-ordered: FAIL - 121 repeats a letter",
+            "fully-ordered: FAIL - 123: pair (1,2) is related both ways",
+            "fully-ordered: FAIL - 123: pair (2,3) is unrelated",
+            "uniqueness: FAIL - vertex set {12} carries several orderings: 12, 21, 121",
+            "singletons: FAIL - singleton 3 is missing",
+        ]
+        assert [f.witness for f in report.failures] == [
+            (W(0, 2), W(2)),
+            (W(0, 1, 2), W(1, 2)),
+            (W(0, 1), (0, 1)),
+            (W(1, 0), (1, 0)),
+            (W(0, 1, 0),),
+            (W(0, 1, 2), (0, 1)),
+            (W(0, 1, 2), (1, 2)),
+            (W(0, 1), W(1, 0), W(0, 1, 0)),
+            (2,),
+        ]
+
 
 class TestWordFamilies:
     def test_explicit_words_fully_ordered_and_distinct(self):
@@ -299,19 +325,17 @@ class TestWordFamilies:
 class TestToSimplicial:
     def test_triangle_complex(self):
         p = Manifold.from_relation(TRIANGLE_REL).to_simplicial()
-        assert p.simplices == {
-            frozenset(s) for s in [{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}]
-        }
-        assert p.simplex_label(frozenset({0, 2})) == "31"
+        assert p.simplices == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110)
+        assert p.simplex_label(0b101) == "31"
 
     def test_singletons_only(self):
         m = Manifold(("1", "2"), words=[W(0), W(1)])
-        assert max(map(len, m.to_simplicial().simplices)) - 1 == 0
+        assert m.to_simplicial().simplices == (0b01, 0b10)
 
     def test_total_order_full_simplex(self):
         p = Manifold.from_relation(TOTAL_ORDER_3).to_simplicial()
         assert len(p.simplices) == 7
-        assert frozenset({0, 1, 2}) in p.simplices
+        assert p.simplices[-1] == 0b111
 
     def test_structure_violation_raises(self):
         m = Manifold(("1", "2"), words=[W(0), W(1), W(0, 1), W(1, 0)])
