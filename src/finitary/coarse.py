@@ -11,19 +11,24 @@ A polyhedron realized from a simplicial complex is coarse grained by the
 covering of open stars.  The star interiors are constant on the open-cell
 partition (one cell per simplex, the points whose barycentric support is
 exactly that simplex), so each cell has one star trace: the cells s with
-s included in it (SimplicialComplex.traces).  That gives two routes to
-the same substitute:
+s included in it (SimplicialComplex.traces).  Distinct cells have distinct
+traces, and the trace of t contains the trace of s exactly when s is a
+face of t, so min_open(cell s) is the set of cofaces of s.  That gives two
+routes to the same substitute:
 
-  * symbolic - one representative per cell, carrying the cell's trace;
+  * symbolic - one point per cell, its min_open the cofacet closure: each
+    cell's mask OR-ed down into its facets, longest cells first;
   * sampled  - finitely many strictly interior barycentric points per
-    cell, each carrying the trace of the cell its support names.
+    cell, each carrying the trace of the cell its support names, merged
+    by trace_quotient.
 
-Sample weights are strictly positive, so every sample's support equals its
-carrier simplex: the sampled route is a consistency check of the trace
-quotient, not an independent oracle.  Both must agree with the space
-generated by the manifold the complex came from; verify_correspondence
-checks all three for a given manifold.  Both the circle probe and the
-sampled route refuse with TooLarge past MAX_SAMPLES sample points.
+Sample weights are strictly positive integers over their total, so every
+sample's support equals its carrier simplex: the sampled route is a
+cross-check of the closure against the trace quotient, not an independent
+oracle.  Both must agree with the space generated by the manifold the
+complex came from; verify_correspondence checks all three for a given
+manifold.  Both the circle probe and the sampled route refuse with
+TooLarge past MAX_SAMPLES sample points.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, vertex_mask
+from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, members
 from .manifolds import Manifold
-from .topology import FiniteSpace, generated_space, poset_isomorphic, trace_quotient
+from .topology import (
+    FiniteSpace, _deletion_closure, generated_space, poset_isomorphic, trace_quotient
+)
 
 MAX_SAMPLES = 100_000
 
@@ -107,32 +114,46 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
 
     One symbolic point per open cell; the cell of t lies in the interior
     of the star of s exactly when s is a face of t.  The resulting space
-    has one point per simplex with min_open equal to the star.
+    has one point per simplex with min_open equal to the star, the cells
+    having it as a face: the cofacet closure, one OR per (cell, facet)
+    pair.  It equals the trace quotient of the star traces, which
+    sampled_substitute computes.
     """
-    return trace_quotient([p.simplex_label(t) for t in p.simplices], p.traces)[0]
+    opens = _deletion_closure(p.simplices, facets)
+    return FiniteSpace._nested([p.simplex_label(t) for t in p.simplices], opens)
 
 
 @dataclass(frozen=True)
 class SamplePoint:
     """A strictly interior point of one open cell, in exact barycentric
-    coordinates over its carrier simplex, a vertex mask."""
+    coordinates over its carrier simplex, a vertex mask: the weight of the
+    i-th carrier vertex (in vertex order) is numerators[i] / total."""
 
     carrier: int
-    weights: tuple[tuple[int, Fraction], ...]  # (vertex, weight), sorted
+    numerators: tuple[int, ...]
+    total: int
 
     def __post_init__(self):
-        total = Fraction(0)
-        for v, w in self.weights:
-            if w <= 0:
-                raise ValueError("cell-interior weights must be positive")
-            total += w
-        if total != 1:
+        if len(self.numerators) != self.carrier.bit_count():
+            raise ValueError("one numerator per carrier vertex required")
+        if min(self.numerators, default=0) <= 0:
+            raise ValueError("cell-interior weights must be positive")
+        if sum(self.numerators) != self.total:
             raise ValueError("barycentric weights must sum to 1")
-        if vertex_mask(v for v, _ in self.weights) != self.carrier:
-            raise ValueError("weights must cover exactly the carrier")
+
+    @property
+    def weights(self) -> tuple[tuple[int, Fraction], ...]:
+        """(vertex, weight) pairs in vertex order."""
+        return tuple(
+            (v, Fraction(a, self.total))
+            for v, a in zip(members(self.carrier), self.numerators)
+        )
 
     def support(self) -> int:
-        return vertex_mask(v for v, w in self.weights if w > 0)
+        """The vertices of positive weight."""
+        return vertex_mask(
+            v for v, a in zip(members(self.carrier), self.numerators) if a > 0
+        )
 
 
 def sample(
@@ -140,9 +161,9 @@ def sample(
 ) -> list[SamplePoint]:
     """Deterministic strictly interior samples of the cell of sigma.
 
-    Weights are random positive rationals normalized to sum exactly 1;
-    the generator is seeded from `seed` and the simplex, so different
-    cells get independent but reproducible draws.
+    Weights are random positive integers over their sum, so they sum
+    exactly to 1; the generator is seeded from `seed` and the simplex, so
+    different cells get independent but reproducible draws.
     """
     p.index(sigma)  # raises ValueError when sigma is not a simplex of p
     if count < 1:
@@ -151,10 +172,8 @@ def sample(
     rng = random.Random(f"{seed}:{','.join(map(str, verts))}")
     out = []
     for _ in range(count):
-        raw = [rng.randint(1, 997) for _ in verts]
-        total = sum(raw)
-        weights = tuple((v, Fraction(a, total)) for v, a in zip(verts, raw))
-        out.append(SamplePoint(sigma, weights))
+        raw = tuple([rng.randint(1, 997) for _ in verts])
+        out.append(SamplePoint(sigma, raw, sum(raw)))
     return out
 
 
@@ -165,11 +184,12 @@ def sampled_substitute(
 
     Draws per_cell interior points in every open cell; a point's trace is
     the star trace of the cell its barycentric support names, and points
-    are quotiented by trace equality.  The weights are strictly positive,
-    so each support equals the carrier cell and the result is isomorphic
-    to simplicial_substitute(p) by construction: a consistency check of
-    the trace quotient, not an independent oracle.  Raises TooLarge when
-    the cell count times per_cell exceeds MAX_SAMPLES.
+    are quotiented by trace equality (trace_quotient).  The weights are
+    strictly positive, so each support equals the carrier cell and the
+    result is simplicial_substitute(p) up to labels by construction: a
+    cross-check of the cofacet closure against the trace quotient, not an
+    independent oracle.  Raises TooLarge when the cell count times
+    per_cell exceeds MAX_SAMPLES.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")

@@ -9,9 +9,14 @@ nonvanishing word ordering).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import FinitaryError, Value, members
+from .errors import FinitaryError, TooLarge, Value, members
+
+#: Cap on the cells SimplicialComplex.closed builds: a 12-vertex simplex
+#: (4095 cells) passes, a 13-vertex one is refused.
+MAX_CELLS = 4096
 
 
 class NotASimplex(FinitaryError):
@@ -30,8 +35,12 @@ def join_labels(table: Sequence[str], indices: Iterable[int]) -> str:
     a joined label can never equal a vertex label (as "12" would on a
     12-vertex table).
     """
-    sep = "" if all(len(lbl) == 1 for lbl in table) else ","
-    return sep.join(table[i] for i in indices)
+    return _separator(tuple(table)).join(table[i] for i in indices)
+
+
+@lru_cache(maxsize=64)
+def _separator(table: tuple[str, ...]) -> str:
+    return "" if all(len(lbl) == 1 for lbl in table) else ","
 
 
 def vertex_mask(indices: Iterable[int]) -> int:
@@ -40,6 +49,16 @@ def vertex_mask(indices: Iterable[int]) -> int:
     for v in indices:
         mask |= 1 << v
     return mask
+
+
+def facets(simplex: int) -> Iterator[int]:
+    """The facets of a simplex mask, each missing one vertex, lowest vertex
+    first; a vertex has none (the empty set is not a simplex)."""
+    rest = simplex if simplex & (simplex - 1) else 0
+    while rest:
+        low = rest & -rest
+        yield simplex ^ low
+        rest ^= low
 
 
 def simplex_key(simplex: int) -> tuple[int, list[int]]:
@@ -81,17 +100,14 @@ class SimplicialComplex(Value):
         traces = []
         for i, s in enumerate(ordered):
             trace = 1 << i
-            rest = s if s & (s - 1) else 0  # a vertex has no facet
-            while rest:
-                low = rest & -rest
-                facet = index.get(s ^ low)
+            for f in facets(s):
+                facet = index.get(f)
                 if facet is None:
                     raise NotASimplex(
                         f"family is not hereditary: {set(members(s))} "
-                        f"lacks face {set(members(s ^ low))}"
+                        f"lacks face {set(members(f))}"
                     )
                 trace |= traces[facet]
-                rest ^= low
             traces.append(trace)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "labels", tuple(labels) if labels else default_labels(vertex_count))
@@ -106,13 +122,16 @@ class SimplicialComplex(Value):
     def closed(cls, vertex_count: int, simplices: Iterable[int], labels=None):
         """Build from arbitrary nonempty vertex masks (empty ones are
         skipped), adding all missing faces and singletons.  Returns
-        (complex, added) with the added faces in canonical order."""
+        (complex, added) with the added faces in canonical order.  Raises
+        TooLarge as soon as the closure grows past MAX_CELLS cells."""
         given = {_check(s, vertex_count) for s in simplices if s != 0}
-        closure = {1 << v for v in range(vertex_count)}
-        for s in given:
+        closure = set()
+        for s in [*given, *(1 << v for v in range(vertex_count))]:
             face = s
             while face:
                 closure.add(face)
+                if len(closure) > MAX_CELLS:
+                    raise TooLarge(f"complex closure is capped at {MAX_CELLS} cells")
                 face = (face - 1) & s
         complex_ = cls(vertex_count, closure, labels=labels)
         return complex_, [s for s in complex_.simplices if s not in given]

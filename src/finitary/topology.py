@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .envelope import deletions, is_subsequence
 from .errors import TooLarge, Value, members
@@ -135,13 +135,17 @@ def generated_space(m: Manifold) -> FiniteSpace:
     return FiniteSpace._nested([m.word_label(w) for w in words], opens)
 
 
-def _deletion_closure(words: Sequence) -> list[int] | None:
-    """Superword masks of words in canonical order, OR-ed down the valid
-    one-letter deletions; None when some such deletion is not a word."""
-    index = {w: i for i, w in enumerate(words)}
-    opens = [1 << i for i in range(len(words))]
-    for b in range(len(words) - 1, -1, -1):
-        for sub in deletions(words[b]):
+def _deletion_closure(items: Sequence, faces: Callable = deletions) -> list[int] | None:
+    """The mask of each item's cofaces, OR-ed down the one-element
+    deletions faces(item) lists: one-letter deletions of words by default,
+    the facets of simplex masks for the star covering.  Every face of an
+    item must precede it in `items`, so in one pass from the last item to
+    the first each mask is complete before it is OR-ed into the masks of
+    the item's faces.  None when some face is not an item."""
+    index = {x: i for i, x in enumerate(items)}
+    opens = [1 << i for i in range(len(items))]
+    for b in range(len(items) - 1, -1, -1):
+        for sub in faces(items[b]):
             a = index.get(sub)
             if a is None:
                 return None

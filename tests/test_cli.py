@@ -204,6 +204,15 @@ class TestSubstitute:
         assert code == 2 and out == ""
         assert "error[TooLarge]" in err
 
+    def test_complex_closure_past_the_cell_cap_is_refused(self, capsys, tmp_path):
+        # a 102-byte file: the 13-simplex it names has 2**14 - 1 faces
+        f = tmp_path / "simplex14.complex"
+        names = ", ".join(str(v) for v in range(1, 15))
+        f.write_text(f"vertices: {names}\n{names}\n")
+        code, out, err = run(capsys, "substitute", "simplicial", str(f))
+        assert code == 2 and out == ""
+        assert "error[TooLarge]" in err
+
     def test_trace_on_covering_file(self, capsys, data_dir):
         code, out, _ = run(capsys, "substitute", "trace", str(data_dir / "pair.covering"))
         assert code == 0
@@ -247,6 +256,20 @@ class TestVerify:
         )
         assert code == 0
         assert '"generated_points": 1023' in out and '"ok": true' in out
+
+    def test_ten_vertex_total_order_agrees_on_all_three_routes(self, capsys, tmp_path):
+        rel = tmp_path / "total10.relation"
+        pairs = [f"{i} <= {j}" for i in range(1, 11) for j in range(i + 1, 11)]
+        rel.write_text("\n".join(["n 10"] + pairs) + "\n")
+        code, out, _ = run(capsys, "verify", "correspondence", str(rel), "--per-cell", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "correspondence: VERIFIED"
+        assert [line for line in lines if line.endswith("points")] == [
+            "generated space: 1023 points",
+            "symbolic substitute: 1023 points",
+            "sampled substitute (per_cell=1): 1023 points",
+        ]
 
     def test_twelve_vertex_edge_label_differs_from_vertex_twelve(self, capsys, tmp_path):
         # the edge {1,2} used to be labelled "12", like vertex 12

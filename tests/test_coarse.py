@@ -24,6 +24,7 @@ from finitary import (
     sample,
     sampled_substitute,
     simplicial_substitute,
+    trace_quotient,
     trace_substitute,
     verify_correspondence,
 )
@@ -143,6 +144,13 @@ class TestSimplicialSubstitute:
                 expected = [y for y, tau in enumerate(cells) if sigma & ~tau == 0]
                 assert members(space.min_open[x]) == expected
 
+    def test_cofacet_closure_equals_the_trace_quotient(self):
+        rng = random.Random(81)
+        for _ in range(60):
+            p = random_manifold(rng, max_vertices=6).to_simplicial()
+            labels = [p.simplex_label(t) for t in p.simplices]
+            assert simplicial_substitute(p) == trace_quotient(labels, p.traces)[0]
+
     def test_cover_intersections_are_covers_or_empty(self):
         cells = BOUNDARY_TRIANGLE.simplices
         members = {
@@ -166,7 +174,7 @@ class TestSampling:
             assert pt.support() == cell(0, 1)
 
     def test_midpoint_lies_in_the_edge_cell_not_a_vertex_cell(self):
-        midpoint = SamplePoint(cell(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 2))))
+        midpoint = SamplePoint(cell(0, 1), (1, 1), 2)
         assert midpoint.support() == cell(0, 1)  # its cell is the edge itself
 
     def test_non_simplex_rejected(self):
@@ -187,9 +195,29 @@ class TestSampling:
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(ValueError):
-            SamplePoint(cell(0, 1), ((0, Fr(1)), (1, Fr(0))))
+            SamplePoint(cell(0, 1), (1, 0), 1)
         with pytest.raises(ValueError):
-            SamplePoint(cell(0, 1), ((0, Fr(1, 2)), (1, Fr(1, 4))))
+            SamplePoint(cell(0, 1), (2, 1), 4)
+
+    @pytest.mark.parametrize(
+        "numerators, total, message",
+        [
+            ((3, 0), 3, "positive"),
+            ((4, -1), 3, "positive"),
+            ((1, 2), 4, "sum to 1"),
+            ((1, 2), 2, "sum to 1"),
+            ((1, 1, 1), 3, "one numerator per carrier vertex"),
+            ((2,), 2, "one numerator per carrier vertex"),
+        ],
+    )
+    def test_sample_point_checks_its_integer_weights(self, numerators, total, message):
+        with pytest.raises(ValueError, match=message):
+            SamplePoint(cell(0, 2), numerators, total)
+
+    def test_weights_are_the_fraction_pairs(self):
+        pt = SamplePoint(cell(1, 2, 4), (1, 2, 3), 6)
+        assert pt.weights == ((1, Fr(1, 6)), (2, Fr(1, 3)), (4, Fr(1, 2)))
+        assert pt.support() == cell(1, 2, 4)
 
 
 class TestSampledSubstitute:

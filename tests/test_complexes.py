@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from finitary import NotASimplex, SimplicialComplex, members, simplicial_substitute
+from finitary import NotASimplex, SimplicialComplex, TooLarge, members, simplicial_substitute
+from finitary.complexes import MAX_CELLS
 
 from conftest import random_manifold
 
@@ -61,6 +62,15 @@ class TestValidation:
         )
         assert added == []
         assert complex_ == BOUNDARY_TRIANGLE
+
+    def test_closure_is_capped_at_max_cells(self):
+        # a 12-simplex and one more vertex: exactly MAX_CELLS cells
+        complex_, _ = SimplicialComplex.closed(13, [(1 << 12) - 1])
+        assert len(complex_) == MAX_CELLS == 4096
+        with pytest.raises(TooLarge):
+            SimplicialComplex.closed(13, [(1 << 13) - 1])
+        with pytest.raises(TooLarge):  # the singletons count too
+            SimplicialComplex.closed(MAX_CELLS + 1, [])
 
 
 def star_labels(p, simplex):
