@@ -5,30 +5,31 @@ the int mask of the cover sets containing it (bit i for cover set i), and
 points with equal traces merge (topology.trace_quotient).  The quotient
 carries the T0 topology with min_open(class T) = all classes whose trace
 contains T.  Traces here use the same mask format as FiniteSpace.min_open
-and the star traces of the cells.
+and the simplices of a complex.
 
 A polyhedron realized from a simplicial complex is coarse grained by the
-covering of open stars.  The star interiors are constant on the open-cell
-partition (one cell per simplex, the points whose barycentric support is
-exactly that simplex), so each cell has one star trace: the cells s with
-s included in it (SimplicialComplex.traces).  Distinct cells have distinct
-traces, and the trace of t contains the trace of s exactly when s is a
-face of t, so min_open(cell s) is the set of cofaces of s.  That gives two
-routes to the same substitute:
+covering of open vertex stars: a point lies in the star of v exactly when
+its barycentric weight at v is positive, so its trace is its support, a
+vertex mask.  Traces are constant on the open-cell partition (one cell
+per simplex, the points whose support is exactly that simplex), the trace
+of a cell being its simplex.  Distinct cells have distinct vertex sets,
+and the trace of t contains the trace of s exactly when s is a face of t,
+so min_open(cell s) is the set of cofaces of s.  That gives two routes to
+the same substitute:
 
   * symbolic - one point per cell, its min_open the cofacet closure: each
     cell's mask OR-ed down into its facets, longest cells first;
   * sampled  - finitely many strictly interior barycentric points per
-    cell, each carrying the trace of the cell its support names, merged
-    by trace_quotient.
+    cell, each carrying its support as its trace, merged by
+    trace_quotient.
 
 Sample weights are strictly positive integers over their total, so every
 sample's support equals its carrier simplex: the sampled route is a
-cross-check of the closure against the trace quotient, not an independent
-oracle.  Both must agree with the space generated by the manifold the
-complex came from; verify_correspondence checks all three for a given
-manifold.  Both the circle probe and the sampled route refuse with
-TooLarge past MAX_SAMPLES sample points.
+cross-check of the closure against the trace quotient of the supports,
+not an independent oracle.  Both must agree with the space generated by
+the manifold the complex came from; verify_correspondence checks all
+three for a given manifold.  Both the circle probe and the sampled route
+refuse with TooLarge past MAX_SAMPLES sample points.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, members
 from .manifolds import Manifold
 from .topology import (
-    FiniteSpace, _deletion_closure, generated_space, poset_isomorphic, trace_quotient
+    FiniteSpace, _deletion_closure, generated_space, trace_quotient
 )
 
 MAX_SAMPLES = 100_000
@@ -110,14 +111,13 @@ def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
-    """Substitute of the star covering, computed cell-wise.
+    """Substitute of the vertex-star covering, computed cell-wise.
 
-    One symbolic point per open cell; the cell of t lies in the interior
-    of the star of s exactly when s is a face of t.  The resulting space
-    has one point per simplex with min_open equal to the star, the cells
-    having it as a face: the cofacet closure, one OR per (cell, facet)
-    pair.  It equals the trace quotient of the star traces, which
-    sampled_substitute computes.
+    One symbolic point per open cell, whose trace is its simplex.  The
+    resulting space has one point per simplex with min_open equal to its
+    star, the cells having it as a face: the cofacet closure, one OR per
+    (cell, facet) pair.  It equals the trace quotient of the simplices,
+    which sampled_substitute computes from sampled supports.
     """
     opens = _deletion_closure(p.simplices, facets)
     return FiniteSpace._nested([p.simplex_label(t) for t in p.simplices], opens)
@@ -183,8 +183,8 @@ def sampled_substitute(
     """Numerical enactment of the star coarse graining.
 
     Draws per_cell interior points in every open cell; a point's trace is
-    the star trace of the cell its barycentric support names, and points
-    are quotiented by trace equality (trace_quotient).  The weights are
+    its barycentric support, the vertex stars holding it, and points are
+    quotiented by trace equality (trace_quotient).  The weights are
     strictly positive, so each support equals the carrier cell and the
     result is simplicial_substitute(p) up to labels by construction: a
     cross-check of the cofacet closure against the trace quotient, not an
@@ -201,7 +201,7 @@ def sampled_substitute(
         label = p.simplex_label(cell)
         for j, pt in enumerate(sample(p, cell, seed, per_cell)):
             point_labels.append(f"{label}#{j}")
-            point_traces.append(p.traces[p.index(pt.support())])
+            point_traces.append(pt.support())
     return trace_quotient(point_labels, point_traces)[0]
 
 
@@ -377,10 +377,8 @@ def _unpreserved(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, int] | None:
 
 
 def _certified(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, ...] | None:
-    """phi when it is an order isomorphism, else the result of the search."""
-    if phi is not None and _unpreserved(a, b, phi) is None:
-        return phi
-    return poset_isomorphic(a, b)
+    """phi when it is an order isomorphism, else None."""
+    return phi if phi is not None and _unpreserved(a, b, phi) is None else None
 
 
 def _grade_counts(s: FiniteSpace) -> str:
@@ -415,8 +413,9 @@ def verify_correspondence(
     coming in cell order.  These are the lexicographically first
     isomorphisms, which poset_isomorphic returns: every space lists the
     singletons first, in vertex order, and any other isomorphism of face
-    posets moves a vertex to a later index.  The search runs only when a
-    certificate fails, to decide the verdict.
+    posets moves a vertex to a later index.  So a certificate fails only
+    when the routes disagree, and a failed one is the verdict: no other
+    bijection is searched for.
     """
     complex_ = m.to_simplicial()
     gen = generated_space(m)

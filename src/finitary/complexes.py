@@ -78,10 +78,10 @@ def _check(simplex, vertex_count: int) -> int:
 
 class SimplicialComplex(Value):
     """The simplices, as vertex masks in canonical order (size first, then
-    sorted vertices), and traces[i], the star trace of the cell of
-    simplices[i]: bit j set iff simplices[j] is a face of simplices[i]."""
+    sorted vertices).  A mask is also the trace of its open cell in the
+    covering by open vertex stars, so the face order is mask inclusion."""
 
-    __slots__ = ("vertex_count", "labels", "simplices", "traces", "_index", "_simplex_labels")
+    __slots__ = ("vertex_count", "labels", "simplices", "_index", "_simplex_labels")
 
     def __init__(
         self,
@@ -95,26 +95,19 @@ class SimplicialComplex(Value):
         for v in range(vertex_count):
             if 1 << v not in index:
                 raise NotASimplex(f"missing singleton {{{v}}}")
-        # a facet precedes its simplex, so its trace is ready; finding every
-        # facet of every simplex also proves the family hereditary
-        traces = []
-        for i, s in enumerate(ordered):
-            trace = 1 << i
+        # finding every facet of every simplex proves the family hereditary
+        for s in ordered:
             for f in facets(s):
-                facet = index.get(f)
-                if facet is None:
+                if f not in index:
                     raise NotASimplex(
                         f"family is not hereditary: {set(members(s))} "
                         f"lacks face {set(members(f))}"
                     )
-                trace |= traces[facet]
-            traces.append(trace)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "labels", tuple(labels) if labels else default_labels(vertex_count))
         if len(self.labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
         object.__setattr__(self, "simplices", tuple(ordered))
-        object.__setattr__(self, "traces", tuple(traces))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_simplex_labels", dict(simplex_labels) if simplex_labels else {})
 

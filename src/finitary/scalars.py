@@ -154,6 +154,8 @@ class GaussianRational(Value):
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar literal")
+        if "e" in s or "E" in s:  # Fraction would expand 1e30000000 digit by digit
+            raise ValueError("exponent notation is not a scalar literal")
         if not s.endswith("i"):
             return GaussianRational(Fraction(s))
         body = s[:-1]

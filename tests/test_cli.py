@@ -34,6 +34,13 @@ class TestEnvelope:
         code, _, err = run(capsys, "envelope", "d", "e[1,1]", "--vertices", "1,2")
         assert code == 2 and "error[ParseError]" in err
 
+    def test_exponent_coefficient_is_refused_at_once(self, capsys):
+        code, out, err = run(
+            capsys, "envelope", "d", "1e1000000000*e[1]", "--vertices", "1,2"
+        )
+        assert (code, out) == (2, "")
+        assert "bad coefficient '1e1000000000'" in err
+
 
 class TestIdeal:
     def test_check_reports_dropped(self, capsys, data_dir):

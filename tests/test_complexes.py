@@ -131,12 +131,6 @@ def random_complexes(seed, count=40):
 
 
 class TestMasks:
-    def test_traces_are_the_faces(self):
-        for p in random_complexes(83):
-            for i, sigma in enumerate(p.simplices):
-                faces = [j for j, tau in enumerate(p.simplices) if tau & ~sigma == 0]
-                assert members(p.traces[i]) == faces
-
     def test_closed_matches_a_combinations_reference(self):
         rng = random.Random(89)
         for p in random_complexes(89):

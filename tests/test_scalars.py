@@ -69,6 +69,13 @@ def test_parse_rejects_junk():
             GaussianRational.parse(bad)
 
 
+def test_parse_rejects_exponent_notation():
+    # Fraction accepts these, and would build 10**1000000000 digit by digit
+    for bad in ("1e3", "2E-1", "1e1000000000", "1+1e3i", "1e2i"):
+        with pytest.raises(ValueError):
+            GaussianRational.parse(bad)
+
+
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
