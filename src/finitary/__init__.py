@@ -55,7 +55,6 @@ from .coarse import (
     NotACover,
     STANDARD_CIRCLE_ARCS,
     STANDARD_CIRCLE_EXTRA_POINTS,
-    SamplePoint,
     UncoveredPoint,
     circle_covering,
     sample,
@@ -89,7 +88,6 @@ __all__ = [
     "Relation",
     "STANDARD_CIRCLE_ARCS",
     "STANDARD_CIRCLE_EXTRA_POINTS",
-    "SamplePoint",
     "SimplicialComplex",
     "StructureReport",
     "StructureViolation",

@@ -87,7 +87,10 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
     generator as a subsequence, or math.inf when there is no bound.
 
     Generators must have length >= 2, so single-letter words always exist
-    and the result is at least 1.
+    and the result is at least 1.  Each state is reached by a word of its
+    own, so a finite language whose words can be listed (at most
+    MAX_WORDS) has at most MAX_WORDS + 1 states, the start included; the
+    walk raises TooLarge once it holds more.
     """
     gens = _generators(generators)
     start = (_START, (0,) * len(gens))
@@ -111,6 +114,10 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
                 best_out[state] = max(best_out[state], 1 + longest[nxt])
                 continue
             color[nxt] = GRAY
+            if len(color) > MAX_WORDS + 1:
+                raise TooLarge(
+                    f"the avoidance automaton walk is capped at {MAX_WORDS + 1} states"
+                )
             best_out[nxt] = 0
             stack.append((nxt, _successors(nxt, vertex_count, gens)))
             found_next = True

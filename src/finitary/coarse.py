@@ -19,17 +19,18 @@ the same substitute:
 
   * symbolic - one point per cell, its min_open the cofacet closure: each
     cell's mask OR-ed down into its facets, longest cells first;
-  * sampled  - finitely many strictly interior barycentric points per
-    cell, each carrying its support as its trace, merged by
-    trace_quotient.
+  * sampled  - finitely many strictly interior points per cell, each
+    drawn as positive integer weight numerators over the cell's vertices
+    (a weight is its numerator over their sum) and carrying its support
+    as its trace, merged by trace_quotient.
 
-Sample weights are strictly positive integers over their total, so every
-sample's support equals its carrier simplex: the sampled route is a
-cross-check of the closure against the trace quotient of the supports,
-not an independent oracle.  Both must agree with the space generated by
-the manifold the complex came from; verify_correspondence checks all
-three for a given manifold.  Both the circle probe and the sampled route
-refuse with TooLarge past MAX_SAMPLES sample points.
+The drawn numerators are positive, so every sample's support equals its
+carrier simplex: the sampled route is a cross-check of the closure
+against the trace quotient of the supports, not an independent oracle.
+Both must agree with the space generated by the manifold the complex
+came from; verify_correspondence checks all three for a given manifold.
+Both the circle probe and the sampled route refuse with TooLarge past
+MAX_SAMPLES sample points.
 """
 
 from __future__ import annotations
@@ -123,58 +124,23 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     return FiniteSpace._nested([p.simplex_label(t) for t in p.simplices], opens)
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """A strictly interior point of one open cell, in exact barycentric
-    coordinates over its carrier simplex, a vertex mask: the weight of the
-    i-th carrier vertex (in vertex order) is numerators[i] / total."""
-
-    carrier: int
-    numerators: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        if len(self.numerators) != self.carrier.bit_count():
-            raise ValueError("one numerator per carrier vertex required")
-        if min(self.numerators, default=0) <= 0:
-            raise ValueError("cell-interior weights must be positive")
-        if sum(self.numerators) != self.total:
-            raise ValueError("barycentric weights must sum to 1")
-
-    @property
-    def weights(self) -> tuple[tuple[int, Fraction], ...]:
-        """(vertex, weight) pairs in vertex order."""
-        return tuple(
-            (v, Fraction(a, self.total))
-            for v, a in zip(members(self.carrier), self.numerators)
-        )
-
-    def support(self) -> int:
-        """The vertices of positive weight."""
-        return vertex_mask(
-            v for v, a in zip(members(self.carrier), self.numerators) if a > 0
-        )
-
-
 def sample(
     p: SimplicialComplex, sigma: int, seed: int, count: int
-) -> list[SamplePoint]:
+) -> list[tuple[int, ...]]:
     """Deterministic strictly interior samples of the cell of sigma.
 
-    Weights are random positive integers over their sum, so they sum
-    exactly to 1; the generator is seeded from `seed` and the simplex, so
-    different cells get independent but reproducible draws.
+    Each sample is a tuple of positive integer numerators, one per vertex
+    of sigma in vertex order: a vertex's barycentric weight is its
+    numerator over the tuple's sum, so the weights sum exactly to 1.  The
+    generator is seeded from `seed` and the simplex, so different cells get
+    independent but reproducible draws.
     """
     p.index(sigma)  # raises ValueError when sigma is not a simplex of p
     if count < 1:
         raise ValueError("count must be at least 1")
     verts = members(sigma)
     rng = random.Random(f"{seed}:{','.join(map(str, verts))}")
-    out = []
-    for _ in range(count):
-        raw = tuple([rng.randint(1, 997) for _ in verts])
-        out.append(SamplePoint(sigma, raw, sum(raw)))
-    return out
+    return [tuple([rng.randint(1, 997) for _ in verts]) for _ in range(count)]
 
 
 def sampled_substitute(
@@ -183,13 +149,13 @@ def sampled_substitute(
     """Numerical enactment of the star coarse graining.
 
     Draws per_cell interior points in every open cell; a point's trace is
-    its barycentric support, the vertex stars holding it, and points are
-    quotiented by trace equality (trace_quotient).  The weights are
-    strictly positive, so each support equals the carrier cell and the
-    result is simplicial_substitute(p) up to labels by construction: a
-    cross-check of the cofacet closure against the trace quotient, not an
-    independent oracle.  Raises TooLarge when the cell count times
-    per_cell exceeds MAX_SAMPLES.
+    its support, the vertices of positive weight, which are the vertex
+    stars holding it, and points are quotiented by trace equality
+    (trace_quotient).  The drawn numerators are positive, so each support
+    equals the carrier cell and the result is simplicial_substitute(p) up
+    to labels by construction: a cross-check of the cofacet closure
+    against the trace quotient, not an independent oracle.  Raises
+    TooLarge when the cell count times per_cell exceeds MAX_SAMPLES.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
@@ -199,9 +165,10 @@ def sampled_substitute(
     point_traces = []
     for cell in p.simplices:
         label = p.simplex_label(cell)
-        for j, pt in enumerate(sample(p, cell, seed, per_cell)):
+        verts = members(cell)
+        for j, numerators in enumerate(sample(p, cell, seed, per_cell)):
             point_labels.append(f"{label}#{j}")
-            point_traces.append(pt.support())
+            point_traces.append(vertex_mask(v for v, a in zip(verts, numerators) if a > 0))
     return trace_quotient(point_labels, point_traces)[0]
 
 

@@ -9,7 +9,6 @@ nonvanishing word ordering).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FinitaryError, TooLarge, Value, members
@@ -27,19 +26,14 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
-def join_labels(table: Sequence[str], indices: Iterable[int]) -> str:
-    """Label of a word or simplex from its vertex indices.
+def label_separator(table: Sequence[str]) -> str:
+    """Separator of word and simplex labels joined over a vertex table.
 
-    The separator is decided by the whole vertex table, not by the labels
-    joined: only when every table label is one character is it omitted, so
-    a joined label can never equal a vertex label (as "12" would on a
-    12-vertex table).
+    It is decided by the whole table, not by the labels joined: only when
+    every table label is one character is it omitted, so a joined label can
+    never equal a vertex label (as "12" would on a 12-vertex table).  The
+    value holding the table decides it once.
     """
-    return _separator(tuple(table)).join(table[i] for i in indices)
-
-
-@lru_cache(maxsize=64)
-def _separator(table: tuple[str, ...]) -> str:
     return "" if all(len(lbl) == 1 for lbl in table) else ","
 
 
@@ -81,7 +75,9 @@ class SimplicialComplex(Value):
     sorted vertices).  A mask is also the trace of its open cell in the
     covering by open vertex stars, so the face order is mask inclusion."""
 
-    __slots__ = ("vertex_count", "labels", "simplices", "_index", "_simplex_labels")
+    __slots__ = (
+        "vertex_count", "labels", "simplices", "_index", "_simplex_labels", "_separator"
+    )
 
     def __init__(
         self,
@@ -110,6 +106,7 @@ class SimplicialComplex(Value):
         object.__setattr__(self, "simplices", tuple(ordered))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_simplex_labels", dict(simplex_labels) if simplex_labels else {})
+        object.__setattr__(self, "_separator", label_separator(self.labels))
 
     @classmethod
     def closed(cls, vertex_count: int, simplices: Iterable[int], labels=None):
@@ -147,4 +144,6 @@ class SimplicialComplex(Value):
 
     def simplex_label(self, simplex: int) -> str:
         label = self._simplex_labels.get(simplex)
-        return join_labels(self.labels, members(simplex)) if label is None else label
+        if label is None:
+            return self._separator.join(self.labels[v] for v in members(simplex))
+        return label

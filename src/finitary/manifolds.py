@@ -27,7 +27,9 @@ from itertools import takewhile
 from typing import Iterable, Iterator
 
 from .automata import MAX_WORDS, avoiding_words, longest_avoiding_word
-from .complexes import SimplicialComplex, default_labels, join_labels, simplex_key, vertex_mask
+from .complexes import (
+    SimplicialComplex, default_labels, label_separator, simplex_key, vertex_mask
+)
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
 from .envelope import Word, _word, basis_words, deletions, word_key, word_validate  # noqa: F401
@@ -77,15 +79,13 @@ class Relation(Value):
 
     def strict_pairs(self) -> tuple[tuple[int, int], ...]:
         """Off-diagonal pairs in sorted order."""
-        return tuple(
-            (i, j) for i, a in enumerate(self.after) for j in range(self.n) if a >> j & 1
-        )
+        return tuple((i, j) for i, a in enumerate(self.after) for j in members(a))
 
     def antisymmetry_witness(self) -> tuple[int, int] | None:
         """Smallest pair i < j related both ways, or None."""
         for i, a in enumerate(self.after):
-            for j in range(i + 1, self.n):
-                if a >> j & 1 and self.after[j] >> i & 1:
+            for j in members(a >> i + 1 << i + 1):  # the successors above i
+                if self.after[j] >> i & 1:
                     return (i, j)
         return None
 
@@ -155,13 +155,14 @@ class Manifold(Value):
     """A vertex table plus the family of nonvanishing words (explicit or as
     the complement of a basic ideal)."""
 
-    __slots__ = ("labels", "_words", "ideal", "_dim")
+    __slots__ = ("labels", "_words", "ideal", "_dim", "_separator")
 
     def __init__(self, labels: tuple[str, ...], words=None, ideal: BasicIdeal | None = None):
         if (words is None) == (ideal is None):
             raise ValueError("provide exactly one of words= or ideal=")
         labels = tuple(labels)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_separator", label_separator(labels))
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "_dim", None)
         object.__setattr__(self, "_words", None)
@@ -204,8 +205,9 @@ class Manifold(Value):
     def is_explicit(self) -> bool:
         return self.ideal is None
 
-    def word_label(self, w: Word) -> str:
-        return join_labels(self.labels, w)
+    def word_label(self, w: Iterable[int]) -> str:
+        """Label of a word, or of any sequence of vertex indices."""
+        return self._separator.join(self.labels[i] for i in w)
 
     def dimension(self) -> int | float:
         """Largest grade carrying a nonvanishing word; math.inf if unbounded."""
@@ -329,7 +331,7 @@ class Manifold(Value):
                     StructureFailure(
                         "uniqueness",
                         tuple(group),
-                        f"vertex set {{{join_labels(self.labels, members(vset))}}} "
+                        f"vertex set {{{self.word_label(members(vset))}}} "
                         f"carries several orderings: {names}",
                     )
                 )

@@ -98,3 +98,15 @@ def test_word_cap_counts_every_grade(monkeypatch):
     assert len(list(avoiding_words(2, [], 4))) == 10
     with pytest.raises(TooLarge):
         list(avoiding_words(2, [], 5))
+
+
+def test_state_cap_refuses_only_past_the_word_cap(monkeypatch):
+    # the patterns i, j, i on 3 vertices leave the 15 words of distinct
+    # letters, one automaton state each, plus the start state
+    gens = [(i, j, i) for i in range(3) for j in range(3) if i != j]
+    monkeypatch.setattr(automata, "MAX_WORDS", 15)
+    assert longest_avoiding_word(3, gens) == 3
+    assert len(list(avoiding_words(3, gens, 3))) == 15
+    monkeypatch.setattr(automata, "MAX_WORDS", 14)
+    with pytest.raises(TooLarge, match="15 states"):
+        longest_avoiding_word(3, gens)

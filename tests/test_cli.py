@@ -1,6 +1,12 @@
 """Command-line behaviour: outputs, exit codes and error mapping."""
 
+import io
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from finitary import manifolds
 from finitary.cli import main
@@ -119,6 +125,30 @@ class TestManifold:
         code, out, err = run(capsys, "manifold", "dim", str(f))
         assert code == 2 and out == ""
         assert "error[TooLarge]" in err
+
+    @staticmethod
+    def _distinct_letters_ideal(tmp_path, n):
+        # the ideal of every pattern i, j, i: its words are the sequences of
+        # distinct letters, one automaton state each
+        f = tmp_path / f"iji{n}.manifold"
+        labels = range(1, n + 1)
+        gens = [f"{i}, {j}, {i}" for i in labels for j in labels if i != j]
+        header = "vertices: " + ", ".join(map(str, labels))
+        f.write_text("\n".join([header, "ideal:", *gens]) + "\n")
+        return f
+
+    def test_automaton_walk_past_the_state_cap_is_refused(self, capsys, tmp_path):
+        # a 488-byte file whose automaton has 109 601 states
+        f = self._distinct_letters_ideal(tmp_path, 8)
+        code, out, err = run(capsys, "manifold", "dim", str(f))
+        assert code == 2 and out == ""
+        assert "error[TooLarge]" in err
+
+    def test_automaton_walk_below_the_state_cap_passes(self, capsys, tmp_path):
+        # 13 700 states
+        f = self._distinct_letters_ideal(tmp_path, 7)
+        code, out, _ = run(capsys, "manifold", "dim", str(f))
+        assert (code, out) == (0, "dimension: 6\n")
 
     def test_info_walks_the_automaton_once(self, capsys, tmp_path, monkeypatch):
         walks = []
@@ -340,3 +370,77 @@ class TestParser:
             assert len(built) == 1
         finally:
             cli._parser.cache_clear()
+
+
+# -- every file-reading form ends in exit 0, 1 or 2 ---------------------------
+
+_FILE_FORMS = [
+    "ideal check {}",
+    "ideal reduce {} e[1]-1/2*e[1,2]",
+    "manifold info {}",
+    "manifold info {} --max-grade 2",
+    "manifold check {}",
+    "manifold dim {}",
+    "topology hasse {}",
+    "topology hasse {} --dot",
+    "topology open-sets {}",
+    "topology json {}",
+    "substitute simplicial {}",
+    "substitute simplicial {} --json",
+    "substitute sampled {} --per-cell 1",
+    "substitute sampled {} --json",
+    "substitute trace {}",
+    "substitute trace {} --json",
+    "verify correspondence {}",
+    "verify correspondence {} --json --per-cell 1",
+]
+
+_LABELS = ("1", "2", "3", "4", "a", "b")
+
+# Digits appear only as one-character tokens joined by spaces, so an ``n``
+# header names at most 9 vertices: the relation reader builds a label per
+# vertex before any cap applies, so a long count costs memory in proportion
+# to it, which this test does not probe.
+_TOKENS = _LABELS + (
+    ",", ":", "<=", "#", "-", "A", "B", "p", "e[1]", "1/2", "i",
+    "n", "vertices:", "words:", "ideal:", "relation:", "covers:",
+)
+
+
+def _header(kind, labels, count):
+    if kind == "vertices":
+        return f"vertices: {', '.join(labels)}\n"
+    if kind in ("words:", "ideal:", "relation:"):
+        return f"vertices: {', '.join(labels)}\n{kind}\n"
+    if kind == "n":
+        return f"n {count}\n"
+    if kind == "covers:":
+        return "covers: A, B\n"
+    return ""
+
+
+_HEADERS = st.builds(
+    _header,
+    st.sampled_from(["vertices", "words:", "ideal:", "relation:", "n", "covers:", "none"]),
+    st.lists(st.sampled_from(_LABELS), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=0, max_value=4),
+)
+_LINES = st.one_of(
+    st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3).map(", ".join),
+    st.tuples(st.sampled_from(_LABELS), st.sampled_from(_LABELS)).map(" <= ".join),
+    st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join),
+    st.text(alphabet=" \t,:<=#-abAB.e[]+*/i", max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HEADERS, st.lists(_LINES, max_size=6).map("\n".join))
+def test_every_file_form_exits_zero_one_or_two(header, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(header + body)
+        for form in _FILE_FORMS:
+            argv = [word.format(path) for word in form.split()]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv

@@ -121,6 +121,15 @@ class TestRelationMasks:
         chains = [tuple(w) for w in fully_ordered_sequences(rel)]
         assert chains == self._reference_sequences(n, ref)
 
+    def test_large_sparse_relation_agrees_with_pair_set_reference(self):
+        # a few thousand vertices, few pairs and one two-way pair near the end
+        n = 3000
+        pairs = [(2990, 2995), (7, 2999), (2995, 2990), (0, 1), (2998, 3)]
+        rel = Relation(n, pairs)
+        assert rel.strict_pairs() == tuple(sorted(pairs))
+        assert rel.antisymmetry_witness() == (2990, 2995)
+        assert Relation(n, pairs[:2]).antisymmetry_witness() is None
+
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(ValueError):
             Relation(2, [(0, 2)])
