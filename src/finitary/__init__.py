@@ -46,7 +46,6 @@ from .topology import (
     is_t0,
     open_sets,
     poset_isomorphic,
-    t0_quotient,
     trace_quotient,
 )
 from .coarse import (
@@ -114,7 +113,6 @@ __all__ = [
     "sample",
     "sampled_substitute",
     "simplicial_substitute",
-    "t0_quotient",
     "trace_quotient",
     "trace_substitute",
     "unit",

@@ -95,38 +95,29 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
     gens = _generators(generators)
     start = (_START, (0,) * len(gens))
 
-    # Iterative DFS with three colors: a back edge means a pumpable cycle,
-    # otherwise memoize the longest path (in letters) out of each state.
-    GRAY, BLACK = 1, 2
-    color: dict = {}
-    longest: dict = {}
-    stack = [(start, _successors(start, vertex_count, gens))]
-    color[start] = GRAY
-    best_out = {start: 0}
+    # Iterative DFS.  longest[state] is None while the state is on the
+    # current path, so meeting it again is a back edge (a pumpable cycle);
+    # once its successors are done it holds the longest path (in letters)
+    # out of the state.  Each frame carries its own running best.
+    longest: dict = {start: None}
+    stack = [[start, _successors(start, vertex_count, gens), 0]]
     while stack:
-        state, succ = stack[-1]
-        found_next = False
-        for nxt in succ:
-            mark = color.get(nxt)
-            if mark == GRAY:
+        frame = stack[-1]
+        for nxt in frame[1]:
+            if nxt not in longest:
+                longest[nxt] = None
+                if len(longest) > MAX_WORDS + 1:
+                    raise TooLarge(
+                        f"the avoidance automaton walk is capped at {MAX_WORDS + 1} states"
+                    )
+                stack.append([nxt, _successors(nxt, vertex_count, gens), 0])
+                break
+            if longest[nxt] is None:
                 return math.inf
-            if mark == BLACK:
-                best_out[state] = max(best_out[state], 1 + longest[nxt])
-                continue
-            color[nxt] = GRAY
-            if len(color) > MAX_WORDS + 1:
-                raise TooLarge(
-                    f"the avoidance automaton walk is capped at {MAX_WORDS + 1} states"
-                )
-            best_out[nxt] = 0
-            stack.append((nxt, _successors(nxt, vertex_count, gens)))
-            found_next = True
-            break
-        if not found_next:
-            stack.pop()
-            color[state] = BLACK
-            longest[state] = best_out[state]
+            frame[2] = max(frame[2], 1 + longest[nxt])
+        else:
+            state, _, best = stack.pop()
+            longest[state] = best
             if stack:
-                parent = stack[-1][0]
-                best_out[parent] = max(best_out[parent], 1 + longest[state])
+                stack[-1][2] = max(stack[-1][2], 1 + best)
     return longest[start]

@@ -16,9 +16,11 @@ class TooLarge(FinitaryError):
     """An enumeration would exceed its documented size cap.
 
     The caps: automata.MAX_WORDS, 100 000 words listed from an ideal's
-    automaton or a relation's paths, and MAX_WORDS + 1 automaton states
-    walked to decide an ideal's dimension; coarse.MAX_SAMPLES, 100 000 sample
-    points on the circle or in the cells of a complex; 20 points for
+    automaton or a relation's paths (a relation file's ``n`` header above
+    MAX_WORDS is refused before anything is built), and MAX_WORDS + 1
+    automaton states walked to decide an ideal's dimension;
+    coarse.MAX_SAMPLES, 100 000 sample points on the circle or in the cells
+    of a complex; 20 points for
     topology.open_sets; complexes.MAX_CELLS, 4096 cells in the closure
     SimplicialComplex.closed builds from a complex file.
     """

@@ -23,10 +23,11 @@ from __future__ import annotations
 import json
 import re
 
+from .automata import MAX_WORDS
 from .complexes import SimplicialComplex, vertex_mask
 from .coarse import Covering
 from .envelope import Form, Word, word_validate
-from .errors import FinitaryError, Value, members
+from .errors import FinitaryError, TooLarge, Value, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
 from .scalars import GaussianRational
@@ -205,6 +206,8 @@ def _relation(lines, source: str) -> Relation:
     n = int(bits[1])
     if n < 1:
         raise ParseError(source, lineno, "vertex count must be at least 1")
+    if n > MAX_WORDS:  # its n singletons are already too many words
+        raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
     table = VertexTable(str(i + 1) for i in range(n))
     return Relation(n, _parse_pairs(lines[1:], source, table))
 

@@ -188,17 +188,6 @@ def trace_quotient(
     return FiniteSpace._nested(class_labels, opens), tuple(class_of)
 
 
-def t0_quotient(s: FiniteSpace) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """Collapse points with identical minimal open sets.
-
-    This is the trace quotient for the covering by minimal open sets: the
-    trace of x is the mask of the y with x in min_open(y), and two points
-    lie in the same minimal opens exactly when their own minimal opens
-    coincide.  Returns the quotient space and the class map.
-    """
-    return trace_quotient(s.labels, _transpose(list(map(members, s.min_open)), s.n))
-
-
 def hasse(s: FiniteSpace) -> HasseDiagram:
     """Transitive reduction of the specialization order of a T0 space: the
     covers of y are below(y) minus everything below a point of below(y)."""
@@ -216,7 +205,8 @@ def hasse(s: FiniteSpace) -> HasseDiagram:
 
 def open_sets(s: FiniteSpace) -> tuple[int, ...]:
     """Every open set, as a mask: all unions of minimal open sets, by size
-    and then by members.
+    and then by members.  The empty set is closed under union with each
+    minimal open set in turn, so any preorder works, T0 or not.
 
     Guarded to at most 20 points; an antichain already has 2^n opens.
     (Word enumeration of an ideal complement has its own cap,
@@ -224,22 +214,10 @@ def open_sets(s: FiniteSpace) -> tuple[int, ...]:
     """
     if s.n > 20:
         raise TooLarge(f"{s.n} points; open-set enumeration is capped at 20")
-    q, class_of = t0_quotient(s)
-    order = sorted(range(q.n), key=lambda x: q.min_open[x].bit_count())
-    downs: list[int] = []
-
-    def build(i: int, current: int):
-        if i == len(order):
-            downs.append(current)
-            return
-        p = order[i]
-        build(i + 1, current)
-        if not q.min_open[p] & ~current & ~(1 << p):
-            build(i + 1, current | 1 << p)
-
-    build(0, 0)
-    expanded = [sum(1 << x for x, c in enumerate(class_of) if d >> c & 1) for d in downs]
-    return tuple(sorted(expanded, key=lambda u: (u.bit_count(), members(u))))
+    opens = {0}
+    for u in s.min_open:
+        opens |= {v | u for v in opens}
+    return tuple(sorted(opens, key=lambda u: (u.bit_count(), members(u))))
 
 
 def _invariants(s: FiniteSpace) -> tuple[list[int], tuple[int, ...]]:

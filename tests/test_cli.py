@@ -8,7 +8,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from finitary import manifolds
+from finitary import io as fio, manifolds
 from finitary.cli import main
 
 
@@ -125,6 +125,25 @@ class TestManifold:
         code, out, err = run(capsys, "manifold", "dim", str(f))
         assert code == 2 and out == ""
         assert "error[TooLarge]" in err
+
+    def test_relation_header_past_the_word_cap_is_refused(self, capsys, tmp_path, monkeypatch):
+        # n vertices are n one-letter words: refused at the header, before
+        # the vertex table is built
+        def no_table(labels):
+            raise AssertionError("vertex table built")
+
+        monkeypatch.setattr(fio, "VertexTable", no_table)
+        f = tmp_path / "wide.relation"
+        f.write_text("n 100001\n")
+        code, out, err = run(capsys, "manifold", "dim", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error[TooLarge]: relation path enumeration is capped at 100000 words\n"
+
+    def test_relation_header_at_the_word_cap_passes(self, capsys, tmp_path):
+        f = tmp_path / "wide.relation"
+        f.write_text("n 100000\n")
+        code, out, _ = run(capsys, "manifold", "dim", str(f))
+        assert (code, out) == (0, "dimension: 0\n")
 
     @staticmethod
     def _distinct_letters_ideal(tmp_path, n):

@@ -1,4 +1,5 @@
-"""Finite spaces: generated spaces, T0, quotients, Hasse, isomorphism."""
+"""Finite spaces: generated spaces, T0, quotients, Hasse, open sets,
+isomorphism."""
 
 import itertools
 import random
@@ -23,7 +24,6 @@ from finitary import (
     open_sets,
     poset_isomorphic,
     simplicial_substitute,
-    t0_quotient,
     trace_quotient,
 )
 from finitary.topology import _deletion_closure
@@ -64,6 +64,22 @@ def down_set_space(n, strict_pairs, labels=None):
                 changed = True
     opens = [{y} | {x for x, z in closure if z == y} for y in range(n)]
     return space(labels or tuple(f"p{i}" for i in range(n)), opens)
+
+
+def random_preorder(rng, n):
+    """A space on n points whose min_opens are reachability sets of a
+    random relation, so it is T0 only when the relation has no cycle."""
+    succ = {x: {y for y in range(n) if rng.random() < 0.4} for x in range(n)}
+    opens = []
+    for x in range(n):
+        seen = {x}
+        stack = [x]
+        while stack:
+            for y in succ[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        opens.append(seen)
+    return space(tuple(f"p{i}" for i in range(n)), opens)
 
 
 class TestFiniteSpaceValidation:
@@ -168,45 +184,6 @@ class TestT0:
     def test_one_point_space(self):
         assert is_t0(space(("x",), [{0}]))
 
-    def test_quotient_of_t0_space_is_isomorphic(self):
-        s = generated_space(TRIANGLE)
-        q, class_of = t0_quotient(s)
-        assert class_of == tuple(range(s.n))
-        assert q == s
-
-    def test_quotient_collapses_indiscrete_pair(self):
-        q, class_of = t0_quotient(INDISCRETE2)
-        assert q.n == 1 and class_of == (0, 0)
-
-    def test_quotient_always_t0(self):
-        rng = random.Random(53)
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            # random preorder: random min_opens via reachability
-            succ = {
-                x: {y for y in range(n) if rng.random() < 0.4} for x in range(n)
-            }
-            opens = []
-            for x in range(n):
-                seen = {x}
-                stack = [x]
-                while stack:
-                    cur = stack.pop()
-                    for y in succ[cur]:
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                opens.append(seen)
-            s = space(tuple(f"p{i}" for i in range(n)), opens)
-            q, class_of = t0_quotient(s)
-            assert is_t0(q)
-            # classes are exactly the points with equal minimal open sets
-            for x in range(n):
-                for y in range(n):
-                    same = s.min_open[x] == s.min_open[y]
-                    assert (class_of[x] == class_of[y]) == same
-                    assert q.le(class_of[y], class_of[x]) == s.le(y, x)
-
     def test_trace_quotient_merges_equal_traces(self):
         traces = [mask(t) for t in ({0}, {0, 1}, {0}, {1})]
         q, class_of = trace_quotient(("p", "q", "r", "s"), traces)
@@ -282,6 +259,22 @@ class TestOpenSets:
             for u, v in itertools.combinations(opens, 2):
                 assert u | v in opens
                 assert u & v in opens
+
+    def test_opens_are_the_masks_holding_each_members_min_open(self):
+        # the definition: U is open iff min_open(x) lies in U for every x in U
+        rng = random.Random(53)
+        non_t0 = 0
+        for _ in range(80):
+            s = random_preorder(rng, rng.randint(1, 7))
+            expected = [
+                u
+                for u in range(1 << s.n)
+                if all(s.min_open[x] & ~u == 0 for x in members(u))
+            ]
+            expected.sort(key=lambda u: (u.bit_count(), members(u)))
+            assert open_sets(s) == tuple(expected)
+            non_t0 += not is_t0(s)
+        assert 20 < non_t0 < 80
 
     def test_non_t0_opens_contain_whole_classes(self):
         opens = open_sets(INDISCRETE2)
