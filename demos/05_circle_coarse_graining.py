@@ -25,7 +25,7 @@ for label, (lo, hi) in zip("ABC", STANDARD_CIRCLE_ARCS):
 covering = circle_covering(
     STANDARD_CIRCLE_ARCS, samples=4096, extra_points=STANDARD_CIRCLE_EXTRA_POINTS
 )
-print("sampled angles:", covering.point_count)
+print("sampled angles:", len(covering.point_labels))
 
 space, class_of = trace_substitute(covering)
 print("trace classes:", space.n)

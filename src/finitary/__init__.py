@@ -46,7 +46,6 @@ from .topology import (
     is_t0,
     open_sets,
     poset_isomorphic,
-    trace_quotient,
 )
 from .coarse import (
     CorrespondenceReport,
@@ -113,7 +112,6 @@ __all__ = [
     "sample",
     "sampled_substitute",
     "simplicial_substitute",
-    "trace_quotient",
     "trace_substitute",
     "unit",
     "verify_correspondence",

@@ -163,7 +163,8 @@ def _cmd_substitute(args) -> int:
             extra_points=STANDARD_CIRCLE_EXTRA_POINTS,
         )
         space, class_of = trace_substitute(covering)
-        print(f"arcs: {len(covering.cover_labels)}, sampled angles: {covering.point_count}")
+        arcs, angles = len(covering.cover_labels), len(covering.point_labels)
+        print(f"arcs: {arcs}, sampled angles: {angles}")
         print(f"classes ({space.n}):")
         for x in range(space.n):
             trace = covering.traces[class_of.index(x)]

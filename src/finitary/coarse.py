@@ -2,10 +2,11 @@
 
 Given a finite covering of any point collection, each point gets a trace,
 the int mask of the cover sets containing it (bit i for cover set i), and
-points with equal traces merge (topology.trace_quotient).  The quotient
-carries the T0 topology with min_open(class T) = all classes whose trace
-contains T.  Traces here use the same mask format as FiniteSpace.min_open
-and the simplices of a complex.
+points with equal traces merge (trace_substitute, the library's one
+trace quotient).  The quotient carries the T0 topology with
+min_open(class T) = all classes whose trace contains T.  Traces here use
+the same mask format as FiniteSpace.min_open and the simplices of a
+complex.
 
 A polyhedron realized from a simplicial complex is coarse grained by the
 covering of open vertex stars: a point lies in the star of v exactly when
@@ -22,7 +23,8 @@ the same substitute:
   * sampled  - finitely many strictly interior points per cell, each
     drawn as positive integer weight numerators over the cell's vertices
     (a weight is its numerator over their sum) and carrying its support
-    as its trace, merged by trace_quotient.
+    as its trace: the vertex-star covering of the sample points, merged
+    by trace_substitute.
 
 The drawn numerators are positive, so every sample's support equals its
 carrier simplex: the sampled route is a cross-check of the closure
@@ -36,19 +38,20 @@ MAX_SAMPLES sample points.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, members
 from .manifolds import Manifold
-from .topology import (
-    FiniteSpace, _deletion_closure, generated_space, trace_quotient
-)
+from .topology import FiniteSpace, _deletion_closure, _transpose, generated_space
 
 MAX_SAMPLES = 100_000
 
@@ -94,10 +97,6 @@ class Covering(Value):
         object.__setattr__(self, "point_labels", point_labels)
         object.__setattr__(self, "traces", traces)
 
-    @property
-    def point_count(self) -> int:
-        return len(self.point_labels)
-
     def __repr__(self):
         return (
             f"Covering({len(self.cover_labels)} sets, "
@@ -106,9 +105,24 @@ class Covering(Value):
 
 
 def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """Quotient of the covered points by equality of traces (see
-    topology.trace_quotient); returns the space and the class map."""
-    return trace_quotient(c.point_labels, c.traces)
+    """Quotient of the covered points by equality of traces.
+
+    Returns the quotient space and the class map (point index -> class
+    index).  Classes are ordered by first occurrence and labelled by their
+    first point; min_open(class T) = {classes S : T subset of S}, the AND
+    over the cover sets i in T of the mask of classes holding i, so the
+    quotient is always T0.
+    """
+    first: dict[int, str] = {}  # each trace's first point label, in order
+    for label, t in zip(c.point_labels, c.traces):
+        first.setdefault(t, label)
+    index = {t: k for k, t in enumerate(first)}
+    # each trace's members are listed once, compactly, for both passes
+    rows = [array("I", members(t)) for t in first]
+    holders = _transpose(rows, len(c.cover_labels))
+    opens = [reduce(and_, map(holders.__getitem__, row)) for row in rows]
+    class_of = tuple(map(index.__getitem__, c.traces))
+    return FiniteSpace._nested(first.values(), opens), class_of
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
@@ -150,12 +164,13 @@ def sampled_substitute(
 
     Draws per_cell interior points in every open cell; a point's trace is
     its support, the vertices of positive weight, which are the vertex
-    stars holding it, and points are quotiented by trace equality
-    (trace_quotient).  The drawn numerators are positive, so each support
-    equals the carrier cell and the result is simplicial_substitute(p) up
-    to labels by construction: a cross-check of the cofacet closure
-    against the trace quotient, not an independent oracle.  Raises
-    TooLarge when the cell count times per_cell exceeds MAX_SAMPLES.
+    stars holding it.  The sample points under this vertex-star Covering
+    are quotiented by trace equality (trace_substitute).  The drawn
+    numerators are positive, so each support equals the carrier cell and
+    the result is simplicial_substitute(p) up to labels by construction: a
+    cross-check of the cofacet closure against the trace quotient, not an
+    independent oracle.  Raises TooLarge when the cell count times
+    per_cell exceeds MAX_SAMPLES.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
@@ -169,7 +184,7 @@ def sampled_substitute(
         for j, numerators in enumerate(sample(p, cell, seed, per_cell)):
             point_labels.append(f"{label}#{j}")
             point_traces.append(vertex_mask(v for v, a in zip(verts, numerators) if a > 0))
-    return trace_quotient(point_labels, point_traces)[0]
+    return trace_substitute(Covering(p.labels, point_labels, point_traces))[0]
 
 
 def _normalize_angle(num: int, den: int) -> int:

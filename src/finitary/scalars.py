@@ -135,18 +135,9 @@ class GaussianRational(Value):
         re, im = self.re, self.im
         if not im:
             return str(re)
-        if im == 1:
-            imag = "i"
-        elif im == -1:
-            imag = "-i"
-        else:
-            imag = f"{im}i"
-        if not re:
-            return imag
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        body = "i" if mag == 1 else f"{mag}i"
-        return f"{re}{sign}{body}"
+        body = "i" if abs(im) == 1 else f"{abs(im)}i"
+        sign = "-" if im < 0 else "+" if re else ""
+        return f"{re or ''}{sign}{body}"
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":

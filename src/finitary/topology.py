@@ -18,10 +18,7 @@ usual picture where an edge lies under its endpoints in the Hasse graph.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .envelope import deletions, is_subsequence
@@ -158,36 +155,6 @@ def is_t0(s: FiniteSpace) -> bool:
     return len(set(s.min_open)) == s.n
 
 
-def trace_quotient(
-    labels: Sequence[str], traces: Sequence[int]
-) -> tuple[FiniteSpace, tuple[int, ...]]:
-    """Quotient of labelled points by equality of traces.
-
-    A trace is a mask of the cover sets (say) holding a point; points with
-    equal traces merge.  Returns the quotient space and the class map
-    (point index -> class index).  Classes are ordered by first occurrence
-    and labelled by their first member; min_open(class T) = {classes S :
-    T subset of S}, the AND over the cover sets i in T of the mask of
-    classes holding i, so the quotient is always T0.
-    """
-    class_index: dict[int, int] = {}
-    class_traces: list[int] = []
-    class_labels: list[str] = []
-    class_of = []
-    for label, t in zip(labels, traces):
-        if t not in class_index:
-            class_index[t] = len(class_traces)
-            class_traces.append(t)
-            class_labels.append(label)
-        class_of.append(class_index[t])
-    # each trace's members are listed once, compactly, for both passes
-    rows = [array("I", members(t)) for t in class_traces]
-    holders = _transpose(rows, max((t.bit_length() for t in class_traces), default=0))
-    everything = (1 << len(class_traces)) - 1
-    opens = [reduce(and_, map(holders.__getitem__, row), everything) for row in rows]
-    return FiniteSpace._nested(class_labels, opens), tuple(class_of)
-
-
 def hasse(s: FiniteSpace) -> HasseDiagram:
     """Transitive reduction of the specialization order of a T0 space: the
     covers of y are below(y) minus everything below a point of below(y)."""
@@ -201,6 +168,9 @@ def hasse(s: FiniteSpace) -> HasseDiagram:
             deeper |= below[z]
         edges.extend((x, y) for x in members(b & ~deeper))
     return HasseDiagram(s.labels, tuple(sorted(edges)))
+
+
+_FLIP = str.maketrans("01", "10")
 
 
 def open_sets(s: FiniteSpace) -> tuple[int, ...]:
@@ -217,7 +187,9 @@ def open_sets(s: FiniteSpace) -> tuple[int, ...]:
     opens = {0}
     for u in s.min_open:
         opens |= {v | u for v in opens}
-    return tuple(sorted(opens, key=lambda u: (u.bit_count(), members(u))))
+    # among masks of one size, the lowest point in just one of them decides
+    # the members order: read the bits from the lowest, a 1 before a 0
+    return tuple(sorted(opens, key=lambda u: (u.bit_count(), bin(u)[:1:-1].translate(_FLIP))))
 
 
 def _invariants(s: FiniteSpace) -> tuple[list[int], tuple[int, ...]]:

@@ -23,7 +23,6 @@ from finitary import (
     sample,
     sampled_substitute,
     simplicial_substitute,
-    trace_quotient,
     trace_substitute,
     verify_correspondence,
 )
@@ -91,6 +90,27 @@ class TestTraceSubstitute:
 
     @given(
         st.lists(
+            st.sets(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_the_definition_on_any_traces(self, traces):
+        # any trace family on five cover sets, hereditary or not
+        traces = [mask(t) for t in traces]
+        labels = tuple(f"p{i}" for i in range(len(traces)))
+        space, class_of = trace_substitute(Covering(tuple("ABCDE"), labels, traces))
+        assert set(class_of) == set(range(space.n))
+        first = [class_of.index(k) for k in range(space.n)]
+        assert space.labels == tuple(labels[x] for x in first)
+        for x, s in enumerate(traces):
+            for y, t in enumerate(traces):
+                assert (class_of[x] == class_of[y]) == (s == t)
+            holding = mask(k for k, y in enumerate(first) if s & ~traces[y] == 0)
+            assert space.min_open[class_of[x]] == holding
+
+    @given(
+        st.lists(
             st.sets(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
             min_size=1,
             max_size=10,
@@ -148,7 +168,8 @@ class TestSimplicialSubstitute:
         for _ in range(60):
             p = random_manifold(rng, max_vertices=6).to_simplicial()
             labels = [p.simplex_label(t) for t in p.simplices]
-            assert simplicial_substitute(p) == trace_quotient(labels, p.simplices)[0]
+            c = Covering(p.labels, labels, p.simplices)
+            assert simplicial_substitute(p) == trace_substitute(c)[0]
 
     def test_vertex_stars_and_cell_stars_give_one_quotient(self):
         # the covering by the star of every cell: bit j of the trace of
@@ -162,7 +183,9 @@ class TestSimplicialSubstitute:
                 for sigma in cells
             ]
             labels = [p.simplex_label(t) for t in cells]
-            assert trace_quotient(labels, cell_stars) == trace_quotient(labels, cells)
+            by_cell_stars = Covering(labels, labels, cell_stars)
+            by_vertex_stars = Covering(p.labels, labels, cells)
+            assert trace_substitute(by_cell_stars) == trace_substitute(by_vertex_stars)
 
     def test_cover_intersections_are_covers_or_empty(self):
         cells = BOUNDARY_TRIANGLE.simplices

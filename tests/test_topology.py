@@ -7,6 +7,7 @@ import random
 import pytest
 
 from finitary import (
+    Covering,
     FiniteSpace,
     InfiniteDimensional,
     Manifold,
@@ -24,7 +25,7 @@ from finitary import (
     open_sets,
     poset_isomorphic,
     simplicial_substitute,
-    trace_quotient,
+    trace_substitute,
 )
 from finitary.topology import _deletion_closure
 
@@ -186,7 +187,7 @@ class TestT0:
 
     def test_trace_quotient_merges_equal_traces(self):
         traces = [mask(t) for t in ({0}, {0, 1}, {0}, {1})]
-        q, class_of = trace_quotient(("p", "q", "r", "s"), traces)
+        q, class_of = trace_substitute(Covering(("A", "B"), ("p", "q", "r", "s"), traces))
         assert class_of == (0, 1, 0, 2)
         assert q.labels == ("p", "q", "s")
         assert q.min_open == (mask({0, 1}), mask({1}), mask({1, 2}))
@@ -242,6 +243,13 @@ class TestOpenSets:
     def test_antichain_powerset(self):
         opens = open_sets(space(("a", "b", "c"), [{0}, {1}, {2}]))
         assert len(opens) == 8
+
+    def test_antichain_of_twelve_points_in_size_then_members_order(self):
+        n = 12
+        opens = open_sets(space(tuple(map(str, range(n))), [{i} for i in range(n)]))
+        assert opens == tuple(
+            sorted(range(1 << n), key=lambda u: (u.bit_count(), members(u)))
+        )
 
     def test_chain_has_linear_lattice(self):
         opens = open_sets(CHAIN2)
