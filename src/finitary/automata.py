@@ -12,14 +12,20 @@ of one avoidance DFA per generator with the last-letter automaton, so:
   * the words themselves are the paths from the start state, listed level
     by level (one level per grade) with at most MAX_WORDS of them.
 
-A state is (last letter, match progress per generator); a generator whose
-progress reaches its length has been embedded, which kills the state.
+A state is (last letter, s), with the match progress of every generator
+packed into the int s by shift-and matching: generator g owns a block of
+len(g) bits, and bit offset + p is set when p of its letters are matched.
+Letter k advances each block whose set bit waits for k, the bits of
+adv = s & M[k], and the next state is (k, s + adv), each advanced bit
+moving one place up into its clear neighbour.  A generator matched to its
+last letter has been embedded, which kills the state: adv meets LAST, the
+mask of each block's top bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import TooLarge
 
@@ -28,29 +34,30 @@ _START = -1
 MAX_WORDS = 100_000
 
 
-def _successors(state, vertex_count: int, gens: Sequence[tuple[int, ...]]):
-    last, progress = state
-    for k in range(vertex_count):
-        if k == last:
-            continue
-        advanced = []
-        dead = False
-        for g, p in zip(gens, progress):
-            if g[p] == k:
-                p += 1
-                if p == len(g):
-                    dead = True
-                    break
-            advanced.append(p)
-        if not dead:
-            yield (k, tuple(advanced))
+def _compile(vertex_count: int, generators: Iterable):
+    """The packed start state, the match mask M[k] of each letter k and the
+    mask LAST of each block's top bit.  A letter outside 0..vertex_count-1
+    sets no bit, so it is never matched."""
+    masks = [0] * vertex_count
+    start = last = offset = 0
+    for g in map(tuple, generators):
+        if len(g) < 2:
+            raise ValueError("avoidance generators must have length >= 2")
+        for p, letter in enumerate(g):
+            if 0 <= letter < vertex_count:
+                masks[letter] |= 1 << (offset + p)
+        start |= 1 << offset
+        offset += len(g)
+        last |= 1 << (offset - 1)
+    return (_START, start), masks, last
 
 
-def _generators(generators: Iterable) -> tuple[tuple[int, ...], ...]:
-    gens = tuple(tuple(g) for g in generators)
-    if any(len(g) < 2 for g in gens):
-        raise ValueError("avoidance generators must have length >= 2")
-    return gens
+def _successors(state, masks: list[int], last: int):
+    previous, s = state
+    for k, m in enumerate(masks):
+        adv = s & m
+        if k != previous and not adv & last:
+            yield (k, s + adv)
 
 
 def avoiding_words(
@@ -64,13 +71,13 @@ def avoiding_words(
     one level and its successor are held at a time.  Raises TooLarge once
     more than MAX_WORDS words have been built.
     """
-    gens = _generators(generators)
-    level = [((), (_START, (0,) * len(gens)))]
+    start, masks, last = _compile(vertex_count, generators)
+    level = [((), start)]
     built = 0
     for _ in range(max_grade + 1):
         following = []
         for word, state in level:
-            for nxt in _successors(state, vertex_count, gens):
+            for nxt in _successors(state, masks, last):
                 built += 1
                 if built > MAX_WORDS:
                     raise TooLarge(f"word enumeration is capped at {MAX_WORDS} words")
@@ -92,15 +99,14 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
     MAX_WORDS) has at most MAX_WORDS + 1 states, the start included; the
     walk raises TooLarge once it holds more.
     """
-    gens = _generators(generators)
-    start = (_START, (0,) * len(gens))
+    start, masks, last = _compile(vertex_count, generators)
 
     # Iterative DFS.  longest[state] is None while the state is on the
     # current path, so meeting it again is a back edge (a pumpable cycle);
     # once its successors are done it holds the longest path (in letters)
     # out of the state.  Each frame carries its own running best.
     longest: dict = {start: None}
-    stack = [[start, _successors(start, vertex_count, gens), 0]]
+    stack = [[start, _successors(start, masks, last), 0]]
     while stack:
         frame = stack[-1]
         for nxt in frame[1]:
@@ -110,7 +116,7 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
                     raise TooLarge(
                         f"the avoidance automaton walk is capped at {MAX_WORDS + 1} states"
                     )
-                stack.append([nxt, _successors(nxt, vertex_count, gens), 0])
+                stack.append([nxt, _successors(nxt, masks, last), 0])
                 break
             if longest[nxt] is None:
                 return math.inf

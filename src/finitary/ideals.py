@@ -11,6 +11,7 @@ collapse the underlying function algebra rather than a calculus on it.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable
 
 from .errors import FinitaryError, Value
@@ -47,12 +48,12 @@ class BasicIdeal(Value):
                 raise GradeZeroGenerator(
                     f"generator {w!r} has grade 0; ideals must vanish in grade 0"
                 )
-        # a distinct word can embed into w only if it is strictly shorter
-        kept = [
-            w
-            for w in words
-            if not any(len(g) < len(w) and is_subsequence(g, w) for g in words)
-        ]
+        # a distinct word can embed into w only if it is strictly shorter, and
+        # subsequence is transitive, so each length is tested against the
+        # words kept from shorter ones (the list is read before += extends it)
+        kept: list[Word] = []
+        for _, group in groupby(sorted(words, key=len), len):
+            kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "generators", tuple(sorted(kept, key=word_key)))
 

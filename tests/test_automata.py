@@ -110,3 +110,56 @@ def test_state_cap_refuses_only_past_the_word_cap(monkeypatch):
     monkeypatch.setattr(automata, "MAX_WORDS", 14)
     with pytest.raises(TooLarge, match="15 states"):
         longest_avoiding_word(3, gens)
+
+
+def brute_avoiding_words(n, gens, max_grade):
+    """Every valid word of grade at most max_grade avoiding every generator,
+    grade-major then lexicographic.  The language is prefix-closed, so each
+    grade extends the words of the one below; an extension avoids the
+    generators when no subsequence through its new last letter is one."""
+    forbidden = set(gens)
+    sizes = {len(g) for g in gens}
+    words, level = [], [()]
+    for _ in range(max_grade + 1):
+        level = sorted(
+            word + (k,)
+            for word in level
+            for k in range(n)
+            if (not word or word[-1] != k)
+            and not any(
+                s + (k,) in forbidden
+                for size in sizes
+                for s in itertools.combinations(word, size - 1)
+            )
+        )
+        words += level
+    return words
+
+
+def random_avoidance_cases():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        # letters -1 and n lie outside the vertices and are never matched
+        gens = [
+            tuple(rng.randint(-1, n) for _ in range(rng.randint(2, 3)))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if n > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            gens.append((i, j, i))
+        if rng.random() < 0.3:
+            gens.append((0, 0))
+        yield n, gens
+    # 30 generators of 3 letters: 90 packed bits, past one machine word
+    yield 6, [(i, j, i) for i in range(6) for j in range(6) if i != j]
+
+
+def test_avoiding_words_agree_with_brute_force():
+    for n, gens in random_avoidance_cases():
+        longest = longest_avoiding_word(n, gens)
+        top = 6 if math.isinf(longest) else longest - 1
+        expected = brute_avoiding_words(n, gens, top)
+        for grade in range(top + 1):
+            got = list(avoiding_words(n, gens, grade))
+            assert got == [w for w in expected if len(w) <= grade + 1], (n, gens, grade)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finitary import (
     BasicIdeal,
@@ -16,6 +17,7 @@ from finitary import (
     inner,
     is_subsequence,
 )
+from finitary.envelope import word_key
 from finitary.scalars import GaussianRational
 
 
@@ -82,6 +84,25 @@ class TestNormalization:
             shuffled = list(gens)
             rng.shuffle(shuffled)
             assert BasicIdeal(3, shuffled) == ideal
+
+
+_POOLS = {n: [w for r in range(1, 4) for w in basis_words(n, r)] for n in (2, 3, 4)}
+_INPUTS = st.sampled_from(sorted(_POOLS)).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(_POOLS[n]), max_size=10))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INPUTS, st.randoms(use_true_random=False))
+def test_generators_are_the_minimal_input_words(case, rng):
+    # the definition: the input words with no other input word inside them
+    n, words = case
+    minimal = {w for w in words if not any(v != w and subseq_oracle(v, w) for v in words)}
+    ideal = BasicIdeal(n, words)
+    assert ideal.generators == tuple(sorted(minimal, key=word_key))
+    repeated = words * 2
+    rng.shuffle(repeated)
+    assert BasicIdeal(n, repeated).generators == ideal.generators
 
 
 class TestMembership:
