@@ -22,9 +22,10 @@ the same substitute:
     cell's mask OR-ed down into its facets, longest cells first;
   * sampled  - finitely many strictly interior points per cell, each
     drawn as positive integer weight numerators over the cell's vertices
-    (a weight is its numerator over their sum) and carrying its support
-    as its trace: the vertex-star covering of the sample points, merged
-    by trace_substitute.
+    (a weight is its numerator over their sum; one seeded generator draws
+    the cells in turn) and carrying its support as its trace: the
+    vertex-star covering of the sample points, merged by
+    trace_substitute.
 
 The drawn numerators are positive, so every sample's support equals its
 carrier simplex: the sampled route is a cross-check of the closure
@@ -48,7 +49,7 @@ from math import gcd, lcm
 from operator import and_
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, facets, vertex_mask
+from .complexes import SimplicialComplex, facets
 from .errors import FinitaryError, TooLarge, Value, members
 from .manifolds import Manifold
 from .topology import FiniteSpace, _deletion_closure, _transpose, generated_space
@@ -138,23 +139,28 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     return FiniteSpace._nested([p.simplex_label(t) for t in p.simplices], opens)
 
 
-def sample(
-    p: SimplicialComplex, sigma: int, seed: int, count: int
-) -> list[tuple[int, ...]]:
-    """Deterministic strictly interior samples of the cell of sigma.
+def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[int, ...]]]:
+    """Deterministic strictly interior samples of every open cell of p.
 
-    Each sample is a tuple of positive integer numerators, one per vertex
-    of sigma in vertex order: a vertex's barycentric weight is its
-    numerator over the tuple's sum, so the weights sum exactly to 1.  The
-    generator is seeded from `seed` and the simplex, so different cells get
-    independent but reproducible draws.
+    Returns one list per simplex of p, in canonical cell order, of per_cell
+    tuples of positive integer numerators, one per vertex of the cell in
+    vertex order: a vertex's barycentric weight is its numerator over the
+    tuple's sum, so the weights sum exactly to 1.  One generator, seeded
+    from a string built from `seed`, draws the cells in order, each cell's
+    numerators as the 10-bit fields of one getrandbits call plus 1 (so
+    from 1 to 1024).  A cell's draws thus depend on its position in p:
+    independent and reproducible for a given (p, per_cell, seed).
     """
-    p.index(sigma)  # raises ValueError when sigma is not a simplex of p
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    verts = members(sigma)
-    rng = random.Random(f"{seed}:{','.join(map(str, verts))}")
-    return [tuple([rng.randint(1, 997) for _ in verts]) for _ in range(count)]
+    if per_cell < 1:
+        raise ValueError("per_cell must be at least 1")
+    rng = random.Random(f"sample:{seed}")
+    draws = []
+    for cell in p.simplices:
+        k = cell.bit_count()
+        bits = rng.getrandbits(10 * k * per_cell)
+        fields = [(bits >> s & 1023) + 1 for s in range(0, 10 * k * per_cell, 10)]
+        draws.append([tuple(fields[j : j + k]) for j in range(0, k * per_cell, k)])
+    return draws
 
 
 def sampled_substitute(
@@ -162,28 +168,27 @@ def sampled_substitute(
 ) -> FiniteSpace:
     """Numerical enactment of the star coarse graining.
 
-    Draws per_cell interior points in every open cell; a point's trace is
-    its support, the vertices of positive weight, which are the vertex
-    stars holding it.  The sample points under this vertex-star Covering
-    are quotiented by trace equality (trace_substitute).  The drawn
-    numerators are positive, so each support equals the carrier cell and
-    the result is simplicial_substitute(p) up to labels by construction: a
-    cross-check of the cofacet closure against the trace quotient, not an
-    independent oracle.  Raises TooLarge when the cell count times
-    per_cell exceeds MAX_SAMPLES.
+    Draws per_cell interior points in every open cell (sample: one
+    generator for the whole complex); a point's trace is its support, the
+    vertices of positive weight, which are the vertex stars holding it.
+    The sample points under this vertex-star Covering are quotiented by
+    trace equality (trace_substitute).  The drawn numerators are positive,
+    so each support equals the carrier cell and the result is
+    simplicial_substitute(p) up to labels by construction: a cross-check
+    of the cofacet closure against the trace quotient, not an independent
+    oracle.  Raises TooLarge when the cell count times per_cell exceeds
+    MAX_SAMPLES.
     """
-    if per_cell < 1:
-        raise ValueError("per_cell must be at least 1")
     if len(p) * per_cell > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
     point_labels = []
     point_traces = []
-    for cell in p.simplices:
+    for cell, draws in zip(p.simplices, sample(p, per_cell, seed)):
         label = p.simplex_label(cell)
-        verts = members(cell)
-        for j, numerators in enumerate(sample(p, cell, seed, per_cell)):
+        bits = [1 << v for v in members(cell)]
+        for j, numerators in enumerate(draws):
             point_labels.append(f"{label}#{j}")
-            point_traces.append(vertex_mask(v for v, a in zip(verts, numerators) if a > 0))
+            point_traces.append(sum([b for b, a in zip(bits, numerators) if a > 0]))
     return trace_substitute(Covering(p.labels, point_labels, point_traces))[0]
 
 

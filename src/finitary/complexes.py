@@ -75,9 +75,7 @@ class SimplicialComplex(Value):
     sorted vertices).  A mask is also the trace of its open cell in the
     covering by open vertex stars, so the face order is mask inclusion."""
 
-    __slots__ = (
-        "vertex_count", "labels", "simplices", "_index", "_simplex_labels", "_separator"
-    )
+    __slots__ = ("vertex_count", "labels", "simplices", "_simplex_labels", "_separator")
 
     def __init__(
         self,
@@ -87,14 +85,14 @@ class SimplicialComplex(Value):
         simplex_labels: Mapping[int, str] | None = None,
     ):
         ordered = sorted({_check(s, vertex_count) for s in simplices}, key=simplex_key)
-        index = {s: i for i, s in enumerate(ordered)}
+        present = set(ordered)
         for v in range(vertex_count):
-            if 1 << v not in index:
+            if 1 << v not in present:
                 raise NotASimplex(f"missing singleton {{{v}}}")
         # finding every facet of every simplex proves the family hereditary
         for s in ordered:
             for f in facets(s):
-                if f not in index:
+                if f not in present:
                     raise NotASimplex(
                         f"family is not hereditary: {set(members(s))} "
                         f"lacks face {set(members(f))}"
@@ -104,7 +102,6 @@ class SimplicialComplex(Value):
         if len(self.labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
         object.__setattr__(self, "simplices", tuple(ordered))
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_simplex_labels", dict(simplex_labels) if simplex_labels else {})
         object.__setattr__(self, "_separator", label_separator(self.labels))
 
@@ -134,13 +131,6 @@ class SimplicialComplex(Value):
 
     def __repr__(self):
         return f"SimplicialComplex(n={self.vertex_count}, {len(self.simplices)} simplices)"
-
-    def index(self, simplex: int) -> int:
-        """Position of a simplex in `simplices`; ValueError for a non-simplex."""
-        try:
-            return self._index[simplex]
-        except KeyError:
-            raise ValueError(f"{simplex!r} is not a simplex of the complex") from None
 
     def simplex_label(self, simplex: int) -> str:
         label = self._simplex_labels.get(simplex)

@@ -28,6 +28,9 @@ class TooLarge(FinitaryError):
 
 def members(mask: int) -> list[int]:
     """The points of a mask: the indices of its set bits, ascending."""
+    if mask >> 64 and not mask & 1:  # wide: format it from its lowest set bit
+        low = (mask & -mask).bit_length() - 1
+        return [low + i for i in members(mask >> low)]
     bits = bin(mask)[:1:-1]  # binary digits, lowest first
     out = []
     i = bits.find("1")

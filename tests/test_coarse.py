@@ -204,28 +204,37 @@ class TestSimplicialSubstitute:
 
 class TestSampling:
     def test_weights_positive_and_normalized(self):
-        # one positive numerator per carrier vertex; the weights are the
-        # numerators over their sum, so they sum to 1 and are positive
-        for numerators in sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=5, count=10):
-            assert len(numerators) == 2
-            assert all(type(a) is int and a >= 1 for a in numerators)
+        # per_cell draws per cell, in cell order, each one numerator from 1
+        # to 1024 per carrier vertex; the weights are the numerators over
+        # their sum, so they sum to 1 and are positive
+        draws = sample(BOUNDARY_TRIANGLE, per_cell=10, seed=5)
+        assert len(draws) == len(BOUNDARY_TRIANGLE)
+        for sigma, cell_draws in zip(BOUNDARY_TRIANGLE.simplices, draws):
+            assert len(cell_draws) == 10
+            for numerators in cell_draws:
+                assert len(numerators) == sigma.bit_count()
+                assert all(type(a) is int and 1 <= a <= 1024 for a in numerators)
 
-    def test_non_simplex_rejected(self):
-        with pytest.raises(ValueError, match="not a simplex"):
-            sample(BOUNDARY_TRIANGLE, cell(0, 1, 2), seed=0, count=1)
+    def test_per_cell_below_one_rejected(self):
+        with pytest.raises(ValueError, match="per_cell must be at least 1"):
+            sample(BOUNDARY_TRIANGLE, per_cell=0, seed=0)
 
     def test_sampling_is_deterministic(self):
-        a = sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=3, count=4)
-        b = sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=3, count=4)
+        a = sample(BOUNDARY_TRIANGLE, per_cell=4, seed=3)
+        b = sample(BOUNDARY_TRIANGLE, per_cell=4, seed=3)
         assert a == b
 
     def test_sample_weights_are_pinned(self):
         # The generator is seeded from a string, not from hash(), so these
-        # exact draws (weights 30/467, 437/467 and 183/187, 4/187) hold on
-        # every interpreter.
-        assert sample(BOUNDARY_TRIANGLE, cell(0, 1), seed=5, count=2) == [
-            (30, 437),
-            (183, 4),
+        # exact draws (on the edge 12, weights 731/1709, 978/1709 and
+        # 695/1370, 675/1370) hold on every interpreter.
+        assert sample(BOUNDARY_TRIANGLE, per_cell=2, seed=5) == [
+            [(986,), (561,)],
+            [(126,), (148,)],
+            [(758,), (956,)],
+            [(731, 978), (695, 675)],
+            [(727, 698), (364, 480)],
+            [(799, 713), (115, 69)],
         ]
 
 
@@ -244,9 +253,10 @@ class TestSampledSubstitute:
         # star of vertex 1 only, so it merges into the class of vertex 1
         drawn = coarse.sample
 
-        def degenerate(p, sigma, seed, count):
-            out = drawn(p, sigma, seed, count)
-            return [(1, 0)] + out[1:] if sigma == cell(0, 1) else out
+        def degenerate(p, per_cell, seed):
+            out = drawn(p, per_cell, seed)
+            out[p.simplices.index(cell(0, 1))][0] = (1, 0)
+            return out
 
         monkeypatch.setattr(coarse, "sample", degenerate)
         space = sampled_substitute(BOUNDARY_TRIANGLE, per_cell=1, seed=0)

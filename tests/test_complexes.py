@@ -120,9 +120,6 @@ class TestCellsAndLabels:
         assert FULL_TRIANGLE.simplices == (
             mask(0), mask(1), mask(2), mask(0, 1), mask(0, 2), mask(1, 2), mask(0, 1, 2)
         )
-        assert [FULL_TRIANGLE.index(s) for s in FULL_TRIANGLE.simplices] == list(range(7))
-        with pytest.raises(ValueError):
-            BOUNDARY_TRIANGLE.index(mask(0, 1, 2))
 
 
 def random_complexes(seed, count=40):
@@ -145,3 +142,14 @@ class TestMasks:
             complex_, added = SimplicialComplex.closed(n, given)
             assert complex_.simplices == tuple(mask(*c) for c in expected)
             assert added == [mask(*c) for c in expected if mask(*c) not in given]
+
+    def test_members_matches_a_bin_reference_on_wide_masks(self):
+        # masks of up to 80 random bits, shifted as high as bit 20 000, so
+        # both the narrow path and the wide one that skips the low zeros run
+        rng = random.Random(97)
+        masks = [0, 1, 1 << 64, 1 << 19999, (1 << 200) - 1]
+        shifts = (0, 1, 63, 64, 65, 5000, 19999)
+        for _ in range(300):
+            masks.append(rng.getrandbits(rng.randint(1, 80)) << rng.choice(shifts))
+        for m in masks:
+            assert members(m) == [i for i, bit in enumerate(reversed(bin(m)[2:])) if bit == "1"]

@@ -1,6 +1,10 @@
 """The package's public names."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import finitary
@@ -15,6 +19,29 @@ def test_every_export_resolves():
 
 def test_exports_are_sorted_and_unique():
     assert finitary.__all__ == sorted(set(finitary.__all__))
+
+
+def test_cli_imports_nothing_outside_the_standard_library():
+    # no runtime dependencies; and no hashlib, whose OpenSSL libcrypto
+    # (_hashlib, _ssl) costs several MB of resident memory per process
+    code = (
+        "import json, sys; before = set(sys.modules); import finitary.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    outside = {
+        top
+        for top in (name.partition(".")[0] for name in loaded)
+        if top != "finitary" and top not in sys.stdlib_module_names
+    }
+    assert outside == set()
+    assert "finitary.cli" in loaded
+    assert not {"_hashlib", "_ssl"} & set(loaded)
 
 
 def test_too_large_is_one_class():

@@ -17,6 +17,10 @@ from finitary import (
     basis_words,
     fully_ordered_sequences,
 )
+from finitary.complexes import simplex_key, vertex_mask
+from finitary.envelope import deletions
+from finitary.errors import members
+from finitary.manifolds import StructureFailure
 
 from conftest import random_antisymmetric_relation
 
@@ -254,6 +258,18 @@ class TestCheckStructure:
         report = m.check_structure()
         assert any(f.check == "fully-ordered" for f in report.failures)
 
+    def test_report_equals_all_four_scans(self):
+        # the pair scan runs only when another check fails; the report must
+        # be the one the four unconditional scans give, failing or not
+        rng = random.Random(89)
+        passing = 0
+        for _ in range(2000):
+            m = random_word_family(rng, rng.randint(1, 5))
+            expected = all_four_scans(m)
+            assert m.check_structure().failures == expected
+            passing += not expected
+        assert 300 < passing < 1700
+
     def test_report_of_every_failure_kind_is_pinned(self):
         words = [W(0), W(1), W(0, 1), W(1, 0), W(0, 2), W(0, 1, 0), W(0, 1, 2)]
         report = Manifold(("1", "2", "3"), words=words).check_structure()
@@ -279,6 +295,80 @@ class TestCheckStructure:
             (W(0, 1), W(1, 0), W(0, 1, 0)),
             (2,),
         ]
+
+
+def all_four_scans(m):
+    """The structure failures of m, every check scanned unconditionally."""
+    words = list(m.words())
+    word_set = set(words)
+    rel = m.relation()
+    failures = []
+    for w in words:
+        for sub in map(Word, deletions(w)):
+            if sub not in word_set:
+                failures.append(
+                    StructureFailure(
+                        "hereditarity",
+                        (w, sub),
+                        f"{m.word_label(w)} present but its face {m.word_label(sub)} is missing",
+                    )
+                )
+    for w in words:
+        if len(set(w)) != len(w):
+            message = f"{m.word_label(w)} repeats a letter"
+            failures.append(StructureFailure("fully-ordered", (w,), message))
+            continue
+        for s in range(len(w)):
+            for t in range(s + 1, len(w)):
+                a, b = w[s], w[t]
+                if rel.holds(a, b) and not rel.holds(b, a):
+                    continue
+                how = "is related both ways" if rel.holds(a, b) else "is unrelated"
+                failures.append(
+                    StructureFailure(
+                        "fully-ordered",
+                        (w, (a, b)),
+                        f"{m.word_label(w)}: pair ({m.labels[a]},{m.labels[b]}) {how}",
+                    )
+                )
+    by_set = {}
+    for w in words:
+        by_set.setdefault(vertex_mask(w), []).append(w)
+    for vset, group in sorted(by_set.items(), key=lambda kv: simplex_key(kv[0])):
+        if len(group) > 1:
+            names = ", ".join(map(m.word_label, group))
+            vertices = m.word_label(members(vset))
+            message = f"vertex set {{{vertices}}} carries several orderings: {names}"
+            failures.append(StructureFailure("uniqueness", tuple(group), message))
+    for i in range(m.n):
+        if W(i) not in word_set:
+            message = f"singleton {m.labels[i]} is missing"
+            failures.append(StructureFailure("singletons", (i,), message))
+    return tuple(failures)
+
+
+def random_word_family(rng, n):
+    """A closed family (network words, maybe truncated) with up to three
+    random edits: a word dropped (a missing face or singleton), a second
+    ordering of a word's vertex set, a repeated letter, or any word."""
+    words = set(Manifold.from_relation(random_antisymmetric_relation(rng, n)).words())
+    top = rng.randint(0, n - 1)
+    words = {w for w in words if w.grade <= top}
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        w = rng.choice(sorted(words))
+        edit = rng.randrange(4)
+        if edit == 0 and len(words) > 1:
+            words.discard(w)
+        elif edit == 1 and len(w) > 1:
+            words.add(W(*reversed(w)))
+        elif edit == 2 and len(w) > 1 and w[-1] != w[0]:
+            words.add(W(*w, w[0]))
+        elif edit == 3:
+            letters = [rng.randrange(n)]
+            for _ in range(rng.randrange(4) if n > 1 else 0):
+                letters.append(rng.choice([v for v in range(n) if v != letters[-1]]))
+            words.add(W(*letters))
+    return Manifold(tuple(str(i + 1) for i in range(n)), words=words)
 
 
 class TestWordFamilies:
