@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-# Dimension of ideal-complement manifolds is decided by a product of
-# subsequence-avoidance automata: infinite exactly when the automaton
-# graph has a reachable cycle among live states.
+# Dimension of ideal-complement manifolds is decided from the generators:
+# infinite exactly when two letters carry no generator spelled with those
+# two letters alone; a finite dimension is the longest path through a
+# product of subsequence-avoidance automata.
 
 import math
 

@@ -11,7 +11,6 @@ from finitary import (
     generated_space,
     hasse,
     members,
-    poset_isomorphic,
     trace_substitute,
 )
 from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
@@ -37,12 +36,22 @@ for trace, representative in sorted(traces_seen.items(), key=lambda kv: members(
     arcs = ",".join(covering.cover_labels[i] for i in members(trace))
     print(f"  trace {{{arcs}}}   first sample at {representative}*pi")
 
-# the quotient poset is the boundary-triangle space
-triangle = generated_space(Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)])))
-mapping = poset_isomorphic(space, triangle)
+# the quotient poset is the boundary-triangle space: arcs C, B, A go to
+# vertices 1, 2, 3, and the class with trace t to the word whose letter set
+# is the image of t
+triangle_manifold = Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)]))
+triangle = generated_space(triangle_manifold)
+point_of = {frozenset(w): y for y, w in enumerate(triangle_manifold.words())}
+mapping = [point_of[frozenset(2 - arc for arc in members(t))] for t in traces_seen]
+# a bijection that preserves and reflects the order
+isomorphic = sorted(mapping) == list(range(triangle.n)) and all(
+    space.le(x, z) == triangle.le(mapping[x], mapping[z])
+    for x in range(space.n)
+    for z in range(space.n)
+)
 print()
-print("isomorphic to the triangle space:", mapping is not None)
-assert mapping is not None
+print("isomorphic to the triangle space:", isomorphic)
+assert isomorphic
 for x, y in enumerate(mapping):
     print(f"  {space.labels[x]}*pi  ->  {triangle.labels[y]}")
 

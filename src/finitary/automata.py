@@ -3,12 +3,13 @@ enumeration.
 
 The nonvanishing words of an ideal-complement calculus form the language
 of adjacency-valid words (no equal adjacent letters) avoiding every
-generator as a subsequence.  That language is recognized by the product
-of one avoidance DFA per generator with the last-letter automaton, so:
+generator as a subsequence.  Each question about it has one algorithm:
 
-  * the language is infinite  iff  a cycle is reachable among live states;
-  * otherwise the reachable graph is a DAG and the longest word is the
-    longest path from the start state;
+  * the language is infinite  iff  two letters a != b carry no generator
+    spelled with a and b alone (is_finite, read off the generators);
+  * otherwise the longest word is the longest path from the start state
+    of the product of one avoidance DFA per generator with the
+    last-letter automaton, a DAG;
   * the words themselves are the paths from the start state, listed level
     by level (one level per grade) with at most MAX_WORDS of them.
 
@@ -25,6 +26,7 @@ mask of each block's top bit.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import TooLarge
@@ -89,22 +91,45 @@ def avoiding_words(
             yield word
 
 
+def is_finite(vertex_count: int, generators: Iterable) -> bool:
+    """True iff finitely many adjacency-valid words avoid every generator.
+
+    That holds iff every pair of letters a < b is blocked: some generator's
+    letter set is {a}, {b} or {a, b}.  An unblocked pair leaves the words
+    abab... of every length.  An infinite language has an infinite word all
+    of whose prefixes survive; the letters recurring in it, at least two,
+    embed every word spelled with them, so no pair of them is blocked.  A
+    generator with a letter outside 0..vertex_count-1 is never matched.
+    """
+    letters = set(range(vertex_count))
+    # the masks of the letter sets of at most two letters, all vertices
+    small = {sum(1 << k for k in g) for g in map(set, generators) if len(g) <= 2 and g <= letters}
+    return all(
+        not small.isdisjoint((1 << a, 1 << b, 1 << a | 1 << b))
+        for a, b in combinations(range(vertex_count), 2)
+    )
+
+
 def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | float:
     """Length of the longest nonempty adjacency-valid word avoiding every
-    generator as a subsequence, or math.inf when there is no bound.
+    generator as a subsequence, or math.inf when is_finite says there is
+    no bound.
 
     Generators must have length >= 2, so single-letter words always exist
-    and the result is at least 1.  Each state is reached by a word of its
-    own, so a finite language whose words can be listed (at most
-    MAX_WORDS) has at most MAX_WORDS + 1 states, the start included; the
-    walk raises TooLarge once it holds more.
+    and the result is at least 1.  A finite language has an acyclic
+    automaton, walked depth first for its longest path.  Each state is
+    reached by a word of its own, so a language whose words can be listed
+    (at most MAX_WORDS) has at most MAX_WORDS + 1 states, the start
+    included; the walk raises TooLarge once it holds more.
     """
+    generators = list(generators)
     start, masks, last = _compile(vertex_count, generators)
+    if not is_finite(vertex_count, generators):
+        return math.inf
 
-    # Iterative DFS.  longest[state] is None while the state is on the
-    # current path, so meeting it again is a back edge (a pumpable cycle);
-    # once its successors are done it holds the longest path (in letters)
-    # out of the state.  Each frame carries its own running best.
+    # Iterative DFS over a DAG: longest[state] is the longest path (in
+    # letters) out of the state once its successors are done.  Each frame
+    # carries its own running best.
     longest: dict = {start: None}
     stack = [[start, _successors(start, masks, last), 0]]
     while stack:
@@ -118,8 +143,6 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
                     )
                 stack.append([nxt, _successors(nxt, masks, last), 0])
                 break
-            if longest[nxt] is None:
-                return math.inf
             frame[2] = max(frame[2], 1 + longest[nxt])
         else:
             state, _, best = stack.pop()

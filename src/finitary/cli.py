@@ -91,11 +91,6 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_manifold(args) -> int:
     m = _load_manifold(args.file)
-    dim = m.dimension()
-    dim_text = "infinite" if math.isinf(dim) else str(dim)
-    if args.op == "dim":
-        print(f"dimension: {dim_text}")
-        return 0
     if args.op == "check":
         report = m.check_structure()
         print(str(report))
@@ -104,6 +99,11 @@ def _cmd_manifold(args) -> int:
             return 0
         print("structure: FAILED")
         return 1
+    dim = m.dimension()
+    dim_text = "infinite" if math.isinf(dim) else str(dim)
+    if args.op == "dim":
+        print(f"dimension: {dim_text}")
+        return 0
     # info: enumerate before the first print, so a refusal leaves stdout empty
     kind = (
         f"explicit ({sum(1 for _ in m.words())} words)"

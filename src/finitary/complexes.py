@@ -32,8 +32,10 @@ def label_separator(table: Sequence[str]) -> str:
     It is decided by the whole table, not by the labels joined: only when
     every table label is one character is it omitted, so a joined label can
     never equal a vertex label (as "12" would on a 12-vertex table).  The
-    value holding the table decides it once.
+    value holding the table decides it once, and its labels must be unique.
     """
+    if len(set(table)) != len(table):
+        raise ValueError("vertex labels must be unique")
     return "" if all(len(lbl) == 1 for lbl in table) else ","
 
 

@@ -79,18 +79,16 @@ def word_key(w: Word):
 
 
 def word_validate(letters: Iterable[int], vertex_count: int) -> Word:
-    """Boundary validation of a letter sequence against a vertex table size."""
-    letters = tuple(letters)
-    if not letters:
-        raise EmptyWord("a basis word needs at least one letter")
-    for letter in letters:
-        if not isinstance(letter, int) or isinstance(letter, bool):
-            raise IndexOutOfRange(f"letter {letter!r} is not a vertex index")
-        if not 0 <= letter < vertex_count:
+    """Boundary validation of a letter sequence against a vertex table size:
+    the Word it spells (a Word is taken as is, already checked), with every
+    letter below vertex_count."""
+    word = letters if type(letters) is Word else Word(letters)
+    for letter in word:
+        if letter >= vertex_count:
             raise IndexOutOfRange(
                 f"letter {letter} outside vertex table of size {vertex_count}"
             )
-    return Word(letters)
+    return word
 
 
 def is_subsequence(inner: Iterable[int], outer: Iterable[int]) -> bool:

@@ -18,11 +18,12 @@ class TooLarge(FinitaryError):
     The caps: automata.MAX_WORDS, 100 000 words listed from an ideal's
     automaton or a relation's paths (a relation file's ``n`` header above
     MAX_WORDS is refused before anything is built), and MAX_WORDS + 1
-    automaton states walked to decide an ideal's dimension;
+    automaton states walked for the dimension of a finite ideal whose
+    words are not listed (an infinite one is told by its generators);
     coarse.MAX_SAMPLES, 100 000 sample points on the circle or in the cells
-    of a complex; 20 points for
-    topology.open_sets; complexes.MAX_CELLS, 4096 cells in the closure
-    SimplicialComplex.closed builds from a complex file.
+    of a complex; 20 points for topology.open_sets; complexes.MAX_CELLS,
+    4096 cells in the closure SimplicialComplex.closed builds from a
+    complex file.
     """
 
 
@@ -46,7 +47,7 @@ class Value:
     Invariant: every slot is set when the value is built, past the guard
     (through object.__setattr__ or the slot's own descriptor), and nothing
     changes a slot afterwards, except that a slot caching a derived result
-    (Manifold's dimension and word listing) may be filled once from None.
+    (Manifold's word listing) may be filled once from None.
     Assigning or deleting an attribute raises AttributeError.  Equality and
     hash compare ``_key()``, the slot values in order unless a subclass
     overrides it, between values of one exact type.  Since a value never

@@ -6,7 +6,8 @@ word family directly, as one tuple in canonical order (grade-major, then
 lexicographic).  An ideal-complement manifold stores a BasicIdeal and
 treats every word outside the ideal as nonvanishing; that family may be
 infinite, so only dimension detection and grade-truncated enumeration are
-offered for it.  When it is finite, its first full listing is kept in the
+offered for it.  Whether it is finite is read off the ideal's generators
+(automata.is_finite); when it is, its first full listing is kept in the
 same tuple.
 
 A manifold built from a reflexive relation r ("network" construction)
@@ -21,12 +22,11 @@ library, and the chains are extended by ANDing those masks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Iterable, Iterator
 
-from .automata import MAX_WORDS, avoiding_words, longest_avoiding_word
+from .automata import MAX_WORDS, avoiding_words, is_finite, longest_avoiding_word
 from .complexes import (
     SimplicialComplex, default_labels, label_separator, simplex_key, vertex_mask
 )
@@ -155,7 +155,7 @@ class Manifold(Value):
     """A vertex table plus the family of nonvanishing words (explicit or as
     the complement of a basic ideal)."""
 
-    __slots__ = ("labels", "_words", "ideal", "_dim", "_separator")
+    __slots__ = ("labels", "_words", "ideal", "_separator")
 
     def __init__(self, labels: tuple[str, ...], words=None, ideal: BasicIdeal | None = None):
         if (words is None) == (ideal is None):
@@ -164,7 +164,6 @@ class Manifold(Value):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_separator", label_separator(labels))
         object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "_dim", None)
         object.__setattr__(self, "_words", None)
         if words is not None:
             validated = {word_validate(w, len(labels)) for w in words}
@@ -210,35 +209,35 @@ class Manifold(Value):
         return self._separator.join(self.labels[i] for i in w)
 
     def dimension(self) -> int | float:
-        """Largest grade carrying a nonvanishing word; math.inf if unbounded."""
-        if self._dim is None:
-            if self.is_explicit:
-                dim = self._words[-1].grade
-            else:
-                dim = longest_avoiding_word(self.n, self.ideal.generators) - 1
-            object.__setattr__(self, "_dim", dim)
-        return self._dim
+        """Largest grade carrying a nonvanishing word; math.inf if unbounded.
+
+        Read off the kept listing (-1 when it is empty, on zero vertices);
+        an unlisted ideal complement walks its automaton for the longest
+        word instead, without listing the words.
+        """
+        if self._words is None:
+            return longest_avoiding_word(self.n, self.ideal.generators) - 1
+        return self._words[-1].grade if self._words else -1
 
     def words(self, max_grade=None) -> Iterator[Word]:
         """Nonvanishing words, grade-major then lexicographic.
 
         Ideal-complement manifolds of infinite dimension require max_grade;
         their enumeration raises TooLarge past automata.MAX_WORDS words.
-        The first full listing of a finite one is kept; a truncated or
-        infinite listing walks the automaton each time.
+        The first full listing of a finite one is kept; before it, a
+        truncated listing walks the automaton to max_grade and keeps
+        nothing.
         """
         if self._words is None:
-            dim = self.dimension()
-            if max_grade is None and math.isinf(dim):
-                raise InfiniteDimensional(
-                    "infinite family of words; pass max_grade to truncate"
-                )
-            top = dim if max_grade is None else min(max_grade, dim)
+            n, gens = self.n, self.ideal.generators
             # the automaton never places equal letters side by side
-            walk = map(_word, avoiding_words(self.n, self.ideal.generators, int(top)))
-            if top < dim:
-                return walk
-            object.__setattr__(self, "_words", tuple(walk))
+            if max_grade is not None:
+                return map(_word, avoiding_words(n, gens, max_grade))
+            if not is_finite(n, gens):
+                raise InfiniteDimensional("infinite family of words; pass max_grade to truncate")
+            # MAX_WORDS words cannot reach grade MAX_WORDS: the cap stops first
+            walk = avoiding_words(n, gens, MAX_WORDS)
+            object.__setattr__(self, "_words", tuple(map(_word, walk)))
         if max_grade is None:
             return iter(self._words)
         return takewhile(lambda w: w.grade <= max_grade, self._words)
@@ -254,7 +253,7 @@ class Manifold(Value):
         """True iff the word family equals all fully ordered arrangements of
         its own 1-form relation.  Stops at the first arrangement that is not
         a word, so a large relation behind a small family is not listed."""
-        if math.isinf(self.dimension()):
+        if not self.is_explicit and not is_finite(self.n, self.ideal.generators):
             raise InfiniteDimensional("network test needs a finite word family")
         word_set = set(self.words())
         rel = self.relation()
@@ -285,7 +284,7 @@ class Manifold(Value):
         deletions, a grade-1 word by (a), and (b, a), a second ordering of
         {a, b}, is not one by (c).
         """
-        if not self.is_explicit and math.isinf(self.dimension()):
+        if not self.is_explicit and not is_finite(self.n, self.ideal.generators):
             raise InfiniteDimensional("structure checks need a finite word family")
         words = list(self.words())
         word_set = set(words)

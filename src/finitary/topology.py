@@ -17,10 +17,10 @@ usual picture where an edge lies under its endpoints in the Hasse graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .automata import is_finite
 from .envelope import deletions, is_subsequence
 from .errors import TooLarge, Value, members
 from .manifolds import InfiniteDimensional, Manifold
@@ -120,7 +120,7 @@ def generated_space(m: Manifold) -> FiniteSpace:
     each word into the masks of its deletions, builds every min_open.  A
     family missing some deletion falls back to testing all pairs.
     """
-    if not m.is_explicit and math.isinf(m.dimension()):
+    if not m.is_explicit and not is_finite(m.n, m.ideal.generators):
         raise InfiniteDimensional("generated space needs a finite word family")
     words = list(m.words())
     opens = _deletion_closure(words)

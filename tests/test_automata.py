@@ -163,3 +163,73 @@ def test_avoiding_words_agree_with_brute_force():
         for grade in range(top + 1):
             got = list(avoiding_words(n, gens, grade))
             assert got == [w for w in expected if len(w) <= grade + 1], (n, gens, grade)
+
+
+def cycle_search_longest(vertex_count, generators):
+    """The longest word by a depth-first walk that also finds the language
+    infinite, by meeting a state again on its own path (a pumpable cycle)."""
+    start, masks, last = automata._compile(vertex_count, generators)
+    longest = {start: None}
+    stack = [[start, automata._successors(start, masks, last), 0]]
+    while stack:
+        frame = stack[-1]
+        for nxt in frame[1]:
+            if nxt not in longest:
+                longest[nxt] = None
+                if len(longest) > automata.MAX_WORDS + 1:
+                    raise TooLarge("state cap")
+                stack.append([nxt, automata._successors(nxt, masks, last), 0])
+                break
+            if longest[nxt] is None:
+                return math.inf
+            frame[2] = max(frame[2], 1 + longest[nxt])
+        else:
+            state, _, best = stack.pop()
+            longest[state] = best
+            if stack:
+                stack[-1][2] = max(stack[-1][2], 1 + best)
+    return longest[start]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_finiteness_criterion_agrees_with_the_cycle_search():
+    rng = random.Random(19)
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        # letters -1 and n are never matched; repeats and one-letter sets
+        # such as (0, 0) and (1, 1, 1) block every pair holding their letter
+        gens = [
+            tuple(rng.randint(-1, n) for _ in range(rng.randint(2, 4)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rng.random() < 0.3:
+            gens.append(rng.choice([(0, 0), (1, 1, 1)]))
+        if rng.random() < 0.02:
+            gens.append((0,))  # too short: ValueError from both
+        assert outcome(longest_avoiding_word, n, gens) == outcome(
+            cycle_search_longest, n, gens
+        ), (n, gens)
+
+
+def test_one_letter_generator_blocks_its_letter():
+    # avoiding (0, 0): 0 occurs at most once, so 101 is the longest word
+    assert longest_avoiding_word(2, [(0, 0)]) == 3
+    assert automata.is_finite(3, [(1, 1, 1), (0, 2)])
+    assert not automata.is_finite(3, [(1, 1, 1)])
+
+
+def test_generator_outside_the_vertices_blocks_nothing():
+    assert not automata.is_finite(2, [(0, 1, 2)])
+    assert not automata.is_finite(2, [(-1, 0)])
+    assert automata.is_finite(2, [(0, 1, 0)])
+
+
+def test_short_generator_is_refused_before_the_criterion():
+    with pytest.raises(ValueError):
+        longest_avoiding_word(3, [(0, 1), (2,)])

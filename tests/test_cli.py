@@ -169,6 +169,30 @@ class TestManifold:
         code, out, _ = run(capsys, "manifold", "dim", str(f))
         assert (code, out) == (0, "dimension: 6\n")
 
+    def test_listing_past_the_word_cap_is_refused(self, capsys, tmp_path):
+        # finite, but its 109 600 words pass the word cap
+        f = self._distinct_letters_ideal(tmp_path, 8)
+        for argv in (("manifold", "check"), ("topology", "hasse")):
+            code, out, err = run(capsys, *argv, str(f))
+            assert (code, out) == (2, "")
+            assert err == "error[TooLarge]: word enumeration is capped at 100000 words\n"
+
+    def test_infinite_ideal_is_decided_from_its_generators(self, capsys, tmp_path):
+        # every pair of v0..v18 but {v17, v18} carries a two-letter
+        # generator, so only the words alternating v17 and v18 grow without
+        # bound; a depth-first search of the automaton passes 100 001 states
+        # before it meets a cycle
+        f = tmp_path / "inf19.manifold"
+        gens = [f"v{j}, v{i}" for i in range(17) for j in range(i + 1, 17)]
+        gens += [f"v{i}, v{k}" for k in (17, 18) for i in range(17)]
+        header = "vertices: " + ", ".join(f"v{i}" for i in range(19))
+        f.write_text("\n".join([header, "ideal:", *gens]) + "\n")
+        code, out, _ = run(capsys, "manifold", "dim", str(f))
+        assert (code, out) == (0, "dimension: infinite\n")
+        code, out, err = run(capsys, "topology", "hasse", str(f))
+        assert (code, out) == (2, "")
+        assert "error[InfiniteDimensional]" in err
+
     def test_info_walks_the_automaton_once(self, capsys, tmp_path, monkeypatch):
         walks = []
         original = manifolds.avoiding_words

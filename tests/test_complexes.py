@@ -26,6 +26,10 @@ class TestValidation:
         with pytest.raises(NotASimplex):
             SimplicialComplex(3, [mask(0), mask(1), mask(2), mask(0, 1, 2)])
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="vertex labels must be unique"):
+            SimplicialComplex(2, [1, 2, 3], labels=("a", "a"))
+
     def test_missing_singleton_rejected(self):
         with pytest.raises(NotASimplex):
             SimplicialComplex(3, [mask(0), mask(1)])

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import ast
 import json
 import os
 import re
@@ -61,4 +62,28 @@ def test_every_export_has_a_caller():
         use = re.compile(rf"\b{name}\b")
         if not any(use.search(definition.sub("", t)) for t in texts):
             unused.append(name)
+    assert unused == []
+
+
+def test_every_module_import_is_used():
+    # A module-level import whose bound name the module never reads is
+    # dead, unless its line says noqa (a name kept for another module).
+    unused = []
+    for path in sorted((ROOT / "src" / "finitary").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            statement = lines[node.lineno - 1 : node.end_lineno]
+            if getattr(node, "module", None) == "__future__" or any("noqa" in l for l in statement):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}: {name}")
     assert unused == []

@@ -16,6 +16,8 @@ from finitary import (
     Word,
     basis_words,
     fully_ordered_sequences,
+    generated_space,
+    manifolds,
 )
 from finitary.complexes import simplex_key, vertex_mask
 from finitary.envelope import deletions
@@ -181,6 +183,30 @@ class TestDimension:
             words = list(m.words(max_grade=6) if math.isinf(dim) else m.words())
             assert words == oracle
             assert max(w.grade for w in words) == top
+
+    def test_generated_space_walks_the_automaton_once(self, monkeypatch):
+        calls = []
+        for name in ("avoiding_words", "longest_avoiding_word"):
+            original = getattr(manifolds, name)
+            monkeypatch.setattr(
+                manifolds, name, lambda *a, f=original, name=name: calls.append(name) or f(*a)
+            )
+        # the total order on 4 vertices as an ideal complement
+        m = Manifold.from_ideal(BasicIdeal(4, [(j, i) for i in range(4) for j in range(i + 1, 4)]))
+        assert generated_space(m).n == 15
+        assert m.dimension() == 3
+        assert calls == ["avoiding_words"]
+
+    def test_truncated_listing_of_an_unlisted_ideal(self):
+        for ideal in (BasicIdeal(3), BasicIdeal(3, [W(0, 1), W(1, 0)])):
+            m = Manifold.from_ideal(ideal)
+            assert list(m.words(max_grade=0)) == [W(0), W(1), W(2)]
+
+    def test_zero_vertices_list_no_words(self):
+        m = Manifold.from_ideal(BasicIdeal(0))
+        assert m.dimension() == -1
+        assert list(m.words()) == []
+        assert m.dimension() == -1
 
 
 class TestLemmaEquivalence:
@@ -419,6 +445,13 @@ class TestWordFamilies:
                 if all(rel.holds(perm[s], perm[t]) for t in range(size) for s in range(t))
             ]
             assert chains == sorted(expected)
+
+
+def test_duplicate_vertex_labels_are_refused():
+    with pytest.raises(ValueError, match="vertex labels must be unique"):
+        Manifold(("a", "a"), words=[(0,), (1,)])
+    with pytest.raises(ValueError, match="vertex labels must be unique"):
+        Manifold.from_ideal(BasicIdeal(2), labels=("a", "a"))
 
 
 class TestToSimplicial:
