@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import io as fio
+from .automata import is_finite
 from .coarse import (
     STANDARD_CIRCLE_ARCS,
     STANDARD_CIRCLE_EXTRA_POINTS,
@@ -99,22 +100,23 @@ def _cmd_manifold(args) -> int:
             return 0
         print("structure: FAILED")
         return 1
-    dim = m.dimension()
-    dim_text = "infinite" if math.isinf(dim) else str(dim)
     if args.op == "dim":
-        print(f"dimension: {dim_text}")
+        dim = m.dimension()
+        print(f"dimension: {'infinite' if math.isinf(dim) else dim}")
         return 0
-    # info: enumerate before the first print, so a refusal leaves stdout empty
+    # info: enumerate before the first print, so a refusal leaves stdout
+    # empty; a finite family is listed first, and its dimension read off
+    # the last grade without a second walk of the automaton
     kind = (
         f"explicit ({sum(1 for _ in m.words())} words)"
         if m.is_explicit
         else f"ideal complement ({len(m.ideal.generators)} generators)"
     )
-    if math.isinf(dim):
-        network = "n/a (infinite dimensional)"
-    else:
-        network = "yes" if m.is_network() else "no"
-    unlisted = math.isinf(dim) and args.max_grade is None
+    finite = m.is_explicit or is_finite(m.n, m.ideal.generators)
+    network = ("yes" if m.is_network() else "no") if finite else "n/a (infinite dimensional)"
+    dim = m.dimension()
+    dim_text = "infinite" if math.isinf(dim) else str(dim)
+    unlisted = not finite and args.max_grade is None
     by_grade: dict[int, list[str]] = {}
     if not unlisted:
         for w in m.words(max_grade=args.max_grade):

@@ -28,12 +28,14 @@ the same substitute:
     trace_substitute.
 
 The drawn numerators are positive, so every sample's support equals its
-carrier simplex: the sampled route is a cross-check of the closure
-against the trace quotient of the supports, not an independent oracle.
-Both must agree with the space generated by the manifold the complex
-came from; verify_correspondence checks all three for a given manifold.
-Both the circle probe and the sampled route refuse with TooLarge past
-MAX_SAMPLES sample points.
+carrier simplex: the sampled route is a cross-check of the supports
+against the cells, not an independent oracle.  Both must agree with the
+space generated by the manifold the complex came from;
+verify_correspondence checks all three for a given manifold, on covers
+and traces: every space here keeps its words or masks as the recipe of
+its table (FiniteSpace), and a map is certified from those, the tables
+being built only when they do not match.  Both the circle probe and the
+sampled route refuse with TooLarge past MAX_SAMPLES sample points.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd, lcm
 from operator import and_
 from typing import Iterable, Sequence
@@ -110,20 +112,26 @@ def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
 
     Returns the quotient space and the class map (point index -> class
     index).  Classes are ordered by first occurrence and labelled by their
-    first point; min_open(class T) = {classes S : T subset of S}, the AND
-    over the cover sets i in T of the mask of classes holding i, so the
-    quotient is always T0.
+    first point; min_open(class T) = {classes S : T subset of S}, so the
+    quotient is always T0.  The class traces are the space's recipe, its
+    table is built on first read (_holder_opens).
     """
     first: dict[int, str] = {}  # each trace's first point label, in order
     for label, t in zip(c.point_labels, c.traces):
         first.setdefault(t, label)
     index = {t: k for k, t in enumerate(first)}
-    # each trace's members are listed once, compactly, for both passes
-    rows = [array("I", members(t)) for t in first]
-    holders = _transpose(rows, len(c.cover_labels))
-    opens = [reduce(and_, map(holders.__getitem__, row)) for row in rows]
     class_of = tuple(map(index.__getitem__, c.traces))
-    return FiniteSpace._nested(first.values(), opens), class_of
+    build = partial(_holder_opens, len(c.cover_labels))
+    return FiniteSpace._lazy(first.values(), tuple(first), facets, build), class_of
+
+
+def _holder_opens(width: int, traces: Sequence[int]) -> list[int]:
+    """min_open of each class trace T over `width` cover sets: the AND over
+    the cover sets i in T of the mask of classes holding i."""
+    # each trace's members are listed once, compactly, for both passes
+    rows = [array("I", members(t)) for t in traces]
+    holders = _transpose(rows, width)
+    return [reduce(and_, map(holders.__getitem__, row)) for row in rows]
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
@@ -132,11 +140,12 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     One symbolic point per open cell, whose trace is its simplex.  The
     resulting space has one point per simplex with min_open equal to its
     star, the cells having it as a face: the cofacet closure, one OR per
-    (cell, facet) pair.  It equals the trace quotient of the simplices,
-    which sampled_substitute computes from sampled supports.
+    (cell, facet) pair, built on first read from the simplices, the
+    space's recipe.  It equals the trace quotient of the simplices, which
+    sampled_substitute computes from sampled supports.
     """
-    opens = _deletion_closure(p.simplices, facets)
-    return FiniteSpace._nested([p.simplex_label(t) for t in p.simplices], opens)
+    build = partial(_deletion_closure, faces=facets)
+    return FiniteSpace._lazy(map(p.simplex_label, p.simplices), p.simplices, facets, build)
 
 
 def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[int, ...]]]:
@@ -363,9 +372,39 @@ def _unpreserved(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, int] | None:
     return None
 
 
+def _recipes_match(a: FiniteSpace, b: FiniteSpace, phi) -> bool:
+    """True when the recipes of a and b prove the bijection phi an order
+    isomorphism, without their tables; False when they do not (phi may
+    still be one).
+
+    A finite order is the reflexive-transitive closure of its covers
+    (Stong, Trans. AMS 123 (1966) 325).  When every face of every item is
+    again an item, the table of a recipe space is that closure of its
+    face relation: _deletion_closure ORs down exactly these faces, and the
+    inclusion order of a facet-closed family of trace masks is reached by
+    facets.  So phi is an isomorphism when it maps the faces of each point
+    exactly onto the faces of its image.  Between two spaces ordered by
+    mask inclusion (a complex's cells, always facet-closed, or class
+    traces), the identity is one when both list the same masks.
+    """
+    if a._recipe is None or b._recipe is None:
+        return False
+    (xs, a_faces, _), (ys, b_faces, _) = a._recipe, b._recipe
+    if a_faces is b_faces is facets and phi == tuple(range(a.n)):
+        return xs == ys
+    image = dict(zip(xs, map(ys.__getitem__, phi)))
+    try:
+        return all({image[f] for f in a_faces(x)} == set(b_faces(image[x])) for x in xs)
+    except KeyError:  # a face of a that is not a point of a
+        return False
+
+
 def _certified(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, ...] | None:
-    """phi when it is an order isomorphism, else None."""
-    return phi if phi is not None and _unpreserved(a, b, phi) is None else None
+    """phi when it is an order isomorphism, else None: proved from the
+    recipes when they match, else decided on the tables."""
+    if phi is not None and (_recipes_match(a, b, phi) or _unpreserved(a, b, phi) is None):
+        return phi
+    return None
 
 
 def _grade_counts(s: FiniteSpace) -> str:
@@ -392,7 +431,12 @@ def verify_correspondence(
     C  the sampled substitute of the same complex.
 
     Reports explicit bijections A ~ B ~ C, or the failing pair.  The
-    bijections are certificates checked against min_open.  to_simplicial
+    bijections are certificates, checked on covers and traces: A -> B
+    maps the one-letter deletions of each word onto the facets of its
+    image, and B -> C holds when the class traces are the cells
+    (_recipes_match).  Only when that does not match are they checked
+    against the min_open tables, which the failure report reads too; a
+    passing check builds no table.  to_simplicial
     has checked the structure of m, under which a word is a subsequence of
     another exactly when its letter set is a face of the other's: so word
     -> its letter set (the simplex carrying the word's label) is an order

@@ -47,12 +47,14 @@ class Value:
     Invariant: every slot is set when the value is built, past the guard
     (through object.__setattr__ or the slot's own descriptor), and nothing
     changes a slot afterwards, except that a slot caching a derived result
-    (Manifold's word listing) may be filled once from None.
+    (Manifold's word listing, FiniteSpace's min_open table) may be filled
+    once from None.
     Assigning or deleting an attribute raises AttributeError.  Equality and
     hash compare ``_key()``, the slot values in order unless a subclass
     overrides it, between values of one exact type.  Since a value never
     changes, a copy or deep copy is the value itself, and unpickling
-    restores the slots as they were, without running the constructor again.
+    restores the slots as they were, without running the constructor again
+    (FiniteSpace pickles its table and not the recipe it is built from).
     """
 
     __slots__ = ()

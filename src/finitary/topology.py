@@ -13,6 +13,10 @@ For spaces generated by a manifold the points are the nonvanishing words
 and min_open(a) collects every word having a as a subsequence; under the
 orientation above, larger words sit *below* their faces, matching the
 usual picture where an edge lies under its endpoints in the Hasse graph.
+
+The library's own spaces keep the recipe their table comes from (the
+words of the manifold, or the masks of a substitute) and build min_open
+on its first read; only the public constructor takes a table.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .automata import is_finite
 from .envelope import deletions, is_subsequence
-from .errors import TooLarge, Value, members
+from .errors import TooLarge, Value, _restore, members
 from .manifolds import InfiniteDimensional, Manifold
 
 
@@ -40,15 +44,25 @@ class FiniteSpace(Value):
     """Points with display labels plus the minimal-open-set map, one int
     bitmask per point (bit y of min_open[x] set iff y lies in it).
 
-    Construction checks that min_open(x) contains x and no point outside
-    the space, and the nesting coherence y in min_open(x) => min_open(y)
-    subset of min_open(x); together these make min_open the basis of an
-    actual topology.  The spaces this module builds are nested by
-    construction and skip the nesting check, which costs one mask test per
-    comparable pair.
+    The public constructor takes the table and checks that min_open(x)
+    contains x and no point outside the space, and the nesting coherence
+    y in min_open(x) => min_open(y) subset of min_open(x); together these
+    make min_open the basis of an actual topology.
+
+    The spaces the library builds (generated_space and the substitutes in
+    coarse) carry a recipe instead: their items in point order (words,
+    cell masks or class traces), the function listing an item's faces
+    (one-letter deletions, or facets of a mask), and the function that
+    builds the table from the items.  That table is nested by
+    construction, skips the checks, and is built on the first read of
+    min_open: a space whose table nothing reads never holds its n masks
+    of up to n bits.  The recipe also certifies maps between spaces
+    without any table (coarse.verify_correspondence).  Equality, hash,
+    copy and pickle compare or carry (labels, min_open), never the
+    recipe.
     """
 
-    __slots__ = ("labels", "min_open")
+    __slots__ = ("labels", "_min_open", "_recipe")
 
     def __init__(self, labels: Sequence[str], min_open: Sequence[int]):
         labels, opens = tuple(labels), tuple(min_open)
@@ -67,20 +81,36 @@ class FiniteSpace(Value):
                     raise ValueError(
                         f"min_open({labels[y]}) not nested inside min_open({labels[x]})"
                     )
-        self._fill(labels, opens)
+        self._fill(labels, opens, None)
 
     @classmethod
-    def _nested(cls, labels: Sequence[str], opens: Sequence[int]) -> "FiniteSpace":
-        """A space whose masks are reflexive and nested by construction."""
+    def _lazy(cls, labels: Iterable[str], items: tuple, faces: Callable, build: Callable):
+        """A space whose table build(items) makes on its first read."""
         space = object.__new__(cls)
-        space._fill(tuple(labels), tuple(opens))
+        space._fill(tuple(labels), None, (items, faces, build))
         return space
 
-    def _fill(self, labels: tuple, opens: tuple) -> None:
+    def _fill(self, labels: tuple, opens: tuple | None, recipe: tuple | None) -> None:
         if len(set(labels)) != len(labels):
             raise ValueError("point labels must be unique")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "min_open", opens)
+        object.__setattr__(self, "_min_open", opens)
+        object.__setattr__(self, "_recipe", recipe)
+
+    @property
+    def min_open(self) -> tuple[int, ...]:
+        if self._min_open is None:
+            items, _, build = self._recipe
+            object.__setattr__(self, "_min_open", tuple(build(items)))
+        return self._min_open
+
+    def _key(self):
+        return self.labels, self.min_open
+
+    def __reduce__(self):
+        # the slots labels, _min_open, _recipe: an unread space builds its
+        # table here, and the twin carries no recipe
+        return _restore, (type(self), (*self._key(), None))
 
     @property
     def n(self) -> int:
@@ -109,7 +139,17 @@ def generated_space(m: Manifold) -> FiniteSpace:
     """The finite space on the nonvanishing words of a manifold.
 
     min_open(a) = all words containing a as a subsequence.  Only finite
-    dimensional manifolds have a finite point set.
+    dimensional manifolds have a finite point set.  The words are the
+    space's recipe; its table is built on first read (_subsequence_opens).
+    """
+    if not m.is_explicit and not is_finite(m.n, m.ideal.generators):
+        raise InfiniteDimensional("generated space needs a finite word family")
+    words = tuple(m.words())
+    return FiniteSpace._lazy(map(m.word_label, words), words, deletions, _subsequence_opens)
+
+
+def _subsequence_opens(words: Sequence) -> list[int]:
+    """min_open of each word: the words containing it as a subsequence.
 
     When every valid one-letter deletion of a word is again a word (a
     hereditary family, as every ideal complement and network manifold is),
@@ -120,16 +160,13 @@ def generated_space(m: Manifold) -> FiniteSpace:
     each word into the masks of its deletions, builds every min_open.  A
     family missing some deletion falls back to testing all pairs.
     """
-    if not m.is_explicit and not is_finite(m.n, m.ideal.generators):
-        raise InfiniteDimensional("generated space needs a finite word family")
-    words = list(m.words())
     opens = _deletion_closure(words)
     if opens is None:
         opens = [
             sum(1 << j for j, v in enumerate(words) if is_subsequence(u, v))
             for u in words
         ]
-    return FiniteSpace._nested([m.word_label(w) for w in words], opens)
+    return opens
 
 
 def _deletion_closure(items: Sequence, faces: Callable = deletions) -> list[int] | None:

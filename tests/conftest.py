@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from finitary import Manifold, Relation
+from finitary import Manifold, Relation, coarse, topology
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -11,6 +11,27 @@ DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> dict[str, int]:
+    """Calls of the three min_open builders a library-built space runs on
+    its first table read: generated, symbolic and trace-quotient spaces."""
+    counts = {"generated": 0, "symbolic": 0, "trace": 0}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        topology, "_subsequence_opens", counted("generated", topology._subsequence_opens)
+    )
+    monkeypatch.setattr(coarse, "_deletion_closure", counted("symbolic", coarse._deletion_closure))
+    monkeypatch.setattr(coarse, "_holder_opens", counted("trace", coarse._holder_opens))
+    return counts
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from finitary import io as fio, manifolds
@@ -210,9 +211,62 @@ class TestManifold:
         assert code == 0 and "network: yes" in out
         assert len(walks) == 1
 
+    def test_info_lists_a_finite_ideal_before_its_dimension(self, capsys, tmp_path, monkeypatch):
+        calls = {"avoiding_words": 0, "longest_avoiding_word": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(manifolds, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(manifolds, name, counted)
+        # the total order on 4 vertices as an ideal complement: j, i for i < j
+        f = tmp_path / "total4.manifold"
+        gens = [f"{j}, {i}" for i in range(1, 5) for j in range(i + 1, 5)]
+        f.write_text("\n".join(["vertices: 1, 2, 3, 4", "ideal:", *gens]) + "\n")
+        code, out, _ = run(capsys, "manifold", "info", str(f))
+        assert code == 0 and "dimension: 3\n" in out and "network: yes" in out
+        assert calls == {"avoiding_words": 1, "longest_avoiding_word": 0}
+
+    def test_info_past_the_word_cap_stops_at_the_word_cap(self, capsys, tmp_path):
+        f = self._distinct_letters_ideal(tmp_path, 8)
+        code, out, err = run(capsys, "manifold", "info", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error[TooLarge]: word enumeration is capped at 100000 words\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "manifold", "dim", "no-such-file")
         assert code == 2 and "error[ParseError]" in err
+
+
+class TestTables:
+    """A command builds exactly the min_open tables it prints."""
+
+    @staticmethod
+    def _total_order(tmp_path, n):
+        f = tmp_path / f"total{n}.relation"
+        pairs = [f"{i} <= {j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        f.write_text("\n".join([f"n {n}", *pairs]) + "\n")
+        return f
+
+    def test_verify_correspondence_builds_none(self, capsys, data_dir, tmp_path, table_builds):
+        for path in (data_dir / "triangle.manifold", self._total_order(tmp_path, 10)):
+            for extra in ((), ("--json",)):
+                code, _, _ = run(capsys, "verify", "correspondence", str(path), *extra)
+                assert code == 0
+        assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (("topology", "hasse", "triangle.manifold"), "generated"),
+            (("topology", "json", "triangle.manifold"), "generated"),
+            (("substitute", "simplicial", "triangle_boundary.complex"), "symbolic"),
+        ],
+    )
+    def test_a_printed_space_builds_its_table(self, capsys, data_dir, table_builds, argv, built):
+        code, _, _ = run(capsys, *argv[:2], str(data_dir / argv[2]))
+        assert code == 0
+        assert table_builds == {name: int(name == built) for name in table_builds}
 
 
 class TestTopology:

@@ -26,10 +26,12 @@ from finitary import (
     trace_substitute,
     verify_correspondence,
 )
-from finitary import coarse
+from finitary import coarse, io as fio
 from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
+from finitary.envelope import deletions
+from finitary.errors import FinitaryError
 
-from conftest import random_manifold
+from conftest import DATA, random_manifold
 
 
 def mask(indices):
@@ -365,3 +367,172 @@ class TestCorrespondence:
         at = lines.index("generated ~ symbolic: NOT ISOMORPHIC")
         assert lines[at + 1] == "  points per grade: generated 3, 3; symbolic 3, 3"
         assert lines[-1] == "correspondence: FAILED"
+
+
+def _routes(m, per_cell=1, seed=0):
+    """The three spaces verify_correspondence compares, still unread."""
+    p = m.to_simplicial()
+    return p, generated_space(m), simplicial_substitute(p), sampled_substitute(p, per_cell, seed)
+
+
+def _total_order(n):
+    return Manifold.from_relation(Relation(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+
+
+def _never_certifies_a_rejected_map(a, b):
+    for phi in (coarse._label_map(a, b), coarse._identity(a, b)):
+        if phi is not None and coarse._recipes_match(a, b, phi):
+            assert coarse._unpreserved(a, b, phi) is None
+
+
+def _eager(s):
+    return FiniteSpace(s.labels, s.min_open)
+
+
+def _one_sample_covering(p, traces):
+    """The vertex-star covering of one sample per cell of p, the sample of
+    each cell carrying the given trace."""
+    labels = [f"{p.simplex_label(s)}#0" for s in p.simplices]
+    return Covering(p.labels, labels, traces)
+
+
+class TestRecipeCertificates:
+    """_recipes_match certifies on covers and traces; _unpreserved decides
+    on the tables.  The first must agree with the second wherever
+    verify_correspondence uses it, and never certify a map it rejects."""
+
+    @staticmethod
+    def _manifolds():
+        rng = random.Random(2024)
+        yield from (random_manifold(rng, max_vertices=6) for _ in range(200))
+        for path in sorted(DATA.glob("*.manifold")) + sorted(DATA.glob("*.relation")):
+            try:
+                m = fio.parse_manifold(path.read_text(), source=path.name)
+                m.to_simplicial()
+            except FinitaryError:  # infinite or not antisymmetric: nothing certified
+                continue
+            yield m
+
+    def test_agrees_with_the_tables_on_every_certified_pair(self):
+        checked = 0
+        for m in self._manifolds():
+            _, gen, sym, sam = _routes(m, per_cell=2, seed=checked)
+            for a, b, phi in (
+                (gen, sym, coarse._label_map(gen, sym)),
+                (sym, sam, coarse._identity(sym, sam)),
+            ):
+                assert coarse._recipes_match(a, b, phi) is True
+                assert coarse._unpreserved(a, b, phi) is None
+            checked += 1
+        assert checked == 201  # every random manifold and the triangle
+
+    def test_swapped_labels_are_never_certified_wrongly(self):
+        rng = random.Random(7)
+        swaps = 0
+        for _ in range(200):
+            m = random_manifold(rng, max_vertices=5)
+            p = m.to_simplicial()
+            grades = {}
+            for s in p.simplices:
+                grades.setdefault(s.bit_count(), []).append(s)
+            pairs = [g for g in grades.values() if len(g) > 1]
+            if not pairs:
+                continue
+            s, t = rng.sample(rng.choice(pairs), 2)
+            relabel = {c: p.simplex_label(c) for c in p.simplices}
+            relabel[s], relabel[t] = relabel[t], relabel[s]
+            q = SimplicialComplex(p.vertex_count, p.simplices, p.labels, relabel)
+            gen, swapped = generated_space(m), simplicial_substitute(q)
+            for b in (swapped, _eager(swapped)):
+                _never_certifies_a_rejected_map(gen, b)
+                _never_certifies_a_rejected_map(b, gen)
+            swaps += 1
+        assert swaps > 100
+
+    def test_a_missing_face_is_never_certified_wrongly(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            m = random_manifold(rng, max_vertices=5)
+            words = list(m.words())
+            faces = sorted({f for w in words for f in deletions(w)})
+            if not faces:
+                continue
+            dropped = rng.choice(faces)
+            holed = generated_space(
+                Manifold(m.labels, words=[w for w in words if w != dropped])
+            )
+            # the same family as cell masks, under the same labels
+            masks = [sum(1 << v for v in w) for w in words if w != dropped]
+            traced = trace_substitute(Covering(m.labels, holed.labels, masks))[0]
+            assert coarse._recipes_match(holed, traced, coarse._label_map(holed, traced)) is False
+            assert coarse._recipes_match(traced, holed, coarse._label_map(traced, holed)) is False
+            for a in (holed, _eager(holed)):
+                for b in (traced, _eager(traced)):
+                    _never_certifies_a_rejected_map(a, b)
+                    _never_certifies_a_rejected_map(b, a)
+
+    def test_missing_faces_are_not_read_as_no_faces(self):
+        # the faces 12, 13 and 23 of 123 are all missing, so its present
+        # faces match those of the vertex 3 in an antichain; but 1 <= 123
+        # and 1 <= 3 do not agree
+        holed = generated_space(Manifold(("1", "2", "3"), words=[(0,), (2,), (0, 1, 2)]))
+        antichain = trace_substitute(Covering("abc", holed.labels, [1, 2, 4]))[0]
+        phi = coarse._label_map(holed, antichain)
+        assert coarse._recipes_match(holed, antichain, phi) is False
+        assert coarse._unpreserved(holed, antichain, phi) is not None
+
+    def test_a_replaced_trace_is_never_certified_wrongly(self):
+        rng = random.Random(13)
+        replaced = 0
+        for _ in range(100):
+            m = random_manifold(rng, max_vertices=5)
+            p, _, sym, _ = _routes(m)
+            full = (1 << p.vertex_count) - 1
+            outside = [c for c in range(1, full + 1) if c not in set(p.simplices)]
+            assert trace_substitute(_one_sample_covering(p, p.simplices))[0] == (
+                sampled_substitute(p, per_cell=1, seed=0)
+            )
+            if not outside:
+                continue
+            traces = list(p.simplices)
+            traces[rng.randrange(len(traces))] = rng.choice(outside)
+            sam = trace_substitute(_one_sample_covering(p, traces))[0]
+            assert coarse._recipes_match(sym, sam, coarse._identity(sym, sam)) is False
+            for a in (sym, _eager(sym)):
+                for b in (sam, _eager(sam)):
+                    _never_certifies_a_rejected_map(a, b)
+            replaced += 1
+        assert replaced > 50
+
+    def test_an_eager_space_goes_to_the_tables(self):
+        _, gen, sym, sam = _routes(TRIANGLE)
+        for a, b in ((gen, sym), (sym, sam)):
+            for x, y in ((_eager(a), b), (a, _eager(b))):
+                phi = coarse._label_map(x, y) or coarse._identity(x, y)
+                assert coarse._recipes_match(x, y, phi) is False
+                assert coarse._certified(x, y, phi) == phi
+
+
+class TestLazyTables:
+    """The spaces the library builds fill min_open on its first read."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: TRIANGLE, lambda: _total_order(10)], ids=["triangle", "total-order-10"]
+    )
+    def test_verify_correspondence_reads_no_table(self, table_builds, make):
+        report = verify_correspondence(make(), per_cell=1, seed=0)
+        assert report.render().endswith("correspondence: VERIFIED")
+        assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
+
+    def test_each_table_is_built_once_on_first_read(self, table_builds):
+        _, gen, sym, sam = _routes(TRIANGLE)
+        for s in (gen, sym, sam, gen, sym, sam):
+            assert s.min_open[0] == s.min_open[0]
+        assert table_builds == {"generated": 1, "symbolic": 1, "trace": 1}
+
+    def test_an_eager_space_is_certified_on_the_tables(self, table_builds, monkeypatch):
+        real = coarse.simplicial_substitute
+        monkeypatch.setattr(coarse, "simplicial_substitute", lambda p: _eager(real(p)))
+        report = verify_correspondence(TRIANGLE, per_cell=1, seed=0)
+        assert report.ok
+        assert table_builds == {"generated": 1, "symbolic": 1, "trace": 1}
