@@ -34,7 +34,6 @@ from .manifolds import (
     Relation,
     StructureReport,
     StructureViolation,
-    fully_ordered_sequences,
 )
 from .complexes import NotASimplex, SimplicialComplex
 from .topology import (
@@ -99,7 +98,6 @@ __all__ = [
     "differential",
     "differential_word",
     "form_product",
-    "fully_ordered_sequences",
     "generated_space",
     "hasse",
     "inner",

@@ -20,12 +20,15 @@ Letter k advances each block whose set bit waits for k, the bits of
 adv = s & M[k], and the next state is (k, s + adv), each advanced bit
 moving one place up into its clear neighbour.  A generator matched to its
 last letter has been embedded, which kills the state: adv meets LAST, the
-mask of each block's top bit.
+mask of each block's top bit.  BasicIdeal.contains runs words through
+the same masks, and the level walk, given the chain rule instead, lists
+a relation's chains (manifolds).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -54,7 +57,7 @@ def _compile(vertex_count: int, generators: Iterable):
     return (_START, start), masks, last
 
 
-def _successors(state, masks: list[int], last: int):
+def _successors(masks: list[int], last: int, state):
     previous, s = state
     for k, m in enumerate(masks):
         adv = s & m
@@ -62,33 +65,31 @@ def _successors(state, masks: list[int], last: int):
             yield (k, s + adv)
 
 
-def avoiding_words(
-    vertex_count: int, generators: Iterable, max_grade: int
-) -> Iterator[tuple[int, ...]]:
-    """Every adjacency-valid word of grade at most max_grade avoiding every
-    generator as a subsequence, grade-major then lexicographic.
-
-    Level g holds the (word, state) pairs of grade g; level g + 1 extends
-    each of them by its live successor letters in ascending order, so only
-    one level and its successor are held at a time.  Raises TooLarge once
-    more than MAX_WORDS words have been built.
-    """
-    start, masks, last = _compile(vertex_count, generators)
-    level = [((), start)]
-    built = 0
+def _walk(start, successors, max_grade: int, what: str) -> Iterator[tuple[int, ...]]:
+    """Every word of grade at most max_grade spelled from start, level by
+    level, grade-major then lexicographic; successors(state) lists the
+    states (last letter, int) one letter on, ascending.  A word is yielded
+    as it is built, so a caller that stops early builds no more.  Raises
+    TooLarge, naming what is listed, past MAX_WORDS words."""
+    level, built = [((), start)], 0
     for _ in range(max_grade + 1):
-        following = []
-        for word, state in level:
-            for nxt in _successors(state, masks, last):
+        previous, level = level, []
+        for word, state in previous:
+            for nxt in successors(state):
                 built += 1
                 if built > MAX_WORDS:
-                    raise TooLarge(f"word enumeration is capped at {MAX_WORDS} words")
-                following.append((word + (nxt[0],), nxt))
-        if not following:
+                    raise TooLarge(f"{what} is capped at {MAX_WORDS} words")
+                level.append((word + (nxt[0],), nxt))
+                yield level[-1][0]
+        if not level:
             return
-        level = following
-        for word, _ in level:
-            yield word
+
+
+def avoiding_words(vertex_count: int, generators: Iterable, max_grade: int) -> Iterator:
+    """Every adjacency-valid word of grade at most max_grade avoiding every
+    generator as a subsequence, by the level walk of the shift-and states."""
+    start, masks, last = _compile(vertex_count, generators)
+    return _walk(start, partial(_successors, masks, last), max_grade, "word enumeration")
 
 
 def is_finite(vertex_count: int, generators: Iterable) -> bool:
@@ -131,7 +132,7 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
     # letters) out of the state once its successors are done.  Each frame
     # carries its own running best.
     longest: dict = {start: None}
-    stack = [[start, _successors(start, masks, last), 0]]
+    stack = [[start, _successors(masks, last, start), 0]]
     while stack:
         frame = stack[-1]
         for nxt in frame[1]:
@@ -141,7 +142,7 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
                     raise TooLarge(
                         f"the avoidance automaton walk is capped at {MAX_WORDS + 1} states"
                     )
-                stack.append([nxt, _successors(nxt, masks, last), 0])
+                stack.append([nxt, _successors(masks, last, nxt), 0])
                 break
             frame[2] = max(frame[2], 1 + longest[nxt])
         else:

@@ -15,11 +15,12 @@ class FinitaryError(Exception):
 class TooLarge(FinitaryError):
     """An enumeration would exceed its documented size cap.
 
-    The caps: automata.MAX_WORDS, 100 000 words listed from an ideal's
-    automaton or a relation's paths (a relation file's ``n`` header above
-    MAX_WORDS is refused before anything is built), and MAX_WORDS + 1
-    automaton states walked for the dimension of a finite ideal whose
-    words are not listed (an infinite one is told by its generators);
+    The caps: automata.MAX_WORDS, 100 000 words built by the one level
+    walk that lists an ideal's automaton and a relation's paths (a
+    relation file's ``n`` header above MAX_WORDS is refused before
+    anything is built), and MAX_WORDS + 1 automaton states walked for the
+    dimension of a finite ideal whose words are not listed (an infinite
+    one is told by its generators);
     coarse.MAX_SAMPLES, 100 000 sample points on the circle or in the cells
     of a complex; 20 points for topology.open_sets; complexes.MAX_CELLS,
     4096 cells in the closure SimplicialComplex.closed builds from a
@@ -47,14 +48,15 @@ class Value:
     Invariant: every slot is set when the value is built, past the guard
     (through object.__setattr__ or the slot's own descriptor), and nothing
     changes a slot afterwards, except that a slot caching a derived result
-    (Manifold's word listing, FiniteSpace's min_open table) may be filled
-    once from None.
+    (Manifold's word listing, FiniteSpace's min_open table, BasicIdeal's
+    matcher) may be filled once from None.
     Assigning or deleting an attribute raises AttributeError.  Equality and
     hash compare ``_key()``, the slot values in order unless a subclass
     overrides it, between values of one exact type.  Since a value never
     changes, a copy or deep copy is the value itself, and unpickling
     restores the slots as they were, without running the constructor again
-    (FiniteSpace pickles its table and not the recipe it is built from).
+    (FiniteSpace pickles its table and not the recipe it is built from,
+    BasicIdeal its generators and not its matcher).
     """
 
     __slots__ = ()

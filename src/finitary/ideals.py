@@ -2,8 +2,9 @@
 
 Such an ideal is the span of all superwords (in the subsequence order) of
 its generators, so it is stored as the antichain of subsequence-minimal
-generator words; the full word set is infinite in general.  Membership is
-a greedy subsequence scan per generator.
+generator words; the full word set is infinite in general.  Membership
+runs the word through the avoidance automaton's shift-and masks, compiled
+on the first test into a slot that equality, hash and pickle leave out.
 
 Generators of grade 0 are rejected: a nontrivial grade-0 component would
 collapse the underlying function algebra rather than a calculus on it.
@@ -14,7 +15,8 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable
 
-from .errors import FinitaryError, Value
+from .automata import _compile
+from .errors import FinitaryError, Value, _restore
 from .envelope import (
     Form,
     Word,
@@ -39,7 +41,7 @@ class BasicIdeal(Value):
     generators are sorted grade-major for reproducible output.
     """
 
-    __slots__ = ("vertex_count", "generators")
+    __slots__ = ("vertex_count", "generators", "_matcher")
 
     def __init__(self, vertex_count: int, generators: Iterable = ()):
         words = {word_validate(g, vertex_count) for g in generators}
@@ -56,24 +58,32 @@ class BasicIdeal(Value):
             kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "generators", tuple(sorted(kept, key=word_key)))
+        object.__setattr__(self, "_matcher", None)  # filled by the first contains
+
+    def _key(self):
+        return self.vertex_count, self.generators
+
+    def __reduce__(self):
+        # the slots vertex_count, generators, _matcher: the twin compiles its own
+        return _restore, (type(self), (*self._key(), None))
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators)
         return f"BasicIdeal(n={self.vertex_count}, [{gens}])"
 
     def contains(self, word: Word) -> bool:
-        """True iff some generator embeds into the word as a subsequence."""
-        for g in self.generators:
-            # greedy scan: match g's letters against the word left to right
-            size = len(g)
-            if size > len(word):
-                continue
-            matched = 0
-            for letter in word:
-                if letter == g[matched]:
-                    matched += 1
-                    if matched == size:
-                        return True
+        """True iff some generator embeds into the word as a subsequence: the
+        word's letters advance it past its last (automata._compile); a letter
+        outside the table matches nothing."""
+        if self._matcher is None:
+            start, masks, last = _compile(self.vertex_count, self.generators)
+            object.__setattr__(self, "_matcher", (start[1], dict(enumerate(masks)), last))
+        s, masks, last = self._matcher
+        for letter in word:
+            adv = s & masks.get(letter, 0)
+            if adv & last:
+                return True
+            s += adv
         return False
 
     def reduce(self, f: Form) -> Form:

@@ -17,7 +17,8 @@ on which r restricts to a total order, each in its unique admissible
 arrangement; for non-antisymmetric r the family is unbounded, which is
 reported as an error rather than materialized.  A Relation holds one int
 mask of strict successors per vertex, the mask format of the rest of the
-library, and the chains are extended by ANDing those masks.
+library; the chains are listed by the level walk that lists an ideal
+complement's words, a chain's state being the AND of those masks.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Iterable, Iterator
 
-from .automata import MAX_WORDS, avoiding_words, is_finite, longest_avoiding_word
+from .automata import _START, MAX_WORDS, _walk, avoiding_words, is_finite, longest_avoiding_word
 from .complexes import (
     SimplicialComplex, default_labels, label_separator, simplex_key, vertex_mask
 )
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
 from .envelope import Word, _word, basis_words, deletions, word_key, word_validate  # noqa: F401
-from .errors import FinitaryError, TooLarge, Value, members
+from .errors import FinitaryError, Value, members
 from .ideals import BasicIdeal
 
 
@@ -93,32 +94,19 @@ class Relation(Value):
         return f"Relation(n={self.n}, {list(self.strict_pairs())})"
 
 
-def fully_ordered_sequences(rel: Relation) -> Iterator[Word]:
-    """Depth-first extension of chains: all arrangements (i_0, ..., i_k) of
-    distinct vertices with every earlier element related to every later one.
-
-    For an antisymmetric relation these are exactly the subsets totally
-    ordered by it, each in its unique admissible arrangement.  Each chain
-    carries the mask of the vertices that may extend it (related from every
-    element, and none of them).  Raises TooLarge once more than
-    automata.MAX_WORDS sequences have been built.
-    """
+def _chains(rel: Relation) -> Iterator[Word]:
+    """The arrangements of distinct vertices, each related to every later
+    one, by the level walk.  A chain's state masks the common strict
+    successors of its vertices; vertex k extends it to admissible & after[k]."""
     after = rel.after
-    built = 0
-    stack = [((i,), after[i]) for i in reversed(range(rel.n))]
-    while stack:
-        seq, admissible = stack.pop()
-        built += 1
-        if built > MAX_WORDS:
-            raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
-        yield _word(seq)  # distinct letters, so a valid word
-        rest, children = admissible, []
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            children.append((seq + (k,), admissible & after[k]))
-            rest ^= low
-        stack.extend(reversed(children))
+
+    def extend(state):
+        admissible = state[1]
+        return [(k, admissible & after[k]) for k in members(admissible)] if admissible else ()
+
+    # a chain has at most n letters; distinct letters make valid words
+    walk = _walk((_START, (1 << rel.n) - 1), extend, rel.n - 1, "relation path enumeration")
+    return map(_word, walk)
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ class Manifold(Value):
         witness = rel.antisymmetry_witness()
         if witness:
             raise NotAntisymmetric(*witness, labels=labels)
-        return cls(labels, words=fully_ordered_sequences(rel))
+        return cls(labels, words=_chains(rel))
 
     @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
@@ -260,10 +248,9 @@ class Manifold(Value):
         if rel.antisymmetry_witness():
             return False
         arranged = 0
-        for seq in fully_ordered_sequences(rel):
+        for arranged, seq in enumerate(_chains(rel), 1):
             if seq not in word_set:
                 return False
-            arranged += 1
         return arranged == len(word_set)
 
     def check_structure(self) -> StructureReport:

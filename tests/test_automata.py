@@ -170,7 +170,7 @@ def cycle_search_longest(vertex_count, generators):
     infinite, by meeting a state again on its own path (a pumpable cycle)."""
     start, masks, last = automata._compile(vertex_count, generators)
     longest = {start: None}
-    stack = [[start, automata._successors(start, masks, last), 0]]
+    stack = [[start, automata._successors(masks, last, start), 0]]
     while stack:
         frame = stack[-1]
         for nxt in frame[1]:
@@ -178,7 +178,7 @@ def cycle_search_longest(vertex_count, generators):
                 longest[nxt] = None
                 if len(longest) > automata.MAX_WORDS + 1:
                     raise TooLarge("state cap")
-                stack.append([nxt, automata._successors(nxt, masks, last), 0])
+                stack.append([nxt, automata._successors(masks, last, nxt), 0])
                 break
             if longest[nxt] is None:
                 return math.inf

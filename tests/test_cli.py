@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes and error mapping."""
 
+import hashlib
 import io
+import random
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -233,6 +235,19 @@ class TestManifold:
         assert (code, out) == (2, "")
         assert err == "error[TooLarge]: word enumeration is capped at 100000 words\n"
 
+    def test_network_test_stops_at_the_first_chain_that_is_no_word(self, capsys, tmp_path):
+        # the singletons and pairs of 100 vertices, 5050 words: their
+        # 1-form relation is a total order whose 161 700 three-letter
+        # chains alone pass the word cap, but the first one is not a word
+        f = tmp_path / "pairs100.manifold"
+        labels = [f"v{i}" for i in range(100)]
+        pairs = [f"v{i}, v{j}" for i in range(100) for j in range(i + 1, 100)]
+        header = "vertices: " + ", ".join(labels)
+        f.write_text("\n".join([header, "words:", *labels, *pairs]) + "\n")
+        code, out, err = run(capsys, "manifold", "info", str(f))
+        assert (code, err) == (0, "")
+        assert "representation: explicit (5050 words)\n" in out and "network: no\n" in out
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "manifold", "dim", "no-such-file")
         assert code == 2 and "error[ParseError]" in err
@@ -450,6 +465,54 @@ class TestVerify:
             "12#0 <= 1#0 in sampled"
         )
         assert lines[-1] == "correspondence: FAILED"
+
+
+def _total_order_text(n):
+    pairs = [f"{i} <= {j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return "\n".join([f"n {n}", *pairs]) + "\n"
+
+
+def _seeded_relation_text(n, seed):
+    rng = random.Random(seed)
+    pairs = [
+        f"{i} <= {j}" for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5
+    ]
+    return "\n".join([f"n {n}", *pairs]) + "\n"
+
+
+RELATION_FILES = {
+    "total6": _total_order_text(6),
+    "total9": _total_order_text(9),
+    "total12": _total_order_text(12),
+    "seeded9": _seeded_relation_text(9, 2024),
+}
+
+# SHA-1 of the stdout of each command on each relation file: the chain
+# listing may change how it walks, never what the relation path prints
+RELATION_STDOUT_SHA1 = {
+    ("total6", "verify"): "67f050394449c7ef8b2855b24a6de7ff913396e8",
+    ("total6", "manifold"): "ceed772a2e6fbbfd9844286ef49aa9c5211dcced",
+    ("total9", "verify"): "b5730756718760d157fdefa6f9c5b98062cd71b0",
+    ("total9", "manifold"): "0aec30b5d7cc78c77a12380d12cc8fbe6de9afbd",
+    ("total12", "verify"): "a3191eebcbfc4343c8290a8e9a40087d5a2fcf30",
+    ("total12", "manifold"): "9746575ee305becccef8e3db37524eefb97a8fe4",
+    ("seeded9", "verify"): "ae6d08d7ecc77ad2ad882762f5de4ee8a04f0757",
+    ("seeded9", "manifold"): "70035b4181378b0a09c88972ad5271afc5f43d34",
+}
+COMMANDS = {
+    "verify": ("verify", "correspondence", "{}", "--per-cell", "1"),
+    "manifold": ("manifold", "info", "{}"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(RELATION_STDOUT_SHA1))
+def test_relation_path_stdout_is_pinned(capsys, tmp_path, name, command):
+    f = tmp_path / f"{name}.relation"
+    f.write_text(RELATION_FILES[name])
+    argv = [str(f) if arg == "{}" else arg for arg in COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha1(out.encode()).hexdigest() == RELATION_STDOUT_SHA1[name, command]
 
 
 class TestParser:

@@ -54,7 +54,7 @@ def test_greedy_scan_agrees_with_combination_oracle():
     for _ in range(500):
         a, b = rng.choice(words), rng.choice(words)
         assert is_subsequence(a, b) == subseq_oracle(a, b)
-    # BasicIdeal.contains scans inline; it must agree with the same test
+    # BasicIdeal.contains runs the automaton's masks; it must agree with the same test
     for _ in range(200):
         ideal = random_ideal(rng)
         w = rng.choice(words)
@@ -114,6 +114,12 @@ class TestMembership:
 
     def test_generator_contains_itself(self):
         assert BasicIdeal(2, [W(0, 1)]).contains(W(0, 1))
+
+    def test_a_letter_outside_the_table_matches_nothing(self):
+        ideal = BasicIdeal(2, [W(0, 1)])
+        assert ideal.contains(W(0, 5, 1))
+        assert not ideal.contains(W(5))
+        assert not ideal.contains(W(1, 7, 0))
 
     def test_superword_closure_exhaustive(self):
         rng = random.Random(11)

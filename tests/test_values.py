@@ -18,6 +18,7 @@ from finitary import (
     Manifold,
     Relation,
     SimplicialComplex,
+    Word,
     circle_covering,
     generated_space,
     sampled_substitute,
@@ -121,6 +122,22 @@ def test_mutation_message_names_the_type():
         Relation(1).n = 2
     with pytest.raises(AttributeError, match="^FiniteSpace is immutable$"):
         del generated_space(_triangle()).labels
+
+
+def test_an_ideal_is_the_same_value_after_its_first_membership_test():
+    # contains compiles its matcher into a cache slot on the first call;
+    # equality, hash, copies and pickles never see it
+    ideal, fresh = VALUES["BasicIdeal"](), VALUES["BasicIdeal"]()
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickles = [pickle.dumps(ideal, p) for p in protocols]
+    before = hash(ideal)
+    assert ideal.contains(Word((2, 0, 1))) and not ideal.contains(Word((2, 1)))
+    assert ideal == fresh and hash(ideal) == hash(fresh) == before
+    assert copy.copy(ideal) is ideal and copy.deepcopy(ideal) is ideal
+    assert [pickle.dumps(ideal, p) for p in protocols] == pickles
+    assert pickle.dumps(ideal) == pickle.dumps(fresh)
+    twin = pickle.loads(pickles[-1])
+    assert twin == ideal and twin.contains(Word((0, 1))) and not twin.contains(Word((2, 1)))
 
 
 class TestValueEquality:
