@@ -52,7 +52,7 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, facets
-from .errors import FinitaryError, TooLarge, Value, members
+from .errors import FinitaryError, TooLarge, Value, _restore, members
 from .manifolds import Manifold
 from .topology import FiniteSpace, _deletion_closure, _transpose, generated_space
 
@@ -180,8 +180,9 @@ def sampled_substitute(
     Draws per_cell interior points in every open cell (sample: one
     generator for the whole complex); a point's trace is its support, the
     vertices of positive weight, which are the vertex stars holding it.
-    The sample points under this vertex-star Covering are quotiented by
-    trace equality (trace_substitute).  The drawn numerators are positive,
+    The sample points under this vertex-star Covering, assembled unchecked
+    from distinct labels and nonempty traces, are quotiented by trace
+    equality (trace_substitute).  The drawn numerators are positive,
     so each support equals the carrier cell and the result is
     simplicial_substitute(p) up to labels by construction: a cross-check
     of the cofacet closure against the trace quotient, not an independent
@@ -198,7 +199,8 @@ def sampled_substitute(
         for j, numerators in enumerate(draws):
             point_labels.append(f"{label}#{j}")
             point_traces.append(sum([b for b, a in zip(bits, numerators) if a > 0]))
-    return trace_substitute(Covering(p.labels, point_labels, point_traces))[0]
+    covering = _restore(Covering, (p.labels, tuple(point_labels), tuple(point_traces)))
+    return trace_substitute(covering)[0]
 
 
 def _normalize_angle(num: int, den: int) -> int:

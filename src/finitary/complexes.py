@@ -2,14 +2,14 @@
 
 A complex is a hereditary family of nonempty vertex subsets containing
 every singleton.  A simplex is an int vertex mask (bit v for vertex v),
-the index-set format of the rest of the library.  The display label of a
-simplex can be overridden (a manifold labels its simplices by the unique
-nonvanishing word ordering).
+the index-set format of the rest of the library.  A simplex is labelled by
+its vertices joined in order, except in the complex of a manifold, which
+Manifold.to_simplicial labels by the unique nonvanishing word ordering.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FinitaryError, TooLarge, Value, members
 
@@ -32,10 +32,13 @@ def label_separator(table: Sequence[str]) -> str:
     It is decided by the whole table, not by the labels joined: only when
     every table label is one character is it omitted, so a joined label can
     never equal a vertex label (as "12" would on a 12-vertex table).  The
-    value holding the table decides it once, and its labels must be unique.
+    value holding the table decides it once; its labels must be unique and
+    hold no ",", which would let "a,b" name a vertex and a joined pair.
     """
     if len(set(table)) != len(table):
         raise ValueError("vertex labels must be unique")
+    if any("," in lbl for lbl in table):
+        raise ValueError("vertex labels must not contain ','")
     return "" if all(len(lbl) == 1 for lbl in table) else ","
 
 
@@ -79,13 +82,7 @@ class SimplicialComplex(Value):
 
     __slots__ = ("vertex_count", "labels", "simplices", "_simplex_labels", "_separator")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        simplices: Iterable[int],
-        labels: tuple[str, ...] | None = None,
-        simplex_labels: Mapping[int, str] | None = None,
-    ):
+    def __init__(self, vertex_count: int, simplices: Iterable[int], labels=None):
         ordered = sorted({_check(s, vertex_count) for s in simplices}, key=simplex_key)
         present = set(ordered)
         for v in range(vertex_count):
@@ -104,7 +101,7 @@ class SimplicialComplex(Value):
         if len(self.labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
         object.__setattr__(self, "simplices", tuple(ordered))
-        object.__setattr__(self, "_simplex_labels", dict(simplex_labels) if simplex_labels else {})
+        object.__setattr__(self, "_simplex_labels", {})
         object.__setattr__(self, "_separator", label_separator(self.labels))
 
     @classmethod

@@ -56,7 +56,9 @@ class Value:
     changes, a copy or deep copy is the value itself, and unpickling
     restores the slots as they were, without running the constructor again
     (FiniteSpace pickles its table and not the recipe it is built from,
-    BasicIdeal its generators and not its matcher).
+    BasicIdeal its generators and not its matcher).  _restore also assembles
+    the values whose invariants the library has just established (a
+    relation's manifold, its complex, a sampled covering), unchecked.
     """
 
     __slots__ = ()
@@ -90,7 +92,7 @@ class Value:
 
 
 def _restore(cls, state):
-    """The unpickled value: the slots of cls set to state, in slot order."""
+    """The unpickled or assembled value: cls with its slots set to state."""
     value = object.__new__(cls)
     for name, item in zip(cls.__slots__, state):
         object.__setattr__(value, name, item)

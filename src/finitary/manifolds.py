@@ -34,7 +34,7 @@ from .complexes import (
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
 from .envelope import Word, _word, basis_words, deletions, word_key, word_validate  # noqa: F401
-from .errors import FinitaryError, Value, members
+from .errors import FinitaryError, Value, _restore, members
 from .ideals import BasicIdeal
 
 
@@ -169,13 +169,18 @@ class Manifold(Value):
 
         Raises NotAntisymmetric when the relation admits i <= j <= i with
         i != j; the word family would then be unbounded (the manifold is
-        infinite dimensional).
+        infinite dimensional).  The walk lists valid, distinct words in
+        canonical order, assembled unchecked; the labels must match rel.n.
         """
         labels = tuple(labels) if labels else default_labels(rel.n)
+        if len(labels) != rel.n:
+            raise ValueError("label count does not match vertex count")
+        if not rel.n:
+            raise ValueError("explicit manifold needs at least one word")
         witness = rel.antisymmetry_witness()
         if witness:
             raise NotAntisymmetric(*witness, labels=labels)
-        return cls(labels, words=_chains(rel))
+        return _restore(cls, (labels, tuple(_chains(rel)), None, label_separator(labels)))
 
     @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
@@ -347,14 +352,16 @@ class Manifold(Value):
 
     def to_simplicial(self) -> SimplicialComplex:
         """Forget word order: valid because a finite-dimensional manifold
-        carries at most one nonvanishing ordering per vertex subset."""
+        carries at most one nonvanishing ordering per vertex subset.  Past
+        check_structure, the words sorted by size and then letters are the
+        simplices in canonical order, assembled unchecked."""
         report = self.check_structure()
         if not report.ok:
             raise StructureViolation(report)
-        simplex_labels = {vertex_mask(w): self.word_label(w) for w in self.words()}
-        return SimplicialComplex(
-            self.n, simplex_labels.keys(), labels=self.labels, simplex_labels=simplex_labels
-        )
+        words = sorted(self.words(), key=lambda w: (len(w), sorted(w)))
+        masks = tuple(map(vertex_mask, words))
+        labels = dict(zip(masks, map(self.word_label, words)))
+        return _restore(SimplicialComplex, (self.n, self.labels, masks, labels, self._separator))
 
     def _key(self):
         return (self.labels, self._words if self.is_explicit else self.ideal)

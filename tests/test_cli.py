@@ -484,7 +484,10 @@ RELATION_FILES = {
     "total6": _total_order_text(6),
     "total9": _total_order_text(9),
     "total12": _total_order_text(12),
+    "total14": _total_order_text(14),
     "seeded9": _seeded_relation_text(9, 2024),
+    # 20 000 singleton cells: masks up to 20 000 bits wide
+    "n20000": "n 20000\n",
 }
 
 # SHA-1 of the stdout of each command on each relation file: the chain
@@ -496,6 +499,10 @@ RELATION_STDOUT_SHA1 = {
     ("total9", "manifold"): "0aec30b5d7cc78c77a12380d12cc8fbe6de9afbd",
     ("total12", "verify"): "a3191eebcbfc4343c8290a8e9a40087d5a2fcf30",
     ("total12", "manifold"): "9746575ee305becccef8e3db37524eefb97a8fe4",
+    ("total14", "verify"): "f668cb437566b0c1e2180bf2d3020c3aabf675bd",
+    ("total14", "manifold"): "c9769b4a8fd7230dcd07959786f78e618f77fe34",
+    ("n20000", "verify"): "1c5ad1ca9443758e498958a83362d938a21a6077",
+    ("n20000", "manifold"): "a885316848d45e2ce1206ed35ca6e19d324082ce",
     ("seeded9", "verify"): "ae6d08d7ecc77ad2ad882762f5de4ee8a04f0757",
     ("seeded9", "manifold"): "70035b4181378b0a09c88972ad5271afc5f43d34",
 }

@@ -26,12 +26,13 @@ from finitary import (
     trace_substitute,
     verify_correspondence,
 )
-from finitary import coarse, io as fio
+from finitary import coarse, complexes, io as fio, manifolds
+from finitary.cli import main
 from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
 from finitary.envelope import deletions
-from finitary.errors import FinitaryError
+from finitary.errors import FinitaryError, _restore
 
-from conftest import DATA, random_manifold
+from conftest import DATA, random_antisymmetric_relation, random_manifold
 
 
 def mask(indices):
@@ -441,7 +442,9 @@ class TestRecipeCertificates:
             s, t = rng.sample(rng.choice(pairs), 2)
             relabel = {c: p.simplex_label(c) for c in p.simplices}
             relabel[s], relabel[t] = relabel[t], relabel[s]
-            q = SimplicialComplex(p.vertex_count, p.simplices, p.labels, relabel)
+            q = _restore(
+                SimplicialComplex, (p.vertex_count, p.labels, p.simplices, relabel, p._separator)
+            )
             gen, swapped = generated_space(m), simplicial_substitute(q)
             for b in (swapped, _eager(swapped)):
                 _never_certifies_a_rejected_map(gen, b)
@@ -536,3 +539,51 @@ class TestLazyTables:
         report = verify_correspondence(TRIANGLE, per_cell=1, seed=0)
         assert report.ok
         assert table_builds == {"generated": 1, "symbolic": 1, "trace": 1}
+
+
+class TestAssembly:
+    """verify_correspondence on a relation assembles its manifold, complex
+    and sampled covering from checked parts: no constructor check reruns."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        counts = {}
+
+        def counted(name, check):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return check(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr, name in (
+            (manifolds, "word_validate", "word_validate"),
+            (complexes, "_check", "_check"),
+            (SimplicialComplex, "__init__", "SimplicialComplex"),
+            (Covering, "__init__", "Covering"),
+        ):
+            counts[name] = 0
+            monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+        return counts
+
+    def test_verify_correspondence_revalidates_nothing(self, validations):
+        rng = random.Random(5)
+        for n in (1, 3, 5, 7):
+            rel = random_antisymmetric_relation(rng, n)
+            assert verify_correspondence(Manifold.from_relation(rel), per_cell=2, seed=n).ok
+        assert validations == dict.fromkeys(validations, 0)
+
+    def test_nor_does_the_cli_on_a_relation_file(self, validations, capsys, tmp_path):
+        f = tmp_path / "total.relation"
+        pairs = [f"{i} <= {j}" for i in range(1, 9) for j in range(i + 1, 9)]
+        f.write_text("\n".join(["n 8", *pairs]) + "\n")
+        assert main(["verify", "correspondence", str(f), "--per-cell", "1"]) == 0
+        assert capsys.readouterr().out.endswith("correspondence: VERIFIED\n")
+        assert validations == dict.fromkeys(validations, 0)
+
+    def test_the_counters_see_a_public_construction(self, validations):
+        m = Manifold(("a", "b"), words=[(0,), (1,), (0, 1)])
+        verify_correspondence(m, per_cell=1)
+        SimplicialComplex(2, [1, 2, 3])
+        Covering(("A",), ("p",), [1])
+        assert all(validations.values())

@@ -30,6 +30,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="vertex labels must be unique"):
             SimplicialComplex(2, [1, 2, 3], labels=("a", "a"))
 
+    def test_labels_holding_the_separator_rejected(self):
+        # the edge {1, 2} would be labelled "a,b", the label of vertex 0
+        with pytest.raises(ValueError, match="vertex labels must not contain ','"):
+            SimplicialComplex(3, [1, 2, 4, 3], labels=("a,b", "a", "b"))
+
     def test_missing_singleton_rejected(self):
         with pytest.raises(NotASimplex):
             SimplicialComplex(3, [mask(0), mask(1)])
@@ -104,14 +109,6 @@ class TestStars:
 class TestCellsAndLabels:
     def test_default_label_joins_sorted_vertices(self):
         assert BOUNDARY_TRIANGLE.simplex_label(mask(2, 0)) == "13"
-
-    def test_label_override(self):
-        p = SimplicialComplex(
-            2,
-            [mask(0), mask(1), mask(0, 1)],
-            simplex_labels={mask(0, 1): "21"},
-        )
-        assert p.simplex_label(mask(0, 1)) == "21"
 
     def test_multichar_labels_join_with_commas(self):
         p = SimplicialComplex(2, [mask(0), mask(1), mask(0, 1)], labels=("v1", "v2"))

@@ -56,6 +56,16 @@ class TestFromRelation:
         assert m.dimension() == 2
         assert len(list(m.words())) == 7
 
+    def test_no_vertices_is_refused(self):
+        with pytest.raises(ValueError, match="explicit manifold needs at least one word"):
+            Manifold.from_relation(Relation(0))
+
+    @pytest.mark.parametrize("labels", [("a", "b"), ("a", "b", "c", "d")], ids=["short", "long"])
+    def test_label_table_must_match_the_vertex_count(self, labels):
+        for rel in (TRIANGLE_REL, Relation(3, [(0, 1), (1, 0)])):
+            with pytest.raises(ValueError, match="label count does not match vertex count"):
+                Manifold.from_relation(rel, labels=labels)
+
 
 class TestRelationOf:
     def test_triangle_round_trip(self):
@@ -436,6 +446,15 @@ def test_duplicate_vertex_labels_are_refused():
         Manifold(("a", "a"), words=[(0,), (1,)])
     with pytest.raises(ValueError, match="vertex labels must be unique"):
         Manifold.from_ideal(BasicIdeal(2), labels=("a", "a"))
+
+
+def test_vertex_labels_holding_the_separator_are_refused():
+    # the word (0, 1) would be labelled "a,b", the label of vertex 2
+    labels = ("a", "b", "a,b")
+    with pytest.raises(ValueError, match="vertex labels must not contain ','"):
+        Manifold(labels, words=[(0,), (1,), (2,), (0, 1)])
+    with pytest.raises(ValueError, match="vertex labels must not contain ','"):
+        Manifold.from_relation(Relation(3, [(0, 1)]), labels=labels)
 
 
 class TestToSimplicial:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from dataclasses import fields
 from fractions import Fraction as Fr
 
@@ -21,11 +22,17 @@ from finitary import (
     Word,
     circle_covering,
     generated_space,
+    members,
+    sample,
     sampled_substitute,
+    trace_substitute,
     verify_correspondence,
 )
+from finitary.complexes import vertex_mask
 from finitary.errors import Value
 from finitary.io import VertexTable
+
+from conftest import random_antisymmetric_relation, random_manifold
 
 
 def _triangle():
@@ -174,3 +181,49 @@ class TestValueEquality:
         assert GaussianRational(3) == 3 and hash(GaussianRational(3)) == hash(3)
         half = pickle.loads(pickle.dumps(GaussianRational(Fr(1, 2))))
         assert half == Fr(1, 2) and hash(half) == hash(Fr(1, 2))
+
+
+class TestAssembledValues:
+    """The values the library assembles slot by slot (errors._restore) from
+    parts it has checked equal, slot for slot, the ones its public
+    constructors validate: a reordering of the slots shows here."""
+
+    @staticmethod
+    def _relation_manifolds():
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for _ in range(20):
+                labels = [f"v{i}" for i in range(n)] if rng.random() < 0.5 else None
+                yield Manifold.from_relation(random_antisymmetric_relation(rng, n), labels)
+
+    @classmethod
+    def _manifolds(cls):
+        rng = random.Random(2024)
+        yield from (random_manifold(rng) for _ in range(200))
+        yield from cls._relation_manifolds()
+
+    def test_a_relation_manifold(self):
+        for m in self._relation_manifolds():
+            assert all(type(w) is Word for w in m.words())
+            assert Value._key(m) == Value._key(Manifold(m.labels, words=list(m.words())))
+
+    def test_a_manifold_complex(self):
+        for m in self._manifolds():
+            masks = [vertex_mask(w) for w in m.words()]
+            public = SimplicialComplex(m.n, masks, m.labels)
+            word_labels = {vertex_mask(w): m.word_label(w) for w in m.words()}
+            assert Value._key(m.to_simplicial()) == (
+                public.vertex_count, public.labels, public.simplices, word_labels, public._separator
+            )
+
+    def test_a_sampled_covering(self):
+        for seed, m in enumerate(self._manifolds()):
+            p = m.to_simplicial()
+            labels, traces = [], []
+            for cell, draws in zip(p.simplices, sample(p, 2, seed)):
+                for j, numerators in enumerate(draws):
+                    labels.append(f"{p.simplex_label(cell)}#{j}")
+                    support = [v for v, a in zip(members(cell), numerators) if a > 0]
+                    traces.append(vertex_mask(support))
+            public = trace_substitute(Covering(p.labels, labels, traces))[0]
+            assert sampled_substitute(p, 2, seed) == public
