@@ -29,8 +29,9 @@ the same substitute:
 
 The drawn numerators are positive, so every sample's support equals its
 carrier simplex: the sampled route is a cross-check of the supports
-against the cells, not an independent oracle.  Both must agree with the
-space generated by the manifold the complex came from;
+against the cells, not an independent oracle, at one comparison per draw
+(any other draw's support is read vertex by vertex).  Both must agree
+with the space generated by the manifold the complex came from;
 verify_correspondence checks all three for a given manifold, on covers
 and traces: every space here keeps its words or masks as the recipe of
 its table (FiniteSpace), and a map is certified from those, the tables
@@ -51,7 +52,7 @@ from math import gcd, lcm
 from operator import and_
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, facets
+from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, _restore, members
 from .manifolds import Manifold
 from .topology import FiniteSpace, _deletion_closure, _transpose, generated_space
@@ -168,7 +169,7 @@ def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[in
         k = cell.bit_count()
         bits = rng.getrandbits(10 * k * per_cell)
         fields = [(bits >> s & 1023) + 1 for s in range(0, 10 * k * per_cell, 10)]
-        draws.append([tuple(fields[j : j + k]) for j in range(0, k * per_cell, k)])
+        draws.append(list(zip(*[iter(fields)] * k)))  # k fields a tuple
     return draws
 
 
@@ -177,28 +178,30 @@ def sampled_substitute(
 ) -> FiniteSpace:
     """Numerical enactment of the star coarse graining.
 
-    Draws per_cell interior points in every open cell (sample: one
-    generator for the whole complex); a point's trace is its support, the
-    vertices of positive weight, which are the vertex stars holding it.
-    The sample points under this vertex-star Covering, assembled unchecked
-    from distinct labels and nonempty traces, are quotiented by trace
-    equality (trace_substitute).  The drawn numerators are positive,
-    so each support equals the carrier cell and the result is
-    simplicial_substitute(p) up to labels by construction: a cross-check
-    of the cofacet closure against the trace quotient, not an independent
-    oracle.  Raises TooLarge when the cell count times per_cell exceeds
-    MAX_SAMPLES.
+    Draws per_cell interior points in every open cell (sample: one generator
+    for the whole complex); a point's trace is its support, the vertices of
+    positive weight, which are the vertex stars holding it: the cell when
+    the draw has one positive numerator per vertex (one comparison), else
+    read vertex by vertex.  The sample points under this vertex-star
+    Covering, assembled unchecked, are quotiented by trace equality
+    (trace_substitute).  The drawn numerators are positive, so each support
+    equals the carrier cell and the result is simplicial_substitute(p) up to
+    labels by construction: a cross-check of the cofacet closure against the
+    trace quotient, not an independent oracle.  Raises TooLarge when the cell
+    count times per_cell exceeds MAX_SAMPLES.
     """
     if len(p) * per_cell > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
     point_labels = []
     point_traces = []
+    suffixes = [f"#{j}" for j in range(per_cell)]
     for cell, draws in zip(p.simplices, sample(p, per_cell, seed)):
-        label = p.simplex_label(cell)
-        bits = [1 << v for v in members(cell)]
-        for j, numerators in enumerate(draws):
-            point_labels.append(f"{label}#{j}")
-            point_traces.append(sum([b for b, a in zip(bits, numerators) if a > 0]))
+        label, k = p.simplex_label(cell), cell.bit_count()
+        point_labels += [label + suffix for suffix in suffixes]
+        for d in draws:  # the cell when it has one numerator per vertex, all positive
+            full = len(d) == k and min(d) > 0
+            support = cell if full else vertex_mask(v for v, a in zip(members(cell), d) if a > 0)
+            point_traces.append(support)
     covering = _restore(Covering, (p.labels, tuple(point_labels), tuple(point_traces)))
     return trace_substitute(covering)[0]
 
@@ -438,17 +441,17 @@ def verify_correspondence(
     image, and B -> C holds when the class traces are the cells
     (_recipes_match).  Only when that does not match are they checked
     against the min_open tables, which the failure report reads too; a
-    passing check builds no table.  to_simplicial
-    has checked the structure of m, under which a word is a subsequence of
-    another exactly when its letter set is a face of the other's: so word
-    -> its letter set (the simplex carrying the word's label) is an order
-    isomorphism A -> B, and B -> C is the identity, the sampled classes
-    coming in cell order.  These are the lexicographically first
-    isomorphisms, which poset_isomorphic returns: every space lists the
-    singletons first, in vertex order, and any other isomorphism of face
-    posets moves a vertex to a later index.  So a certificate fails only
-    when the routes disagree, and a failed one is the verdict: no other
-    bijection is searched for.
+    passing check builds no table.  to_simplicial has checked, or the
+    relation's construction has proved, the structure of m, under which a
+    word is a subsequence of another exactly when its letter set is a face
+    of the other's: so word -> its letter set (the simplex carrying the
+    word's label) is an order isomorphism A -> B, and B -> C is the
+    identity, the sampled classes coming in cell order.  These are the
+    lexicographically first isomorphisms, which poset_isomorphic returns:
+    every space lists the singletons first, in vertex order, and any other
+    isomorphism of face posets moves a vertex to a later index.  So a
+    certificate fails only when the routes disagree, and a failed one is the
+    verdict: no other bijection is searched for.
     """
     complex_ = m.to_simplicial()
     gen = generated_space(m)

@@ -48,8 +48,8 @@ class Value:
     Invariant: every slot is set when the value is built, past the guard
     (through object.__setattr__ or the slot's own descriptor), and nothing
     changes a slot afterwards, except that a slot caching a derived result
-    (Manifold's word listing, FiniteSpace's min_open table, BasicIdeal's
-    matcher) may be filled once from None.
+    (Manifold's word listing and structure report, FiniteSpace's min_open
+    table, BasicIdeal's matcher) may be filled once from None.
     Assigning or deleting an attribute raises AttributeError.  Equality and
     hash compare ``_key()``, the slot values in order unless a subclass
     overrides it, between values of one exact type.  Since a value never
@@ -58,7 +58,7 @@ class Value:
     (FiniteSpace pickles its table and not the recipe it is built from,
     BasicIdeal its generators and not its matcher).  _restore also assembles
     the values whose invariants the library has just established (a
-    relation's manifold, its complex, a sampled covering), unchecked.
+    relation's manifold and report, its complex, a sampled covering), unchecked.
     """
 
     __slots__ = ()

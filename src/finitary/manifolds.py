@@ -18,7 +18,9 @@ arrangement; for non-antisymmetric r the family is unbounded, which is
 reported as an error rather than materialized.  A Relation holds one int
 mask of strict successors per vertex, the mask format of the rest of the
 library; the chains are listed by the level walk that lists an ideal
-complement's words, a chain's state being the AND of those masks.
+complement's words, a chain's state being the AND of those masks.  A
+manifold keeps its first structure report; a relation's, passing, is
+proved by construction: subchains are chains, and each vertex is one.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class Manifold(Value):
     """A vertex table plus the family of nonvanishing words (explicit or as
     the complement of a basic ideal)."""
 
-    __slots__ = ("labels", "_words", "ideal", "_separator")
+    __slots__ = ("labels", "_words", "ideal", "_separator", "_report")
 
     def __init__(self, labels: tuple[str, ...], words=None, ideal: BasicIdeal | None = None):
         if (words is None) == (ideal is None):
@@ -153,6 +155,7 @@ class Manifold(Value):
         object.__setattr__(self, "_separator", label_separator(labels))
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "_words", None)
+        object.__setattr__(self, "_report", None)
         if words is not None:
             validated = {word_validate(w, len(labels)) for w in words}
             if not validated:
@@ -169,8 +172,8 @@ class Manifold(Value):
 
         Raises NotAntisymmetric when the relation admits i <= j <= i with
         i != j; the word family would then be unbounded (the manifold is
-        infinite dimensional).  The walk lists valid, distinct words in
-        canonical order, assembled unchecked; the labels must match rel.n.
+        infinite dimensional).  The walk lists valid, distinct, structured
+        words in canonical order, assembled unchecked; labels match rel.n.
         """
         labels = tuple(labels) if labels else default_labels(rel.n)
         if len(labels) != rel.n:
@@ -180,7 +183,8 @@ class Manifold(Value):
         witness = rel.antisymmetry_witness()
         if witness:
             raise NotAntisymmetric(*witness, labels=labels)
-        return _restore(cls, (labels, tuple(_chains(rel)), None, label_separator(labels)))
+        words = tuple(_chains(rel))
+        return _restore(cls, (labels, words, None, label_separator(labels), StructureReport(())))
 
     @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
@@ -274,8 +278,10 @@ class Manifold(Value):
         word on the same vertex set, unless its neighbours were equal, an
         earlier repeat.  So each ordered pair (a, b) of a word is reached by
         deletions, a grade-1 word by (a), and (b, a), a second ordering of
-        {a, b}, is not one by (c).
+        {a, b}, is not one by (c).  The first report is kept.
         """
+        if self._report is not None:
+            return self._report
         if not self.is_explicit and not is_finite(self.n, self.ideal.generators):
             raise InfiniteDimensional("structure checks need a finite word family")
         words = list(self.words())
@@ -297,7 +303,8 @@ class Manifold(Value):
 
         unique = len({vertex_mask(w) for w in words}) == len(words)
         if not failures and unique and all(Word((i,)) in word_set for i in range(self.n)):
-            return StructureReport(())
+            object.__setattr__(self, "_report", StructureReport(()))
+            return self._report
         rel = self.relation()
         for w in words:
             if len(set(w)) != len(w):
@@ -348,7 +355,8 @@ class Manifold(Value):
                     )
                 )
 
-        return StructureReport(tuple(failures))
+        object.__setattr__(self, "_report", StructureReport(tuple(failures)))
+        return self._report
 
     def to_simplicial(self) -> SimplicialComplex:
         """Forget word order: valid because a finite-dimensional manifold

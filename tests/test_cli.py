@@ -505,9 +505,14 @@ RELATION_STDOUT_SHA1 = {
     ("n20000", "manifold"): "a885316848d45e2ce1206ed35ca6e19d324082ce",
     ("seeded9", "verify"): "ae6d08d7ecc77ad2ad882762f5de4ee8a04f0757",
     ("seeded9", "manifold"): "70035b4181378b0a09c88972ad5271afc5f43d34",
+    # the benchmark's setting: several samples per cell merge in their class
+    ("total9", "verify3"): "f6988c54b66a6b078ead2930b2b0bf218ea6b1a3",
+    ("total12", "verify3"): "ba61b9af1009398f5f3847a2bc74b8d91d4ffea8",
+    ("seeded9", "verify3"): "07ba257f313122e469dc89dd03979150307e7318",
 }
 COMMANDS = {
     "verify": ("verify", "correspondence", "{}", "--per-cell", "1"),
+    "verify3": ("verify", "correspondence", "{}", "--per-cell", "3", "--seed", "7"),
     "manifold": ("manifold", "info", "{}"),
 }
 

@@ -266,6 +266,33 @@ class TestSampledSubstitute:
         assert space.n == 5
         assert "12#0" not in space.labels
 
+    def test_any_draw_keeps_its_support(self, monkeypatch):
+        # zeros, negative numerators and tuples one numerator short or long,
+        # among normal draws: each point's trace is still its support, as a
+        # public Covering of the supports has it
+        rng = random.Random(31)
+        degenerate = 0
+        for trial in range(60):
+            p = random_manifold(rng, max_vertices=5).to_simplicial()
+            per_cell = rng.choice((1, 2, 3))
+            draws, labels, traces = [], [], []
+            for sigma in p.simplices:
+                k = sigma.bit_count()
+                draws.append([])
+                for j in range(per_cell):
+                    length = max(1, k + rng.choice((-1, 0, 0, 1)))
+                    d = [rng.choice((0, -3, 1, 7, 1024)) for _ in range(length)]
+                    d[rng.randrange(min(len(d), k))] = rng.randint(1, 1024)  # a nonempty support
+                    draws[-1].append(tuple(d))
+                    support = mask(v for v, a in zip(members(sigma), d) if a > 0)
+                    labels.append(f"{p.simplex_label(sigma)}#{j}")
+                    traces.append(support)
+                    degenerate += support != sigma
+            monkeypatch.setattr(coarse, "sample", lambda *_: draws)
+            public = trace_substitute(Covering(p.labels, labels, traces))[0]
+            assert sampled_substitute(p, per_cell, trial) == public
+        assert degenerate
+
     def test_one_sample_per_cell_suffices(self):
         space = sampled_substitute(BOUNDARY_TRIANGLE, per_cell=1, seed=0)
         assert poset_isomorphic(simplicial_substitute(BOUNDARY_TRIANGLE), space) is not None
@@ -587,3 +614,58 @@ class TestAssembly:
         SimplicialComplex(2, [1, 2, 3])
         Covering(("A",), ("p",), [1])
         assert all(validations.values())
+
+
+class TestKeptStructure:
+    """A relation manifold keeps the passing structure report its network
+    construction proves, so verifying it runs no structure scan; any other
+    manifold runs the scans once and keeps their report."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        words = []
+        real = manifolds.deletions
+
+        def counted(w):
+            words.append(w)
+            return real(w)
+
+        monkeypatch.setattr(manifolds, "deletions", counted)
+        return words
+
+    def test_verify_correspondence_scans_no_relation_manifold(self, scanned):
+        rng = random.Random(5)
+        for n in (1, 3, 5, 7):
+            rel = random_antisymmetric_relation(rng, n)
+            assert verify_correspondence(Manifold.from_relation(rel), per_cell=2, seed=n).ok
+        assert scanned == []
+
+    def test_nor_does_the_cli_on_a_relation_file(self, scanned, capsys, tmp_path):
+        f = tmp_path / "total.relation"
+        pairs = [f"{i} <= {j}" for i in range(1, 9) for j in range(i + 1, 9)]
+        f.write_text("\n".join(["n 8", *pairs]) + "\n")
+        assert main(["verify", "correspondence", str(f), "--per-cell", "3"]) == 0
+        assert capsys.readouterr().out.endswith("correspondence: VERIFIED\n")
+        assert scanned == []
+
+    def test_explicit_words_are_scanned_once(self, scanned):
+        m = Manifold(("a", "b"), words=[(0,), (1,), (0, 1)])
+        assert verify_correspondence(m, per_cell=1).ok
+        assert scanned == list(m.words())
+        assert m.check_structure() is m.check_structure()
+        m.to_simplicial()
+        assert scanned == list(m.words())
+
+    def test_a_failing_family_still_exits_two(self, scanned, capsys, tmp_path):
+        bad = tmp_path / "bad.manifold"
+        bad.write_text("vertices: 1, 2\nwords:\n1\n2\n1, 2\n2, 1\n")
+        assert main(["verify", "correspondence", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error[StructureViolation]: manifold structure checks failed:\n"
+            "hereditarity: ok\n"
+            "fully-ordered: FAIL - 12: pair (1,2) is related both ways\n"
+            "fully-ordered: FAIL - 21: pair (2,1) is related both ways\n"
+            "uniqueness: FAIL - vertex set {12} carries several orderings: 12, 21\n"
+            "singletons: ok\n"
+        )
+        assert len(scanned) == 4

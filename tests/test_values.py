@@ -203,9 +203,12 @@ class TestAssembledValues:
         yield from cls._relation_manifolds()
 
     def test_a_relation_manifold(self):
+        # the twin's report is its scans' result, the one m keeps unscanned
         for m in self._relation_manifolds():
             assert all(type(w) is Word for w in m.words())
-            assert Value._key(m) == Value._key(Manifold(m.labels, words=list(m.words())))
+            twin = Manifold(m.labels, words=list(m.words()))
+            twin.check_structure()
+            assert Value._key(m) == Value._key(twin)
 
     def test_a_manifold_complex(self):
         for m in self._manifolds():
