@@ -146,7 +146,7 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     sampled_substitute computes from sampled supports.
     """
     build = partial(_deletion_closure, faces=facets)
-    return FiniteSpace._lazy(map(p.simplex_label, p.simplices), p.simplices, facets, build)
+    return FiniteSpace._lazy(p.cell_labels, p.simplices, facets, build)
 
 
 def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[int, ...]]]:
@@ -195,8 +195,8 @@ def sampled_substitute(
     point_labels = []
     point_traces = []
     suffixes = [f"#{j}" for j in range(per_cell)]
-    for cell, draws in zip(p.simplices, sample(p, per_cell, seed)):
-        label, k = p.simplex_label(cell), cell.bit_count()
+    for cell, label, draws in zip(p.simplices, p.cell_labels, sample(p, per_cell, seed)):
+        k = cell.bit_count()
         point_labels += [label + suffix for suffix in suffixes]
         for d in draws:  # the cell when it has one numerator per vertex, all positive
             full = len(d) == k and min(d) > 0

@@ -2,9 +2,9 @@
 
 A complex is a hereditary family of nonempty vertex subsets containing
 every singleton.  A simplex is an int vertex mask (bit v for vertex v),
-the index-set format of the rest of the library.  A simplex is labelled by
-its vertices joined in order, except in the complex of a manifold, which
-Manifold.to_simplicial labels by the unique nonvanishing word ordering.
+the index-set format of the rest of the library.  Each cell has one label:
+its vertex labels joined in order, or in the complex of a manifold
+(Manifold.to_simplicial) the label of its one nonvanishing word.
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ def _check(simplex, vertex_count: int) -> int:
 
 class SimplicialComplex(Value):
     """The simplices, as vertex masks in canonical order (size first, then
-    sorted vertices).  A mask is also the trace of its open cell in the
-    covering by open vertex stars, so the face order is mask inclusion."""
+    sorted vertices), and cell_labels, one label per simplex in that order.
+    A mask is also the trace of its open cell in the covering by open vertex
+    stars, so the face order is mask inclusion.  _key ignores the labels."""
 
-    __slots__ = ("vertex_count", "labels", "simplices", "_simplex_labels", "_separator")
+    __slots__ = ("vertex_count", "labels", "simplices", "cell_labels")
 
     def __init__(self, vertex_count: int, simplices: Iterable[int], labels=None):
         ordered = sorted({_check(s, vertex_count) for s in simplices}, key=simplex_key)
@@ -96,13 +97,15 @@ class SimplicialComplex(Value):
                         f"family is not hereditary: {set(members(s))} "
                         f"lacks face {set(members(f))}"
                     )
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "labels", tuple(labels) if labels else default_labels(vertex_count))
-        if len(self.labels) != vertex_count:
+        labels = default_labels(vertex_count) if labels is None else tuple(labels)
+        if len(labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
+        sep = label_separator(labels)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "simplices", tuple(ordered))
-        object.__setattr__(self, "_simplex_labels", {})
-        object.__setattr__(self, "_separator", label_separator(self.labels))
+        cells = (sep.join(labels[v] for v in members(s)) for s in ordered)
+        object.__setattr__(self, "cell_labels", tuple(cells))
 
     @classmethod
     def closed(cls, vertex_count: int, simplices: Iterable[int], labels=None):
@@ -130,9 +133,3 @@ class SimplicialComplex(Value):
 
     def __repr__(self):
         return f"SimplicialComplex(n={self.vertex_count}, {len(self.simplices)} simplices)"
-
-    def simplex_label(self, simplex: int) -> str:
-        label = self._simplex_labels.get(simplex)
-        if label is None:
-            return self._separator.join(self.labels[v] for v in members(simplex))
-        return label

@@ -325,7 +325,8 @@ def parse_complex(
     complex_, added = SimplicialComplex.closed(
         table.n, simplices, labels=table.labels
     )
-    notes = [f"added missing face {complex_.simplex_label(s)}" for s in added]
+    added, cells = set(added), zip(complex_.simplices, complex_.cell_labels)
+    notes = [f"added missing face {label}" for s, label in cells if s in added]
     return complex_, notes
 
 

@@ -175,7 +175,7 @@ class Manifold(Value):
         infinite dimensional).  The walk lists valid, distinct, structured
         words in canonical order, assembled unchecked; labels match rel.n.
         """
-        labels = tuple(labels) if labels else default_labels(rel.n)
+        labels = default_labels(rel.n) if labels is None else tuple(labels)
         if len(labels) != rel.n:
             raise ValueError("label count does not match vertex count")
         if not rel.n:
@@ -188,7 +188,7 @@ class Manifold(Value):
 
     @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
-        labels = tuple(labels) if labels else default_labels(ideal.vertex_count)
+        labels = default_labels(ideal.vertex_count) if labels is None else tuple(labels)
         return cls(labels, ideal=ideal)
 
     # -- basic queries -------------------------------------------------
@@ -361,15 +361,15 @@ class Manifold(Value):
     def to_simplicial(self) -> SimplicialComplex:
         """Forget word order: valid because a finite-dimensional manifold
         carries at most one nonvanishing ordering per vertex subset.  Past
-        check_structure, the words sorted by size and then letters are the
-        simplices in canonical order, assembled unchecked."""
+        check_structure, the words sorted by size and then letters give the
+        simplices in canonical order and their labels, assembled unchecked."""
         report = self.check_structure()
         if not report.ok:
             raise StructureViolation(report)
         words = sorted(self.words(), key=lambda w: (len(w), sorted(w)))
         masks = tuple(map(vertex_mask, words))
-        labels = dict(zip(masks, map(self.word_label, words)))
-        return _restore(SimplicialComplex, (self.n, self.labels, masks, labels, self._separator))
+        cells = tuple(map(self.word_label, words))
+        return _restore(SimplicialComplex, (self.n, self.labels, masks, cells))
 
     def _key(self):
         return (self.labels, self._words if self.is_explicit else self.ideal)

@@ -527,6 +527,32 @@ def test_relation_path_stdout_is_pinned(capsys, tmp_path, name, command):
     assert hashlib.sha1(out.encode()).hexdigest() == RELATION_STDOUT_SHA1[name, command]
 
 
+# every demo complex has one-character labels; this one's cells join with
+# commas, in the output and in the seven "added missing face" notes
+MULTICHAR_COMPLEX = """\
+# multi-character labels: cells join with commas
+vertices: v1, v2, v3, w
+v1, v2, v3
+v3, w
+"""
+MULTICHAR_STDERR_SHA1 = "bd6219e52bcf8c1cde19f51569516ccc9d044ed1"
+MULTICHAR_STDOUT_SHA1 = {
+    "substitute simplicial {}": "614e97e30c06da44bfd7af212a1e4f87a27a69fe",
+    "substitute simplicial {} --json": "4966f9b0e0eb1f858ea77f1b40a45f1b1ee09167",
+    "substitute sampled {} --per-cell 2 --seed 3": "241232f3704abba28f8c7ed5f1c338d18027c75b",
+}
+
+
+@pytest.mark.parametrize("form", sorted(MULTICHAR_STDOUT_SHA1))
+def test_multichar_complex_output_is_pinned(capsys, tmp_path, form):
+    f = tmp_path / "multichar.complex"
+    f.write_text(MULTICHAR_COMPLEX)
+    code, out, err = run(capsys, *(str(f) if arg == "{}" else arg for arg in form.split()))
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == MULTICHAR_STDOUT_SHA1[form]
+    assert hashlib.sha1(err.encode()).hexdigest() == MULTICHAR_STDERR_SHA1
+
+
 class TestParser:
     def test_built_once_per_process(self, capsys, data_dir, monkeypatch):
         from finitary import cli

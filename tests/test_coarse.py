@@ -170,8 +170,7 @@ class TestSimplicialSubstitute:
         rng = random.Random(81)
         for _ in range(60):
             p = random_manifold(rng, max_vertices=6).to_simplicial()
-            labels = [p.simplex_label(t) for t in p.simplices]
-            c = Covering(p.labels, labels, p.simplices)
+            c = Covering(p.labels, p.cell_labels, p.simplices)
             assert simplicial_substitute(p) == trace_substitute(c)[0]
 
     def test_vertex_stars_and_cell_stars_give_one_quotient(self):
@@ -185,7 +184,7 @@ class TestSimplicialSubstitute:
                 mask(j for j, tau in enumerate(cells) if tau & ~sigma == 0)
                 for sigma in cells
             ]
-            labels = [p.simplex_label(t) for t in cells]
+            labels = p.cell_labels
             by_cell_stars = Covering(labels, labels, cell_stars)
             by_vertex_stars = Covering(p.labels, labels, cells)
             assert trace_substitute(by_cell_stars) == trace_substitute(by_vertex_stars)
@@ -276,7 +275,7 @@ class TestSampledSubstitute:
             p = random_manifold(rng, max_vertices=5).to_simplicial()
             per_cell = rng.choice((1, 2, 3))
             draws, labels, traces = [], [], []
-            for sigma in p.simplices:
+            for sigma, label in zip(p.simplices, p.cell_labels):
                 k = sigma.bit_count()
                 draws.append([])
                 for j in range(per_cell):
@@ -285,7 +284,7 @@ class TestSampledSubstitute:
                     d[rng.randrange(min(len(d), k))] = rng.randint(1, 1024)  # a nonempty support
                     draws[-1].append(tuple(d))
                     support = mask(v for v, a in zip(members(sigma), d) if a > 0)
-                    labels.append(f"{p.simplex_label(sigma)}#{j}")
+                    labels.append(f"{label}#{j}")
                     traces.append(support)
                     degenerate += support != sigma
             monkeypatch.setattr(coarse, "sample", lambda *_: draws)
@@ -420,7 +419,7 @@ def _eager(s):
 def _one_sample_covering(p, traces):
     """The vertex-star covering of one sample per cell of p, the sample of
     each cell carrying the given trace."""
-    labels = [f"{p.simplex_label(s)}#0" for s in p.simplices]
+    labels = [f"{label}#0" for label in p.cell_labels]
     return Covering(p.labels, labels, traces)
 
 
@@ -466,12 +465,10 @@ class TestRecipeCertificates:
             pairs = [g for g in grades.values() if len(g) > 1]
             if not pairs:
                 continue
-            s, t = rng.sample(rng.choice(pairs), 2)
-            relabel = {c: p.simplex_label(c) for c in p.simplices}
-            relabel[s], relabel[t] = relabel[t], relabel[s]
-            q = _restore(
-                SimplicialComplex, (p.vertex_count, p.labels, p.simplices, relabel, p._separator)
-            )
+            i, j = map(p.simplices.index, rng.sample(rng.choice(pairs), 2))
+            relabel = list(p.cell_labels)
+            relabel[i], relabel[j] = relabel[j], relabel[i]
+            q = _restore(SimplicialComplex, (p.vertex_count, p.labels, p.simplices, tuple(relabel)))
             gen, swapped = generated_space(m), simplicial_substitute(q)
             for b in (swapped, _eager(swapped)):
                 _never_certifies_a_rejected_map(gen, b)

@@ -26,6 +26,11 @@ class TestValidation:
         with pytest.raises(NotASimplex):
             SimplicialComplex(3, [mask(0), mask(1), mask(2), mask(0, 1, 2)])
 
+    def test_an_empty_label_table_is_not_the_default(self):
+        with pytest.raises(ValueError, match="label count does not match vertex count"):
+            SimplicialComplex(3, [1, 2, 4], labels=())
+        assert SimplicialComplex(0, [], labels=()).labels == ()
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="vertex labels must be unique"):
             SimplicialComplex(2, [1, 2, 3], labels=("a", "a"))
@@ -86,7 +91,7 @@ def star_labels(p, simplex):
     """Labels of the star of a simplex: the minimal open set of its point in
     the symbolic substitute."""
     space = simplicial_substitute(p)
-    x = space.labels.index(p.simplex_label(simplex))
+    x = space.labels.index(p.cell_labels[p.simplices.index(simplex)])
     return {space.labels[y] for y in members(space.min_open[x])}
 
 
@@ -101,21 +106,34 @@ class TestStars:
         assert star_labels(FULL_TRIANGLE, mask(0)) == {"1", "12", "13", "123"}
 
     def test_star_of_a_non_simplex(self):
-        # a non-simplex has no cell, so no point in the substitute
+        # a non-simplex has no cell, so no label and no point in the substitute
         with pytest.raises(ValueError):
             star_labels(BOUNDARY_TRIANGLE, mask(0, 1, 2))
 
 
 class TestCellsAndLabels:
     def test_default_label_joins_sorted_vertices(self):
-        assert BOUNDARY_TRIANGLE.simplex_label(mask(2, 0)) == "13"
+        assert BOUNDARY_TRIANGLE.cell_labels == ("1", "2", "3", "12", "13", "23")
 
     def test_multichar_labels_join_with_commas(self):
         p = SimplicialComplex(2, [mask(0), mask(1), mask(0, 1)], labels=("v1", "v2"))
-        assert p.simplex_label(mask(0, 1)) == "v1,v2"
+        assert p.cell_labels == ("v1", "v2", "v1,v2")
         # one long label in the table puts commas between the short ones too
         p = SimplicialComplex(3, [mask(0), mask(1), mask(2), mask(0, 1)], labels=("a", "b", "ab"))
-        assert p.simplex_label(mask(0, 1)) == "a,b"
+        assert p.cell_labels == ("a", "b", "ab", "a,b")
+
+    def test_each_cell_joins_its_sorted_vertex_labels_once(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            pool, sep = rng.choice((("abcdefgh", ""), (["v" + c for c in "abcdefgh"], ",")))
+            table = rng.sample(pool, n)
+            given = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+            p, _ = SimplicialComplex.closed(n, given, labels=table)
+            for s, label in zip(p.simplices, p.cell_labels, strict=True):
+                assert label == sep.join(table[v] for v in members(s))
+            assert len(set(p.cell_labels)) == len(p)
+            assert simplicial_substitute(p).labels is p.cell_labels
 
     def test_ordered_is_size_major(self):
         assert FULL_TRIANGLE.simplices == (

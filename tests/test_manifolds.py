@@ -448,6 +448,13 @@ def test_duplicate_vertex_labels_are_refused():
         Manifold.from_ideal(BasicIdeal(2), labels=("a", "a"))
 
 
+def test_an_empty_label_table_is_not_the_default():
+    with pytest.raises(ValueError, match="label count does not match vertex count"):
+        Manifold.from_relation(Relation(3, [(0, 1)]), labels=[])
+    with pytest.raises(ValueError, match="ideal vertex count does not match label count"):
+        Manifold.from_ideal(BasicIdeal(3, [(0, 1)]), labels=())
+
+
 def test_vertex_labels_holding_the_separator_are_refused():
     # the word (0, 1) would be labelled "a,b", the label of vertex 2
     labels = ("a", "b", "a,b")
@@ -461,7 +468,7 @@ class TestToSimplicial:
     def test_triangle_complex(self):
         p = Manifold.from_relation(TRIANGLE_REL).to_simplicial()
         assert p.simplices == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110)
-        assert p.simplex_label(0b101) == "31"
+        assert p.cell_labels[p.simplices.index(0b101)] == "31"
 
     def test_singletons_only(self):
         m = Manifold(("1", "2"), words=[W(0), W(1)])
