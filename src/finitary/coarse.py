@@ -117,13 +117,16 @@ def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
     quotient is always T0.  The class traces are the space's recipe, its
     table is built on first read (_holder_opens).
     """
-    first: dict[int, str] = {}  # each trace's first point label, in order
+    index: dict[int, int] = {}  # trace -> class, classes in first occurrence
+    labels: list[str] = []  # the first point label of each class
+    class_of = []
     for label, t in zip(c.point_labels, c.traces):
-        first.setdefault(t, label)
-    index = {t: k for k, t in enumerate(first)}
-    class_of = tuple(map(index.__getitem__, c.traces))
+        k = index.setdefault(t, len(labels))  # each trace hashed once
+        if k == len(labels):
+            labels.append(label)
+        class_of.append(k)
     build = partial(_holder_opens, len(c.cover_labels))
-    return FiniteSpace._lazy(first.values(), tuple(first), facets, build), class_of
+    return FiniteSpace._lazy(labels, tuple(index), facets, build), tuple(class_of)
 
 
 def _holder_opens(width: int, traces: Sequence[int]) -> list[int]:
@@ -183,11 +186,13 @@ def sampled_substitute(
     positive weight, which are the vertex stars holding it: the cell when
     the draw has one positive numerator per vertex (one comparison), else
     read vertex by vertex.  The sample points under this vertex-star
-    Covering, assembled unchecked, are quotiented by trace equality
-    (trace_substitute).  The drawn numerators are positive, so each support
-    equals the carrier cell and the result is simplicial_substitute(p) up to
-    labels by construction: a cross-check of the cofacet closure against the
-    trace quotient, not an independent oracle.  Raises TooLarge when the cell
+    Covering, assembled without its constructor's checks, are quotiented by
+    trace equality (trace_substitute); a draw with no positive numerator
+    lies in no star and raises UncoveredPoint, as the public Covering
+    would.  The drawn numerators are positive, so each support equals the
+    carrier cell and the result is simplicial_substitute(p) up to labels by
+    construction: a cross-check of the cofacet closure against the trace
+    quotient, not an independent oracle.  Raises TooLarge when the cell
     count times per_cell exceeds MAX_SAMPLES.
     """
     if len(p) * per_cell > MAX_SAMPLES:
@@ -198,9 +203,12 @@ def sampled_substitute(
     for cell, label, draws in zip(p.simplices, p.cell_labels, sample(p, per_cell, seed)):
         k = cell.bit_count()
         point_labels += [label + suffix for suffix in suffixes]
-        for d in draws:  # the cell when it has one numerator per vertex, all positive
+        for suffix, d in zip(suffixes, draws):
+            # the cell when it has one numerator per vertex, all positive
             full = len(d) == k and min(d) > 0
             support = cell if full else vertex_mask(v for v, a in zip(members(cell), d) if a > 0)
+            if not support:
+                raise UncoveredPoint(f"point {label}{suffix} lies in no cover set")
             point_traces.append(support)
     covering = _restore(Covering, (p.labels, tuple(point_labels), tuple(point_traces)))
     return trace_substitute(covering)[0]

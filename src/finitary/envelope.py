@@ -14,14 +14,31 @@ equal adjacent letters.  Together with the overlap product
 
 this makes d a degree-one square-zero derivation (checked exhaustively in
 the test suite).
+
+The kernels add on integers and build one scalar per surviving term.
+differential and form_product keep, for each output word, one
+unnormalized triple (re, im, den) of the sum so far: a contribution over
+the same denominator adds its numerators, any other cross-multiplies.
+The triple is a tuple, replaced on each addition: a tuple of ints leaves
+the cycle collector's tracking, where a list would be traversed again by
+every collection while a large accumulator is alive.
+Distinct insertions give distinct words, so an output word gets at most
+one contribution per letter (a deletion of it, or a split of it into two
+overlapping factors), and its denominator stays a product of a few input
+denominators.  Only a non-zero sum becomes a GaussianRational, normalized
+once (BasicIdeal's quotient operations first drop the words of the
+ideal).  inner has one output fed by every shared word, so it sums over
+the least common denominator instead.
 """
 
 from __future__ import annotations
 
+from math import gcd
+from operator import add, neg, sub
 from typing import Iterable, Iterator
 
 from .errors import FinitaryError, Value
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _normalized
 
 
 class WordError(FinitaryError):
@@ -179,21 +196,12 @@ class Form(Value):
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        merged = dict(self._terms)
-        for w, c in other._terms.items():
-            old = merged.get(w)
-            if old is None:
-                merged[w] = c
-            elif s := old + c:
-                merged[w] = s
-            else:
-                del merged[w]
-        return _form(merged)
+        return _merged(self, other, add, None)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self + (-other)
+        return _merged(self, other, sub, neg)
 
     def __neg__(self):
         return _form({w: -c for w, c in self._terms.items()})
@@ -231,6 +239,21 @@ def _form(terms: dict[Word, GaussianRational]) -> Form:
     return out
 
 
+def _merged(f: Form, g: Form, op, lone) -> Form:
+    """f op g term by term; a word of g alone gets lone(c), or c itself
+    when lone is None."""
+    merged = dict(f._terms)
+    for w, c in g._terms.items():
+        old = merged.get(w)
+        if old is None:
+            merged[w] = c if lone is None else lone(c)
+        elif s := op(old, c):
+            merged[w] = s
+        else:
+            del merged[w]
+    return _form(merged)
+
+
 def unit(vertex_count: int) -> Form:
     """Sum of all grade-0 idempotents; the two-sided identity."""
     return Form((Word((i,)), 1) for i in range(vertex_count))
@@ -254,40 +277,66 @@ def word_product(a: Word, b: Word) -> Form:
     return _form({_word(a + b[1:]): GaussianRational(1)})
 
 
+_Triple = tuple[int, int, int]  # (re, im, den) with den > 0, not reduced
+
+
+def _built(triples: Iterable[tuple[tuple[int, ...], _Triple]]) -> Form:
+    """The Form of (letters, (re, im, den)) pairs: one scalar per non-zero
+    term, the zero sums dropped."""
+    return _form(
+        {_word(w): _normalized(re, im, den) for w, (re, im, den) in triples if re or im}
+    )
+
+
+def _add_triple(acc: dict, w: tuple[int, ...], re: int, im: int, den: int) -> None:
+    """Add (re + im*i)/den to the triple of w: numerators add over an equal
+    denominator, other fractions cross-multiply."""
+    t = acc.get(w)
+    if t is None:
+        acc[w] = (re, im, den)
+    else:
+        x, y, e = t
+        if e == den:
+            acc[w] = (x + re, y + im, den)
+        else:
+            acc[w] = (x * den + re * e, y * den + im * e, e * den)
+
+
+def _product_triples(f: Form, g: Form) -> dict:
+    """The overlap product of f and g as one unnormalized triple per word."""
+    tails: dict[int, list[tuple]] = {}
+    for wb, cb in g._terms.items():
+        tails.setdefault(wb[0], []).append((wb[1:], cb._re_num, cb._im_num, cb._den))
+    acc: dict[tuple[int, ...], _Triple] = {}
+    for wa, ca in f._terms.items():
+        a, b, d = ca._re_num, ca._im_num, ca._den
+        for tail, c, e, den in tails.get(wa[-1], ()):
+            _add_triple(acc, wa + tail, a * c - b * e, a * e + b * c, d * den)
+    return acc
+
+
 def form_product(f: Form, g: Form) -> Form:
     """Bilinear extension of the overlap product; associative."""
-    tails: dict[int, list[tuple[tuple[int, ...], GaussianRational]]] = {}
-    for wb, cb in g._terms.items():
-        tails.setdefault(wb[0], []).append((wb[1:], cb))
-    acc: dict[Word, GaussianRational] = {}
-    for wa, ca in f._terms.items():
-        for tail, cb in tails.get(wa[-1], ()):
-            _accumulate(acc, _word(wa + tail), ca * cb)
-    return _form({w: c for w, c in acc.items() if c})
+    return _built(_product_triples(f, g).items())
 
 
-def _accumulate(acc: dict, w: Word, c: GaussianRational) -> None:
-    """Add c to the coefficient of w; the caller drops the zeros."""
-    old = acc.get(w)
-    acc[w] = c if old is None else old + c
-
-
-def _insert_letters(acc: dict, w: Word, c: GaussianRational, vertex_count: int) -> None:
-    """Add c * d(w) into acc: every vertex inserted into every gap of w.
+def _insert_letters(acc: dict, w: Word, re: int, im: int, den: int, vertex_count: int) -> None:
+    """Add (re + im*i)/den * d(w) into acc: every vertex inserted into every
+    gap of w.
 
     Gap s (0-based, before the s-th letter) carries sign (-1)^s; insertions
     that would repeat a neighbouring letter contribute nothing.
     """
-    signed = (c, -c)
+    signed = ((re, im), (-re, -im))
     last = len(w)
     for s in range(last + 1):
-        coeff = signed[s & 1]
+        a, b = signed[s & 1]
         head, tail = w[:s], w[s:]
         left = w[s - 1] if s else -1
         right = w[s] if s < last else -1
         for k in range(vertex_count):
             if k != left and k != right:
-                _accumulate(acc, _word(head + (k,) + tail), coeff)
+                _add_triple(acc, head + (k,) + tail, a, b, den)
 
 
 def differential_word(w: Word, vertex_count: int) -> Form:
@@ -295,27 +344,42 @@ def differential_word(w: Word, vertex_count: int) -> Form:
 
     Distinct insertions give distinct words, so no coefficient cancels.
     """
-    acc: dict[Word, GaussianRational] = {}
-    _insert_letters(acc, w, GaussianRational(1), vertex_count)
-    return _form(acc)
+    acc: dict[tuple[int, ...], _Triple] = {}
+    _insert_letters(acc, w, 1, 0, 1, vertex_count)
+    return _built(acc.items())
+
+
+def _differential_triples(f: Form, vertex_count: int) -> dict:
+    """The differential of f as one unnormalized triple per word."""
+    acc: dict[tuple[int, ...], _Triple] = {}
+    for w, c in f._terms.items():
+        _insert_letters(acc, w, c._re_num, c._im_num, c._den, vertex_count)
+    return acc
 
 
 def differential(f: Form, vertex_count: int) -> Form:
     """Linear extension of the word differential; raises the grade by one."""
-    acc: dict[Word, GaussianRational] = {}
-    for w, c in f._terms.items():
-        _insert_letters(acc, w, c, vertex_count)
-    return _form({w: c for w, c in acc.items() if c})
+    return _built(_differential_triples(f, vertex_count).items())
 
 
 def inner(f: Form, g: Form) -> GaussianRational:
     """Scalar product making the basis words orthonormal.
 
-    Conjugate-linear in the first argument.
+    Conjugate-linear in the first argument.  The products are summed over
+    the least common denominator of those seen so far, so a denominator
+    that many words share is multiplied in once; one scalar is built, at
+    the end.
     """
-    total = GaussianRational(0)
-    small, big = (f, g) if len(f) <= len(g) else (g, f)
-    for w in small._terms:
-        if w in big._terms:
-            total = total + f._terms[w].conjugate() * g._terms[w]
-    return total
+    re, im, den = 0, 0, 1
+    ft, gt = f._terms, g._terms
+    small, big = (ft, gt) if len(ft) <= len(gt) else (gt, ft)
+    for w in small:
+        if w in big:
+            x, y = ft[w], gt[w]
+            a, b, c, e = x._re_num, x._im_num, y._re_num, y._im_num
+            d = x._den * y._den
+            h = gcd(den, d)
+            re = re * (d // h) + (a * c + b * e) * (den // h)
+            im = im * (d // h) + (a * e - b * c) * (den // h)
+            den = den // h * d
+    return _normalized(re, im, den)

@@ -5,6 +5,11 @@ its generators, so it is stored as the antichain of subsequence-minimal
 generator words; the full word set is infinite in general.  Membership
 runs the word through the avoidance automaton's shift-and masks, compiled
 on the first test into a slot that equality, hash and pickle leave out.
+One loop (_outside) tests words this way for contains, reduce and the
+quotient operations.  The quotient differential and product take the
+envelope kernels' accumulators, one unnormalized integer triple per word,
+and drop the words of the ideal before any coefficient becomes a scalar:
+one scalar is built per surviving term.
 
 Generators of grade 0 are rejected: a nontrivial grade-0 component would
 collapse the underlying function algebra rather than a calculus on it.
@@ -20,9 +25,10 @@ from .errors import FinitaryError, Value, _restore
 from .envelope import (
     Form,
     Word,
+    _built,
+    _differential_triples,
     _form,
-    differential,
-    form_product,
+    _product_triples,
     is_subsequence,
     word_key,
     word_validate,
@@ -58,7 +64,7 @@ class BasicIdeal(Value):
             kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "generators", tuple(sorted(kept, key=word_key)))
-        object.__setattr__(self, "_matcher", None)  # filled by the first contains
+        object.__setattr__(self, "_matcher", None)  # filled by the first test
 
     def _key(self):
         return self.vertex_count, self.generators
@@ -72,19 +78,30 @@ class BasicIdeal(Value):
         return f"BasicIdeal(n={self.vertex_count}, [{gens}])"
 
     def contains(self, word: Word) -> bool:
-        """True iff some generator embeds into the word as a subsequence: the
-        word's letters advance it past its last (automata._compile); a letter
+        """True iff some generator embeds into the word as a subsequence."""
+        return not self._outside(((word, None),))
+
+    def _outside(self, items: Iterable[tuple]) -> list[tuple]:
+        """The (word, value) pairs of items whose word is not in the ideal:
+        no generator's match progress passes its last letter
+        (automata._compile) as the word's letters advance it; a letter
         outside the table matches nothing."""
         if self._matcher is None:
             start, masks, last = _compile(self.vertex_count, self.generators)
             object.__setattr__(self, "_matcher", (start[1], dict(enumerate(masks)), last))
-        s, masks, last = self._matcher
-        for letter in word:
-            adv = s & masks.get(letter, 0)
-            if adv & last:
-                return True
-            s += adv
-        return False
+        start, masks, last = self._matcher
+        get = masks.get
+        kept = []
+        for item in items:
+            s = start
+            for letter in item[0]:
+                adv = s & get(letter, 0)
+                if adv & last:
+                    break
+                s += adv
+            else:
+                kept.append(item)
+        return kept
 
     def reduce(self, f: Form) -> Form:
         """Orthogonal projection onto the complement of the ideal.
@@ -93,13 +110,14 @@ class BasicIdeal(Value):
         verbatim; this realizes the quotient map onto the calculus the
         ideal defines.
         """
-        contains = self.contains
-        return _form({w: c for w, c in f._terms.items() if not contains(w)})
+        return _form(dict(self._outside(f._terms.items())))
 
     def quotient_differential(self, f: Form) -> Form:
-        """Differential of the quotient calculus: differentiate, then reduce."""
-        return self.reduce(differential(f, self.vertex_count))
+        """Differential of the quotient calculus: differentiate, then reduce,
+        before any coefficient of a dropped word becomes a scalar."""
+        return _built(self._outside(_differential_triples(f, self.vertex_count).items()))
 
     def quotient_product(self, f: Form, g: Form) -> Form:
-        """Product of the quotient calculus: multiply, then reduce."""
-        return self.reduce(form_product(f, g))
+        """Product of the quotient calculus: multiply, then reduce, before
+        any coefficient of a dropped word becomes a scalar."""
+        return _built(self._outside(_product_triples(f, g).items()))

@@ -57,20 +57,14 @@ class GaussianRational(Value):
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
-        d, e = self._den, other._den
-        if d == e:
-            re, im = self._re_num + other._re_num, self._im_num + other._im_num
-            return _exact(re, im, 1) if d == 1 else _normalized(re, im, d)
-        return _normalized(
-            self._re_num * e + other._re_num * d,
-            self._im_num * e + other._im_num * d,
-            d * e,
-        )
+        return _sum(self, other._re_num, other._im_num, other._den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -GaussianRational.of(other)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        return _sum(self, -other._re_num, -other._im_num, other._den)
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self
@@ -191,3 +185,12 @@ def _normalized(re_num: int, im_num: int, den: int) -> GaussianRational:
     if g == 1:
         return _exact(re_num, im_num, den)
     return _exact(re_num // g, im_num // g, den // g)
+
+
+def _sum(x: GaussianRational, re_num: int, im_num: int, den: int) -> GaussianRational:
+    """x plus the normalized triple (re_num + im_num*i) / den."""
+    d = x._den
+    if d == den:
+        re, im = x._re_num + re_num, x._im_num + im_num
+        return _exact(re, im, 1) if d == 1 else _normalized(re, im, d)
+    return _normalized(x._re_num * den + re_num * d, x._im_num * den + im_num * d, d * den)

@@ -64,6 +64,21 @@ class TestTraceSubstitute:
         with pytest.raises(UncoveredPoint):
             Covering(("A",), ("p",), [0])
 
+    def test_each_trace_is_hashed_once(self):
+        hashed = []
+
+        class Trace(int):
+            def __hash__(self):
+                hashed.append(int(self))
+                return int.__hash__(self)
+
+        traces = tuple(map(Trace, [1, 3, 1, 2, 3]))
+        c = _restore(Covering, (("A", "B"), ("p", "q", "r", "s", "t"), traces))
+        space, class_of = trace_substitute(c)
+        assert class_of == (0, 1, 0, 2, 1)
+        assert space.labels == ("p", "q", "s")
+        assert hashed == [1, 3, 1, 2, 3]
+
     def test_traces_must_be_int_masks(self):
         with pytest.raises(TypeError):
             Covering(("A",), ("p",), [{0}])
@@ -291,6 +306,23 @@ class TestSampledSubstitute:
             public = trace_substitute(Covering(p.labels, labels, traces))[0]
             assert sampled_substitute(p, per_cell, trial) == public
         assert degenerate
+
+    def test_an_empty_support_is_refused_at_assembly(self, monkeypatch):
+        # a draw with no positive numerator lies in no vertex star: refused
+        # where the covering is assembled, as the public Covering refuses it
+        p = Manifold.from_relation(Relation(2, [(0, 1)])).to_simplicial()
+        drawn = coarse.sample
+
+        def empty(p, per_cell, seed):
+            out = drawn(p, per_cell, seed)
+            out[0][0] = (0,)
+            return out
+
+        monkeypatch.setattr(coarse, "sample", empty)
+        message = f"point {p.cell_labels[0]}#0 lies in no cover set"
+        with pytest.raises(UncoveredPoint, match=message) as raised:
+            sampled_substitute(p, per_cell=1, seed=0)
+        assert isinstance(raised.value, FinitaryError)
 
     def test_one_sample_per_cell_suffices(self):
         space = sampled_substitute(BOUNDARY_TRIANGLE, per_cell=1, seed=0)

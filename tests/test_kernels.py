@@ -1,0 +1,180 @@
+"""The calculus kernels against the per-contribution reference, and the
+scalars they build: one per output term, one per surviving term for the
+quotient operations."""
+
+from fractions import Fraction
+from itertools import groupby
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import calculus_reference as ref
+from finitary import (
+    BasicIdeal,
+    Form,
+    Word,
+    differential,
+    differential_word,
+    form_product,
+    inner,
+)
+from finitary import envelope, scalars
+from finitary.scalars import GaussianRational
+
+# coprime and mixed denominators; small numerators and the units 1, -1, i, -i
+# drawn often, so that contributions cancel to zero
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13)
+coefficients = st.one_of(
+    st.sampled_from([GaussianRational(*unit) for unit in ((1, 0), (-1, 0), (0, 1), (0, -1))]),
+    st.builds(
+        lambda a, p, b, q: GaussianRational(Fraction(a, p), Fraction(b, q)),
+        st.integers(-3, 3),
+        st.sampled_from(DENOMINATORS),
+        st.integers(-3, 3),
+        st.sampled_from(DENOMINATORS),
+    ),
+)
+
+
+@st.composite
+def calculi(draw, min_vertices=1):
+    """A vertex count n and two forms whose words use the letters 0..n+1,
+    so some lie at or above n."""
+    n = draw(st.integers(min_vertices, 4))
+    words = st.lists(st.integers(0, n + 1), min_size=1, max_size=4).map(
+        lambda letters: Word(k for k, _ in groupby(letters))
+    )
+    forms = st.lists(st.tuples(words, coefficients), max_size=8).map(Form)
+    return n, draw(forms), draw(forms)
+
+
+@st.composite
+def quotients(draw):
+    """A BasicIdeal on n >= 2 vertices and two forms as in calculi."""
+    n, f, g = draw(calculi(min_vertices=2))
+    letters = st.integers(0, n - 1)
+    generator = st.lists(letters, min_size=2, max_size=3).map(
+        lambda ls: tuple(k for k, _ in groupby(ls))
+    ).filter(lambda w: len(w) >= 2)
+    return BasicIdeal(n, draw(st.lists(generator, max_size=3))), f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(calculi())
+def test_kernels_match_the_reference(case):
+    n, f, g = case
+    assert differential(f, n) == ref.differential(f, n)
+    ddf = differential(differential(f, n), n)
+    assert ddf == ref.differential(ref.differential(f, n), n) == Form()
+    assert form_product(f, g) == ref.form_product(f, g)
+    assert form_product(differential(f, n), g) == ref.form_product(ref.differential(f, n), g)
+    assert inner(f, g) == ref.inner(f, g)
+    assert inner(f, f + g) == ref.inner(f, ref.add(f, g))
+    assert f + g == ref.add(f, g)
+    assert f - g == ref.sub(f, g)
+    assert f - f == Form()
+    for w, _ in f.items():
+        assert differential_word(w, n) == ref.differential_word(w, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients())
+def test_quotient_operations_match_the_reference(case):
+    ideal, f, g = case
+    n, gens = ideal.vertex_count, ideal.generators
+    assert ideal.reduce(f) == ref.reduce(gens, f)
+    assert ideal.quotient_differential(f) == ref.reduce(gens, ref.differential(f, n))
+    assert ideal.quotient_product(f, g) == ref.reduce(gens, ref.form_product(f, g))
+    for w, _ in f.items():
+        assert ideal.contains(w) == any(ref.is_subsequence(x, w) for x in gens)
+
+
+@pytest.fixture
+def scalars_built(monkeypatch):
+    """Calls of the scalar constructor the kernels bind, and of _exact,
+    which every scalar built by arithmetic goes through."""
+    counts = {"kernel": 0, "any": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            counts[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(envelope, "_normalized", counted("kernel", envelope._normalized))
+    monkeypatch.setattr(scalars, "_exact", counted("any", scalars._exact))
+    return counts
+
+
+def _form(terms):
+    """The form of (word, (a, p, b, q)) terms, coefficient a/p + (b/q)i."""
+    return Form(
+        (Word(w), GaussianRational(Fraction(a, p), Fraction(b, q))) for w, (a, p, b, q) in terms
+    )
+
+
+# on 4 vertices, with mixed and coprime denominators; e(5,0) has a letter
+# outside the table, and d(d(F)) cancels to zero
+F = _form(
+    [
+        ((0, 1), (1, 2, 1, 3)),
+        ((1, 2), (-2, 5, 0, 1)),
+        ((2, 0), (3, 7, -1, 2)),
+        ((0, 2), (1, 1, 1, 1)),
+        ((3, 1), (5, 6, 0, 1)),
+        ((1, 0, 1), (-1, 4, 2, 9)),
+        ((5, 0), (1, 11, 1, 13)),
+    ],
+)
+G = _form(
+    [
+        ((1, 3), (1, 3, 0, 1)),
+        ((2, 1), (2, 5, -1, 7)),
+        ((0, 3), (-1, 1, 1, 6)),
+        ((1,), (1, 2, 0, 1)),
+    ]
+)
+
+
+IDEAL = BasicIdeal(4, [(0, 2), (1, 3, 1)])
+DF = differential(F, 4)
+F_AND_G = F + G + _form([((0, 1), (1, 1, 0, 1))])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda: differential(F, 4),
+        lambda: differential(DF, 4),
+        lambda: differential_word(Word((0, 1, 2)), 4),
+        lambda: form_product(F, G),
+        lambda: form_product(G, DF),
+    ],
+)
+def test_one_scalar_per_output_term(kernel, scalars_built):
+    out = kernel()
+    assert scalars_built["kernel"] == scalars_built["any"] <= len(out)
+
+
+def test_inner_builds_one_scalar(scalars_built):
+    product = inner(F, F_AND_G)
+    assert scalars_built == {"kernel": 1, "any": 1}
+    assert product == ref.inner(F, F_AND_G)
+
+
+@pytest.mark.parametrize(
+    "quotient, unreduced",
+    [
+        (lambda: IDEAL.quotient_differential(F), lambda: differential(F, 4)),
+        (lambda: IDEAL.quotient_product(F, G), lambda: form_product(F, G)),
+        (lambda: IDEAL.quotient_product(DF, G), lambda: form_product(DF, G)),
+    ],
+)
+def test_quotient_operations_build_one_scalar_per_surviving_term(
+    quotient, unreduced, scalars_built
+):
+    dropped = len(unreduced()) - len(IDEAL.reduce(unreduced()))
+    scalars_built.update(kernel=0, any=0)
+    out = quotient()
+    assert dropped and scalars_built["kernel"] == scalars_built["any"] <= len(out)
