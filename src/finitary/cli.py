@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success / verification passed, 1 verification failed (the
-witness is printed), 2 malformed or inadmissible input.  All collections
-are printed in canonical order so identical inputs give byte-identical
-output.
+witness is printed), 2 malformed or inadmissible input, or stdout closed by
+its reader before the output was written (one error[BrokenPipeError] line
+on stderr, while stderr can still be written).  All collections are
+printed in canonical order so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,9 +47,16 @@ def _load_manifold(path: str) -> Manifold:
     return fio.parse_manifold(*_read(path))
 
 
+def _write(text: str) -> None:
+    """Write text to stdout a line at a time.  One write past the stream's
+    buffer can end short at a closed pipe without raising, which would
+    drop the rest of the output and still exit 0."""
+    sys.stdout.writelines(text.splitlines(keepends=True))
+
+
 def _print_space(space, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(fio.space_json(space))
+        _write(fio.space_json(space))
         return
     print(f"points ({space.n}): " + ", ".join(space.labels))
     print("min_open:")
@@ -138,7 +147,7 @@ def _cmd_topology(args) -> int:
     m = _load_manifold(args.file)
     space = generated_space(m)
     if args.op == "json":
-        sys.stdout.write(fio.space_json(space))
+        _write(fio.space_json(space))
         return 0
     if args.op == "open-sets":
         opens = open_sets(space)
@@ -148,7 +157,7 @@ def _cmd_topology(args) -> int:
         return 0
     diagram = hasse(space)
     if args.dot:
-        sys.stdout.write(fio.hasse_dot(diagram))
+        _write(fio.hasse_dot(diagram))
         return 0
     print(f"points ({space.n}): " + ", ".join(space.labels))
     print(f"edges ({len(diagram.edges)}):")
@@ -173,7 +182,7 @@ def _cmd_substitute(args) -> int:
             names = ",".join(covering.cover_labels[i] for i in members(trace))
             print(f"  {space.labels[x]}: trace {{{names}}}")
         if args.json:
-            sys.stdout.write(fio.space_json(space))
+            _write(fio.space_json(space))
         return 0
     if args.op == "trace":
         covering = fio.parse_covering(*_read(args.file))
@@ -279,9 +288,22 @@ def main(argv=None) -> int:
     if args.command == "substitute" and args.op != "circle" and args.file is None:
         parser.error(f"substitute {args.op} needs an input file")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except (FinitaryError, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone: what is still buffered goes to
+        # devnull, so the flush at interpreter exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr went with it
+            os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
         return 2
 
 

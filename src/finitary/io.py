@@ -30,7 +30,7 @@ from .envelope import Form, Word, word_validate
 from .errors import FinitaryError, TooLarge, Value, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _fraction_text
 from .topology import FiniteSpace, HasseDiagram
 
 
@@ -166,11 +166,11 @@ def _coeff_prefix(c: GaussianRational) -> tuple[int, str]:
     if not c.im:
         sign = -1 if c.re < 0 else 1
         mag = abs(c.re)
-        return sign, "" if mag == 1 else f"{mag}*"
+        return sign, "" if mag == 1 else f"{_fraction_text(mag)}*"
     if not c.re:
         sign = -1 if c.im < 0 else 1
         mag = abs(c.im)
-        return sign, "i*" if mag == 1 else f"{mag}i*"
+        return sign, "i*" if mag == 1 else f"{_fraction_text(mag)}i*"
     return 1, f"({c})*"
 
 

@@ -123,15 +123,19 @@ class GaussianRational(Value):
         return hash((self._re_num, self._im_num, self._den))
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        re, im = (
+            f"Fraction({_decimal(q.numerator)}, {_decimal(q.denominator)})"
+            for q in (self.re, self.im)
+        )
+        return f"GaussianRational({re}, {im})"
 
     def __str__(self):
         re, im = self.re, self.im
         if not im:
-            return str(re)
-        body = "i" if abs(im) == 1 else f"{abs(im)}i"
+            return _fraction_text(re)
+        body = "i" if abs(im) == 1 else f"{_fraction_text(abs(im))}i"
         sign = "-" if im < 0 else "+" if re else ""
-        return f"{re or ''}{sign}{body}"
+        return f"{_fraction_text(re) if re else ''}{sign}{body}"
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
@@ -194,3 +198,29 @@ def _sum(x: GaussianRational, re_num: int, im_num: int, den: int) -> GaussianRat
         re, im = x._re_num + re_num, x._im_num + im_num
         return _exact(re, im, 1) if d == 1 else _normalized(re, im, d)
     return _normalized(x._re_num * den + re_num * d, x._im_num * den + im_num * d, d * den)
+
+
+#: ints up to this width go through str(): about 600 digits, below the
+#: least int-to-str digit limit the interpreter can be set to (640)
+_DIRECT_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) at any size.  str() refuses an int past the interpreter's
+    digit limit (4300 by default), a guard for parsing input; a computed
+    value is printed in full by splitting it at a power of ten, about
+    half its digits, and printing both halves."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # log10(2) > 3/10
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _fraction_text(q: Fraction) -> str:
+    """str(q) at any size."""
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"

@@ -16,7 +16,11 @@ usual picture where an edge lies under its endpoints in the Hasse graph.
 
 The library's own spaces keep the recipe their table comes from (the
 words of the manifold, or the masks of a substitute) and build min_open
-on its first read; only the public constructor takes a table.
+on its first read; only the public constructor takes a table.  When the
+recipe is face-closed, every face of every item again an item, its face
+relation is the cover relation (Stong), so the Hasse diagram is read off
+the recipe and builds no table; any other space takes the transitive
+reduction of its table.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .automata import is_finite
 from .envelope import deletions, is_subsequence
 from .errors import TooLarge, Value, _restore, members
 from .manifolds import InfiniteDimensional, Manifold
@@ -56,10 +59,10 @@ class FiniteSpace(Value):
     builds the table from the items.  That table is nested by
     construction, skips the checks, and is built on the first read of
     min_open: a space whose table nothing reads never holds its n masks
-    of up to n bits.  The recipe also certifies maps between spaces
-    without any table (coarse.verify_correspondence).  Equality, hash,
-    copy and pickle compare or carry (labels, min_open), never the
-    recipe.
+    of up to n bits.  The recipe also gives the Hasse diagram (hasse) and
+    certifies maps between spaces (coarse.verify_correspondence) without
+    any table.  Equality, hash, copy and pickle compare or carry (labels,
+    min_open), never the recipe.
     """
 
     __slots__ = ("labels", "_min_open", "_recipe")
@@ -142,9 +145,10 @@ def generated_space(m: Manifold) -> FiniteSpace:
     dimensional manifolds have a finite point set.  The words are the
     space's recipe; its table is built on first read (_subsequence_opens).
     """
-    if not m.is_explicit and not is_finite(m.n, m.ideal.generators):
-        raise InfiniteDimensional("generated space needs a finite word family")
-    words = tuple(m.words())
+    try:
+        words = tuple(m.words())
+    except InfiniteDimensional:
+        raise InfiniteDimensional("generated space needs a finite word family") from None
     return FiniteSpace._lazy(map(m.word_label, words), words, deletions, _subsequence_opens)
 
 
@@ -169,21 +173,34 @@ def _subsequence_opens(words: Sequence) -> list[int]:
     return opens
 
 
-def _deletion_closure(items: Sequence, faces: Callable = deletions) -> list[int] | None:
-    """The mask of each item's cofaces, OR-ed down the one-element
-    deletions faces(item) lists: one-letter deletions of words by default,
-    the facets of simplex masks for the star covering.  Every face of an
-    item must precede it in `items`, so in one pass from the last item to
-    the first each mask is complete before it is OR-ed into the masks of
-    the item's faces.  None when some face is not an item."""
+def _face_edges(items: Sequence, faces: Callable) -> list[tuple[int, int]] | None:
+    """The pairs (b, a), b ascending, with items[a] one of faces(items[b]),
+    the one-element deletions of an item: one-letter deletions of words,
+    or the facets of masks.  None when some face is not an item."""
     index = {x: i for i, x in enumerate(items)}
-    opens = [1 << i for i in range(len(items))]
-    for b in range(len(items) - 1, -1, -1):
-        for sub in faces(items[b]):
+    edges = []
+    for b, item in enumerate(items):
+        for sub in faces(item):
             a = index.get(sub)
             if a is None:
                 return None
-            opens[a] |= opens[b]
+            edges.append((b, a))
+    return edges
+
+
+def _deletion_closure(items: Sequence, faces: Callable = deletions) -> list[int] | None:
+    """The mask of each item's cofaces, OR-ed down the face edges
+    (_face_edges): one-letter deletions of words by default, the facets of
+    simplex masks for the star covering.  Every face of an item must
+    precede it in `items`, so in one pass from the last edge to the first
+    each mask is complete before it is OR-ed into the masks of the item's
+    faces.  None when some face is not an item."""
+    edges = _face_edges(items, faces)
+    if edges is None:
+        return None
+    opens = [1 << i for i in range(len(items))]
+    for b, a in reversed(edges):
+        opens[a] |= opens[b]
     return opens
 
 
@@ -193,8 +210,23 @@ def is_t0(s: FiniteSpace) -> bool:
 
 
 def hasse(s: FiniteSpace) -> HasseDiagram:
-    """Transitive reduction of the specialization order of a T0 space: the
-    covers of y are below(y) minus everything below a point of below(y)."""
+    """The covering pairs of the specialization order of a T0 space.
+
+    A library-built space whose recipe is face-closed (every face of every
+    item is again an item) reads them off the recipe: its order is the
+    reflexive-transitive closure of the face relation (Stong, Trans. AMS
+    123 (1966) 325), a face drops one letter or one vertex, so no face is
+    reached by a longer chain, and the covers are exactly the faces.  Its
+    items are distinct, so it is T0, and no table is built.  Any other
+    space takes the transitive reduction of its table: the covers of y
+    are below(y) minus everything below a point of below(y); a table that
+    is not T0 raises ValueError.
+    """
+    if s._recipe is not None:
+        items, faces, _ = s._recipe
+        edges = _face_edges(items, faces)
+        if edges is not None:
+            return HasseDiagram(s.labels, tuple(sorted(edges)))
     if not is_t0(s):
         raise ValueError("Hasse diagram requires a T0 space")
     below = [u & ~(1 << y) for y, u in enumerate(s.min_open)]

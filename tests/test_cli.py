@@ -2,7 +2,10 @@
 
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,6 +41,19 @@ class TestEnvelope:
             capsys, "envelope", "inner", "e[1,2]+e[2,3]", "e[2,3]", "--vertices", "1,2,3"
         )
         assert code == 0 and out.strip() == "1"
+
+    def test_values_past_the_digit_limit_print_in_full(self, capsys):
+        # each literal has 3001 digits, under the limit on parsing; the
+        # result's denominator (10^3000 + 1)^2 has 6001, past the 4300 that
+        # str(int) prints
+        form = f"1/{10**3000 + 1}*e[1,2]"
+        square = "1" + "0" * 2999 + "2" + "0" * 2999 + "1"
+        code, out, _ = run(capsys, "envelope", "inner", form, form, "--vertices", "1,2")
+        assert (code, out) == (0, f"1/{square}\n")
+        code, out, _ = run(
+            capsys, "envelope", "mul", form, form.replace("1,2", "2,1"), "--vertices", "1,2"
+        )
+        assert (code, out) == (0, f"1/{square}*e[1,2,1]\n")
 
     def test_bad_form_is_input_error(self, capsys):
         code, _, err = run(capsys, "envelope", "d", "e[1,1]", "--vertices", "1,2")
@@ -270,18 +286,49 @@ class TestTables:
                 assert code == 0
         assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
 
+    @pytest.mark.parametrize("extra", [(), ("--dot",)])
+    def test_hasse_reads_the_recipe_and_builds_none(
+        self, capsys, data_dir, tmp_path, table_builds, extra
+    ):
+        ideal = tmp_path / "words.manifold"
+        ideal.write_text("vertices: 1, 2, 3\nideal:\n2, 1\n3, 2\n1, 3, 1\n3, 1, 3\n")
+        for path in (data_dir / "triangle.manifold", ideal, self._total_order(tmp_path, 8)):
+            code, _, _ = run(capsys, "topology", "hasse", str(path), *extra)
+            assert code == 0
+        assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
+
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (("topology", "hasse", "triangle.manifold"), "generated"),
+            # the family lacks the deletion 2 of 12: only its table has the covers
+            (("topology", "hasse", "gapped.manifold"), "generated"),
             (("topology", "json", "triangle.manifold"), "generated"),
             (("substitute", "simplicial", "triangle_boundary.complex"), "symbolic"),
         ],
     )
-    def test_a_printed_space_builds_its_table(self, capsys, data_dir, table_builds, argv, built):
-        code, _, _ = run(capsys, *argv[:2], str(data_dir / argv[2]))
+    def test_a_printed_space_builds_its_table(
+        self, capsys, data_dir, tmp_path, table_builds, argv, built
+    ):
+        (tmp_path / "gapped.manifold").write_text("vertices: 1, 2\nwords:\n1\n1,2\n")
+        folder = tmp_path if argv[2] == "gapped.manifold" else data_dir
+        code, _, _ = run(capsys, *argv[:2], str(folder / argv[2]))
         assert code == 0
         assert table_builds == {name: int(name == built) for name in table_builds}
+
+
+def test_a_reader_closing_stdout_early_gets_exit_two(tmp_path):
+    # the diagram of the total order n=12 is about 0.5 MB, past any pipe buffer
+    path = TestTables._total_order(tmp_path, 12)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for extra in ((), ("--dot",)):
+        argv = [sys.executable, "-m", "finitary.cli", "topology", "hasse", str(path), *extra]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error[BrokenPipeError]: ")
+        proc.stderr.close()
 
 
 class TestTopology:

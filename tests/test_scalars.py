@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,33 @@ def test_integer_scalar_matches_fraction_pair_reference(a, b, c, d):
     assert GaussianRational.parse(str(x)) == x
     assert repr(x) == f"GaussianRational({a!r}, {b!r})"
 
+
+def _from_digits(digits: str) -> int:
+    """int(digits) for any length, parsed 1000 digits at a time, under the
+    interpreter's limit on parsing."""
+    n = 0
+    for at in range(0, len(digits), 1000):
+        chunk = digits[at : at + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_str_is_exact_past_the_int_digit_limit():
+    # str(int) refuses more than 4300 digits; a computed value prints in full
+    z = gr(Fraction(1, 10**4400), Fraction(-(10**5000) - 7, 3))
+    assert str(z) == "1/1" + "0" * 4400 + "-1" + "0" * 4999 + "7/3i"
+    assert str(-z.conjugate()) == "-1/1" + "0" * 4400 + "-1" + "0" * 4999 + "7/3i"
+    assert str(gr(0, 10**4400)) == "1" + "0" * 4400 + "i"
+    big = "1" + "0" * 4400
+    expected = f"GaussianRational(Fraction(1, {big}), Fraction(0, 1))"
+    assert repr(gr(Fraction(1, 10**4400))) == expected
+    rng = random.Random(5)
+    for length in (600, 603, 4299, 4300, 4301, 9000, 20000):
+        for _ in range(5):
+            # runs of zeros meet the splits at powers of ten
+            pieces = ("0" * rng.randint(1, 700), "9", "1234567")
+            body = "".join(rng.choice(pieces) for _ in range(length))
+            digits = ("7" + body)[:length]
+            n = _from_digits(digits)
+            assert str(gr(n)) == digits and str(gr(-n)) == "-" + digits
+            assert str(gr(Fraction(1, n))) == "1/" + digits

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from finitary import (
+    STANDARD_CIRCLE_ARCS,
+    STANDARD_CIRCLE_EXTRA_POINTS,
     Covering,
     FiniteSpace,
     InfiniteDimensional,
@@ -17,19 +19,23 @@ from finitary import (
     Word,
     BasicIdeal,
     basis_words,
+    circle_covering,
     generated_space,
     hasse,
     is_subsequence,
     is_t0,
+    manifolds,
     members,
     open_sets,
     poset_isomorphic,
+    sampled_substitute,
     simplicial_substitute,
     trace_substitute,
 )
-from finitary.topology import _deletion_closure
+from finitary.automata import is_finite
+from finitary.topology import _deletion_closure, _face_edges
 
-from conftest import random_manifold
+from conftest import random_antisymmetric_relation, random_manifold
 
 
 def mask(points):
@@ -169,8 +175,18 @@ class TestGeneratedSpace:
         assert 100 < fallbacks < 500  # random families are rarely hereditary
 
     def test_infinite_dimensional_rejected(self):
+        with pytest.raises(InfiniteDimensional, match="generated space needs a finite"):
+            generated_space(Manifold.from_ideal(BasicIdeal(2)))
+
+    def test_an_ideal_is_tested_for_finiteness_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            manifolds, "is_finite", lambda *args: calls.append(args) or is_finite(*args)
+        )
+        generated_space(Manifold.from_ideal(BasicIdeal(3, [(1, 0), (2, 0), (2, 1)])))
         with pytest.raises(InfiniteDimensional):
             generated_space(Manifold.from_ideal(BasicIdeal(2)))
+        assert len(calls) == 2
 
 
 class TestT0:
@@ -233,6 +249,47 @@ class TestOrderAndHasse:
             for x, y in h.edges:
                 assert not any(s.le(x, z) and s.le(z, y) for z in range(s.n) if z not in (x, y))
             assert hasse(s) == h  # stable under recomputation
+
+    def test_recipe_covers_equal_the_reduction_of_the_table(self, table_builds):
+        # every library-built kind of space, beside its table-only twin; a
+        # face-closed recipe gives the covers without a table, any other
+        # space builds its table once
+        rng = random.Random(60)
+        spaces = []
+        for _ in range(60):
+            m = Manifold.from_relation(random_antisymmetric_relation(rng, rng.randint(1, 5)))
+            complex_ = m.to_simplicial()
+            spaces += [
+                generated_space(m),
+                simplicial_substitute(complex_),
+                sampled_substitute(complex_, rng.randint(1, 3), rng.randrange(100)),
+            ]
+        for _ in range(150):  # every pair blocked, so the family is finite
+            n = rng.randint(2, 4)
+            pairs = [w for w in basis_words(n, 1) if w[0] < w[1] or rng.random() < 0.5]
+            pairs += [Word(w[::-1]) for w in pairs if w[0] < w[1] and rng.random() < 0.3]
+            triples = list(basis_words(n, 2))
+            triples = rng.sample(triples, rng.randint(0, min(4, len(triples))))
+            spaces.append(generated_space(Manifold.from_ideal(BasicIdeal(n, pairs + triples))))
+        for _ in range(150):
+            n = rng.randint(2, 3)
+            pool = [w for g in range(0, 4) for w in basis_words(n, g)]
+            words = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+            spaces.append(generated_space(Manifold(tuple("abc"[:n]), words=words)))
+        for samples in (1, 2, 3, 5, 8, 64):
+            covering = circle_covering(
+                STANDARD_CIRCLE_ARCS, samples, STANDARD_CIRCLE_EXTRA_POINTS[: samples % 3]
+            )
+            spaces.append(trace_substitute(covering)[0])
+        closed = 0
+        for s in spaces:
+            face_closed = _face_edges(*s._recipe[:2]) is not None
+            before = sum(table_builds.values())
+            h = hasse(s)
+            assert sum(table_builds.values()) - before == (not face_closed)
+            assert h == hasse(FiniteSpace(s.labels, s.min_open))
+            closed += face_closed
+        assert 200 < closed < len(spaces) - 100
 
     def test_hasse_requires_t0(self):
         with pytest.raises(ValueError):
