@@ -17,8 +17,10 @@ the test suite).
 
 The kernels add on integers and build one scalar per surviving term.
 differential and form_product keep, for each output word, one
-unnormalized triple (re, im, den) of the sum so far: a contribution over
-the same denominator adds its numerators, any other cross-multiplies.
+unnormalized triple (re, im, den) of the sum so far: the first
+contribution is stored as it comes, and each further one is added by
+scalars._plus, the library's one rule for adding exact triples (numerators
+add over an equal denominator, other fractions cross-multiply).
 The triple is a tuple, replaced on each addition: a tuple of ints leaves
 the cycle collector's tracking, where a list would be traversed again by
 every collection while a large accumulator is alive.
@@ -27,8 +29,11 @@ one contribution per letter (a deletion of it, or a split of it into two
 overlapping factors), and its denominator stays a product of a few input
 denominators.  Only a non-zero sum becomes a GaussianRational, normalized
 once (BasicIdeal's quotient operations first drop the words of the
-ideal).  inner has one output fed by every shared word, so it sums over
-the least common denominator instead.
+ideal).  inner has one output fed by every shared word, so it alone sums
+over the least common denominator instead: moving the kernels onto that
+rule as well, as a helper or written inline, measured slower on the
+calculus benchmark (by 6% and 2.6%), and moving only the scalar sum onto
+it removed no line and measured 1.5% slower.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from operator import add, neg, sub
 from typing import Iterable, Iterator
 
 from .errors import FinitaryError, Value
-from .scalars import GaussianRational, _normalized
+from .scalars import GaussianRational, _normalized, _plus
 
 
 class WordError(FinitaryError):
@@ -288,20 +293,6 @@ def _built(triples: Iterable[tuple[tuple[int, ...], _Triple]]) -> Form:
     )
 
 
-def _add_triple(acc: dict, w: tuple[int, ...], re: int, im: int, den: int) -> None:
-    """Add (re + im*i)/den to the triple of w: numerators add over an equal
-    denominator, other fractions cross-multiply."""
-    t = acc.get(w)
-    if t is None:
-        acc[w] = (re, im, den)
-    else:
-        x, y, e = t
-        if e == den:
-            acc[w] = (x + re, y + im, den)
-        else:
-            acc[w] = (x * den + re * e, y * den + im * e, e * den)
-
-
 def _product_triples(f: Form, g: Form) -> dict:
     """The overlap product of f and g as one unnormalized triple per word."""
     tails: dict[int, list[tuple]] = {}
@@ -311,7 +302,9 @@ def _product_triples(f: Form, g: Form) -> dict:
     for wa, ca in f._terms.items():
         a, b, d = ca._re_num, ca._im_num, ca._den
         for tail, c, e, den in tails.get(wa[-1], ()):
-            _add_triple(acc, wa + tail, a * c - b * e, a * e + b * c, d * den)
+            w, re, im = wa + tail, a * c - b * e, a * e + b * c
+            t = acc.get(w)
+            acc[w] = (re, im, d * den) if t is None else _plus(t, re, im, d * den)
     return acc
 
 
@@ -336,7 +329,9 @@ def _insert_letters(acc: dict, w: Word, re: int, im: int, den: int, vertex_count
         right = w[s] if s < last else -1
         for k in range(vertex_count):
             if k != left and k != right:
-                _add_triple(acc, head + (k,) + tail, a, b, den)
+                v = head + (k,) + tail
+                t = acc.get(v)
+                acc[v] = (a, b, den) if t is None else _plus(t, a, b, den)
 
 
 def differential_word(w: Word, vertex_count: int) -> Form:
@@ -368,7 +363,9 @@ def inner(f: Form, g: Form) -> GaussianRational:
     Conjugate-linear in the first argument.  The products are summed over
     the least common denominator of those seen so far, so a denominator
     that many words share is multiplied in once; one scalar is built, at
-    the end.
+    the end.  This is the one sum not made by scalars._plus: every shared
+    word feeds the same output, whose denominator would otherwise grow by
+    a factor per word.
     """
     re, im, den = 0, 0, 1
     ft, gt = f._terms, g._terms

@@ -58,7 +58,8 @@ class Value:
     (FiniteSpace pickles its table and not the recipe it is built from,
     BasicIdeal its generators and not its matcher).  _restore also assembles
     the values whose invariants the library has just established (a
-    relation's manifold and report, its complex, a sampled covering), unchecked.
+    relation's manifold and report, its complex, a sampled covering, the
+    spaces FiniteSpace._lazy builds), unchecked.
     """
 
     __slots__ = ()

@@ -201,9 +201,10 @@ def _relation(lines, source: str) -> Relation:
     """A relation from the content lines of a file with an ``n`` header."""
     lineno, header = lines[0]
     bits = header.split()
-    if len(bits) != 2 or bits[0] != "n" or not bits[1].isdigit():
+    count = bits[1] if len(bits) == 2 and bits[0] == "n" else ""
+    if not (count.isascii() and count.isdigit()):  # isdigit alone takes "²" and "١٢"
         raise ParseError(source, lineno, f"expected header 'n <count>', got {header!r}")
-    n = int(bits[1])
+    n = int(count)
     if n < 1:
         raise ParseError(source, lineno, "vertex count must be at least 1")
     if n > MAX_WORDS:  # its n singletons are already too many words

@@ -3,6 +3,11 @@
 Every structural constant of the calculus is -1, 0 or 1, so working over
 exact complex rationals keeps all algebraic identities decidable.  Floats
 are deliberately rejected everywhere.
+
+Two exact values are added by one rule, _plus, on unnormalized integer
+triples (re, im, den).  + and - normalize its result; the calculus
+kernels in envelope normalize each sum once, at the end (the envelope
+docstring says why inner alone sums over a least common denominator).
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ class GaussianRational(Value):
     """A complex number (re_num + im_num*i) / den held as three integers.
 
     The triple is normalized: den > 0 and gcd(re_num, im_num, den) == 1, so
-    equal values have equal triples.  Arithmetic stays on integers and skips
-    the gcd when both denominators are 1; the real and imaginary parts are
-    read as Fractions through ``re`` and ``im``.
+    equal values have equal triples.  Arithmetic stays on integers, and a
+    product skips the gcd when both denominators are 1; the real and
+    imaginary parts are read as Fractions through ``re`` and ``im``.
     """
 
     __slots__ = ("_re_num", "_im_num", "_den")
@@ -57,14 +62,16 @@ class GaussianRational(Value):
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
-        return _sum(self, other._re_num, other._im_num, other._den)
+        t = self._re_num, self._im_num, self._den
+        return _normalized(*_plus(t, other._re_num, other._im_num, other._den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
-        return _sum(self, -other._re_num, -other._im_num, other._den)
+        t = self._re_num, self._im_num, self._den
+        return _normalized(*_plus(t, -other._re_num, -other._im_num, other._den))
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self
@@ -191,13 +198,14 @@ def _normalized(re_num: int, im_num: int, den: int) -> GaussianRational:
     return _exact(re_num // g, im_num // g, den // g)
 
 
-def _sum(x: GaussianRational, re_num: int, im_num: int, den: int) -> GaussianRational:
-    """x plus the normalized triple (re_num + im_num*i) / den."""
-    d = x._den
+def _plus(t: tuple[int, int, int], re: int, im: int, den: int) -> tuple[int, int, int]:
+    """The triple t = (x, y, d) plus (re + im*i)/den, both with positive
+    denominators, not reduced: numerators add over an equal denominator,
+    other fractions cross-multiply."""
+    x, y, d = t
     if d == den:
-        re, im = x._re_num + re_num, x._im_num + im_num
-        return _exact(re, im, 1) if d == 1 else _normalized(re, im, d)
-    return _normalized(x._re_num * den + re_num * d, x._im_num * den + im_num * d, d * den)
+        return x + re, y + im, d
+    return x * den + re * d, y * den + im * d, d * den
 
 
 #: ints up to this width go through str(): about 600 digits, below the

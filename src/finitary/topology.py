@@ -56,10 +56,12 @@ class FiniteSpace(Value):
     coarse) carry a recipe instead: their items in point order (words,
     cell masks or class traces), the function listing an item's faces
     (one-letter deletions, or facets of a mask), and the function that
-    builds the table from the items.  That table is nested by
-    construction, skips the checks, and is built on the first read of
-    min_open: a space whose table nothing reads never holds its n masks
-    of up to n bits.  The recipe also gives the Hasse diagram (hasse) and
+    builds the table from the items.  That table is nested and the labels
+    are unique by construction (word and cell labels are joined under a
+    separator, a class takes the label of its first point, a sample's
+    label is its cell's plus #j), so the space skips the checks, and the
+    table is built on the first read of min_open: a space whose table
+    nothing reads never holds its n masks of up to n bits.  The recipe also gives the Hasse diagram (hasse) and
     certifies maps between spaces (coarse.verify_correspondence) without
     any table.  Equality, hash, copy and pickle compare or carry (labels,
     min_open), never the recipe.
@@ -84,21 +86,17 @@ class FiniteSpace(Value):
                     raise ValueError(
                         f"min_open({labels[y]}) not nested inside min_open({labels[x]})"
                     )
-        self._fill(labels, opens, None)
-
-    @classmethod
-    def _lazy(cls, labels: Iterable[str], items: tuple, faces: Callable, build: Callable):
-        """A space whose table build(items) makes on its first read."""
-        space = object.__new__(cls)
-        space._fill(tuple(labels), None, (items, faces, build))
-        return space
-
-    def _fill(self, labels: tuple, opens: tuple | None, recipe: tuple | None) -> None:
         if len(set(labels)) != len(labels):
             raise ValueError("point labels must be unique")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_min_open", opens)
-        object.__setattr__(self, "_recipe", recipe)
+        object.__setattr__(self, "_recipe", None)
+
+    @classmethod
+    def _lazy(cls, labels: Iterable[str], items: tuple, faces: Callable, build: Callable):
+        """A space whose table build(items) makes on its first read; its
+        labels are unique by construction, so it is assembled unchecked."""
+        return _restore(cls, (tuple(labels), None, (items, faces, build)))
 
     @property
     def min_open(self) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finitary import io as fio, manifolds
 from finitary.cli import main
@@ -680,12 +680,29 @@ _LINES = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(_HEADERS, st.lists(_LINES, max_size=6).map("\n".join))
+# a failed structure check: exit 1 from manifold check, a multi-line report
+# with exit 2 from the forms that need the structure
+@example("vertices: 1, 2\nwords:\n", "1\n2\n1, 2\n2, 1")
 def test_every_file_form_exits_zero_one_or_two(header, body):
+    """The exit contract: 0 for a result, 1 for a failure shown with its
+    witness, 2 for one error[...] report on stderr and nothing on stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
         path.write_text(header + body)
         for form in _FILE_FORMS:
             argv = [word.format(path) for word in form.split()]
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+            lines = err.getvalue().splitlines()
+            reports = [line.startswith("error[") for line in lines]
+            if code == 2:
+                assert out.getvalue() == "", argv
+                first = next((i for i, x in enumerate(lines) if not x.startswith("note: ")), 0)
+                # one report, which may run over several lines (a StructureViolation)
+                assert reports[first:] == [True] + [False] * (len(lines) - first - 1), argv
+            else:
+                assert not any(reports), argv
+            if code == 1:
+                assert "FAIL" in out.getvalue() or "NOT ISOMORPHIC" in out.getvalue(), argv

@@ -617,6 +617,7 @@ class TestAssembly:
             (complexes, "_check", "_check"),
             (SimplicialComplex, "__init__", "SimplicialComplex"),
             (Covering, "__init__", "Covering"),
+            (FiniteSpace, "__init__", "FiniteSpace"),
         ):
             counts[name] = 0
             monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
@@ -642,6 +643,7 @@ class TestAssembly:
         verify_correspondence(m, per_cell=1)
         SimplicialComplex(2, [1, 2, 3])
         Covering(("A",), ("p",), [1])
+        FiniteSpace(("x", "y"), [1, 3])
         assert all(validations.values())
 
 

@@ -106,7 +106,7 @@ class TestRelations:
         rel = Relation(3, [(0, 1), (1, 2), (2, 0)])
         assert parse_relation("n 3\n1 <= 2\n2 <= 3\n3 <= 1\n") == rel
 
-    @pytest.mark.parametrize("text", ["", "m 3", "n x", "n 2\n1 < 2", "n 2\n1 <= 9"])
+    @pytest.mark.parametrize("text", ["", "m 3", "n x", "n ²", "n ١٢", "n 2\n1 < 2", "n 2\n1 <= 9"])
     def test_errors(self, text):
         with pytest.raises(ParseError):
             parse_relation(text)

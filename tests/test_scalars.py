@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from finitary.scalars import GaussianRational
+from finitary.scalars import GaussianRational, _plus
 
 
 def gr(re, im=0):
@@ -152,6 +152,28 @@ def test_integer_scalar_matches_fraction_pair_reference(a, b, c, d):
     assert str(x) == ref_str(a, b)
     assert GaussianRational.parse(str(x)) == x
     assert repr(x) == f"GaussianRational({a!r}, {b!r})"
+
+
+numerators = st.integers(min_value=-60, max_value=60)
+denominators = st.integers(min_value=1, max_value=12)
+
+
+@given(numerators, numerators, denominators, numerators, numerators, denominators, st.booleans())
+@example(3, -4, 6, 5, 0, 6, False)  # equal denominators, drawn apart
+def test_plus_adds_triples_as_fraction_pairs(x, y, d, re, im, den, same):
+    """_plus, the one rule adding exact triples: it adds numerators over an
+    equal denominator, cross-multiplies otherwise, and reduces nothing."""
+    if same:
+        den = d
+    sx, sy, sd = _plus((x, y, d), re, im, den)
+    assert sd == (d if d == den else d * den)
+    assert Fraction(sx, sd) == Fraction(x, d) + Fraction(re, den)
+    assert Fraction(sy, sd) == Fraction(y, d) + Fraction(im, den)
+    a, b = (Fraction(x, d), Fraction(y, d)), (Fraction(re, den), Fraction(im, den))
+    u, v = GaussianRational(*a), GaussianRational(*b)
+    assert ((u + v).re, (u + v).im) == (a[0] + b[0], a[1] + b[1])
+    assert ((u - v).re, (u - v).im) == (a[0] - b[0], a[1] - b[1])
+    assert u + v == GaussianRational(a[0] + b[0], a[1] + b[1])
 
 
 def _from_digits(digits: str) -> int:
