@@ -322,27 +322,28 @@ class CorrespondenceReport:
             f"symbolic substitute: {sym.n} points",
             *_pair_lines(
                 gen, "generated", sym, "symbolic", self.gen_to_sym,
-                _label_map(gen, sym), "matching labels",
+                _label_map, "matching labels",
             ),
             f"sampled substitute (per_cell={self.per_cell}): {sam.n} points",
             *_pair_lines(
                 sym, "symbolic", sam, "sampled", self.sym_to_sam,
-                _identity(sym, sam), "the identity",
+                _identity, "the identity",
             ),
             f"correspondence: {'VERIFIED' if self.ok else 'FAILED'}",
         ]
         return "\n".join(lines)
 
 
-def _pair_lines(a, a_name, b, b_name, mapping, certificate, how) -> list[str]:
-    """The bijection, or NOT ISOMORPHIC and why the certificate fails: the
-    first pair whose order it does not carry over, and the number of points
-    per grade on both sides."""
+def _pair_lines(a, a_name, b, b_name, mapping, certify, how) -> list[str]:
+    """The bijection, or NOT ISOMORPHIC and why the certificate certify(a, b)
+    fails: the first pair whose order it does not carry over, and the number
+    of points per grade on both sides.  The certificate is built only then."""
     if mapping is not None:
         return [f"{a_name} ~ {b_name}:"] + [
             f"  {a.labels[x]} -> {b.labels[y]}" for x, y in enumerate(mapping)
         ]
     lines = [f"{a_name} ~ {b_name}: NOT ISOMORPHIC"]
+    certificate = certify(a, b)
     pair = None if certificate is None else _unpreserved(a, b, certificate)
     if pair is not None:
         x, y = pair

@@ -2,7 +2,9 @@
 
 Every structural constant of the calculus is -1, 0 or 1, so working over
 exact complex rationals keeps all algebraic identities decidable.  Floats
-are deliberately rejected everywhere.
+are deliberately rejected everywhere: the constructor and ``of`` take int
+and Fraction parts only, and ``parse`` matches text against one ASCII
+grammar, _LITERAL, and builds the integer triple from its digits.
 
 Two exact values are added by one rule, _plus, on unnormalized integer
 triples (re, im, den).  + and - normalize its result; the calculus
@@ -12,6 +14,7 @@ docstring says why inner alone sums over a least common denominator).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -33,7 +36,9 @@ class GaussianRational(Value):
         if type(re) is int and type(im) is int:
             den = 1
         else:
-            re, im = Fraction(re), Fraction(im)
+            for part in (re, im):
+                if not isinstance(part, (int, Fraction)):
+                    raise TypeError(f"cannot use {type(part).__name__} as an exact scalar")
             # over the lcm of the two denominators the triple is already coprime
             den = lcm(re.denominator, im.denominator)
             re = re.numerator * (den // re.denominator)
@@ -53,11 +58,7 @@ class GaussianRational(Value):
     @classmethod
     def of(cls, value) -> "GaussianRational":
         """Coerce an int, Fraction or GaussianRational; floats are refused."""
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+        return value if isinstance(value, GaussianRational) else cls(value)
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -146,33 +147,20 @@ class GaussianRational(Value):
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
-        """Parse literals like ``3``, ``-3/2``, ``i``, ``2i``, ``1+2i``, ``1/2-i``."""
+        """Parse literals like ``3``, ``-3/2``, ``.5``, ``i``, ``2i``, ``1+2i``,
+        ``1/2-i``: one _LITERAL match, spaces ignored."""
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar literal")
-        if "e" in s or "E" in s:  # Fraction would expand 1e30000000 digit by digit
-            raise ValueError("exponent notation is not a scalar literal")
-        if not s.endswith("i"):
-            return GaussianRational(Fraction(s))
-        body = s[:-1]
-        # find a top-level +/- separating the real part from the imaginary one
-        split = -1
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/":
-                split = pos
-                break
-        if split > 0:
-            re_tok, im_tok = body[:split], body[split:]
-        else:
-            re_tok, im_tok = "", body
-        if im_tok in ("", "+"):
-            im = Fraction(1)
-        elif im_tok == "-":
-            im = Fraction(-1)
-        else:
-            im = Fraction(im_tok)
-        re = Fraction(re_tok) if re_tok else Fraction(0)
-        return GaussianRational(re, im)
+        match = _LITERAL.fullmatch(s)
+        if match is None:
+            raise ValueError(f"not a scalar literal: {text!r}")
+        real, sign, imag = match.groups()
+        a, b = _ratio(real or "0")
+        c, d = _ratio("0" if sign is None else sign + (imag or "1"))
+        if not b or not d:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        return _normalized(a * d, c * b, b * d)
 
 
 _set_re = GaussianRational._re_num.__set__
@@ -206,6 +194,24 @@ def _plus(t: tuple[int, int, int], re: int, im: int, den: int) -> tuple[int, int
     if d == den:
         return x + re, y + im, d
     return x * den + re * d, y * den + im * d, d * den
+
+
+#: A rational part: p, p/q or a decimal (w.f, .f or w.), ASCII digits only.
+_RATIONAL = r"\d+(?:/\d+)?|\d*\.\d+|\d+\."
+#: A literal: a signed real part, which a sign or the end must follow (so
+#: that ``0.0.i`` is not ``0. + 0.i``), then an optional ``[+-][q]i``; the
+#: groups are the real token, the sign ('' without one, None without an
+#: imaginary part) and the imaginary magnitude (None for a bare ``i``).
+_LITERAL = re.compile(rf"([+-]?(?:{_RATIONAL})(?=[+-]|$))?(?:([+-]?)({_RATIONAL})?i)?", re.ASCII)
+
+
+def _ratio(token: str) -> tuple[int, int]:
+    """Numerator and denominator (possibly 0) of a signed _RATIONAL token."""
+    whole, dot, digits = token.partition(".")
+    if dot:
+        return int(whole + digits), 10 ** len(digits)
+    num, _, den = token.partition("/")
+    return int(num), int(den or 1)
 
 
 #: ints up to this width go through str(): about 600 digits, below the

@@ -66,6 +66,12 @@ class TestEnvelope:
         assert (code, out) == (2, "")
         assert "bad coefficient '1e1000000000'" in err
 
+    @pytest.mark.parametrize("coeff", ["１", "1_0"])
+    def test_non_ascii_and_separated_digits_are_refused(self, capsys, coeff):
+        code, out, err = run(capsys, "envelope", "d", f"{coeff}*e[1]", "--vertices", "1,2")
+        assert (code, out) == (2, "")
+        assert f"bad coefficient '{coeff}'" in err
+
 
 class TestIdeal:
     def test_check_reports_dropped(self, capsys, data_dir):
@@ -706,3 +712,41 @@ def test_every_file_form_exits_zero_one_or_two(header, body):
                 assert not any(reports), argv
             if code == 1:
                 assert "FAIL" in out.getvalue() or "NOT ISOMORPHIC" in out.getvalue(), argv
+
+
+# terms that parse, next to coefficients and words that do not, and atoms
+# strung together at random
+_COEFFS = ("", "", "3/2*", "i*", "(1+2i)*", "(1.5 - i)*", "1/0*", "１*", "1_0*", "1e3*", "(*")
+_WORDS = ("e[1,2]", "e[2,1,3]", "e[1]", "e[3,2]", "e[]", "e[a]", "e[1,1]", "e[1")
+_SIGNED_TERMS = st.tuples(
+    st.sampled_from(["", "-", " + ", " - ", "+"]), st.sampled_from(_COEFFS), st.sampled_from(_WORDS)
+).map("".join)
+_ATOMS = ("e[1,2]", "i", "3/2", "(1+2i)", "0", "(", ")", "-", "+", "*", " ")
+# argparse drops a second "--" as well, so that form never reaches main
+_FORMS = st.one_of(
+    st.lists(_SIGNED_TERMS, min_size=1, max_size=3).map("".join),
+    st.lists(st.sampled_from(_ATOMS), max_size=6).map("".join).filter(lambda f: f != "--"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["1,2,3", "1,2,3", "a,b", "1,1", "1", "", "1,,2"]),
+    st.sampled_from(["d", "mul", "inner"]),
+    st.lists(_FORMS, min_size=2, max_size=2),
+)
+@example("1,2,3", "mul", ["-e[1,2]", "3/2*e[2,3]"])
+def test_every_envelope_argv_exits_zero_or_two(vertices, op, forms):
+    """The exit contract over the form parser: 0 with a result on stdout,
+    or 2 with one error[...] line on stderr and nothing on stdout; the --
+    lets a form starting with - reach the form parser."""
+    argv = ["envelope", "--vertices", vertices, "--", op, *forms[: 1 if op == "d" else 2]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error["), argv
+    else:
+        assert out.getvalue().strip() and not any(x.startswith("error[") for x in lines), argv

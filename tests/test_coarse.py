@@ -409,6 +409,28 @@ class TestCorrespondence:
             assert r.sym_to_sam == poset_isomorphic(r.symbolic, r.sampled)
             assert r.sym_to_sam == tuple(range(r.symbolic.n))
 
+    def test_a_verified_report_renders_without_certificates(self, monkeypatch):
+        # verify_correspondence builds each certificate once; render reads
+        # the bijections and builds a certificate only to explain a failure
+        calls = []
+        real = coarse._label_map
+        monkeypatch.setattr(coarse, "_label_map", lambda a, b: calls.append(1) or real(a, b))
+        report = verify_correspondence(TRIANGLE, per_cell=1, seed=0)
+        text = report.render()
+        assert len(calls) == 1
+        # a report holding the maps the search returns renders the same bytes
+        searched = coarse.CorrespondenceReport(
+            generated=report.generated,
+            symbolic=report.symbolic,
+            sampled=report.sampled,
+            per_cell=1,
+            seed=0,
+            gen_to_sym=poset_isomorphic(report.generated, report.symbolic),
+            sym_to_sam=poset_isomorphic(report.symbolic, report.sampled),
+        )
+        assert searched.render() == text
+        assert len(calls) == 1
+
     def test_failed_certificate_is_the_verdict(self, monkeypatch):
         # relabel the symbolic substitute: the labels no longer match, the
         # order is unchanged, and no other bijection is searched for

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import scalar_reference
 from finitary.scalars import GaussianRational, _plus
 
 
@@ -46,6 +47,13 @@ def test_floats_are_refused():
         GaussianRational.of(0.5)
 
 
+def test_the_constructor_takes_ints_and_fractions_only():
+    for args in [(0.5,), ("3/2",), (1, 0.5), (Fraction(1, 2), "i")]:
+        with pytest.raises(TypeError, match="as an exact scalar"):
+            GaussianRational(*args)
+    assert GaussianRational(True, Fraction(1, 2)) == gr(1, Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -58,6 +66,8 @@ def test_floats_are_refused():
         ("1+2i", gr(1, 2)),
         ("1-i", gr(1, -1)),
         ("-1/2+3i", gr(Fraction(-1, 2), 3)),
+        ("1.5-.25i", gr(Fraction(3, 2), Fraction(-1, 4))),
+        ("2.+ 3/6i", gr(2, Fraction(1, 2))),
     ],
 )
 def test_parse_literals(text, expected):
@@ -65,16 +75,39 @@ def test_parse_literals(text, expected):
 
 
 def test_parse_rejects_junk():
-    for bad in ("", "x", "1+", "i2", "1++2i"):
+    # ASCII digits only, no digit separators, no whitespace but spaces
+    for bad in ("", "x", "1+", "i2", "1++2i", "１２", "3/２", "١٢", "1_000", "1\t+2i"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
 
 
 def test_parse_rejects_exponent_notation():
-    # Fraction accepts these, and would build 10**1000000000 digit by digit
+    # the grammar has no exponent: 1e1000000000 would be a billion-digit int
     for bad in ("1e3", "2E-1", "1e1000000000", "1+1e3i", "1e2i"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
+
+
+def test_parse_refuses_a_zero_denominator():
+    for bad in ("1/0", "1+0/0i", "1/2-3/0i"):
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational.parse(bad)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789+-/.i ", max_size=14))
+@example("0.0.i")
+@example("1.-2i")
+@example("-.5+i")
+def test_parse_matches_the_reference(text):
+    assert _parsed(GaussianRational.parse, text) == _parsed(scalar_reference.parse, text)
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
