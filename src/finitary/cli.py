@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success / verification passed, 1 verification failed (the
-witness is printed), 2 malformed or inadmissible input, or stdout closed by
+witness is printed), 2 malformed or inadmissible input, a command line the
+parser refuses (one error[UsageError] line on stderr), or stdout closed by
 its reader before the output was written (one error[BrokenPipeError] line
-on stderr, while stderr can still be written).  All collections are
-printed in canonical order so identical inputs give byte-identical output.
+on stderr, while stderr can still be written).  --help prints to stdout
+and exits 0.  All collections are printed in canonical order so identical
+inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ from .errors import FinitaryError, members
 from .manifolds import Manifold
 from .topology import generated_space, hasse, open_sets
 from .io import ParseError
+
+
+class UsageError(FinitaryError):
+    """A command line that the argument parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise UsageError instead of
+    printing usage and exiting, so they keep the exit-2 report; each
+    subcommand's parser is built of the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -219,7 +234,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finitary",
         description="Exact differential calculi on finite sets and their finite topologies",
     )
@@ -278,16 +293,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "envelope":
-        need = args.needs(args)
-        if len(args.form) != need:
-            parser.error(f"envelope {args.op} takes exactly {need} form argument(s)")
-    if args.command == "ideal" and args.op == "reduce" and args.form is None:
-        parser.error("ideal reduce needs a form expression")
-    if args.command == "substitute" and args.op != "circle" and args.file is None:
-        parser.error(f"substitute {args.op} needs an input file")
     try:
+        args = parser.parse_args(argv)
+        if args.command == "envelope":
+            need = args.needs(args)
+            if len(args.form) != need:
+                parser.error(f"envelope {args.op} takes exactly {need} form argument(s)")
+        if args.command == "ideal" and args.op == "reduce" and args.form is None:
+            parser.error("ideal reduce needs a form expression")
+        if args.command == "substitute" and args.op != "circle" and args.file is None:
+            parser.error(f"substitute {args.op} needs an input file")
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -18,8 +18,9 @@ and the trace of t contains the trace of s exactly when s is a face of t,
 so min_open(cell s) is the set of cofaces of s.  That gives two routes to
 the same substitute:
 
-  * symbolic - one point per cell, its min_open the cofacet closure: each
-    cell's mask OR-ed down into its facets, longest cells first;
+  * symbolic - one point per cell, its trace its simplex, and its
+    min_open by the trace-quotient rule of every mask space (FiniteSpace):
+    the cells whose simplex contains its own;
   * sampled  - finitely many strictly interior points per cell, each
     drawn as positive integer weight numerators over the cell's vertices
     (a weight is its numerator over their sum; one seeded generator draws
@@ -42,20 +43,17 @@ sampled route refuse with TooLarge past MAX_SAMPLES sample points.
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
 from math import gcd, lcm
-from operator import and_
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, _restore, members
 from .manifolds import Manifold
-from .topology import FiniteSpace, _deletion_closure, _transpose, generated_space
+from .topology import FiniteSpace, generated_space
 
 MAX_SAMPLES = 100_000
 
@@ -115,7 +113,7 @@ def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
     index).  Classes are ordered by first occurrence and labelled by their
     first point; min_open(class T) = {classes S : T subset of S}, so the
     quotient is always T0.  The class traces are the space's recipe, its
-    table is built on first read (_holder_opens).
+    table is built on first read by the trace-quotient rule (FiniteSpace).
     """
     index: dict[int, int] = {}  # trace -> class, classes in first occurrence
     labels: list[str] = []  # the first point label of each class
@@ -125,17 +123,7 @@ def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
         if k == len(labels):
             labels.append(label)
         class_of.append(k)
-    build = partial(_holder_opens, len(c.cover_labels))
-    return FiniteSpace._lazy(labels, tuple(index), facets, build), tuple(class_of)
-
-
-def _holder_opens(width: int, traces: Sequence[int]) -> list[int]:
-    """min_open of each class trace T over `width` cover sets: the AND over
-    the cover sets i in T of the mask of classes holding i."""
-    # each trace's members are listed once, compactly, for both passes
-    rows = [array("I", members(t)) for t in traces]
-    holders = _transpose(rows, width)
-    return [reduce(and_, map(holders.__getitem__, row)) for row in rows]
+    return FiniteSpace._lazy(labels, tuple(index), facets), tuple(class_of)
 
 
 def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
@@ -143,13 +131,12 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
 
     One symbolic point per open cell, whose trace is its simplex.  The
     resulting space has one point per simplex with min_open equal to its
-    star, the cells having it as a face: the cofacet closure, one OR per
-    (cell, facet) pair, built on first read from the simplices, the
-    space's recipe.  It equals the trace quotient of the simplices, which
-    sampled_substitute computes from sampled supports.
+    star, the cells having it as a face.  The simplices are the space's
+    recipe, and its table is built on first read by the trace-quotient
+    rule, as for any mask space (FiniteSpace): it is the trace quotient of
+    the simplices, which sampled_substitute computes from sampled supports.
     """
-    build = partial(_deletion_closure, faces=facets)
-    return FiniteSpace._lazy(p.cell_labels, p.simplices, facets, build)
+    return FiniteSpace._lazy(p.cell_labels, p.simplices, facets)
 
 
 def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[int, ...]]]:
@@ -191,8 +178,8 @@ def sampled_substitute(
     lies in no star and raises UncoveredPoint, as the public Covering
     would.  The drawn numerators are positive, so each support equals the
     carrier cell and the result is simplicial_substitute(p) up to labels by
-    construction: a cross-check of the cofacet closure against the trace
-    quotient, not an independent oracle.  Raises TooLarge when the cell
+    construction: a cross-check of the supports against the cells, not an
+    independent oracle.  Raises TooLarge when the cell
     count times per_cell exceeds MAX_SAMPLES.
     """
     if len(p) * per_cell > MAX_SAMPLES:
@@ -394,8 +381,9 @@ def _recipes_match(a: FiniteSpace, b: FiniteSpace, phi) -> bool:
     A finite order is the reflexive-transitive closure of its covers
     (Stong, Trans. AMS 123 (1966) 325).  When every face of every item is
     again an item, the table of a recipe space is that closure of its
-    face relation: _deletion_closure ORs down exactly these faces, and the
-    inclusion order of a facet-closed family of trace masks is reached by
+    face relation: a hereditary word family is ordered by chains of
+    one-letter deletions (_subsequence_opens ORs down exactly these), and
+    the inclusion order of a facet-closed family of masks is reached by
     facets.  So phi is an isomorphism when it maps the faces of each point
     exactly onto the faces of its image.  Between two spaces ordered by
     mask inclusion (a complex's cells, always facet-closed, or class
@@ -403,7 +391,7 @@ def _recipes_match(a: FiniteSpace, b: FiniteSpace, phi) -> bool:
     """
     if a._recipe is None or b._recipe is None:
         return False
-    (xs, a_faces, _), (ys, b_faces, _) = a._recipe, b._recipe
+    (xs, a_faces), (ys, b_faces) = a._recipe, b._recipe
     if a_faces is b_faces is facets and phi == tuple(range(a.n)):
         return xs == ys
     image = dict(zip(xs, map(ys.__getitem__, phi)))

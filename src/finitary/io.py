@@ -30,7 +30,7 @@ from .envelope import Form, Word, word_validate
 from .errors import FinitaryError, TooLarge, Value, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
-from .scalars import GaussianRational, _fraction_text
+from .scalars import GaussianRational
 from .topology import FiniteSpace, HasseDiagram
 
 
@@ -162,16 +162,14 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
 
 
 def _coeff_prefix(c: GaussianRational) -> tuple[int, str]:
-    """Sign and printable multiplier prefix ('' means coefficient 1)."""
-    if not c.im:
-        sign = -1 if c.re < 0 else 1
-        mag = abs(c.re)
-        return sign, "" if mag == 1 else f"{_fraction_text(mag)}*"
-    if not c.re:
-        sign = -1 if c.im < 0 else 1
-        mag = abs(c.im)
-        return sign, "i*" if mag == 1 else f"{_fraction_text(mag)}i*"
-    return 1, f"({c})*"
+    """Sign and printable multiplier prefix ('' means coefficient 1): a
+    value with a real and an imaginary part prints whole in parentheses,
+    any other as its magnitude (str of c or -c, so i prints as i)."""
+    if c.re and c.im:
+        return 1, f"({c})*"
+    negative = (c.re or c.im) < 0
+    mag = -c if negative else c
+    return -1 if negative else 1, "" if mag == 1 else f"{mag}*"
 
 
 def print_form(f: Form, table: VertexTable) -> str:

@@ -16,16 +16,21 @@ usual picture where an edge lies under its endpoints in the Hasse graph.
 
 The library's own spaces keep the recipe their table comes from (the
 words of the manifold, or the masks of a substitute) and build min_open
-on its first read; only the public constructor takes a table.  When the
-recipe is face-closed, every face of every item again an item, its face
-relation is the cover relation (Stong), so the Hasse diagram is read off
-the recipe and builds no table; any other space takes the transitive
-reduction of its table.
+on its first read; only the public constructor takes a table.  Words
+take the subsequence closure, and masks (cells of a complex, class
+traces) the one trace-quotient rule: min_open(T) holds every mask
+containing T.  When the recipe is face-closed, every face of every item
+again an item, its face relation is the cover relation (Stong), so the
+Hasse diagram is read off the recipe and builds no table; any other
+space takes the transitive reduction of its table.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .envelope import deletions, is_subsequence
@@ -43,6 +48,16 @@ def _transpose(rows: Sequence[Iterable[int]], size: int) -> list[int]:
     return [int.from_bytes(column, "little") for column in columns]
 
 
+def _holder_opens(traces: Sequence[int]) -> list[int]:
+    """min_open of each mask T among `traces` (class traces, or the cells
+    of a complex): the AND over the members i of T of the mask of the
+    traces holding i, so the masks containing T."""
+    # each trace's members are listed once, compactly, for both passes
+    rows = [array("I", members(t)) for t in traces]
+    holders = _transpose(rows, max((row[-1] for row in rows), default=-1) + 1)
+    return [reduce(and_, map(holders.__getitem__, row)) for row in rows]
+
+
 class FiniteSpace(Value):
     """Points with display labels plus the minimal-open-set map, one int
     bitmask per point (bit y of min_open[x] set iff y lies in it).
@@ -54,16 +69,17 @@ class FiniteSpace(Value):
 
     The spaces the library builds (generated_space and the substitutes in
     coarse) carry a recipe instead: their items in point order (words,
-    cell masks or class traces), the function listing an item's faces
-    (one-letter deletions, or facets of a mask), and the function that
-    builds the table from the items.  That table is nested and the labels
-    are unique by construction (word and cell labels are joined under a
-    separator, a class takes the label of its first point, a sample's
-    label is its cell's plus #j), so the space skips the checks, and the
-    table is built on the first read of min_open: a space whose table
-    nothing reads never holds its n masks of up to n bits.  The recipe also gives the Hasse diagram (hasse) and
-    certifies maps between spaces (coarse.verify_correspondence) without
-    any table.  Equality, hash, copy and pickle compare or carry (labels,
+    cell masks or class traces) and the function listing an item's faces
+    (one-letter deletions, or facets of a mask).  The faces decide the
+    table rule: words take the subsequence closure (_subsequence_opens),
+    masks the trace-quotient rule (_holder_opens).  That table is nested
+    and the labels are unique by construction (word and cell labels are
+    joined under a separator, a class takes the label of its first point,
+    a sample's label is its cell's plus #j), so the space skips the
+    checks, and the table is built on the first read of min_open: a space
+    whose table nothing reads never holds its n masks of up to n bits.
+    The recipe also gives the Hasse diagram (hasse) and certifies maps
+    between spaces (coarse.verify_correspondence) without any table.  Equality, hash, copy and pickle compare or carry (labels,
     min_open), never the recipe.
     """
 
@@ -93,15 +109,17 @@ class FiniteSpace(Value):
         object.__setattr__(self, "_recipe", None)
 
     @classmethod
-    def _lazy(cls, labels: Iterable[str], items: tuple, faces: Callable, build: Callable):
-        """A space whose table build(items) makes on its first read; its
-        labels are unique by construction, so it is assembled unchecked."""
-        return _restore(cls, (tuple(labels), None, (items, faces, build)))
+    def _lazy(cls, labels: Iterable[str], items: tuple, faces: Callable):
+        """A space whose table its recipe (items, faces) makes on its first
+        read; its labels are unique by construction, so it is assembled
+        unchecked."""
+        return _restore(cls, (tuple(labels), None, (items, faces)))
 
     @property
     def min_open(self) -> tuple[int, ...]:
         if self._min_open is None:
-            items, _, build = self._recipe
+            items, faces = self._recipe
+            build = _subsequence_opens if faces is deletions else _holder_opens
             object.__setattr__(self, "_min_open", tuple(build(items)))
         return self._min_open
 
@@ -147,7 +165,7 @@ def generated_space(m: Manifold) -> FiniteSpace:
         words = tuple(m.words())
     except InfiniteDimensional:
         raise InfiniteDimensional("generated space needs a finite word family") from None
-    return FiniteSpace._lazy(map(m.word_label, words), words, deletions, _subsequence_opens)
+    return FiniteSpace._lazy(map(m.word_label, words), words, deletions)
 
 
 def _subsequence_opens(words: Sequence) -> list[int]:
@@ -158,16 +176,18 @@ def _subsequence_opens(words: Sequence) -> list[int]:
     a is a subsequence of b exactly when a chain of such deletions leads
     from b to a: delete, from the leftmost embedding of a in b, the last
     letter of a run of unused letters, or an unused end letter.  So one
-    pass over the words in decreasing canonical order, OR-ing the mask of
-    each word into the masks of its deletions, builds every min_open.  A
-    family missing some deletion falls back to testing all pairs.
+    pass over the deletion edges (_face_edges) from the last to the first,
+    OR-ing the mask of each word into the masks of its deletions, builds
+    every min_open: every deletion of a word precedes it, so its mask is
+    complete before it is OR-ed on.  A family missing some deletion falls
+    back to testing all pairs.
     """
-    opens = _deletion_closure(words)
-    if opens is None:
-        opens = [
-            sum(1 << j for j, v in enumerate(words) if is_subsequence(u, v))
-            for u in words
-        ]
+    edges = _face_edges(words, deletions)
+    if edges is None:
+        return [sum(1 << j for j, v in enumerate(words) if is_subsequence(u, v)) for u in words]
+    opens = [1 << i for i in range(len(words))]
+    for b, a in reversed(edges):
+        opens[a] |= opens[b]
     return opens
 
 
@@ -184,22 +204,6 @@ def _face_edges(items: Sequence, faces: Callable) -> list[tuple[int, int]] | Non
                 return None
             edges.append((b, a))
     return edges
-
-
-def _deletion_closure(items: Sequence, faces: Callable = deletions) -> list[int] | None:
-    """The mask of each item's cofaces, OR-ed down the face edges
-    (_face_edges): one-letter deletions of words by default, the facets of
-    simplex masks for the star covering.  Every face of an item must
-    precede it in `items`, so in one pass from the last edge to the first
-    each mask is complete before it is OR-ed into the masks of the item's
-    faces.  None when some face is not an item."""
-    edges = _face_edges(items, faces)
-    if edges is None:
-        return None
-    opens = [1 << i for i in range(len(items))]
-    for b, a in reversed(edges):
-        opens[a] |= opens[b]
-    return opens
 
 
 def is_t0(s: FiniteSpace) -> bool:
@@ -221,8 +225,7 @@ def hasse(s: FiniteSpace) -> HasseDiagram:
     is not T0 raises ValueError.
     """
     if s._recipe is not None:
-        items, faces, _ = s._recipe
-        edges = _face_edges(items, faces)
+        edges = _face_edges(*s._recipe)
         if edges is not None:
             return HasseDiagram(s.labels, tuple(sorted(edges)))
     if not is_t0(s):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from finitary import Manifold, Relation, coarse, topology
+from finitary import Manifold, Relation, topology
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -15,9 +15,10 @@ def data_dir() -> Path:
 
 @pytest.fixture
 def table_builds(monkeypatch) -> dict[str, int]:
-    """Calls of the three min_open builders a library-built space runs on
-    its first table read: generated, symbolic and trace-quotient spaces."""
-    counts = {"generated": 0, "symbolic": 0, "trace": 0}
+    """Calls of the two min_open rules a library-built space runs on its
+    first table read: the subsequence closure of a generated space, and
+    the trace-quotient rule of every mask space (both substitutes)."""
+    counts = {"generated": 0, "trace": 0}
 
     def counted(name, build):
         def wrapper(*args, **kwargs):
@@ -29,8 +30,7 @@ def table_builds(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(
         topology, "_subsequence_opens", counted("generated", topology._subsequence_opens)
     )
-    monkeypatch.setattr(coarse, "_deletion_closure", counted("symbolic", coarse._deletion_closure))
-    monkeypatch.setattr(coarse, "_holder_opens", counted("trace", coarse._holder_opens))
+    monkeypatch.setattr(topology, "_holder_opens", counted("trace", topology._holder_opens))
     return counts
 
 

@@ -1,15 +1,19 @@
-"""Reference scalar parser: the text is split at its last top-level sign by
-hand, and each part is read by Fraction.
+"""Reference scalar parser and coefficient printer.
 
-The library's parse matches one ASCII grammar and builds the integer
-triple directly; tests compare the two on ASCII input.  Fraction also
-reads non-ASCII digits, underscores and other whitespace, which the
-library refuses.
+parse splits the text at its last top-level sign by hand and reads each
+part by Fraction.  The library's parse matches one ASCII grammar and
+builds the integer triple directly; tests compare the two on ASCII input.
+Fraction also reads non-ASCII digits, underscores and other whitespace,
+which the library refuses.
+
+coeff_prefix derives the sign and magnitude text of a form coefficient
+part by part; the library's io._coeff_prefix prints the magnitude through
+str of the scalar itself.
 """
 
 from fractions import Fraction
 
-from finitary.scalars import GaussianRational
+from finitary.scalars import GaussianRational, _fraction_text
 
 
 def parse(text: str) -> GaussianRational:
@@ -39,3 +43,16 @@ def parse(text: str) -> GaussianRational:
         im = Fraction(im_tok)
     re = Fraction(re_tok) if re_tok else Fraction(0)
     return GaussianRational(re, im)
+
+
+def coeff_prefix(c: GaussianRational) -> tuple[int, str]:
+    """Sign and printable multiplier prefix ('' means coefficient 1)."""
+    if not c.im:
+        sign = -1 if c.re < 0 else 1
+        mag = abs(c.re)
+        return sign, "" if mag == 1 else f"{_fraction_text(mag)}*"
+    if not c.re:
+        sign = -1 if c.im < 0 else 1
+        mag = abs(c.im)
+        return sign, "i*" if mag == 1 else f"{_fraction_text(mag)}i*"
+    return 1, f"({c})*"

@@ -290,7 +290,7 @@ class TestTables:
             for extra in ((), ("--json",)):
                 code, _, _ = run(capsys, "verify", "correspondence", str(path), *extra)
                 assert code == 0
-        assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
+        assert table_builds == {"generated": 0, "trace": 0}
 
     @pytest.mark.parametrize("extra", [(), ("--dot",)])
     def test_hasse_reads_the_recipe_and_builds_none(
@@ -301,7 +301,7 @@ class TestTables:
         for path in (data_dir / "triangle.manifold", ideal, self._total_order(tmp_path, 8)):
             code, _, _ = run(capsys, "topology", "hasse", str(path), *extra)
             assert code == 0
-        assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
+        assert table_builds == {"generated": 0, "trace": 0}
 
     @pytest.mark.parametrize(
         "argv, built",
@@ -309,7 +309,7 @@ class TestTables:
             # the family lacks the deletion 2 of 12: only its table has the covers
             (("topology", "hasse", "gapped.manifold"), "generated"),
             (("topology", "json", "triangle.manifold"), "generated"),
-            (("substitute", "simplicial", "triangle_boundary.complex"), "symbolic"),
+            (("substitute", "simplicial", "triangle_boundary.complex"), "trace"),
         ],
     )
     def test_a_printed_space_builds_its_table(
@@ -622,6 +622,37 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "correspondence"],
+            ["envelope", "d", "-3/2i*e[1]", "--vertices", "1,2"],
+            ["envelope", "--vertices", "1,2", "--", "d", "--"],
+            ["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
+            ["envelope", "mul", "e[1]", "--vertices", "1,2"],
+            ["substitute", "sampled"],
+            ["ideal", "reduce", "example.ideal"],
+            ["manifold", "size", "triangle.manifold"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_usage_errors_keep_the_exit_contract(self, capsys, data_dir, argv):
+        # the wording is argparse's, which differs across Python versions
+        argv = [str(data_dir / a) if a.endswith((".ideal", ".manifold")) else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error[UsageError]: finitary")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["envelope", "--help"]])
+    def test_help_goes_to_stdout_with_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: finitary") and captured.err == ""
+
 
 # -- every file-reading form ends in exit 0, 1 or 2 ---------------------------
 
@@ -722,10 +753,9 @@ _SIGNED_TERMS = st.tuples(
     st.sampled_from(["", "-", " + ", " - ", "+"]), st.sampled_from(_COEFFS), st.sampled_from(_WORDS)
 ).map("".join)
 _ATOMS = ("e[1,2]", "i", "3/2", "(1+2i)", "0", "(", ")", "-", "+", "*", " ")
-# argparse drops a second "--" as well, so that form never reaches main
 _FORMS = st.one_of(
     st.lists(_SIGNED_TERMS, min_size=1, max_size=3).map("".join),
-    st.lists(st.sampled_from(_ATOMS), max_size=6).map("".join).filter(lambda f: f != "--"),
+    st.lists(st.sampled_from(_ATOMS), max_size=6).map("".join),
 )
 
 
@@ -736,10 +766,12 @@ _FORMS = st.one_of(
     st.lists(_FORMS, min_size=2, max_size=2),
 )
 @example("1,2,3", "mul", ["-e[1,2]", "3/2*e[2,3]"])
+@example("1,2", "d", ["--", "e[1]"])
 def test_every_envelope_argv_exits_zero_or_two(vertices, op, forms):
     """The exit contract over the form parser: 0 with a result on stdout,
     or 2 with one error[...] line on stderr and nothing on stdout; the --
-    lets a form starting with - reach the form parser."""
+    lets a form starting with - reach the form parser, and a form that is
+    a second -- is dropped by argparse, a usage error."""
     argv = ["envelope", "--vertices", vertices, "--", op, *forms[: 1 if op == "d" else 2]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -85,6 +85,18 @@ class TestTraceSubstitute:
         with pytest.raises(TypeError):
             Covering(("A",), ("p",), [True])
 
+    @pytest.mark.parametrize(
+        "covers, points, traces, message",
+        [
+            (("A",), ("p", "q"), [1], "one trace per point required"),
+            (("A",), ("p", "p"), [1, 1], "point labels must be unique"),
+            (("A", "A"), ("p",), [1], "cover labels must be unique"),
+        ],
+    )
+    def test_malformed_coverings_refused(self, covers, points, traces, message):
+        with pytest.raises(ValueError, match=message):
+            Covering(covers, points, traces)
+
     @pytest.mark.parametrize("trace", [-1, -2, 0b100, 0b111])
     def test_mask_outside_the_cover_sets_rejected(self, trace):
         with pytest.raises(ValueError, match="unknown cover sets"):
@@ -172,8 +184,9 @@ class TestSimplicialSubstitute:
 
     def test_point_per_simplex_and_star_topology(self):
         rng = random.Random(73)
-        for _ in range(15):
-            p = random_manifold(rng, max_vertices=5).to_simplicial()
+        complexes_ = [random_manifold(rng, max_vertices=5).to_simplicial() for _ in range(15)]
+        complexes_.append(SimplicialComplex(8, range(1, 1 << 8)))  # the full 8-simplex
+        for p in complexes_:
             space = simplicial_substitute(p)
             cells = p.simplices
             assert space.n == len(cells)
@@ -336,6 +349,10 @@ class TestSampledSubstitute:
 
 
 class TestCircle:
+    def test_at_least_one_sample_required(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            circle_covering(STANDARD_CIRCLE_ARCS, 0)
+
     def test_standard_covering_has_six_classes_matching_the_triangle(self):
         cov = circle_covering(
             STANDARD_CIRCLE_ARCS, samples=512, extra_points=STANDARD_CIRCLE_EXTRA_POINTS
@@ -603,20 +620,20 @@ class TestLazyTables:
     def test_verify_correspondence_reads_no_table(self, table_builds, make):
         report = verify_correspondence(make(), per_cell=1, seed=0)
         assert report.render().endswith("correspondence: VERIFIED")
-        assert table_builds == {"generated": 0, "symbolic": 0, "trace": 0}
+        assert table_builds == {"generated": 0, "trace": 0}
 
     def test_each_table_is_built_once_on_first_read(self, table_builds):
         _, gen, sym, sam = _routes(TRIANGLE)
         for s in (gen, sym, sam, gen, sym, sam):
             assert s.min_open[0] == s.min_open[0]
-        assert table_builds == {"generated": 1, "symbolic": 1, "trace": 1}
+        assert table_builds == {"generated": 1, "trace": 2}
 
     def test_an_eager_space_is_certified_on_the_tables(self, table_builds, monkeypatch):
         real = coarse.simplicial_substitute
         monkeypatch.setattr(coarse, "simplicial_substitute", lambda p: _eager(real(p)))
         report = verify_correspondence(TRIANGLE, per_cell=1, seed=0)
         assert report.ok
-        assert table_builds == {"generated": 1, "symbolic": 1, "trace": 1}
+        assert table_builds == {"generated": 1, "trace": 2}
 
 
 class TestAssembly:

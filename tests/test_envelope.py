@@ -77,6 +77,14 @@ class TestEnumerateBasis:
     def test_count_is_n_times_nminus1_to_r(self, n, r):
         assert sum(1 for _ in basis_words(n, r)) == n * (n - 1) ** r
 
+    @pytest.mark.parametrize(
+        "n, r, message",
+        [(0, 1, "vertex_count must be at least 1"), (2, -1, "grade must be non-negative")],
+    )
+    def test_bad_arguments_refused(self, n, r, message):
+        with pytest.raises(ValueError, match=message):
+            next(basis_words(n, r))
+
     @pytest.mark.parametrize("n,r", [(3, 2), (4, 3)])
     def test_words_unique_and_sorted(self, n, r):
         words = list(basis_words(n, r))
@@ -246,6 +254,17 @@ class TestFormRepresentation:
     def test_items_canonical_order(self):
         f = F((1, 0)) + F((0,)) + F((0, 1))
         assert [w for w, _ in f.items()] == [W(0), W(0, 1), W(1, 0)]
+
+    def test_operators(self):
+        f = Form([(W(0, 1), 2), (W(1,), Fraction(-1, 3))])
+        g = F((1, 0))
+        assert -f == Form([(W(0, 1), -2), (W(1,), Fraction(1, 3))])
+        assert f * g == form_product(f, g)
+        assert (f == 1) is False
+        for op in (lambda: f + 1, lambda: f - 1, lambda: f * "x"):
+            with pytest.raises(TypeError):
+                op()
+        assert repr(Form()) == "Form(0)"
 
 
 class TestAccumulators:

@@ -3,7 +3,9 @@
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference
 
 from finitary import (
     BasicIdeal,
@@ -20,6 +22,7 @@ from finitary import (
 from finitary.io import (
     ParseError,
     VertexTable,
+    _coeff_prefix,
     hasse_dot,
     parse_complex,
     parse_covering,
@@ -95,6 +98,19 @@ class TestForms:
     def test_round_trip_random_forms(self, terms):
         f = Form(terms)
         assert parse_form(print_form(f, TABLE), TABLE) == f
+
+    # parts from 0 and +-1 up to 5000 digits, so that the magnitude of
+    # each part crosses the digit limit of str()
+    parts = st.builds(
+        Fr,
+        st.one_of(st.integers(-2, 2), st.integers(-(10**5000), 10**5000)),
+        st.one_of(st.integers(1, 3), st.integers(1, 10**5000)),
+    )
+
+    @settings(max_examples=300)
+    @given(st.builds(GaussianRational, parts, parts))
+    def test_coefficient_prefix_matches_the_reference(self, c):
+        assert _coeff_prefix(c) == scalar_reference.coeff_prefix(c)
 
 
 class TestRelations:
@@ -232,6 +248,10 @@ class TestCoverings:
     def test_errors(self, text):
         with pytest.raises(ParseError):
             parse_covering(text)
+
+    def test_a_covers_line_needs_a_cover_set(self):
+        with pytest.raises(ParseError, match="covers: line lists no cover sets"):
+            parse_covering("covers: ,\np: A\n")
 
     @pytest.mark.parametrize(
         "text, message",

@@ -243,6 +243,10 @@ class TestIsNetwork:
     def test_triangle_is_network(self):
         assert Manifold.from_relation(TRIANGLE_REL).is_network()
 
+    def test_infinite_ideal_is_refused(self):
+        with pytest.raises(InfiniteDimensional, match="network test needs a finite word family"):
+            Manifold.from_ideal(BasicIdeal(2)).is_network()
+
     def test_removing_a_top_word_breaks_network(self):
         m = Manifold.from_relation(TOTAL_ORDER_3)
         words = [w for w in m.words() if w != W(0, 1, 2)]
@@ -439,6 +443,18 @@ class TestWordFamilies:
                         ):
                             expected.add(Word(perm))
             assert chains == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({}, "provide exactly one of words= or ideal="),
+        ({"words": []}, "explicit manifold needs at least one word"),
+    ],
+)
+def test_a_manifold_needs_one_word_family(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Manifold(("1", "2"), **kwargs)
 
 
 def test_duplicate_vertex_labels_are_refused():

@@ -42,6 +42,14 @@ def test_division_inverts_multiplication(a, b, c, d):
     assert gr(1, 2) / gr(3, -1) == gr(Fraction(1, 10), Fraction(7, 10))
 
 
+def test_mixed_operations():
+    z = gr(Fraction(1, 2), 3)
+    assert z + 1 == gr(Fraction(3, 2), 3)
+    assert z - 1 == gr(Fraction(-1, 2), 3)
+    assert 1 - z == gr(Fraction(1, 2), -3)
+    assert (z == "x") is False
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         GaussianRational.of(0.5)

@@ -33,7 +33,8 @@ from finitary import (
     trace_substitute,
 )
 from finitary.automata import is_finite
-from finitary.topology import _deletion_closure, _face_edges
+from finitary.envelope import deletions
+from finitary.topology import _face_edges
 
 from conftest import random_antisymmetric_relation, random_manifold
 
@@ -111,6 +112,10 @@ class TestFiniteSpaceValidation:
         with pytest.raises(TypeError):
             FiniteSpace(("a",), [{0}])
 
+    def test_one_mask_per_point(self):
+        with pytest.raises(ValueError, match="one min_open mask per point required"):
+            FiniteSpace(("a", "b"), [1])
+
 
 class TestGeneratedSpace:
     def test_triangle_min_opens(self):
@@ -155,7 +160,7 @@ class TestGeneratedSpace:
             if m.dimension() > 6:  # words up to length 7
                 continue
             words = list(m.words())
-            assert _deletion_closure(words) is not None  # hereditary
+            assert _face_edges(words, deletions) is not None  # hereditary
             assert generated_space(m).min_open == tuple(pairwise_masks(words))
             checked += 1
             repeats += any(len(set(w)) < len(w) for w in words)
@@ -170,7 +175,7 @@ class TestGeneratedSpace:
             words = rng.sample(pool, rng.randint(1, min(12, len(pool))))
             m = Manifold(tuple("abc"[:n]), words=words)
             ordered = list(m.words())
-            fallbacks += _deletion_closure(ordered) is None
+            fallbacks += _face_edges(ordered, deletions) is None
             assert generated_space(m).min_open == tuple(pairwise_masks(ordered))
         assert 100 < fallbacks < 500  # random families are rarely hereditary
 
@@ -371,6 +376,9 @@ class TestIsomorphism:
 
     def test_chain_vs_antichain(self):
         assert poset_isomorphic(CHAIN2, ANTICHAIN2) is None
+
+    def test_point_counts_differ(self):
+        assert poset_isomorphic(CHAIN2, space(("a",), [{0}])) is None
 
     def test_identity_on_1023_points_does_not_recurse(self):
         # the face poset of the 9-simplex; one stack frame per point would
