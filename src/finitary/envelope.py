@@ -15,35 +15,38 @@ equal adjacent letters.  Together with the overlap product
 this makes d a degree-one square-zero derivation (checked exhaustively in
 the test suite).
 
-The kernels add on integers and build one scalar per surviving term.
+A Form holds each coefficient as a reduced integer triple (re, im, den),
+den > 0 and gcd 1 (scalars._reduced), so the calculus adds, multiplies
+and compares integers from start to end; items() and repr alone build the
+Words and GaussianRationals a caller reads.
 differential and form_product keep, for each output word, one
-unnormalized triple (re, im, den) of the sum so far: the first
-contribution is stored as it comes, and each further one is added by
-scalars._plus, the library's one rule for adding exact triples (numerators
-add over an equal denominator, other fractions cross-multiply).
+unnormalized triple of the sum so far: the first contribution is stored
+as it comes, and each further one is added by scalars._plus, the
+library's one rule for adding exact triples (numerators add over an equal
+denominator, other fractions cross-multiply); + and - add the terms two
+forms share by the same rule.
 The triple is a tuple, replaced on each addition: a tuple of ints leaves
 the cycle collector's tracking, where a list would be traversed again by
 every collection while a large accumulator is alive.
 Distinct insertions give distinct words, so an output word gets at most
 one contribution per letter (a deletion of it, or a split of it into two
 overlapping factors), and its denominator stays a product of a few input
-denominators.  Only a non-zero sum becomes a GaussianRational, normalized
-once (BasicIdeal's quotient operations first drop the words of the
-ideal).  inner has one output fed by every shared word, so it alone sums
-over the least common denominator instead: moving the kernels onto that
-rule as well, as a helper or written inline, measured slower on the
-calculus benchmark (by 6% and 2.6%), and moving only the scalar sum onto
-it removed no line and measured 1.5% slower.
+denominators.  Each non-zero sum is reduced once, at the end
+(BasicIdeal's quotient operations first drop the words of the ideal).
+inner has one output fed by every shared word, so it alone sums over the
+least common denominator instead, and builds one scalar: moving the
+kernels onto that rule as well, as a helper or written inline, measured
+slower on the calculus benchmark (by 6% and 2.6%), and moving only the
+scalar sum onto it removed no line and measured 1.5% slower.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add, neg, sub
 from typing import Iterable, Iterator
 
 from .errors import FinitaryError, Value
-from .scalars import GaussianRational, _normalized, _plus
+from .scalars import GaussianRational, _exact, _normalized, _plus, _reduced
 
 
 class WordError(FinitaryError):
@@ -132,7 +135,8 @@ def deletions(w: Word) -> Iterator[tuple[int, ...]]:
 def basis_words(vertex_count: int, grade: int) -> Iterator[Word]:
     """All grade-r basis words over the vertex table, in lexicographic order.
 
-    There are exactly n*(n-1)^r of them.
+    There are exactly n*(n-1)^r of them.  The arguments are checked at the
+    call, before the walk is returned.
     """
     if vertex_count < 1:
         raise ValueError("vertex_count must be at least 1")
@@ -148,33 +152,34 @@ def basis_words(vertex_count: int, grade: int) -> Iterator[Word]:
                 continue
             yield from extend(prefix + (k,))
 
-    yield from extend(())
+    return extend(())
 
 
 class Form(Value):
     """Finitely supported exact linear combination of basis words.
 
-    Canonical sparse representation: zero coefficients are never stored, so
-    equality of forms is literal term-map equality.  Instances are immutable
-    and safe to share between threads.
+    Canonical sparse representation: each word's letter tuple maps to its
+    coefficient as a reduced integer triple (re, im, den), den > 0 and
+    gcd 1, and zero coefficients are never stored, so equality of forms is
+    literal term-map equality.  A key may be a plain tuple, since a Word
+    hashes and compares as its tuple.  items() and repr build the Words and
+    GaussianRationals a caller reads.  Instances are immutable and safe to
+    share between threads.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc: dict[Word, GaussianRational] = {}
+        acc: dict[Word, _Triple] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for w, c in items:
             if not isinstance(w, Word):
                 w = Word(w)
             c = GaussianRational.of(c)
-            if w in acc:
-                c = acc[w] + c
-            if c:
-                acc[w] = c
-            else:
-                acc.pop(w, None)
-        _set_terms(self, acc)
+            t = acc.get(w)
+            re, im, den = c._re_num, c._im_num, c._den
+            acc[w] = (re, im, den) if t is None else _plus(t, re, im, den)
+        _set_terms(self, _built(acc.items())._terms)
 
     @classmethod
     def word(cls, letters, coeff=1) -> "Form":
@@ -182,7 +187,8 @@ class Form(Value):
 
     def items(self) -> list[tuple[Word, GaussianRational]]:
         """Terms in canonical order (grade-major, then lexicographic)."""
-        return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
+        ordered = sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
+        return [(_word(w), _exact(*t)) for w, t in ordered]
 
     def __len__(self):
         return len(self._terms)
@@ -201,15 +207,15 @@ class Form(Value):
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return _merged(self, other, add, None)
+        return _merged(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return _merged(self, other, sub, neg)
+        return _merged(self, other, -1)
 
     def __neg__(self):
-        return _form({w: -c for w, c in self._terms.items()})
+        return _form({w: (-re, -im, den) for w, (re, im, den) in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Form):
@@ -218,8 +224,12 @@ class Form(Value):
             c = GaussianRational.of(other)
         except TypeError:
             return NotImplemented
+        if not c:
+            return ZERO_FORM
+        x, y, e = c._re_num, c._im_num, c._den
         # a product of two nonzero scalars is nonzero
-        return _form({w: c0 * c for w, c0 in self._terms.items()} if c else {})
+        terms = self._terms.items()
+        return _form({w: _reduced((a * x - b * y, a * y + b * x, d * e)) for w, (a, b, d) in terms})
 
     __rmul__ = __mul__
 
@@ -234,29 +244,39 @@ class Form(Value):
 
 _new = object.__new__
 _set_terms = Form._terms.__set__
-ZERO_FORM = Form()
+_Triple = tuple[int, int, int]  # (re, im, den), den > 0; reduced when a Form stores it
 
 
-def _form(terms: dict[Word, GaussianRational]) -> Form:
-    """A Form over a term dict with Word keys and no zero coefficient."""
+def _form(terms: dict[tuple[int, ...], _Triple]) -> Form:
+    """A Form over a term dict of letter tuples and reduced non-zero
+    triples."""
     out = _new(Form)
     _set_terms(out, terms)
     return out
 
 
-def _merged(f: Form, g: Form, op, lone) -> Form:
-    """f op g term by term; a word of g alone gets lone(c), or c itself
-    when lone is None."""
+def _merged(f: Form, g: Form, sign: int) -> Form:
+    """f + sign*g term by term, sign 1 or -1."""
     merged = dict(f._terms)
-    for w, c in g._terms.items():
+    for w, (re, im, den) in g._terms.items():
+        re, im = sign * re, sign * im
         old = merged.get(w)
         if old is None:
-            merged[w] = c if lone is None else lone(c)
-        elif s := op(old, c):
-            merged[w] = s
+            merged[w] = re, im, den
+        elif (s := _plus(old, re, im, den))[0] or s[1]:
+            merged[w] = _reduced(s)
         else:
             del merged[w]
     return _form(merged)
+
+
+def _built(triples: Iterable[tuple[tuple[int, ...], _Triple]]) -> Form:
+    """The Form of (letters, (re, im, den)) pairs, den > 0, not reduced:
+    each non-zero triple reduced, the zero sums dropped."""
+    return _form({w: _reduced(t) for w, t in triples if t[0] or t[1]})
+
+
+ZERO_FORM = Form()
 
 
 def unit(vertex_count: int) -> Form:
@@ -279,28 +299,16 @@ def word_product(a: Word, b: Word) -> Form:
     """Overlap product of two words: concatenate when last(a) = first(b)."""
     if a[-1] != b[0]:
         return ZERO_FORM
-    return _form({_word(a + b[1:]): GaussianRational(1)})
-
-
-_Triple = tuple[int, int, int]  # (re, im, den) with den > 0, not reduced
-
-
-def _built(triples: Iterable[tuple[tuple[int, ...], _Triple]]) -> Form:
-    """The Form of (letters, (re, im, den)) pairs: one scalar per non-zero
-    term, the zero sums dropped."""
-    return _form(
-        {_word(w): _normalized(re, im, den) for w, (re, im, den) in triples if re or im}
-    )
+    return _form({a + b[1:]: (1, 0, 1)})
 
 
 def _product_triples(f: Form, g: Form) -> dict:
     """The overlap product of f and g as one unnormalized triple per word."""
     tails: dict[int, list[tuple]] = {}
-    for wb, cb in g._terms.items():
-        tails.setdefault(wb[0], []).append((wb[1:], cb._re_num, cb._im_num, cb._den))
+    for wb, (c, e, den) in g._terms.items():
+        tails.setdefault(wb[0], []).append((wb[1:], c, e, den))
     acc: dict[tuple[int, ...], _Triple] = {}
-    for wa, ca in f._terms.items():
-        a, b, d = ca._re_num, ca._im_num, ca._den
+    for wa, (a, b, d) in f._terms.items():
         for tail, c, e, den in tails.get(wa[-1], ()):
             w, re, im = wa + tail, a * c - b * e, a * e + b * c
             t = acc.get(w)
@@ -347,8 +355,8 @@ def differential_word(w: Word, vertex_count: int) -> Form:
 def _differential_triples(f: Form, vertex_count: int) -> dict:
     """The differential of f as one unnormalized triple per word."""
     acc: dict[tuple[int, ...], _Triple] = {}
-    for w, c in f._terms.items():
-        _insert_letters(acc, w, c._re_num, c._im_num, c._den, vertex_count)
+    for w, (re, im, den) in f._terms.items():
+        _insert_letters(acc, w, re, im, den, vertex_count)
     return acc
 
 
@@ -372,9 +380,8 @@ def inner(f: Form, g: Form) -> GaussianRational:
     small, big = (ft, gt) if len(ft) <= len(gt) else (gt, ft)
     for w in small:
         if w in big:
-            x, y = ft[w], gt[w]
-            a, b, c, e = x._re_num, x._im_num, y._re_num, y._im_num
-            d = x._den * y._den
+            (a, b, x), (c, e, y) = ft[w], gt[w]
+            d = x * y
             h = gcd(den, d)
             re = re * (d // h) + (a * c + b * e) * (den // h)
             im = im * (d // h) + (a * e - b * c) * (den // h)

@@ -48,8 +48,9 @@ class Value:
     Invariant: every slot is set when the value is built, past the guard
     (through object.__setattr__ or the slot's own descriptor), and nothing
     changes a slot afterwards, except that a slot caching a derived result
-    (Manifold's word listing and structure report, FiniteSpace's min_open
-    table, BasicIdeal's matcher) may be filled once from None.
+    (Manifold's word listing, word labels and structure report,
+    FiniteSpace's min_open table, BasicIdeal's matcher) may be filled once
+    from None.
     Assigning or deleting an attribute raises AttributeError.  Equality and
     hash compare ``_key()``, the slot values in order unless a subclass
     overrides it, between values of one exact type.  Since a value never

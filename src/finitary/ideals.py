@@ -8,8 +8,8 @@ on the first test into a slot that equality, hash and pickle leave out.
 One loop (_outside) tests words this way for contains, reduce and the
 quotient operations.  The quotient differential and product take the
 envelope kernels' accumulators, one unnormalized integer triple per word,
-and drop the words of the ideal before any coefficient becomes a scalar:
-one scalar is built per surviving term.
+and drop the words of the ideal before any sum is reduced: only the
+surviving terms are reduced, and no scalar is built.
 
 Generators of grade 0 are rejected: a nontrivial grade-0 component would
 collapse the underlying function algebra rather than a calculus on it.
@@ -113,11 +113,11 @@ class BasicIdeal(Value):
         return _form(dict(self._outside(f._terms.items())))
 
     def quotient_differential(self, f: Form) -> Form:
-        """Differential of the quotient calculus: differentiate, then reduce,
-        before any coefficient of a dropped word becomes a scalar."""
+        """Differential of the quotient calculus: differentiate, then drop
+        the ideal's words before any coefficient is reduced."""
         return _built(self._outside(_differential_triples(f, self.vertex_count).items()))
 
     def quotient_product(self, f: Form, g: Form) -> Form:
-        """Product of the quotient calculus: multiply, then reduce, before
-        any coefficient of a dropped word becomes a scalar."""
+        """Product of the quotient calculus: multiply, then drop the
+        ideal's words before any coefficient is reduced."""
         return _built(self._outside(_product_triples(f, g).items()))

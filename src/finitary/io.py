@@ -157,7 +157,7 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
             word = word_validate(letters, table.n)
         except (ValueError, FinitaryError) as exc:
             raise ParseError(source, line, str(exc), col) from None
-        terms.append((word, coeff * sign))
+        terms.append((word, coeff if sign > 0 else -coeff))
     return Form(terms)
 
 

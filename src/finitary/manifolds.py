@@ -145,7 +145,7 @@ class Manifold(Value):
     """A vertex table plus the family of nonvanishing words (explicit or as
     the complement of a basic ideal)."""
 
-    __slots__ = ("labels", "_words", "ideal", "_separator", "_report")
+    __slots__ = ("labels", "_words", "ideal", "_separator", "_report", "_word_labels")
 
     def __init__(self, labels: tuple[str, ...], words=None, ideal: BasicIdeal | None = None):
         if (words is None) == (ideal is None):
@@ -156,6 +156,7 @@ class Manifold(Value):
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_word_labels", None)
         if words is not None:
             validated = {word_validate(w, len(labels)) for w in words}
             if not validated:
@@ -184,7 +185,8 @@ class Manifold(Value):
         if witness:
             raise NotAntisymmetric(*witness, labels=labels)
         words = tuple(_chains(rel))
-        return _restore(cls, (labels, words, None, label_separator(labels), StructureReport(())))
+        state = (labels, words, None, label_separator(labels), StructureReport(()), None)
+        return _restore(cls, state)
 
     @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
@@ -204,6 +206,13 @@ class Manifold(Value):
     def word_label(self, w: Iterable[int]) -> str:
         """Label of a word, or of any sequence of vertex indices."""
         return self._separator.join(self.labels[i] for i in w)
+
+    def word_labels(self) -> tuple[str, ...]:
+        """The label of each word, in the order of words(); joined once,
+        on the first call, and kept."""
+        if self._word_labels is None:
+            object.__setattr__(self, "_word_labels", tuple(map(self.word_label, self.words())))
+        return self._word_labels
 
     def dimension(self) -> int | float:
         """Largest grade carrying a nonvanishing word; math.inf if unbounded.
@@ -362,13 +371,15 @@ class Manifold(Value):
         """Forget word order: valid because a finite-dimensional manifold
         carries at most one nonvanishing ordering per vertex subset.  Past
         check_structure, the words sorted by size and then letters give the
-        simplices in canonical order and their labels, assembled unchecked."""
+        simplices in canonical order and, from word_labels, their labels,
+        assembled unchecked."""
         report = self.check_structure()
         if not report.ok:
             raise StructureViolation(report)
-        words = sorted(self.words(), key=lambda w: (len(w), sorted(w)))
-        masks = tuple(map(vertex_mask, words))
-        cells = tuple(map(self.word_label, words))
+        labels, words = self.word_labels(), self._words  # listed by word_labels
+        order = sorted(range(len(words)), key=lambda i: (len(words[i]), sorted(words[i])))
+        masks = tuple(vertex_mask(words[i]) for i in order)
+        cells = tuple(labels[i] for i in order)
         return _restore(SimplicialComplex, (self.n, self.labels, masks, cells))
 
     def _key(self):

@@ -7,9 +7,13 @@ and Fraction parts only, and ``parse`` matches text against one ASCII
 grammar, _LITERAL, and builds the integer triple from its digits.
 
 Two exact values are added by one rule, _plus, on unnormalized integer
-triples (re, im, den).  + and - normalize its result; the calculus
-kernels in envelope normalize each sum once, at the end (the envelope
-docstring says why inner alone sums over a least common denominator).
+triples (re, im, den), and reduced by one rule, division by the gcd of
+all three.  _reduced applies it to a triple: the envelope Forms keep
+their coefficients as reduced triples, and its kernels reduce each sum
+once, at the end (the envelope docstring says why inner alone sums over a
+least common denominator).  _normalized applies it when building a
+scalar, written inline: calling _reduced from it made scalar +, -, *
+and / 12-13% slower.
 """
 
 from __future__ import annotations
@@ -194,6 +198,16 @@ def _plus(t: tuple[int, int, int], re: int, im: int, den: int) -> tuple[int, int
     if d == den:
         return x + re, y + im, d
     return x * den + re * d, y * den + im * d, d * den
+
+
+def _reduced(t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The triple t = (re, im, den), den > 0, divided by its common gcd:
+    t itself when that is 1."""
+    g = gcd(*t)
+    if g == 1:
+        return t
+    re, im, den = t
+    return re // g, im // g, den // g
 
 
 #: A rational part: p, p/q or a decimal (w.f, .f or w.), ASCII digits only.

@@ -165,7 +165,7 @@ def generated_space(m: Manifold) -> FiniteSpace:
         words = tuple(m.words())
     except InfiniteDimensional:
         raise InfiniteDimensional("generated space needs a finite word family") from None
-    return FiniteSpace._lazy(map(m.word_label, words), words, deletions)
+    return FiniteSpace._lazy(m.word_labels(), words, deletions)
 
 
 def _subsequence_opens(words: Sequence) -> list[int]:

@@ -85,6 +85,11 @@ class TestEnumerateBasis:
         with pytest.raises(ValueError, match=message):
             next(basis_words(n, r))
 
+    @pytest.mark.parametrize("n, r", [(0, 1), (2, -1)])
+    def test_bad_arguments_refused_at_the_call(self, n, r):
+        with pytest.raises(ValueError):
+            basis_words(n, r)
+
     @pytest.mark.parametrize("n,r", [(3, 2), (4, 3)])
     def test_words_unique_and_sorted(self, n, r):
         words = list(basis_words(n, r))

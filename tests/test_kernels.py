@@ -1,9 +1,10 @@
 """The calculus kernels against the per-contribution reference, and the
-scalars they build: one per output term, one per surviving term for the
-quotient operations."""
+scalars they build: a Form holds reduced integer triples, so the kernels
+and the quotient operations build none, and items() one per term."""
 
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,3 +179,85 @@ def test_quotient_operations_build_one_scalar_per_surviving_term(
     scalars_built.update(kernel=0, any=0)
     out = quotient()
     assert dropped and scalars_built["kernel"] == scalars_built["any"] <= len(out)
+
+
+def _assert_reduced(form):
+    """Every stored coefficient is a reduced non-zero integer triple."""
+    for w, t in form._terms.items():
+        assert isinstance(w, tuple) and w
+        assert type(t) is tuple and len(t) == 3 and all(type(x) is int for x in t)
+        re, im, den = t
+        assert den > 0 and gcd(re, im, den) == 1 and (re or im)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients(), st.one_of(coefficients, st.sampled_from([0, 2, Fraction(-3, 4)])))
+def test_every_result_holds_reduced_triples(case, c):
+    ideal, f, g = case
+    n, gens = ideal.vertex_count, ideal.generators
+    scaled = Form((w, x * c) for w, x in f.items())
+    results = [
+        (Form(f.items() + g.items()), ref.add(f, g)),
+        (f + g, ref.add(f, g)),
+        (f - g, ref.sub(f, g)),
+        (-f, ref.sub(Form(), f)),
+        (f * c, scaled),
+        (form_product(f, g), ref.form_product(f, g)),
+        (differential(f, n), ref.differential(f, n)),
+        (ideal.reduce(f), ref.reduce(gens, f)),
+        (ideal.quotient_differential(f), ref.reduce(gens, ref.differential(f, n))),
+        (ideal.quotient_product(f, g), ref.reduce(gens, ref.form_product(f, g))),
+    ]
+    for out, expected in results:
+        _assert_reduced(out)
+        assert out == expected
+
+
+@pytest.fixture
+def scalars_counted(monkeypatch):
+    """Every GaussianRational the library builds: by the constructor, by
+    scalars._exact (arithmetic and parsing) and by envelope._exact (the
+    one Form.items() calls)."""
+    counts = {"constructor": 0, "arithmetic": 0, "items": 0}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(envelope, "_exact", counted("items", envelope._exact))
+    monkeypatch.setattr(scalars, "_exact", counted("arithmetic", scalars._exact))
+    monkeypatch.setattr(
+        GaussianRational, "__init__", counted("constructor", GaussianRational.__init__)
+    )
+    return counts
+
+
+F1 = Form((w, c) for w, c in F.items() if len(w) == 2 and max(w) < 4)
+
+
+def _leibniz_sides():
+    """Both sides of the graded Leibniz rule for F1, of grade 1."""
+    qd, qp = IDEAL.quotient_differential, IDEAL.quotient_product
+    lhs, rhs = qd(qp(F1, G)), qp(qd(F1), G) - qp(F1, qd(G))
+    assert lhs == rhs
+    return lhs
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        lambda: IDEAL.quotient_differential(F),
+        lambda: IDEAL.quotient_product(F, G),
+        lambda: IDEAL.quotient_product(DF, G),
+        _leibniz_sides,
+    ],
+)
+def test_quotient_operations_build_no_scalar_and_items_one_per_term(quotient, scalars_counted):
+    out = quotient()
+    assert out and scalars_counted == {"constructor": 0, "arithmetic": 0, "items": 0}
+    terms = out.items()
+    assert scalars_counted == {"constructor": 0, "arithmetic": 0, "items": len(out)}
+    assert all(type(w) is Word and type(c) is GaussianRational for w, c in terms)
