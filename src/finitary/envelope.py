@@ -16,9 +16,12 @@ this makes d a degree-one square-zero derivation (checked exhaustively in
 the test suite).
 
 A Form holds each coefficient as a reduced integer triple (re, im, den),
-den > 0 and gcd 1 (scalars._reduced), so the calculus adds, multiplies
-and compares integers from start to end; items() and repr alone build the
-Words and GaussianRationals a caller reads.
+den > 0 and gcd 1: the triple a GaussianRational holds.  So the calculus
+adds, multiplies and compares integers from start to end.  items(), repr
+and inner alone build the Words and GaussianRationals a caller reads, each
+scalar wrapping a triple as it is (scalars._exact); Form(...) and scalar
+* read a scalar's triple through scalars._triple, the coercion rule of
+every scalar operator.
 differential and form_product keep, for each output word, one
 unnormalized triple of the sum so far: the first contribution is stored
 as it comes, and each further one is added by scalars._plus, the
@@ -33,11 +36,10 @@ one contribution per letter (a deletion of it, or a split of it into two
 overlapping factors), and its denominator stays a product of a few input
 denominators.  Each non-zero sum is reduced once, at the end
 (BasicIdeal's quotient operations first drop the words of the ideal).
-inner has one output fed by every shared word, so it alone sums over the
-least common denominator instead, and builds one scalar: moving the
-kernels onto that rule as well, as a helper or written inline, measured
-slower on the calculus benchmark (by 6% and 2.6%), and moving only the
-scalar sum onto it removed no line and measured 1.5% slower.
+inner has one output fed by every shared word, whose denominator _plus
+would grow by a factor per word, so it alone sums over the least common
+denominator instead, and builds one scalar; a kernel's output word gets a
+few contributions, and cross-multiplying them costs no gcd.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import FinitaryError, Value
-from .scalars import GaussianRational, _exact, _normalized, _plus, _reduced
+from .scalars import GaussianRational, _Triple, _exact, _plus, _reduced, _times, _triple
 
 
 class WordError(FinitaryError):
@@ -175,10 +177,10 @@ class Form(Value):
         for w, c in items:
             if not isinstance(w, Word):
                 w = Word(w)
-            c = GaussianRational.of(c)
+            # what _triple does not admit, the constructor refuses (TypeError)
+            u = _triple(c) or GaussianRational(c)._t
             t = acc.get(w)
-            re, im, den = c._re_num, c._im_num, c._den
-            acc[w] = (re, im, den) if t is None else _plus(t, re, im, den)
+            acc[w] = u if t is None else _plus(t, *u)
         _set_terms(self, _built(acc.items())._terms)
 
     @classmethod
@@ -188,7 +190,7 @@ class Form(Value):
     def items(self) -> list[tuple[Word, GaussianRational]]:
         """Terms in canonical order (grade-major, then lexicographic)."""
         ordered = sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
-        return [(_word(w), _exact(*t)) for w, t in ordered]
+        return [(_word(w), _exact(t)) for w, t in ordered]
 
     def __len__(self):
         return len(self._terms)
@@ -220,16 +222,13 @@ class Form(Value):
     def __mul__(self, other):
         if isinstance(other, Form):
             return form_product(self, other)
-        try:
-            c = GaussianRational.of(other)
-        except TypeError:
+        u = _triple(other)
+        if u is None:
             return NotImplemented
-        if not c:
+        if not (u[0] or u[1]):
             return ZERO_FORM
-        x, y, e = c._re_num, c._im_num, c._den
         # a product of two nonzero scalars is nonzero
-        terms = self._terms.items()
-        return _form({w: _reduced((a * x - b * y, a * y + b * x, d * e)) for w, (a, b, d) in terms})
+        return _form({w: _reduced(_times(t, u)) for w, t in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -244,7 +243,6 @@ class Form(Value):
 
 _new = object.__new__
 _set_terms = Form._terms.__set__
-_Triple = tuple[int, int, int]  # (re, im, den), den > 0; reduced when a Form stores it
 
 
 def _form(terms: dict[tuple[int, ...], _Triple]) -> Form:
@@ -386,4 +384,4 @@ def inner(f: Form, g: Form) -> GaussianRational:
             re = re * (d // h) + (a * c + b * e) * (den // h)
             im = im * (d // h) + (a * e - b * c) * (den // h)
             den = den // h * d
-    return _normalized(re, im, den)
+    return _exact(_reduced((re, im, den)))

@@ -281,13 +281,14 @@ class Manifold(Value):
         (c) no vertex subset carrying two distinct nonvanishing orderings,
         (d) all singletons present.
 
-        (b) follows from (a) and (c), so its pair scan and the relation are
-        needed only to report a failure.  No word repeats a letter: deleting
-        the first letter that occurs twice would leave, by (a), a second
-        word on the same vertex set, unless its neighbours were equal, an
-        earlier repeat.  So each ordered pair (a, b) of a word is reached by
-        deletions, a grade-1 word by (a), and (b, a), a second ordering of
-        {a, b}, is not one by (c).  The first report is kept.
+        (b) follows from (a) and (c), so its pair scan runs, and the
+        relation is built, only when (a) or (c) fails; (d) plays no part.
+        No word repeats a letter: deleting the first letter that occurs
+        twice would leave, by (a), a second word on the same vertex set,
+        unless its neighbours were equal, an earlier repeat.  So each
+        ordered pair (a, b) of a word is reached by deletions, a grade-1
+        word by (a), and (b, a), a second ordering of {a, b}, is not one
+        by (c).  The first report is kept.
         """
         if self._report is not None:
             return self._report
@@ -310,52 +311,50 @@ class Manifold(Value):
                         )
                     )
 
-        unique = len({vertex_mask(w) for w in words}) == len(words)
-        if not failures and unique and all(Word((i,)) in word_set for i in range(self.n)):
-            object.__setattr__(self, "_report", StructureReport(()))
-            return self._report
-        rel = self.relation()
-        for w in words:
-            if len(set(w)) != len(w):
-                failures.append(
-                    StructureFailure(
-                        "fully-ordered",
-                        (w,),
-                        f"{self.word_label(w)} repeats a letter",
-                    )
-                )
-                continue
-            for s in range(len(w)):
-                for t in range(s + 1, len(w)):
-                    a, b = w[s], w[t]
-                    if rel.holds(a, b) and not rel.holds(b, a):
-                        continue
-                    how = "is related both ways" if rel.holds(a, b) else "is unrelated"
-                    failures.append(
-                        StructureFailure(
-                            "fully-ordered",
-                            (w, (a, b)),
-                            f"{self.word_label(w)}: pair ({self.labels[a]},{self.labels[b]}) {how}",
-                        )
-                    )
-
         by_set: dict[int, list[Word]] = {}  # each group in canonical word order
         for w in words:
             by_set.setdefault(vertex_mask(w), []).append(w)
-        for vset, group in sorted(by_set.items(), key=lambda kv: simplex_key(kv[0])):
-            if len(group) > 1:
-                names = ", ".join(map(self.word_label, group))
-                failures.append(
-                    StructureFailure(
-                        "uniqueness",
-                        tuple(group),
-                        f"vertex set {{{self.word_label(members(vset))}}} "
-                        f"carries several orderings: {names}",
+        if failures or len(by_set) < len(words):  # (a) or (c) fails
+            rel = self.relation()
+            for w in words:
+                if len(set(w)) != len(w):
+                    failures.append(
+                        StructureFailure(
+                            "fully-ordered",
+                            (w,),
+                            f"{self.word_label(w)} repeats a letter",
+                        )
                     )
+                    continue
+                for s in range(len(w)):
+                    for t in range(s + 1, len(w)):
+                        a, b = w[s], w[t]
+                        if rel.holds(a, b) and not rel.holds(b, a):
+                            continue
+                        how = "is related both ways" if rel.holds(a, b) else "is unrelated"
+                        pair = f"({self.labels[a]},{self.labels[b]})"
+                        failures.append(
+                            StructureFailure(
+                                "fully-ordered",
+                                (w, (a, b)),
+                                f"{self.word_label(w)}: pair {pair} {how}",
+                            )
+                        )
+
+        shared = [kv for kv in by_set.items() if len(kv[1]) > 1]
+        for vset, group in sorted(shared, key=lambda kv: simplex_key(kv[0])):
+            names = ", ".join(map(self.word_label, group))
+            failures.append(
+                StructureFailure(
+                    "uniqueness",
+                    tuple(group),
+                    f"vertex set {{{self.word_label(members(vset))}}} "
+                    f"carries several orderings: {names}",
                 )
+            )
 
         for i in range(self.n):
-            if Word((i,)) not in word_set:
+            if (i,) not in word_set:
                 failures.append(
                     StructureFailure(
                         "singletons",

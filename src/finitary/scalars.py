@@ -1,19 +1,27 @@
 """Exact Gaussian-rational scalars.
 
 Every structural constant of the calculus is -1, 0 or 1, so working over
-exact complex rationals keeps all algebraic identities decidable.  Floats
-are deliberately rejected everywhere: the constructor and ``of`` take int
-and Fraction parts only, and ``parse`` matches text against one ASCII
-grammar, _LITERAL, and builds the integer triple from its digits.
+exact complex rationals keeps all algebraic identities decidable.
 
-Two exact values are added by one rule, _plus, on unnormalized integer
-triples (re, im, den), and reduced by one rule, division by the gcd of
-all three.  _reduced applies it to a triple: the envelope Forms keep
-their coefficients as reduced triples, and its kernels reduce each sum
-once, at the end (the envelope docstring says why inner alone sums over a
-least common denominator).  _normalized applies it when building a
-scalar, written inline: calling _reduced from it made scalar +, -, *
-and / 12-13% slower.
+An exact scalar has one spelling: the reduced integer triple (re, im, den)
+of (re + im*i)/den, with den > 0 and gcd(re, im, den) == 1, so equal
+values have equal triples.  A GaussianRational holds that triple, the one
+an envelope Form stores for each coefficient, and _exact wraps a reduced
+triple unchecked, so a Form hands its triples over as they are.
+
+One coercion rule, _triple, admits an operand: it gives the triple of a
+GaussianRational, an int or a Fraction and None for anything else, so
+every operator returns NotImplemented for any other operand, and Python
+then tries that operand's reflected method (a Form's, say).  Floats are
+refused everywhere: the constructor takes int and Fraction parts only,
+and ``parse`` matches text against one ASCII grammar, _LITERAL, and
+builds the triple from its digits.
+
+Triples are added by one rule, _plus, without reducing, multiplied by
+_times and divided by _over, and reduced by one rule, _reduced, division
+by the gcd of all three.  The envelope kernels reduce each sum once, at
+the end (the envelope docstring says why inner alone sums over a least
+common denominator); an operator reduces its one result.
 """
 
 from __future__ import annotations
@@ -24,115 +32,130 @@ from math import gcd, lcm
 
 from .errors import Value
 
+_Triple = tuple[int, int, int]  # (re, im, den), den > 0; reduced when a scalar holds it
+
+
+def _triple(value) -> _Triple | None:
+    """The reduced triple of a GaussianRational, an int or a Fraction; None
+    for anything else."""
+    if isinstance(value, GaussianRational):
+        return value._t
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    return None
+
+
+def _plus(t: _Triple, re: int, im: int, den: int) -> _Triple:
+    """The triple t = (x, y, d) plus (re + im*i)/den, both with positive
+    denominators, not reduced: numerators add over an equal denominator,
+    other fractions cross-multiply."""
+    x, y, d = t
+    if d == den:
+        return x + re, y + im, d
+    return x * den + re * d, y * den + im * d, d * den
+
+
+def _minus(t: _Triple, u: _Triple) -> _Triple:
+    """t - u, not reduced."""
+    re, im, den = u
+    return _plus(t, -re, -im, den)
+
+
+def _times(t: _Triple, u: _Triple) -> _Triple:
+    """t * u, not reduced."""
+    a, b, d = t
+    c, f, e = u
+    return a * c - b * f, a * f + b * c, d * e
+
+
+def _over(t: _Triple, u: _Triple) -> _Triple:
+    """t / u, not reduced; ZeroDivisionError when u is zero."""
+    a, b, d = t
+    c, f, e = u
+    norm = c * c + f * f
+    if norm == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    # (a + bi)/d * e/(c + fi) = (a + bi)(c - fi) e / (d (c^2 + f^2))
+    return (a * c + b * f) * e, (b * c - a * f) * e, d * norm
+
+
+def _reduced(t: _Triple) -> _Triple:
+    """The triple t = (re, im, den), den > 0, divided by its common gcd:
+    t itself when that is 1."""
+    g = gcd(*t)
+    if g == 1:
+        return t
+    re, im, den = t
+    return re // g, im // g, den // g
+
+
+def _operator(rule, reflected=False):
+    """The operator z op other: other coerced by _triple (NotImplemented
+    when it is not an exact scalar), then rule(z, other) on the two
+    triples, or rule(other, z) when reflected, reduced."""
+
+    def op(self, other):
+        u = _triple(other)
+        if u is None:
+            return NotImplemented
+        return _exact(_reduced(rule(u, self._t) if reflected else rule(self._t, u)))
+
+    return op
+
 
 class GaussianRational(Value):
-    """A complex number (re_num + im_num*i) / den held as three integers.
+    """A complex number (re + im*i) / den held as one reduced integer
+    triple, _t = (re, im, den): den > 0 and gcd(re, im, den) == 1.
 
-    The triple is normalized: den > 0 and gcd(re_num, im_num, den) == 1, so
-    equal values have equal triples.  Arithmetic stays on integers, and a
-    product skips the gcd when both denominators are 1; the real and
-    imaginary parts are read as Fractions through ``re`` and ``im``.
+    Arithmetic stays on integers; the real and imaginary parts are read as
+    Fractions through ``re`` and ``im``.  Every operator, reflected ones
+    included, takes another GaussianRational, an int or a Fraction.
     """
 
-    __slots__ = ("_re_num", "_im_num", "_den")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            den = 1
-        else:
-            for part in (re, im):
-                if not isinstance(part, (int, Fraction)):
-                    raise TypeError(f"cannot use {type(part).__name__} as an exact scalar")
-            # over the lcm of the two denominators the triple is already coprime
-            den = lcm(re.denominator, im.denominator)
-            re = re.numerator * (den // re.denominator)
-            im = im.numerator * (den // im.denominator)
-        _set_re(self, re)
-        _set_im(self, im)
-        _set_den(self, den)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot use {type(part).__name__} as an exact scalar")
+        # over the lcm of the two denominators the triple is already coprime
+        den = lcm(re.denominator, im.denominator)
+        re, im = (q.numerator * (den // q.denominator) for q in (re, im))
+        _set(self, (re, im, den))
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._re_num, self._den)
+        return Fraction(self._t[0], self._t[2])
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._im_num, self._den)
+        return Fraction(self._t[1], self._t[2])
 
-    @classmethod
-    def of(cls, value) -> "GaussianRational":
-        """Coerce an int, Fraction or GaussianRational; floats are refused."""
-        return value if isinstance(value, GaussianRational) else cls(value)
-
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
-        t = self._re_num, self._im_num, self._den
-        return _normalized(*_plus(t, other._re_num, other._im_num, other._den))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
-        t = self._re_num, self._im_num, self._den
-        return _normalized(*_plus(t, -other._re_num, -other._im_num, other._den))
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) - self
-
-    def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
-        a, b, d = self._re_num, self._im_num, self._den
-        c, f, e = other._re_num, other._im_num, other._den
-        re, im = a * c - b * f, a * f + b * c
-        if d == 1 and e == 1:
-            return _exact(re, im, 1)
-        return _normalized(re, im, d * e)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        c, f, e = other._re_num, other._im_num, other._den
-        norm = c * c + f * f
-        if norm == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        # (a + bi)/d * e/(c + fi) = (a + bi)(c - fi) e / (d (c^2 + f^2))
-        a, b = self._re_num, self._im_num
-        return _normalized((a * c + b * f) * e, (b * c - a * f) * e, self._den * norm)
+    __add__ = __radd__ = _operator(lambda t, u: _plus(t, *u))
+    __sub__ = _operator(_minus)
+    __rsub__ = _operator(_minus, reflected=True)
+    __mul__ = __rmul__ = _operator(_times)
+    __truediv__ = _operator(_over)
+    __rtruediv__ = _operator(_over, reflected=True)
 
     def __neg__(self):
-        return _exact(-self._re_num, -self._im_num, self._den)
+        re, im, den = self._t
+        return _exact((-re, -im, den))
 
     def conjugate(self) -> "GaussianRational":
-        return _exact(self._re_num, -self._im_num, self._den)
+        re, im, den = self._t
+        return _exact((re, -im, den))
 
     def __bool__(self):
-        return bool(self._re_num) or bool(self._im_num)
+        return bool(self._t[0] or self._t[1])
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return (
-                self._re_num == other._re_num
-                and self._im_num == other._im_num
-                and self._den == other._den
-            )
-        if isinstance(other, int):
-            return not self._im_num and self._den == 1 and self._re_num == other
-        if isinstance(other, Fraction):
-            return (
-                not self._im_num
-                and self._re_num == other.numerator
-                and self._den == other.denominator
-            )
-        return NotImplemented
+        u = _triple(other)
+        return NotImplemented if u is None else self._t == u
 
     def __hash__(self):
-        if not self._im_num:
-            return hash(self._re_num) if self._den == 1 else hash(self.re)
-        return hash((self._re_num, self._im_num, self._den))
+        # a real value hashes as the int or Fraction it equals
+        return hash(self._t) if self._t[1] else hash(self.re)
 
     def __repr__(self):
         re, im = (
@@ -164,50 +187,18 @@ class GaussianRational(Value):
         c, d = _ratio("0" if sign is None else sign + (imag or "1"))
         if not b or not d:
             raise ZeroDivisionError(f"zero denominator in {text!r}")
-        return _normalized(a * d, c * b, b * d)
+        return _exact(_reduced((a * d, c * b, b * d)))
 
 
-_set_re = GaussianRational._re_num.__set__
-_set_im = GaussianRational._im_num.__set__
-_set_den = GaussianRational._den.__set__
+_set = GaussianRational._t.__set__
 _new = object.__new__
 
 
-def _exact(re_num: int, im_num: int, den: int) -> GaussianRational:
-    """A scalar from a triple that is already normalized."""
+def _exact(t: _Triple) -> GaussianRational:
+    """The scalar holding t, a reduced triple, unchecked."""
     z = _new(GaussianRational)
-    _set_re(z, re_num)
-    _set_im(z, im_num)
-    _set_den(z, den)
+    _set(z, t)
     return z
-
-
-def _normalized(re_num: int, im_num: int, den: int) -> GaussianRational:
-    """A scalar from a triple with den > 0, divided by its common gcd."""
-    g = gcd(re_num, im_num, den)
-    if g == 1:
-        return _exact(re_num, im_num, den)
-    return _exact(re_num // g, im_num // g, den // g)
-
-
-def _plus(t: tuple[int, int, int], re: int, im: int, den: int) -> tuple[int, int, int]:
-    """The triple t = (x, y, d) plus (re + im*i)/den, both with positive
-    denominators, not reduced: numerators add over an equal denominator,
-    other fractions cross-multiply."""
-    x, y, d = t
-    if d == den:
-        return x + re, y + im, d
-    return x * den + re * d, y * den + im * d, d * den
-
-
-def _reduced(t: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The triple t = (re, im, den), den > 0, divided by its common gcd:
-    t itself when that is 1."""
-    g = gcd(*t)
-    if g == 1:
-        return t
-    re, im, den = t
-    return re // g, im // g, den // g
 
 
 #: A rational part: p, p/q or a decimal (w.f, .f or w.), ASCII digits only.

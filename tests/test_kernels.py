@@ -90,24 +90,6 @@ def test_quotient_operations_match_the_reference(case):
         assert ideal.contains(w) == any(ref.is_subsequence(x, w) for x in gens)
 
 
-@pytest.fixture
-def scalars_built(monkeypatch):
-    """Calls of the scalar constructor the kernels bind, and of _exact,
-    which every scalar built by arithmetic goes through."""
-    counts = {"kernel": 0, "any": 0}
-
-    def counted(name, build):
-        def wrapper(*args):
-            counts[name] += 1
-            return build(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(envelope, "_normalized", counted("kernel", envelope._normalized))
-    monkeypatch.setattr(scalars, "_exact", counted("any", scalars._exact))
-    return counts
-
-
 def _form(terms):
     """The form of (word, (a, p, b, q)) terms, coefficient a/p + (b/q)i."""
     return Form(
@@ -143,44 +125,6 @@ DF = differential(F, 4)
 F_AND_G = F + G + _form([((0, 1), (1, 1, 0, 1))])
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        lambda: differential(F, 4),
-        lambda: differential(DF, 4),
-        lambda: differential_word(Word((0, 1, 2)), 4),
-        lambda: form_product(F, G),
-        lambda: form_product(G, DF),
-    ],
-)
-def test_one_scalar_per_output_term(kernel, scalars_built):
-    out = kernel()
-    assert scalars_built["kernel"] == scalars_built["any"] <= len(out)
-
-
-def test_inner_builds_one_scalar(scalars_built):
-    product = inner(F, F_AND_G)
-    assert scalars_built == {"kernel": 1, "any": 1}
-    assert product == ref.inner(F, F_AND_G)
-
-
-@pytest.mark.parametrize(
-    "quotient, unreduced",
-    [
-        (lambda: IDEAL.quotient_differential(F), lambda: differential(F, 4)),
-        (lambda: IDEAL.quotient_product(F, G), lambda: form_product(F, G)),
-        (lambda: IDEAL.quotient_product(DF, G), lambda: form_product(DF, G)),
-    ],
-)
-def test_quotient_operations_build_one_scalar_per_surviving_term(
-    quotient, unreduced, scalars_built
-):
-    dropped = len(unreduced()) - len(IDEAL.reduce(unreduced()))
-    scalars_built.update(kernel=0, any=0)
-    out = quotient()
-    assert dropped and scalars_built["kernel"] == scalars_built["any"] <= len(out)
-
-
 def _assert_reduced(form):
     """Every stored coefficient is a reduced non-zero integer triple."""
     for w, t in form._terms.items():
@@ -202,6 +146,7 @@ def test_every_result_holds_reduced_triples(case, c):
         (f - g, ref.sub(f, g)),
         (-f, ref.sub(Form(), f)),
         (f * c, scaled),
+        (c * f, scaled),
         (form_product(f, g), ref.form_product(f, g)),
         (differential(f, n), ref.differential(f, n)),
         (ideal.reduce(f), ref.reduce(gens, f)),
@@ -217,8 +162,8 @@ def test_every_result_holds_reduced_triples(case, c):
 def scalars_counted(monkeypatch):
     """Every GaussianRational the library builds: by the constructor, by
     scalars._exact (arithmetic and parsing) and by envelope._exact (the
-    one Form.items() calls)."""
-    counts = {"constructor": 0, "arithmetic": 0, "items": 0}
+    one Form.items() and inner call)."""
+    counts = {"constructor": 0, "arithmetic": 0, "envelope": 0}
 
     def counted(name, build):
         def wrapper(*args, **kwargs):
@@ -227,7 +172,7 @@ def scalars_counted(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(envelope, "_exact", counted("items", envelope._exact))
+    monkeypatch.setattr(envelope, "_exact", counted("envelope", envelope._exact))
     monkeypatch.setattr(scalars, "_exact", counted("arithmetic", scalars._exact))
     monkeypatch.setattr(
         GaussianRational, "__init__", counted("constructor", GaussianRational.__init__)
@@ -253,11 +198,41 @@ def _leibniz_sides():
         lambda: IDEAL.quotient_product(F, G),
         lambda: IDEAL.quotient_product(DF, G),
         _leibniz_sides,
+        lambda: differential(F, 4),
+        lambda: differential_word(Word((0, 1, 2)), 4),
+        lambda: form_product(F, G),
+        lambda: form_product(G, DF),
     ],
 )
 def test_quotient_operations_build_no_scalar_and_items_one_per_term(quotient, scalars_counted):
     out = quotient()
-    assert out and scalars_counted == {"constructor": 0, "arithmetic": 0, "items": 0}
+    assert out and scalars_counted == {"constructor": 0, "arithmetic": 0, "envelope": 0}
     terms = out.items()
-    assert scalars_counted == {"constructor": 0, "arithmetic": 0, "items": len(out)}
+    assert scalars_counted == {"constructor": 0, "arithmetic": 0, "envelope": len(out)}
     assert all(type(w) is Word and type(c) is GaussianRational for w, c in terms)
+
+
+@pytest.mark.parametrize(
+    "quotient, unreduced",
+    [
+        (lambda: IDEAL.quotient_differential(F), lambda: differential(F, 4)),
+        (lambda: IDEAL.quotient_product(F, G), lambda: form_product(F, G)),
+        (lambda: IDEAL.quotient_product(DF, G), lambda: form_product(DF, G)),
+    ],
+)
+def test_quotient_operations_build_one_scalar_per_surviving_term(
+    quotient, unreduced, scalars_counted
+):
+    reduced = IDEAL.reduce(unreduced())
+    dropped = len(unreduced()) - len(reduced)
+    scalars_counted.update(constructor=0, arithmetic=0, envelope=0)
+    out = quotient()
+    out.items()
+    assert dropped and out == reduced
+    assert scalars_counted == {"constructor": 0, "arithmetic": 0, "envelope": len(out)}
+
+
+def test_inner_builds_one_scalar(scalars_counted):
+    product = inner(F, F_AND_G)
+    assert scalars_counted == {"constructor": 0, "arithmetic": 0, "envelope": 1}
+    assert product == ref.inner(F, F_AND_G)

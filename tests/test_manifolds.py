@@ -292,6 +292,15 @@ class TestCheckStructure:
         report = m.check_structure()
         assert any(f.check == "singletons" for f in report.failures)
 
+    def test_a_missing_singleton_alone_builds_no_relation(self, monkeypatch):
+        # hereditarity and uniqueness hold, so the pair scan cannot fail
+        def relation(self):
+            raise AssertionError("relation built")
+
+        monkeypatch.setattr(Manifold, "relation", relation)
+        m = Manifold(("1", "2", "3"), words=[W(0), W(1), W(0, 1)])
+        assert [f.check for f in m.check_structure().failures] == ["singletons"]
+
     def test_unrelated_pair_fails_fully_ordered(self):
         # word (0,1,2) present but the 1-form (0,2) missing: pair unrelated
         m = Manifold(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scalar_reference
+from finitary import Form
 from finitary.scalars import GaussianRational, _plus
 
 
@@ -50,9 +51,31 @@ def test_mixed_operations():
     assert (z == "x") is False
 
 
+def test_reflected_operators_take_exact_scalars_only():
+    z = gr(Fraction(1, 2), 3)
+    assert 1 / z == gr(1) / z == gr(Fraction(2, 37), Fraction(-12, 37))
+    assert Fraction(1, 2) / z == gr(Fraction(1, 2)) / z
+    assert 2 * z == z * 2 == z + z and Fraction(1, 2) - z == gr(0, -3)
+    for refused in (lambda: z + "x", lambda: "x" - z, lambda: z * 0.5, lambda: 1.0 / z):
+        with pytest.raises(TypeError):
+            refused()
+
+    class Operand:
+        """Not an exact scalar: its reflected methods answer."""
+
+        def __radd__(self, other):
+            return "radd"
+
+        def __rtruediv__(self, other):
+            return "rtruediv"
+
+    assert z + Operand() == "radd" and z / Operand() == "rtruediv"
+
+
 def test_floats_are_refused():
-    with pytest.raises(TypeError):
-        GaussianRational.of(0.5)
+    for build in (lambda: GaussianRational(0.5), lambda: Form([((0, 1), 0.5)])):
+        with pytest.raises(TypeError, match="cannot use float as an exact scalar"):
+            build()
 
 
 def test_the_constructor_takes_ints_and_fractions_only():
