@@ -53,9 +53,19 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> tuple[str, str]:
     p = Path(path)
     try:
-        return p.read_text(), p.name
+        return p.read_text(encoding="utf-8"), p.name
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(path, 0, "cannot read file: not UTF-8 text") from None
+
+
+def positive(text: str) -> int:
+    """An integer of at least 1, for argparse, which names this function in
+    its refusal: "invalid positive value"."""
+    if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
 
 
 def _load_manifold(path: str) -> Manifold:
@@ -267,16 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("substitute", help="finitary substitutes of coverings")
     p.add_argument("op", choices=("simplicial", "sampled", "circle", "trace"))
     p.add_argument("file", nargs="?")
-    p.add_argument("--per-cell", type=int, default=3)
+    p.add_argument("--per-cell", type=positive, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=positive, default=4096)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_substitute)
 
     p = sub.add_parser("verify", help="check the correspondence of the three spaces")
     p.add_argument("op", choices=("correspondence",))
     p.add_argument("file")
-    p.add_argument("--per-cell", type=int, default=3)
+    p.add_argument("--per-cell", type=positive, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
@@ -306,7 +316,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except (FinitaryError, ValueError) as exc:
+    except FinitaryError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError as exc:

@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, _restore, members
 from .manifolds import Manifold
-from .topology import FiniteSpace, generated_space
+from .topology import FiniteSpace, generated_space, hasse
 
 MAX_SAMPLES = 100_000
 
@@ -412,15 +412,9 @@ def _certified(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, ...] | None:
 def _grade_counts(s: FiniteSpace) -> str:
     """Points per grade, grade 0 first; the grade of x is the length of the
     longest chain x < y_1 < ... < y_g (a word's grade, a simplex's
-    dimension).  A point above x has the larger min_open, so the points are
-    taken in decreasing min_open size."""
-    grade = [0] * s.n
-    for y in sorted(range(s.n), key=lambda y: -s.min_open[y].bit_count()):
-        for x in members(s.min_open[y]):
-            if x != y:
-                grade[x] = max(grade[x], grade[y] + 1)
-    counts = Counter(grade)
-    return ", ".join(str(counts[g]) for g in range(max(grade, default=0) + 1))
+    dimension), read down the covers of the Hasse diagram."""
+    counts = Counter(hasse(s).heights(down=True))
+    return ", ".join(str(counts[g]) for g in range(max(counts, default=0) + 1))
 
 
 def verify_correspondence(

@@ -4,7 +4,10 @@ of finite spaces.
 Printed forms are canonically ordered (grade-major, then lexicographic)
 so that identical inputs give byte-identical output.  Formats:
 
-  form      ``3/2*e[1,2] - e[2,1] + (1+2i)*e[3]``; ``0`` is the zero form
+  form      ``3/2*e[1,2] - e[2,1] + (1+2i)*e[3]``: terms ``coeff*e[labels]``,
+            each but the first after a run of signs (the parity of its
+            ``-`` is the sign), the coefficient bare or in parentheses;
+            ``0`` is the zero form
   relation  header ``n <count>``, then one ``i <= j`` line per pair
   manifold  ``vertices:`` line, then a ``relation:``, ``words:`` or
             ``ideal:`` block (one entry per line); or a relation file,
@@ -98,29 +101,10 @@ def _content_lines(text: str):
 
 # -- forms -----------------------------------------------------------------
 
-def _split_terms(text: str):
-    """Split on top-level +/-; yields (sign, term, start_column) triples."""
-    terms = []
-    depth = 0
-    sign = 1
-    start = 0
-    for pos, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and pos > start:
-            terms.append((sign, text[start:pos].strip(), start + 1))
-            sign = 1 if ch == "+" else -1
-            start = pos + 1
-        elif ch in "+-" and depth == 0 and pos == start:
-            sign = sign * (1 if ch == "+" else -1)
-            start = pos + 1
-    terms.append((sign, text[start:].strip(), start + 1))
-    return terms
-
-
-_TERM = re.compile(r"^(?:(?P<coef>\([^()]*\)|[^*\[\]()]+)\*)?e\[(?P<letters>[^\]]*)\]$")
+# one term: a sign run (its parity is the sign; required before every term
+# but the first), an optional coefficient, bare or in parentheses, with its
+# '*', and the word; spaces may follow the sign run and the word
+_TERM = re.compile(r"([+-]*)\s*(?:(\([^()]*\)|[^\s*\[\]()+-][^*\[\]()+-]*)\*)?e\[([^\]]*)\]\s*")
 
 
 def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int = 1) -> Form:
@@ -129,14 +113,14 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
         raise ParseError(source, line, "empty form expression")
     if body == "0":
         return Form()
-    terms = []
-    for sign, term, col in _split_terms(body):
-        if not term:
-            raise ParseError(source, line, "empty term in form expression", col)
-        match = _TERM.match(term)
-        if not match:
-            raise ParseError(source, line, f"cannot parse term {term!r}", col)
-        coef_tok = match.group("coef")
+    terms, pos = [], 0
+    while pos < len(body):
+        match = _TERM.match(body, pos)
+        if match is None or (pos and not match[1]):
+            rest = repr(body[pos:pos + 30]) + ("..." if len(body) > pos + 30 else "")
+            raise ParseError(source, line, f"cannot parse the form from {rest}", pos + 1)
+        signs, coef_tok, word_tok = match.groups()
+        col, pos = match.end(1) + 1, match.end()
         if coef_tok is None:
             coeff = GaussianRational(1)
         else:
@@ -149,7 +133,7 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
                 raise ParseError(
                     source, line, f"bad coefficient {coef_tok!r}", col
                 ) from None
-        letter_toks = [t.strip() for t in match.group("letters").split(",")]
+        letter_toks = [t.strip() for t in word_tok.split(",")]
         if letter_toks == [""]:
             raise ParseError(source, line, "word with no letters", col)
         try:
@@ -157,7 +141,7 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
             word = word_validate(letters, table.n)
         except (ValueError, FinitaryError) as exc:
             raise ParseError(source, line, str(exc), col) from None
-        terms.append((word, coeff if sign > 0 else -coeff))
+        terms.append((word, -coeff if signs.count("-") % 2 else coeff))
     return Form(terms)
 
 
@@ -202,7 +186,10 @@ def _relation(lines, source: str) -> Relation:
     count = bits[1] if len(bits) == 2 and bits[0] == "n" else ""
     if not (count.isascii() and count.isdigit()):  # isdigit alone takes "²" and "١٢"
         raise ParseError(source, lineno, f"expected header 'n <count>', got {header!r}")
-    n = int(count)
+    # int() refuses past 4300 digits, leading zeros included, so only the
+    # significant ones are read; more of them than MAX_WORDS has is too large
+    digits = count.lstrip("0")
+    n = int(digits or "0") if len(digits) <= len(str(MAX_WORDS)) else MAX_WORDS + 1
     if n < 1:
         raise ParseError(source, lineno, "vertex count must be at least 1")
     if n > MAX_WORDS:  # its n singletons are already too many words
@@ -373,28 +360,13 @@ def space_json(s: FiniteSpace) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _levels(h: HasseDiagram) -> list[int]:
-    """Longest-chain height of each node in the diagram."""
-    level = [0] * len(h.labels)
-    # repeated relaxation; diagrams here are tiny
-    changed = True
-    while changed:
-        changed = False
-        for lo, up in h.edges:
-            if level[up] < level[lo] + 1:
-                level[up] = level[lo] + 1
-                changed = True
-    return level
-
-
 def hasse_dot(h: HasseDiagram) -> str:
-    level = _levels(h)
+    """The diagram in DOT, bottom to top, one rank per longest-chain height."""
+    rows: dict[int, list[str]] = {}
+    for label, height in zip(h.labels, h.heights()):
+        rows.setdefault(height, []).append(f'"{label}";')
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for lvl in sorted(set(level)):
-        members = [i for i in range(len(h.labels)) if level[i] == lvl]
-        row = " ".join(f'"{h.labels[i]}";' for i in members)
-        lines.append("  { rank=same; " + row + " }")
-    for lo, up in h.edges:
-        lines.append(f'  "{h.labels[lo]}" -> "{h.labels[up]}";')
+    lines.extend("  { rank=same; " + " ".join(rows[r]) + " }" for r in sorted(rows))
+    lines.extend(f'  "{h.labels[lo]}" -> "{h.labels[up]}";' for lo, up in h.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ proved by construction: subchains are chains, and each vertex is one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 from typing import Iterable, Iterator
 
 from .automata import _START, MAX_WORDS, _walk, avoiding_words, is_finite, longest_avoiding_word
@@ -257,19 +257,16 @@ class Manifold(Value):
 
     def is_network(self) -> bool:
         """True iff the word family equals all fully ordered arrangements of
-        its own 1-form relation.  Stops at the first arrangement that is not
-        a word, so a large relation behind a small family is not listed."""
+        its own 1-form relation.  Both are listed in canonical order, so they
+        are compared pair by pair, up to the first difference: a large
+        relation behind a small family is not listed.  The family is listed,
+        and kept, before the relation is read off it."""
         if not self.is_explicit and not is_finite(self.n, self.ideal.generators):
             raise InfiniteDimensional("network test needs a finite word family")
-        word_set = set(self.words())
-        rel = self.relation()
-        if rel.antisymmetry_witness():
-            return False
-        arranged = 0
-        for arranged, seq in enumerate(_chains(rel), 1):
-            if seq not in word_set:
-                return False
-        return arranged == len(word_set)
+        words, rel = self.words(), self.relation()  # the family first: it is kept
+        return not rel.antisymmetry_witness() and all(
+            a == b for a, b in zip_longest(_chains(rel), words)
+        )
 
     def check_structure(self) -> StructureReport:
         """Verify the combinatorial shape of a finite word family:

@@ -153,6 +153,25 @@ class HasseDiagram:
     def edge_labels(self) -> tuple[tuple[str, str], ...]:
         return tuple((self.labels[a], self.labels[b]) for a, b in self.edges)
 
+    def heights(self, down: bool = False) -> list[int]:
+        """The length of the longest chain of covers ending at each point,
+        climbing them up (from the minimal points) or, with down, down (from
+        the maximal points): a point is taken once every point before it has
+        been (Kahn's order), and passes its height + 1 on."""
+        nexts, waiting = [[] for _ in self.labels], [0] * len(self.labels)
+        for lo, up in self.edges:
+            a, b = (up, lo) if down else (lo, up)
+            nexts[a].append(b)
+            waiting[b] += 1
+        height = [0] * len(waiting)
+        ready = [x for x, w in enumerate(waiting) if not w]
+        for x in ready:  # grows while it is read
+            for b in nexts[x]:
+                height[b], waiting[b] = max(height[b], height[x] + 1), waiting[b] - 1
+                if not waiting[b]:
+                    ready.append(b)
+        return height
+
 
 def generated_space(m: Manifold) -> FiniteSpace:
     """The finite space on the nonvanishing words of a manifold.

@@ -654,6 +654,57 @@ class TestParser:
         assert captured.out.startswith("usage: finitary") and captured.err == ""
 
 
+class TestInputErrors:
+    """Inputs the readers and the library refuse reach the report as a
+    FinitaryError; any other exception is a fault of the program and
+    propagates."""
+
+    def test_a_file_that_is_not_utf8(self, capsys, tmp_path):
+        f = tmp_path / "latin1.manifold"
+        f.write_bytes("vertices: é\n".encode("latin-1"))
+        code, out, err = run(capsys, "manifold", "info", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: {f}:0: cannot read file: not UTF-8 text\n"
+
+    def test_a_relation_header_past_the_digit_limit(self, capsys, tmp_path):
+        f = tmp_path / "long.relation"
+        f.write_text(f"n {'9' * 5000}\n")
+        code, out, err = run(capsys, "manifold", "info", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error[TooLarge]: relation path enumeration is capped at 100000 words\n"
+
+    def test_a_relation_header_of_5000_zeros(self, capsys, tmp_path):
+        f = tmp_path / "zeros.relation"
+        f.write_text(f"n {'0' * 5000}\n")
+        code, out, err = run(capsys, "manifold", "info", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: {f.name}:1: vertex count must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["substitute", "sampled", "triangle_boundary.complex", "--per-cell", "0"],
+            ["verify", "correspondence", "triangle.manifold", "--per-cell", "0"],
+            ["substitute", "circle", "--samples", "0"],
+        ],
+    )
+    def test_a_count_below_one(self, capsys, data_dir, argv):
+        argv = [str(data_dir / a) if "." in a else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert (code, out) == (2, "") and len(lines) == 1
+        assert lines[0].startswith("error[UsageError]: finitary")
+        assert lines[0].endswith("invalid positive value: '0'")
+
+    def test_a_value_error_inside_a_command_propagates(self, capsys, data_dir, monkeypatch):
+        def fault(*args):
+            raise ValueError("a fault of the program")
+
+        monkeypatch.setattr(fio, "parse_manifold", fault)
+        with pytest.raises(ValueError, match="a fault of the program"):
+            main(["manifold", "dim", str(data_dir / "triangle.manifold")])
+
+
 # -- every file-reading form ends in exit 0, 1 or 2 ---------------------------
 
 _FILE_FORMS = [

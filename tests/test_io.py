@@ -3,8 +3,9 @@
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import form_reference
 import scalar_reference
 
 from finitary import (
@@ -14,6 +15,7 @@ from finitary import (
     Manifold,
     Relation,
     SimplicialComplex,
+    TooLarge,
     Word,
     basis_words,
     generated_space,
@@ -61,6 +63,11 @@ class TestForms:
             ),
             ("e[1,2]-e[2,1]", Form([(Word((0, 1)), 1), (Word((1, 0)), -1)])),
             ("e[1] + e[1]", Form.word((0,), 2)),
+            # a sign run's parity is the sign; spaces may precede a '*'
+            ("--e[1]", Form.word((0,))),
+            ("+-e[1]", Form.word((0,), -1)),
+            ("e[1]--e[2]", Form([(Word((0,)), 1), (Word((1,)), 1)])),
+            ("2 *e[1]", Form.word((0,), 2)),
         ],
     )
     def test_parse(self, text, expected):
@@ -68,11 +75,102 @@ class TestForms:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "e[]", "e[1,1]", "e[4]", "2*", "e[1] +", "x*e[1]", "(1+2i*e[1]"],
+        [
+            "", "e[]", "e[1,1]", "e[4]", "2*", "e[1] +", "x*e[1]", "(1+2i*e[1]",
+            # no space inside a sign run, between '*' and 'e[' or before '['
+            "e[1] - -e[2]", "2* e[1]", "e [1]", "e[1]e[2]",
+        ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_form(text, TABLE)
+
+    @pytest.mark.parametrize(
+        "text,col,message",
+        [
+            ("e[1] - x*e[2]", 7, "bad coefficient 'x'"),
+            ("e[1] -- (1/0)*e[2]", 8, "bad coefficient '(1/0)'"),
+            ("-e[]", 2, "word with no letters"),
+            ("e[1] + e[4]", 7, "unknown vertex label '4'"),
+            ("e[1]e[2]", 5, "cannot parse the form from 'e[2]'"),
+            ("e[1] +", 6, "cannot parse the form from '+'"),
+            ("2* e[1]", 1, "cannot parse the form from '2* e[1]'"),
+            ("e[1] - *e[2]", 6, "cannot parse the form from '- *e[2]'"),
+        ],
+    )
+    def test_errors_name_their_column(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, TABLE, source="f")
+        assert err.value.col == col and str(err.value) == f"f:1:{col}: {message}"
+
+    def test_a_syntax_error_quotes_the_next_30_characters(self):
+        with pytest.raises(ParseError) as err:
+            parse_form("e[1]e[2]" + " + e[3]" * 40, TABLE, source="f")
+        assert str(err.value) == "f:1:5: cannot parse the form from 'e[2] + e[3] + e[3] + e[3] + e['..."
+
+    # token strings over two vertex tables, one with labels holding a sign
+    # and a dot; the reference reader cuts the text at top-level signs first
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from([TABLE, VertexTable(("1", "a-b", "d.e"))]),
+        st.lists(
+            st.sampled_from(
+                ["e[", "]", ",", "1", "2", "3", "a-b", "d.e", "e[1]", "e[a-b]", "e[1,2]",
+                 "+", "-", " ", "\t", "*", "(", ")", "[", "3/2", "i", "1+2i", ".", "0", "x",
+                 "(1+2i)*", "3/2*", " - ", " + ", "--"]
+            ),
+            max_size=10,
+        ).map("".join),
+    )
+    @example(TABLE, "e[1]--e[2]")
+    @example(TABLE, "([)*e[1]+e[2]")
+    def test_token_strings_read_as_the_reference_reads_them(self, table, text):
+        def outcome(parse):
+            try:
+                return parse(text, table)
+            except ParseError as exc:
+                return exc
+
+        ours, theirs = outcome(parse_form), outcome(form_reference.parse_form)
+        assert isinstance(ours, Form) == isinstance(theirs, Form), (ours, theirs)
+        if isinstance(theirs, Form):
+            assert ours == theirs
+        elif not any(m in str(theirs) for m in form_reference.SYNTAX_ERRORS):
+            assert str(ours) == str(theirs)
+
+    spaces = st.sampled_from(["", "", " ", "\t", "  "])
+    labels = st.lists(
+        st.tuples(spaces, st.sampled_from(TABLE.labels), spaces).map("".join),
+        min_size=1,
+        max_size=3,
+    )
+    literals = st.sampled_from(["2", "3/2", "1.5", ".5", "i", "3/2i", "0", "1+2i", "-1/2-i"])
+    terms = st.builds(
+        "{}{}{}{}e[{}]{}".format,
+        st.text(alphabet="+-", max_size=3),
+        spaces,
+        st.one_of(
+            st.just(""),
+            st.builds("{}{}*".format, literals, spaces),
+            st.builds("({})*".format, literals),
+        ),
+        spaces,
+        labels.map(",".join),
+        spaces,
+    )
+
+    # forms from the term grammar: sign runs (sometimes missing), spaces
+    # and tabs where they are allowed and where they are not
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(terms, min_size=1, max_size=4).map("".join))
+    def test_grammar_forms_read_as_the_reference_reads_them(self, text):
+        try:
+            expected = form_reference.parse_form(text, TABLE)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_form(text, TABLE)
+        else:
+            assert parse_form(text, TABLE) == expected
 
     def test_print_canonical_order_and_signs(self):
         f = Form(
@@ -126,6 +224,23 @@ class TestRelations:
     def test_errors(self, text):
         with pytest.raises(ParseError):
             parse_relation(text)
+
+    def test_header_count_reads_past_leading_zeros(self):
+        # int() counts leading zeros against its 4300-digit limit
+        assert parse_relation("n 0002\n1 <= 2\n") == Relation(2, [(0, 1)])
+        assert parse_relation("n " + "0" * 5000 + "2\n1 <= 2\n") == Relation(2, [(0, 1)])
+        with pytest.raises(ParseError, match="vertex count must be at least 1"):
+            parse_relation("n " + "0" * 5000 + "\n")
+
+    @pytest.mark.parametrize(
+        "count",
+        ["1000001", "9" * 5000, "0" * 5000 + "1" * 7],
+        ids=["seven-digits", "5000-nines", "zeros-then-seven-digits"],
+    )
+    def test_header_count_past_the_cap_is_too_large(self, count):
+        # refused before int(), which refuses more than 4300 digits
+        with pytest.raises(TooLarge):
+            parse_relation(f"n {count}\n")
 
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:

@@ -296,6 +296,28 @@ class TestOrderAndHasse:
             closed += face_closed
         assert 200 < closed < len(spaces) - 100
 
+    def test_heights_are_the_longest_chains_of_the_order(self):
+        # up the covers and down them, against the longest chains of the
+        # table's strict order, found by relaxation
+        def longest(s, down):
+            height, changed = [0] * s.n, True
+            while changed:
+                changed = False
+                for y, u in enumerate(s.min_open):
+                    for x in members(u & ~(1 << y)):
+                        lo, up = (y, x) if down else (x, y)
+                        if height[up] < height[lo] + 1:
+                            height[up], changed = height[lo] + 1, True
+            return height
+
+        rng = random.Random(61)
+        for _ in range(40):
+            m = Manifold.from_relation(random_antisymmetric_relation(rng, rng.randint(1, 5)))
+            for s in (generated_space(m), simplicial_substitute(m.to_simplicial())):
+                h = hasse(s)
+                assert h.heights() == longest(s, down=False)
+                assert h.heights(down=True) == longest(s, down=True)
+
     def test_hasse_requires_t0(self):
         with pytest.raises(ValueError):
             hasse(INDISCRETE2)
