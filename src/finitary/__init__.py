@@ -15,14 +15,11 @@ from .envelope import (
     Word,
     WordError,
     basis_words,
-    bimodule_action,
     differential,
-    differential_word,
     form_product,
     inner,
     is_subsequence,
     unit,
-    word_product,
     word_validate,
 )
 from .ideals import BasicIdeal, GradeZeroGenerator
@@ -93,10 +90,8 @@ __all__ = [
     "Word",
     "WordError",
     "basis_words",
-    "bimodule_action",
     "circle_covering",
     "differential",
-    "differential_word",
     "form_product",
     "generated_space",
     "hasse",
@@ -113,6 +108,5 @@ __all__ = [
     "trace_substitute",
     "unit",
     "verify_correspondence",
-    "word_product",
     "word_validate",
 ]

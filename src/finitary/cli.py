@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> tuple[str, str]:
     p = Path(path)
     try:
-        return p.read_text(encoding="utf-8"), p.name
+        return p.read_text(encoding="utf-8-sig"), p.name
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
     except UnicodeDecodeError:
@@ -64,6 +64,14 @@ def positive(text: str) -> int:
     """An integer of at least 1, for argparse, which names this function in
     its refusal: "invalid positive value"."""
     if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
+
+
+def non_negative(text: str) -> int:
+    """An integer of at least 0, for argparse, which names this function in
+    its refusal: "invalid non_negative value"."""
+    if (value := int(text)) < 0:
         raise ValueError(text)
     return value
 
@@ -265,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("manifold", help="inspect a manifold or relation file")
     p.add_argument("op", choices=("info", "check", "dim"))
     p.add_argument("file")
-    p.add_argument("--max-grade", type=int, default=None)
+    p.add_argument("--max-grade", type=non_negative, default=None)
     p.set_defaults(fn=_cmd_manifold)
 
     p = sub.add_parser("topology", help="the generated space of a manifold")

@@ -43,7 +43,6 @@ sampled route refuse with TooLarge past MAX_SAMPLES sample points.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,11 +247,7 @@ def circle_covering(
     norm_arcs = [(numerator(lo), numerator(hi)) for lo, hi in arcs]
     # the uniform angles 2k/samples - 1, k = 1..samples, already lie in (-1, 1]
     step = 2 * (den // samples)
-    ordered = list(range(step - den, den + 1, step))
-    for phi in map(numerator, extra_points):
-        pos = bisect_left(ordered, phi)
-        if pos == len(ordered) or ordered[pos] != phi:
-            ordered.insert(pos, phi)
+    ordered = sorted({*range(step - den, den + 1, step), *map(numerator, extra_points)})
     traces = []
     for phi in ordered:
         trace = sum(1 << i for i, (lo, hi) in enumerate(norm_arcs) if _arc_contains(lo, hi, phi))

@@ -6,14 +6,20 @@ its grade is the sequence length minus one.  The grade-r component of the
 algebra is spanned by the grade-r words, so a form is a finitely supported
 map from words to exact scalars.
 
-The differential of a word inserts every vertex into every one of the
-grade+2 gaps, with sign (-1)^gap, discarding insertions that would create
-equal adjacent letters.  Together with the overlap product
+A word w enters the calculus as the form Form.word(w), and every
+operation acts on forms.  The overlap product of two words concatenates
+them when the last letter of the first equals the first letter of the
+second, writing that junction letter once, and is 0 otherwise:
 
-    e_a * e_b  =  concatenation sharing the junction letter, else 0
+    e_a * e_b  =  e_(a + b[1:]) if a[-1] == b[0], else 0
 
-this makes d a degree-one square-zero derivation (checked exhaustively in
-the test suite).
+So a grade-0 idempotent e_i keeps, on the left, the words that start
+with i, and on the right the words that end with i; their sum unit(n) is
+the two-sided identity.  The differential of a word inserts every vertex
+into every one of the grade+2 gaps, with sign (-1)^gap, discarding
+insertions that would create equal adjacent letters.  Together with the
+overlap product this makes d a degree-one square-zero derivation (checked
+exhaustively in the test suite).
 
 A Form holds each coefficient as a reduced integer triple (re, im, den),
 den > 0 and gcd 1: the triple a GaussianRational holds.  So the calculus
@@ -282,24 +288,6 @@ def unit(vertex_count: int) -> Form:
     return Form((Word((i,)), 1) for i in range(vertex_count))
 
 
-def bimodule_action(left: int, w: Word, right: int) -> Form:
-    """Left/right module action of grade-0 idempotents on a word.
-
-    Nonzero exactly when `left` matches the first letter and `right` the
-    last one.
-    """
-    if w[0] == left and w[-1] == right:
-        return Form(((w, 1),))
-    return ZERO_FORM
-
-
-def word_product(a: Word, b: Word) -> Form:
-    """Overlap product of two words: concatenate when last(a) = first(b)."""
-    if a[-1] != b[0]:
-        return ZERO_FORM
-    return _form({a + b[1:]: (1, 0, 1)})
-
-
 def _product_triples(f: Form, g: Form) -> dict:
     """The overlap product of f and g as one unnormalized triple per word."""
     tails: dict[int, list[tuple]] = {}
@@ -315,51 +303,41 @@ def _product_triples(f: Form, g: Form) -> dict:
 
 
 def form_product(f: Form, g: Form) -> Form:
-    """Bilinear extension of the overlap product; associative."""
+    """Bilinear extension of the overlap product; associative.
+
+    Two words multiply by concatenation when last(a) = first(b), the
+    junction letter written once, and to 0 otherwise.
+    """
     return _built(_product_triples(f, g).items())
 
 
-def _insert_letters(acc: dict, w: Word, re: int, im: int, den: int, vertex_count: int) -> None:
-    """Add (re + im*i)/den * d(w) into acc: every vertex inserted into every
-    gap of w.
+def _differential_triples(f: Form, vertex_count: int) -> dict:
+    """The differential of f as one unnormalized triple per word: every
+    vertex inserted into every gap of every word.
 
     Gap s (0-based, before the s-th letter) carries sign (-1)^s; insertions
     that would repeat a neighbouring letter contribute nothing.
     """
-    signed = ((re, im), (-re, -im))
-    last = len(w)
-    for s in range(last + 1):
-        a, b = signed[s & 1]
-        head, tail = w[:s], w[s:]
-        left = w[s - 1] if s else -1
-        right = w[s] if s < last else -1
-        for k in range(vertex_count):
-            if k != left and k != right:
-                v = head + (k,) + tail
-                t = acc.get(v)
-                acc[v] = (a, b, den) if t is None else _plus(t, a, b, den)
-
-
-def differential_word(w: Word, vertex_count: int) -> Form:
-    """Differential of a single word: one letter inserted into every gap.
-
-    Distinct insertions give distinct words, so no coefficient cancels.
-    """
-    acc: dict[tuple[int, ...], _Triple] = {}
-    _insert_letters(acc, w, 1, 0, 1, vertex_count)
-    return _built(acc.items())
-
-
-def _differential_triples(f: Form, vertex_count: int) -> dict:
-    """The differential of f as one unnormalized triple per word."""
     acc: dict[tuple[int, ...], _Triple] = {}
     for w, (re, im, den) in f._terms.items():
-        _insert_letters(acc, w, re, im, den, vertex_count)
+        signed = ((re, im), (-re, -im))
+        last = len(w)
+        for s in range(last + 1):
+            a, b = signed[s & 1]
+            head, tail = w[:s], w[s:]
+            left = w[s - 1] if s else -1
+            right = w[s] if s < last else -1
+            for k in range(vertex_count):
+                if k != left and k != right:
+                    v = head + (k,) + tail
+                    t = acc.get(v)
+                    acc[v] = (a, b, den) if t is None else _plus(t, a, b, den)
     return acc
 
 
 def differential(f: Form, vertex_count: int) -> Form:
-    """Linear extension of the word differential; raises the grade by one."""
+    """Linear extension of the differential of a word (every vertex
+    inserted into every gap); raises the grade by one."""
     return _built(_differential_triples(f, vertex_count).items())
 
 

@@ -23,7 +23,6 @@ from finitary import (
     basis_words,
     circle_covering,
     differential,
-    differential_word,
     form_product,
     generated_space,
     hasse,
@@ -31,7 +30,6 @@ from finitary import (
     poset_isomorphic,
     trace_substitute,
     verify_correspondence,
-    word_product,
 )
 from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
 from finitary.cli import main as cli_main
@@ -60,7 +58,7 @@ def test_criterion_1_d_squared_is_zero_exhaustively():
     for n in (2, 3, 4):
         for r in range(4):
             for w in basis_words(n, r):
-                assert not differential(differential_word(w, n), n)
+                assert not differential(differential(Form.word(w), n), n)
                 checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -73,10 +71,10 @@ def test_criterion_2_graded_leibniz():
     for a, b in itertools.product(words, repeat=2):
         if a.grade + b.grade > 3:
             continue
-        lhs = differential(word_product(a, b), 3)
+        lhs = differential(Form.word(a) * Form.word(b), 3)
         sign = -1 if a.grade % 2 else 1
-        rhs = form_product(differential_word(a, 3), Form(((b, 1),))) + form_product(
-            Form(((a, 1),)), differential_word(b, 3)
+        rhs = form_product(differential(Form.word(a), 3), Form.word(b)) + form_product(
+            Form.word(a), differential(Form.word(b), 3)
         ) * sign
         assert lhs == rhs
         checked += 1
@@ -166,7 +164,7 @@ def test_criterion_7_ideal_closure_and_projection():
         ideal = BasicIdeal(3, rng.sample(pool, rng.randint(1, 4)))
         contained = [w for w in all_words if ideal.contains(w)]
         for w in contained:
-            for v, _ in differential_word(w, 3).items():
+            for v, _ in differential(Form.word(w), 3).items():
                 assert ideal.contains(v)
             for a in all_words:
                 for b in all_words:

@@ -666,6 +666,39 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err == f"error[ParseError]: {f}:0: cannot read file: not UTF-8 text\n"
 
+    def test_a_file_that_is_not_utf8_after_a_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "latin1.manifold"
+        f.write_bytes(b"\xef\xbb\xbf" + "vertices: é\n".encode("latin-1"))
+        code, out, err = run(capsys, "manifold", "info", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: {f}:0: cannot read file: not UTF-8 text\n"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("order.relation", "n 3\n"),
+            ("triangle.manifold", "vertices: 1, 2, 3\nrelation:\n1 <= 2\n2 <= 3\n3 <= 1\n"),
+        ],
+    )
+    def test_a_byte_order_mark_is_read_past(self, capsys, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run(capsys, "verify", "correspondence", str(plain))
+        assert expected[0] == 0 and expected[1].endswith("correspondence: VERIFIED\n")
+        assert run(capsys, "verify", "correspondence", str(marked)) == expected
+
+    def test_a_negative_max_grade(self, capsys, data_dir):
+        f = str(data_dir / "triangle.manifold")
+        code, out, err = run(capsys, "manifold", "info", f, "--max-grade", "-1")
+        lines = err.splitlines()
+        assert (code, out) == (2, "") and len(lines) == 1
+        assert lines[0].startswith("error[UsageError]: finitary")
+        assert lines[0].endswith("invalid non_negative value: '-1'")
+        code, out, _ = run(capsys, "manifold", "info", f, "--max-grade", "0")
+        assert code == 0 and out.endswith("words:\n  grade 0: 1, 2, 3\n")
+
     def test_a_relation_header_past_the_digit_limit(self, capsys, tmp_path):
         f = tmp_path / "long.relation"
         f.write_text(f"n {'9' * 5000}\n")

@@ -398,6 +398,17 @@ class TestCircle:
         assert cov.point_labels == tuple(map(str, sorted(angles)))
         assert {"-5/6", "-3/5", "0", "7/10", "1"} <= set(cov.point_labels)
 
+    def test_extra_angles_merge_once_into_the_uniform_ones(self):
+        # 0 and -3/2 (wrapped to 1/2) are uniform angles at 4 samples; 1/3
+        # lies between two of them and is given twice
+        extra = (Fr(0), Fr(1, 3), Fr(-3, 2), Fr(1, 3))
+        cov = circle_covering(STANDARD_CIRCLE_ARCS, samples=4, extra_points=extra)
+        assert cov.point_labels == ("-1/2", "0", "1/3", "1/2", "1")
+        # 12 uniform angles hold all five, so they give every trace
+        fine = circle_covering(STANDARD_CIRCLE_ARCS, samples=12)
+        trace_at = dict(zip(fine.point_labels, fine.traces))
+        assert cov.traces == tuple(trace_at[label] for label in cov.point_labels)
+
 
 class TestCorrespondence:
     def test_triangle_bijection_is_identity_on_labels(self):

@@ -12,7 +12,7 @@ from finitary import (
     GradeZeroGenerator,
     Word,
     basis_words,
-    differential_word,
+    differential,
     form_product,
     inner,
     is_subsequence,
@@ -194,7 +194,7 @@ class TestQuotientCalculus:
             for w in all_words(3, 3):
                 if not ideal.contains(w):
                     continue
-                for v, _ in differential_word(w, 3).items():
+                for v, _ in differential(Form.word(w), 3).items():
                     assert ideal.contains(v)
 
     def test_two_sided_product_closure(self):

@@ -15,7 +15,6 @@ from finitary import (
     Form,
     Word,
     differential,
-    differential_word,
     form_product,
     inner,
 )
@@ -75,7 +74,7 @@ def test_kernels_match_the_reference(case):
     assert f - g == ref.sub(f, g)
     assert f - f == Form()
     for w, _ in f.items():
-        assert differential_word(w, n) == ref.differential_word(w, n)
+        assert differential(Form.word(w), n) == ref.differential_word(w, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -199,7 +198,7 @@ def _leibniz_sides():
         lambda: IDEAL.quotient_product(DF, G),
         _leibniz_sides,
         lambda: differential(F, 4),
-        lambda: differential_word(Word((0, 1, 2)), 4),
+        lambda: differential(Form.word((0, 1, 2)), 4),
         lambda: form_product(F, G),
         lambda: form_product(G, DF),
     ],
