@@ -117,10 +117,12 @@ def trace_substitute(c: Covering) -> tuple[FiniteSpace, tuple[int, ...]]:
     index: dict[int, int] = {}  # trace -> class, classes in first occurrence
     labels: list[str] = []  # the first point label of each class
     class_of = []
+    last = k = None
     for label, t in zip(c.point_labels, c.traces):
-        k = index.setdefault(t, len(labels))  # each trace hashed once
-        if k == len(labels):
-            labels.append(label)
+        if t is not last:  # a run of one trace object is hashed once
+            last, k = t, index.setdefault(t, len(labels))
+            if k == len(labels):
+                labels.append(label)
         class_of.append(k)
     return FiniteSpace._lazy(labels, tuple(index), facets), tuple(class_of)
 
@@ -183,18 +185,19 @@ def sampled_substitute(
     """
     if len(p) * per_cell > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")
-    point_labels = []
-    point_traces = []
     suffixes = [f"#{j}" for j in range(per_cell)]
-    for cell, label, draws in zip(p.simplices, p.cell_labels, sample(p, per_cell, seed)):
+    point_labels = [label + suffix for label in p.cell_labels for suffix in suffixes]
+    point_traces = []
+    for cell, draws in zip(p.simplices, sample(p, per_cell, seed)):
         k = cell.bit_count()
-        point_labels += [label + suffix for suffix in suffixes]
-        for suffix, d in zip(suffixes, draws):
+        for d in draws:
             # the cell when it has one numerator per vertex, all positive
-            full = len(d) == k and min(d) > 0
-            support = cell if full else vertex_mask(v for v, a in zip(members(cell), d) if a > 0)
-            if not support:
-                raise UncoveredPoint(f"point {label}{suffix} lies in no cover set")
+            if len(d) == k and min(d) > 0:
+                point_traces.append(cell)
+                continue
+            support = vertex_mask(v for v, a in zip(members(cell), d) if a > 0)
+            if not support:  # the labels run parallel to the traces
+                raise UncoveredPoint(f"point {point_labels[len(point_traces)]} lies in no cover set")
             point_traces.append(support)
     covering = _restore(Covering, (p.labels, tuple(point_labels), tuple(point_traces)))
     return trace_substitute(covering)[0]
@@ -380,20 +383,31 @@ def _recipes_match(a: FiniteSpace, b: FiniteSpace, phi) -> bool:
     one-letter deletions (_subsequence_opens ORs down exactly these), and
     the inclusion order of a facet-closed family of masks is reached by
     facets.  So phi is an isomorphism when it maps the faces of each point
-    exactly onto the faces of its image.  Between two spaces ordered by
+    exactly onto the facets of its image mask m: each face lands on m with
+    one of m's own vertices cleared, and there are as many faces as m has
+    facets.  That count settles it because the faces of a point are
+    distinct (a word's one-letter deletions, a mask's facets) and phi, a
+    bijection, keeps them so.  This is the one path: a target whose faces
+    are not facets is left to the tables.  Between two spaces ordered by
     mask inclusion (a complex's cells, always facet-closed, or class
     traces), the identity is one when both list the same masks.
     """
-    if a._recipe is None or b._recipe is None:
+    if a._recipe is None or b._recipe is None or b._recipe[1] is not facets:
         return False
-    (xs, a_faces), (ys, b_faces) = a._recipe, b._recipe
-    if a_faces is b_faces is facets and phi == tuple(range(a.n)):
+    (xs, a_faces), (ys, _) = a._recipe, b._recipe
+    if a_faces is facets and phi == tuple(range(a.n)):
         return xs == ys
     image = dict(zip(xs, map(ys.__getitem__, phi)))
-    try:
-        return all({image[f] for f in a_faces(x)} == set(b_faces(image[x])) for x in xs)
-    except KeyError:  # a face of a that is not a point of a
-        return False
+    for x, m in image.items():
+        count = 0
+        for f in a_faces(x):
+            d = m ^ image.get(f, m)  # one vertex of m; 0 for a face not in a
+            if not d & m or d & (d - 1):
+                return False
+            count += 1
+        if count != (m.bit_count() if m & (m - 1) else 0):
+            return False
+    return True
 
 
 def _certified(a: FiniteSpace, b: FiniteSpace, phi) -> tuple[int, ...] | None:

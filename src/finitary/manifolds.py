@@ -99,12 +99,17 @@ class Relation(Value):
 def _chains(rel: Relation) -> Iterator[Word]:
     """The arrangements of distinct vertices, each related to every later
     one, by the level walk.  A chain's state masks the common strict
-    successors of its vertices; vertex k extends it to admissible & after[k]."""
+    successors of its vertices; vertex k extends it to admissible & after[k].
+    Chains sharing an admissible mask share one list of successor states."""
     after = rel.after
+    successors = {0: ()}  # admissible mask -> its states one vertex on
 
     def extend(state):
         admissible = state[1]
-        return [(k, admissible & after[k]) for k in members(admissible)] if admissible else ()
+        nxt = successors.get(admissible)
+        if nxt is None:
+            nxt = successors[admissible] = [(k, admissible & after[k]) for k in members(admissible)]
+        return nxt
 
     # a chain has at most n letters; distinct letters make valid words
     walk = _walk((_START, (1 << rel.n) - 1), extend, rel.n - 1, "relation path enumeration")

@@ -32,6 +32,7 @@ from finitary.coarse import STANDARD_CIRCLE_ARCS, STANDARD_CIRCLE_EXTRA_POINTS
 from finitary.envelope import deletions
 from finitary.errors import FinitaryError, _restore
 
+import certificate_reference
 from conftest import DATA, random_antisymmetric_relation, random_manifold
 
 
@@ -46,6 +47,22 @@ def cell(*verts):
 TRIANGLE = Manifold.from_relation(Relation(3, [(0, 1), (1, 2), (2, 0)]))
 BOUNDARY_TRIANGLE = TRIANGLE.to_simplicial()
 SEGMENT = SimplicialComplex(2, [cell(0), cell(1), cell(0, 1)])
+
+
+# traces held by int objects of their own: neither is a cached small int
+_T, _U = 0b1100000001, 0b1000000011
+_W = 1 << 5000
+assert int(str(_T)) is not _T and int(str(_W)) is not _W
+
+
+def _plain_quotient(c):
+    """trace_substitute by its definition: each trace looked up on its own,
+    classes by first occurrence, min_open(T) the classes whose trace holds T."""
+    index = {}
+    class_of = tuple(index.setdefault(t, len(index)) for t in c.traces)
+    labels = [c.point_labels[class_of.index(k)] for k in range(len(index))]
+    opens = [sum(1 << k for k, s in enumerate(index) if t & ~s == 0) for t in index]
+    return FiniteSpace(labels, opens), class_of
 
 
 class TestTraceSubstitute:
@@ -78,6 +95,32 @@ class TestTraceSubstitute:
         assert class_of == (0, 1, 0, 2, 1)
         assert space.labels == ("p", "q", "s")
         assert hashed == [1, 3, 1, 2, 3]
+        # a run of one trace object is hashed once
+        hashed.clear()
+        t, u = Trace(1), Trace(3)
+        c = _restore(Covering, (("A", "B"), tuple("pqrstu"), (t, t, t, u, u, t)))
+        space, class_of = trace_substitute(c)
+        assert class_of == (0, 0, 0, 1, 1, 0)
+        assert space.labels == ("p", "s")
+        assert hashed == [1, 3, 1]
+
+    @pytest.mark.parametrize(
+        "traces",
+        [
+            # equal traces held by distinct int objects
+            [_T, int(str(_T)), int(str(_T)), _U, int(str(_U)), _T],
+            # interleaved runs of two trace objects
+            [_T, _U, _T, _T, _U, _T],
+            [1, 2, 1, 2, 2, 1],
+            # wide masks, one run broken by an equal copy
+            [_W, _W, _W | 1, int(str(_W)), _W | 1, _W, _W],
+        ],
+        ids=["equal-copies", "interleaved", "interleaved-small", "wide"],
+    )
+    def test_runs_give_the_plain_quotient(self, traces):
+        covers = [f"c{i}" for i in range(max(traces).bit_length())]
+        c = Covering(covers, [f"p{i}" for i in range(len(traces))], traces)
+        assert trace_substitute(c) == _plain_quotient(c)
 
     def test_traces_must_be_int_masks(self):
         with pytest.raises(TypeError):
@@ -337,6 +380,22 @@ class TestSampledSubstitute:
             sampled_substitute(p, per_cell=1, seed=0)
         assert isinstance(raised.value, FinitaryError)
 
+    def test_an_empty_support_names_its_own_point(self, monkeypatch):
+        # the refused point is named by its own cell and suffix, wherever
+        # it falls among the draws
+        p = Manifold.from_relation(Relation(3, [(0, 1), (1, 2)])).to_simplicial()
+        drawn = coarse.sample
+
+        def empty(*args):
+            out = drawn(*args)
+            out[3][1] = (0, 0)
+            return out
+
+        monkeypatch.setattr(coarse, "sample", empty)
+        message = f"point {p.cell_labels[3]}#1 lies in no cover set"
+        with pytest.raises(UncoveredPoint, match=message):
+            sampled_substitute(p, per_cell=2, seed=0)
+
     def test_one_sample_per_cell_suffices(self):
         space = sampled_substitute(BOUNDARY_TRIANGLE, per_cell=1, seed=0)
         assert poset_isomorphic(simplicial_substitute(BOUNDARY_TRIANGLE), space) is not None
@@ -488,9 +547,19 @@ def _total_order(n):
     return Manifold.from_relation(Relation(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
 
 
+def _certify(a, b, phi):
+    """coarse._recipes_match, checked against the face-set rule: the two
+    agree wherever the target's faces are facets, and every other target
+    is left to the tables."""
+    verdict = coarse._recipes_match(a, b, phi)
+    facet_target = b._recipe is not None and b._recipe[1] is complexes.facets
+    assert verdict is (facet_target and certificate_reference.recipes_match(a, b, phi))
+    return verdict
+
+
 def _never_certifies_a_rejected_map(a, b):
     for phi in (coarse._label_map(a, b), coarse._identity(a, b)):
-        if phi is not None and coarse._recipes_match(a, b, phi):
+        if phi is not None and _certify(a, b, phi):
             assert coarse._unpreserved(a, b, phi) is None
 
 
@@ -530,7 +599,7 @@ class TestRecipeCertificates:
                 (gen, sym, coarse._label_map(gen, sym)),
                 (sym, sam, coarse._identity(sym, sam)),
             ):
-                assert coarse._recipes_match(a, b, phi) is True
+                assert _certify(a, b, phi) is True
                 assert coarse._unpreserved(a, b, phi) is None
             checked += 1
         assert checked == 201  # every random manifold and the triangle
@@ -573,8 +642,8 @@ class TestRecipeCertificates:
             # the same family as cell masks, under the same labels
             masks = [sum(1 << v for v in w) for w in words if w != dropped]
             traced = trace_substitute(Covering(m.labels, holed.labels, masks))[0]
-            assert coarse._recipes_match(holed, traced, coarse._label_map(holed, traced)) is False
-            assert coarse._recipes_match(traced, holed, coarse._label_map(traced, holed)) is False
+            assert _certify(holed, traced, coarse._label_map(holed, traced)) is False
+            assert _certify(traced, holed, coarse._label_map(traced, holed)) is False
             for a in (holed, _eager(holed)):
                 for b in (traced, _eager(traced)):
                     _never_certifies_a_rejected_map(a, b)
@@ -587,7 +656,7 @@ class TestRecipeCertificates:
         holed = generated_space(Manifold(("1", "2", "3"), words=[(0,), (2,), (0, 1, 2)]))
         antichain = trace_substitute(Covering("abc", holed.labels, [1, 2, 4]))[0]
         phi = coarse._label_map(holed, antichain)
-        assert coarse._recipes_match(holed, antichain, phi) is False
+        assert _certify(holed, antichain, phi) is False
         assert coarse._unpreserved(holed, antichain, phi) is not None
 
     def test_a_replaced_trace_is_never_certified_wrongly(self):
@@ -606,19 +675,33 @@ class TestRecipeCertificates:
             traces = list(p.simplices)
             traces[rng.randrange(len(traces))] = rng.choice(outside)
             sam = trace_substitute(_one_sample_covering(p, traces))[0]
-            assert coarse._recipes_match(sym, sam, coarse._identity(sym, sam)) is False
+            assert _certify(sym, sam, coarse._identity(sym, sam)) is False
             for a in (sym, _eager(sym)):
                 for b in (sam, _eager(sam)):
                     _never_certifies_a_rejected_map(a, b)
             replaced += 1
         assert replaced > 50
 
+    def test_points_without_faces(self):
+        # one-letter words have no deletions and single-vertex masks no
+        # facets: spaces of them alone are certified, and a point without
+        # faces mapped onto a mask with facets is not
+        for rel in (Relation(1), Relation(3)):
+            _, gen, sym, sam = _routes(Manifold.from_relation(rel))
+            assert _certify(gen, sym, coarse._label_map(gen, sym)) is True
+            assert _certify(sym, sam, coarse._identity(sym, sam)) is True
+        gen = generated_space(Manifold.from_relation(Relation(3)))
+        merged = trace_substitute(Covering("abc", gen.labels, [1, 2, 6]))[0]
+        phi = coarse._label_map(gen, merged)
+        assert _certify(gen, merged, phi) is False
+        assert coarse._unpreserved(gen, merged, phi) is not None
+
     def test_an_eager_space_goes_to_the_tables(self):
         _, gen, sym, sam = _routes(TRIANGLE)
         for a, b in ((gen, sym), (sym, sam)):
             for x, y in ((_eager(a), b), (a, _eager(b))):
                 phi = coarse._label_map(x, y) or coarse._identity(x, y)
-                assert coarse._recipes_match(x, y, phi) is False
+                assert _certify(x, y, phi) is False
                 assert coarse._certified(x, y, phi) == phi
 
 
