@@ -30,7 +30,7 @@ from .coarse import (
     trace_substitute,
     verify_correspondence,
 )
-from .envelope import differential, form_product, inner
+from .envelope import Form, differential, form_product, inner
 from .errors import FinitaryError, members
 from .manifolds import Manifold
 from .topology import generated_space, hasse, open_sets
@@ -87,6 +87,18 @@ def _write(text: str) -> None:
     sys.stdout.writelines(text.splitlines(keepends=True))
 
 
+def _verdict(report, as_json: bool = False) -> int:
+    """Print a check's report, or its payload as JSON, and return its exit
+    code: 0 when the check passed, 1 when it failed."""
+    print(json.dumps(report.payload(), indent=2) if as_json else report.render())
+    return 0 if report.ok else 1
+
+
+def _dimension(m: Manifold) -> str:
+    dim = m.dimension()
+    return f"dimension: {'infinite' if math.isinf(dim) else dim}"
+
+
 def _print_space(space, as_json: bool) -> None:
     if as_json:
         _write(fio.space_json(space))
@@ -101,6 +113,8 @@ def _print_space(space, as_json: bool) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_envelope(args) -> int:
+    if len(args.form) != (need := 1 if args.op == "d" else 2):
+        _parser().error(f"envelope {args.op} takes exactly {need} form argument(s)")
     table = fio.parse_vertex_table(args.vertices)
     forms = [fio.parse_form(text, table) for text in args.form]
     if args.op == "d":
@@ -114,17 +128,17 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
+    if args.op == "reduce" and args.form is None:
+        _parser().error("ideal reduce needs a form expression")
     text, name = _read(args.file)
     ideal, table, given = fio.parse_ideal(text, source=name)
     if args.op == "check":
         print("vertices: " + ", ".join(table.labels))
-        gens = ", ".join(
-            "e[" + ",".join(table.labels[i] for i in g) + "]" for g in ideal.generators
-        )
+        gens = ", ".join(fio.print_form(Form.word(g), table) for g in ideal.generators)
         print(f"generators (antichain): {gens if gens else '(none)'}")
         dropped = sorted(set(given) - set(ideal.generators), key=lambda w: (len(w), w))
         for w in dropped:
-            print("dropped (redundant): e[" + ",".join(table.labels[i] for i in w) + "]")
+            print("dropped (redundant): " + fio.print_form(Form.word(w), table))
         print("ok")
         return 0
     form = fio.parse_form(args.form, table)
@@ -135,16 +149,9 @@ def _cmd_ideal(args) -> int:
 def _cmd_manifold(args) -> int:
     m = _load_manifold(args.file)
     if args.op == "check":
-        report = m.check_structure()
-        print(str(report))
-        if report.ok:
-            print("structure: ok")
-            return 0
-        print("structure: FAILED")
-        return 1
+        return _verdict(m.check_structure())
     if args.op == "dim":
-        dim = m.dimension()
-        print(f"dimension: {'infinite' if math.isinf(dim) else dim}")
+        print(_dimension(m))
         return 0
     # info: enumerate before the first print, so a refusal leaves stdout
     # empty; a finite family is listed first, and its dimension read off
@@ -156,8 +163,7 @@ def _cmd_manifold(args) -> int:
     )
     finite = m.is_explicit or is_finite(m.n, m.ideal.generators)
     network = ("yes" if m.is_network() else "no") if finite else "n/a (infinite dimensional)"
-    dim = m.dimension()
-    dim_text = "infinite" if math.isinf(dim) else str(dim)
+    dimension = _dimension(m)
     unlisted = not finite and args.max_grade is None
     by_grade: dict[int, list[str]] = {}
     if not unlisted:
@@ -165,7 +171,7 @@ def _cmd_manifold(args) -> int:
             by_grade.setdefault(w.grade, []).append(m.word_label(w))
     print("vertices: " + ", ".join(m.labels))
     print(f"representation: {kind}")
-    print(f"dimension: {dim_text}")
+    print(dimension)
     print(f"network: {network}")
     if unlisted:
         print("words: pass --max-grade to enumerate")
@@ -200,6 +206,8 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_substitute(args) -> int:
+    if args.op != "circle" and args.file is None:
+        _parser().error(f"substitute {args.op} needs an input file")
     if args.op == "circle":
         covering = circle_covering(
             STANDARD_CIRCLE_ARCS,
@@ -237,18 +245,7 @@ def _cmd_substitute(args) -> int:
 
 def _cmd_verify(args) -> int:
     m = _load_manifold(args.file)
-    report = verify_correspondence(m, per_cell=args.per_cell, seed=args.seed)
-    if args.json:
-        payload = {
-            "ok": report.ok,
-            "generated_points": report.generated.n,
-            "symbolic_points": report.symbolic.n,
-            "sampled_points": report.sampled.n,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    return _verdict(verify_correspondence(m, per_cell=args.per_cell, seed=args.seed), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("d", "mul", "inner"))
     p.add_argument("form", nargs="+", help="form expression(s), e.g. 'e[1,2] - e[2,1]'")
     p.add_argument("--vertices", required=True, help="comma-separated vertex labels")
-    p.set_defaults(fn=_cmd_envelope, needs=lambda a: 2 if a.op in ("mul", "inner") else 1)
+    p.set_defaults(fn=_cmd_envelope)
 
     p = sub.add_parser("ideal", help="validate or apply a generator file")
     p.add_argument("op", choices=("check", "reduce"))
@@ -310,17 +307,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "envelope":
-            need = args.needs(args)
-            if len(args.form) != need:
-                parser.error(f"envelope {args.op} takes exactly {need} form argument(s)")
-        if args.command == "ideal" and args.op == "reduce" and args.form is None:
-            parser.error("ideal reduce needs a form expression")
-        if args.command == "substitute" and args.op != "circle" and args.file is None:
-            parser.error(f"substitute {args.op} needs an input file")
+        args = _parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex, facets, vertex_mask
 from .errors import FinitaryError, TooLarge, Value, _restore, members
@@ -152,16 +152,20 @@ def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[in
     from 1 to 1024).  A cell's draws thus depend on its position in p:
     independent and reproducible for a given (p, per_cell, seed).
     """
+    return list(_draws(p, per_cell, seed))
+
+
+def _draws(p: SimplicialComplex, per_cell: int, seed: int) -> Iterator[list[tuple[int, ...]]]:
+    """sample's lists, one cell's at a time as it is drawn, so a caller that
+    reads each cell once holds no more than one cell's draws."""
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
     rng = random.Random(f"sample:{seed}")
-    draws = []
     for cell in p.simplices:
         k = cell.bit_count()
         bits = rng.getrandbits(10 * k * per_cell)
         fields = [(bits >> s & 1023) + 1 for s in range(0, 10 * k * per_cell, 10)]
-        draws.append(list(zip(*[iter(fields)] * k)))  # k fields a tuple
-    return draws
+        yield list(zip(*[iter(fields)] * k))  # k fields a tuple
 
 
 def sampled_substitute(
@@ -169,8 +173,8 @@ def sampled_substitute(
 ) -> FiniteSpace:
     """Numerical enactment of the star coarse graining.
 
-    Draws per_cell interior points in every open cell (sample: one generator
-    for the whole complex); a point's trace is its support, the vertices of
+    Draws per_cell interior points in every open cell (sample's draws, read
+    a cell at a time; one generator for the whole complex); a point's trace is its support, the vertices of
     positive weight, which are the vertex stars holding it: the cell when
     the draw has one positive numerator per vertex (one comparison), else
     read vertex by vertex.  The sample points under this vertex-star
@@ -188,7 +192,7 @@ def sampled_substitute(
     suffixes = [f"#{j}" for j in range(per_cell)]
     point_labels = [label + suffix for label in p.cell_labels for suffix in suffixes]
     point_traces = []
-    for cell, draws in zip(p.simplices, sample(p, per_cell, seed)):
+    for draws, cell in zip(_draws(p, per_cell, seed), p.simplices):
         k = cell.bit_count()
         for d in draws:
             # the cell when it has one numerator per vertex, all positive
@@ -317,6 +321,15 @@ class CorrespondenceReport:
             f"correspondence: {'VERIFIED' if self.ok else 'FAILED'}",
         ]
         return "\n".join(lines)
+
+    def payload(self) -> dict:
+        """The verdict and the point count of each space, as --json prints it."""
+        return {
+            "ok": self.ok,
+            "generated_points": self.generated.n,
+            "symbolic_points": self.symbolic.n,
+            "sampled_points": self.sampled.n,
+        }
 
 
 def _pair_lines(a, a_name, b, b_name, mapping, certify, how) -> list[str]:

@@ -142,6 +142,10 @@ class StructureReport:
                     lines.append(f"{check}: FAIL - {f.message}")
         return "\n".join(lines)
 
+    def render(self) -> str:
+        """The check lines and the verdict, as `manifold check` prints them."""
+        return f"{self}\nstructure: {'ok' if self.ok else 'FAILED'}"
+
 
 _CHECKS = ("hereditarity", "fully-ordered", "uniqueness", "singletons")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finitary import io as fio, manifolds
+from finitary import io as fio, manifolds, verify_correspondence
 from finitary.cli import main
 
 
@@ -112,6 +113,21 @@ class TestManifold:
         assert code == 1
         assert "uniqueness: FAIL" in out
         assert "structure: FAILED" in out
+
+    def test_check_failure_ends_with_its_verdict(self, capsys, tmp_path):
+        # the face 2 of the word 12 and the singleton 2 are missing: every
+        # check's line, the verdict last, and nothing on stderr
+        bad = tmp_path / "bad.manifold"
+        bad.write_text("vertices: 1, 2\nwords:\n1\n1, 2\n")
+        code, out, err = run(capsys, "manifold", "check", str(bad))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "hereditarity: FAIL - 12 present but its face 2 is missing",
+            "fully-ordered: ok",
+            "uniqueness: ok",
+            "singletons: FAIL - singleton 2 is missing",
+            "structure: FAILED",
+        ]
 
     def test_check_passes_on_triangle(self, capsys, data_dir):
         code, out, _ = run(capsys, "manifold", "check", str(data_dir / "triangle.manifold"))
@@ -473,6 +489,13 @@ class TestVerify:
             "sampled substitute (per_cell=1): 1023 points",
         ]
 
+    def test_json_prints_the_payload(self, capsys, data_dir):
+        path = data_dir / "triangle.manifold"
+        code, out, _ = run(capsys, "verify", "correspondence", str(path), "--json")
+        report = verify_correspondence(fio.parse_manifold(path.read_text(), path.name))
+        assert code == 0
+        assert out == json.dumps(report.payload(), indent=2) + "\n"
+
     def test_twelve_vertex_edge_label_differs_from_vertex_twelve(self, capsys, tmp_path):
         # the edge {1,2} used to be labelled "12", like vertex 12
         rel = tmp_path / "edge12.relation"
@@ -644,6 +667,28 @@ class TestParser:
         lines = err.splitlines()
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error[UsageError]: finitary")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
+             "envelope d takes exactly 1 form argument(s)"),
+            (["envelope", "mul", "e[1]", "--vertices", "1,2"],
+             "envelope mul takes exactly 2 form argument(s)"),
+            (["envelope", "inner", "e[1]", "e[1]", "e[2]", "--vertices", "1,1"],
+             "envelope inner takes exactly 2 form argument(s)"),
+            (["ideal", "reduce", "example.ideal"], "ideal reduce needs a form expression"),
+            (["ideal", "reduce", "missing.ideal"], "ideal reduce needs a form expression"),
+            (["substitute", "sampled"], "substitute sampled needs an input file"),
+            (["substitute", "trace", "--json"], "substitute trace needs an input file"),
+        ],
+    )
+    def test_a_command_refuses_its_own_arity_first(self, capsys, data_dir, argv, message):
+        # these refusals are worded by the commands, not by argparse, and
+        # come before any input is read
+        argv = [str(data_dir / a) if a.endswith(".ideal") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error[UsageError]: finitary: {message}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["envelope", "--help"]])
     def test_help_goes_to_stdout_with_exit_zero(self, capsys, argv):

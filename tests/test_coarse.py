@@ -324,14 +324,14 @@ class TestSampledSubstitute:
     def test_trace_is_the_support_not_the_carrier(self, monkeypatch):
         # a sample of the edge 12 with zero weight at vertex 2 lies in the
         # star of vertex 1 only, so it merges into the class of vertex 1
-        drawn = coarse.sample
+        drawn = coarse._draws
 
         def degenerate(p, per_cell, seed):
-            out = drawn(p, per_cell, seed)
+            out = list(drawn(p, per_cell, seed))
             out[p.simplices.index(cell(0, 1))][0] = (1, 0)
             return out
 
-        monkeypatch.setattr(coarse, "sample", degenerate)
+        monkeypatch.setattr(coarse, "_draws", degenerate)
         space = sampled_substitute(BOUNDARY_TRIANGLE, per_cell=1, seed=0)
         assert space.n == 5
         assert "12#0" not in space.labels
@@ -358,7 +358,7 @@ class TestSampledSubstitute:
                     labels.append(f"{label}#{j}")
                     traces.append(support)
                     degenerate += support != sigma
-            monkeypatch.setattr(coarse, "sample", lambda *_: draws)
+            monkeypatch.setattr(coarse, "_draws", lambda *_: draws)
             public = trace_substitute(Covering(p.labels, labels, traces))[0]
             assert sampled_substitute(p, per_cell, trial) == public
         assert degenerate
@@ -367,14 +367,14 @@ class TestSampledSubstitute:
         # a draw with no positive numerator lies in no vertex star: refused
         # where the covering is assembled, as the public Covering refuses it
         p = Manifold.from_relation(Relation(2, [(0, 1)])).to_simplicial()
-        drawn = coarse.sample
+        drawn = coarse._draws
 
         def empty(p, per_cell, seed):
-            out = drawn(p, per_cell, seed)
+            out = list(drawn(p, per_cell, seed))
             out[0][0] = (0,)
             return out
 
-        monkeypatch.setattr(coarse, "sample", empty)
+        monkeypatch.setattr(coarse, "_draws", empty)
         message = f"point {p.cell_labels[0]}#0 lies in no cover set"
         with pytest.raises(UncoveredPoint, match=message) as raised:
             sampled_substitute(p, per_cell=1, seed=0)
@@ -384,14 +384,14 @@ class TestSampledSubstitute:
         # the refused point is named by its own cell and suffix, wherever
         # it falls among the draws
         p = Manifold.from_relation(Relation(3, [(0, 1), (1, 2)])).to_simplicial()
-        drawn = coarse.sample
+        drawn = coarse._draws
 
         def empty(*args):
-            out = drawn(*args)
+            out = list(drawn(*args))
             out[3][1] = (0, 0)
             return out
 
-        monkeypatch.setattr(coarse, "sample", empty)
+        monkeypatch.setattr(coarse, "_draws", empty)
         message = f"point {p.cell_labels[3]}#1 lies in no cover set"
         with pytest.raises(UncoveredPoint, match=message):
             sampled_substitute(p, per_cell=2, seed=0)
