@@ -20,9 +20,26 @@ Letter k advances each block whose set bit waits for k, the bits of
 adv = s & M[k], and the next state is (k, s + adv), each advanced bit
 moving one place up into its clear neighbour.  A generator matched to its
 last letter has been embedded, which kills the state: adv meets LAST, the
-mask of each block's top bit.  BasicIdeal.contains runs words through
-the same masks, and the level walk, given the chain rule instead, lists
-a relation's chains (manifolds).
+mask of each block's top bit.  The level walk, given the chain rule
+instead, lists a relation's chains (manifolds).
+
+A word is tested against an ideal by the same masks, in a matcher
+(start, M by letter, LAST); the zero ideal's matcher _NO_BLOCK has no
+block.  The forward walk above gives F_s, the state of the prefix
+w[:s]: its bit in g's block sits at pre(g), the length of the longest
+prefix of g embedded in w[:s].  The backward walk reads w from the right
+with the same masks: it starts at LAST, each letter moves its advanced
+bits one place down (b -= adv >> 1), and a start bit reached kills it.
+B_s, the state of the suffix w[s:], has its bit at |g| - 1 - suf(g),
+suf(g) the length of the longest suffix of g embedded in w[s:].  For w
+outside the ideal, two rules then test a new word in one AND:
+
+  * g embeds into u.v  iff  pre_u(g) + suf_v(g) >= |g|, that is iff
+    B(v) & (F(u) - START), F(u) - START holding the bits below pre_u(g);
+  * inserting letter k at gap s embeds g  iff  g = g1 k g2 with g1 in
+    w[:s] and g2 in w[s:], that is iff W_s & M[k] for the window
+    W_s = ((F_s << 1) - START) & ((LAST << 1) - B_s), the positions
+    from |g| - 1 - suf(g) up to pre(g) (_insertion_windows).
 """
 
 from __future__ import annotations
@@ -55,6 +72,63 @@ def _compile(vertex_count: int, generators: Iterable):
         offset += len(g)
         last |= 1 << (offset - 1)
     return (_START, start), masks, last
+
+
+def _compile_matcher(vertex_count: int, generators: Iterable):
+    """The (start, M by letter, LAST) that words are tested with; a letter
+    the dict lacks, one outside 0..vertex_count-1, matches nothing."""
+    (_, start), masks, last = _compile(vertex_count, generators)
+    return start, dict(enumerate(masks)), last
+
+
+_NO_BLOCK = (0, {}, 0)
+
+
+def _forward(word, matcher) -> int | None:
+    """The forward state of word, or None once a generator embeds into it."""
+    s, masks, last = matcher
+    get = masks.get
+    for letter in word:
+        adv = s & get(letter, 0)
+        if adv & last:
+            return None
+        s += adv
+    return s
+
+
+def _backward(word, matcher) -> int | None:
+    """The backward state of word, read from the right, or None once a
+    generator embeds into it."""
+    start, masks, b = matcher
+    get = masks.get
+    for letter in reversed(word):
+        adv = b & get(letter, 0)
+        if adv & start:
+            return None
+        b -= adv >> 1
+    return b
+
+
+def _insertion_windows(word, matcher) -> list[int] | None:
+    """W_0..W_len(word), one window per gap, by one forward and one
+    backward walk: a letter k inserted at gap s embeds a generator iff
+    W_s & M[k].  None when word itself lies in the ideal."""
+    start, masks, last = matcher
+    get = masks.get
+    s = start
+    windows = [(s << 1) - start]
+    for letter in word:
+        adv = s & get(letter, 0)
+        if adv & last:
+            return None
+        s += adv
+        windows.append((s << 1) - start)
+    b, top = last, last << 1
+    windows[-1] &= top - b
+    for gap in range(len(word) - 1, -1, -1):
+        b -= (b & get(word[gap], 0)) >> 1
+        windows[gap] &= top - b
+    return windows
 
 
 def _successors(masks: list[int], last: int, state):

@@ -130,6 +130,8 @@ def _cmd_envelope(args) -> int:
 def _cmd_ideal(args) -> int:
     if args.op == "reduce" and args.form is None:
         _parser().error("ideal reduce needs a form expression")
+    if args.op == "check" and args.form is not None:
+        _parser().error("ideal check takes no form expression")
     text, name = _read(args.file)
     ideal, table, given = fio.parse_ideal(text, source=name)
     if args.op == "check":
@@ -147,6 +149,8 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
+    if args.op != "info" and args.max_grade is not None:
+        _parser().error(f"manifold {args.op} takes no --max-grade")
     m = _load_manifold(args.file)
     if args.op == "check":
         return _verdict(m.check_structure())
@@ -208,6 +212,8 @@ def _cmd_topology(args) -> int:
 def _cmd_substitute(args) -> int:
     if args.op != "circle" and args.file is None:
         _parser().error(f"substitute {args.op} needs an input file")
+    if args.op == "circle" and args.file is not None:
+        _parser().error("substitute circle takes no input file")
     if args.op == "circle":
         covering = circle_covering(
             STANDARD_CIRCLE_ARCS,

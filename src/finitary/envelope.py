@@ -40,8 +40,13 @@ every collection while a large accumulator is alive.
 Distinct insertions give distinct words, so an output word gets at most
 one contribution per letter (a deletion of it, or a split of it into two
 overlapping factors), and its denominator stays a product of a few input
-denominators.  Each non-zero sum is reduced once, at the end
-(BasicIdeal's quotient operations first drop the words of the ideal).
+denominators.  Each non-zero sum is reduced once, at the end.
+Each kernel takes an ideal's matcher (automata) and builds no word of the
+ideal: an input word in the ideal is skipped whole, and one AND of
+automaton states decides an insertion (against the gap's window) or a
+pair of factors.  differential and form_product pass the zero ideal's
+matcher, which has no block, and skip the state walks; BasicIdeal's
+quotient operations pass their own.  So each operation has one kernel.
 inner has one output fed by every shared word, whose denominator _plus
 would grow by a factor per word, so it alone sums over the least common
 denominator instead, and builds one scalar; a kernel's output word gets a
@@ -53,6 +58,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator
 
+from .automata import _NO_BLOCK, _backward, _forward, _insertion_windows
 from .errors import FinitaryError, Value
 from .scalars import GaussianRational, _Triple, _exact, _plus, _reduced, _times, _triple
 
@@ -288,14 +294,42 @@ def unit(vertex_count: int) -> Form:
     return Form((Word((i,)), 1) for i in range(vertex_count))
 
 
-def _product_triples(f: Form, g: Form) -> dict:
-    """The overlap product of f and g as one unnormalized triple per word."""
+def _product_triples(f: Form, g: Form, matcher) -> dict:
+    """The overlap product of f and g as one unnormalized triple per word
+    outside the matcher's ideal.
+
+    A factor in the ideal is skipped whole; the tails of wb, grouped by
+    junction letter, are filtered once per forward state of wa, a pair
+    dying iff B(wb[1:]) & (F(wa) - START) (automata)."""
+    start, masks, _ = matcher
     tails: dict[int, list[tuple]] = {}
+    backs: dict[int, list[int]] = {}
     for wb, (c, e, den) in g._terms.items():
-        tails.setdefault(wb[0], []).append((wb[1:], c, e, den))
+        tail = wb[1:]
+        if start:
+            # B(wb[1:]), and wb's first letter read on: no start bit reached
+            back = _backward(tail, matcher)
+            if back is None or back & start & masks.get(wb[0], 0):
+                continue
+            backs.setdefault(wb[0], []).append(back)
+        tails.setdefault(wb[0], []).append((tail, c, e, den))
+    survivors: dict[tuple[int, int], list[tuple]] = {}
     acc: dict[tuple[int, ...], _Triple] = {}
     for wa, (a, b, d) in f._terms.items():
-        for tail, c, e, den in tails.get(wa[-1], ()):
+        group = tails.get(wa[-1], ())
+        if start:
+            state = _forward(wa, matcher)
+            if state is None:
+                continue
+            if state != start:
+                key = wa[-1], state
+                kept = survivors.get(key)
+                if kept is None:
+                    reach = state - start
+                    pairs = zip(group, backs.get(wa[-1], ()))
+                    kept = survivors[key] = [t for t, back in pairs if not back & reach]
+                group = kept
+        for tail, c, e, den in group:
             w, re, im = wa + tail, a * c - b * e, a * e + b * c
             t = acc.get(w)
             acc[w] = (re, im, d * den) if t is None else _plus(t, re, im, d * den)
@@ -308,26 +342,41 @@ def form_product(f: Form, g: Form) -> Form:
     Two words multiply by concatenation when last(a) = first(b), the
     junction letter written once, and to 0 otherwise.
     """
-    return _built(_product_triples(f, g).items())
+    return _built(_product_triples(f, g, _NO_BLOCK).items())
 
 
-def _differential_triples(f: Form, vertex_count: int) -> dict:
-    """The differential of f as one unnormalized triple per word: every
-    vertex inserted into every gap of every word.
+def _differential_triples(f: Form, vertex_count: int, matcher) -> dict:
+    """The differential of f as one unnormalized triple per word outside
+    the matcher's ideal: every vertex inserted into every gap of every
+    word.
 
     Gap s (0-based, before the s-th letter) carries sign (-1)^s; insertions
-    that would repeat a neighbouring letter contribute nothing.
+    that would repeat a neighbouring letter contribute nothing.  A word in
+    the ideal is skipped whole, and letter k at gap s is skipped iff its
+    window meets M[k] (automata); the letters each window lets through
+    are listed once per call.
     """
+    start, masks, _ = matcher
+    letters = range(vertex_count)
+    allowed: dict[int, list[int]] = {}
     acc: dict[tuple[int, ...], _Triple] = {}
     for w, (re, im, den) in f._terms.items():
-        signed = ((re, im), (-re, -im))
         last = len(w)
-        for s in range(last + 1):
+        windows = _insertion_windows(w, matcher) if start else [0] * (last + 1)
+        if windows is None:
+            continue
+        signed = ((re, im), (-re, -im))
+        for s, window in enumerate(windows):
+            ks = letters
+            if window:
+                ks = allowed.get(window)
+                if ks is None:
+                    ks = allowed[window] = [k for k in letters if not window & masks[k]]
             a, b = signed[s & 1]
             head, tail = w[:s], w[s:]
             left = w[s - 1] if s else -1
             right = w[s] if s < last else -1
-            for k in range(vertex_count):
+            for k in ks:
                 if k != left and k != right:
                     v = head + (k,) + tail
                     t = acc.get(v)
@@ -338,7 +387,7 @@ def _differential_triples(f: Form, vertex_count: int) -> dict:
 def differential(f: Form, vertex_count: int) -> Form:
     """Linear extension of the differential of a word (every vertex
     inserted into every gap); raises the grade by one."""
-    return _built(_differential_triples(f, vertex_count).items())
+    return _built(_differential_triples(f, vertex_count, _NO_BLOCK).items())
 
 
 def inner(f: Form, g: Form) -> GaussianRational:

@@ -2,14 +2,15 @@
 
 Such an ideal is the span of all superwords (in the subsequence order) of
 its generators, so it is stored as the antichain of subsequence-minimal
-generator words; the full word set is infinite in general.  Membership
-runs the word through the avoidance automaton's shift-and masks, compiled
-on the first test into a slot that equality, hash and pickle leave out.
-One loop (_outside) tests words this way for contains, reduce and the
-quotient operations.  The quotient differential and product take the
-envelope kernels' accumulators, one unnormalized integer triple per word,
-and drop the words of the ideal before any sum is reduced: only the
-surviving terms are reduced, and no scalar is built.
+generator words; the full word set is infinite in general.  The ideal's
+matcher, the avoidance automaton's shift-and masks (automata), is
+compiled on the first test into a slot that equality, hash and pickle
+leave out.  contains and reduce run each word through its forward walk.
+The quotient differential and product hand the matcher to the envelope
+kernels, which drop each word of the ideal before building it, by one
+AND per insertion or per pair of factors: the accumulators hold only
+the surviving words, one unnormalized integer triple each, and no scalar
+is built.
 
 Generators of grade 0 are rejected: a nontrivial grade-0 component would
 collapse the underlying function algebra rather than a calculus on it.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable
 
-from .automata import _compile
+from .automata import _compile_matcher, _forward
 from .errors import FinitaryError, Value, _restore
 from .envelope import (
     Form,
@@ -77,31 +78,16 @@ class BasicIdeal(Value):
         gens = ", ".join(repr(g) for g in self.generators)
         return f"BasicIdeal(n={self.vertex_count}, [{gens}])"
 
+    def _compiled(self):
+        if self._matcher is None:
+            object.__setattr__(
+                self, "_matcher", _compile_matcher(self.vertex_count, self.generators)
+            )
+        return self._matcher
+
     def contains(self, word: Word) -> bool:
         """True iff some generator embeds into the word as a subsequence."""
-        return not self._outside(((word, None),))
-
-    def _outside(self, items: Iterable[tuple]) -> list[tuple]:
-        """The (word, value) pairs of items whose word is not in the ideal:
-        no generator's match progress passes its last letter
-        (automata._compile) as the word's letters advance it; a letter
-        outside the table matches nothing."""
-        if self._matcher is None:
-            start, masks, last = _compile(self.vertex_count, self.generators)
-            object.__setattr__(self, "_matcher", (start[1], dict(enumerate(masks)), last))
-        start, masks, last = self._matcher
-        get = masks.get
-        kept = []
-        for item in items:
-            s = start
-            for letter in item[0]:
-                adv = s & get(letter, 0)
-                if adv & last:
-                    break
-                s += adv
-            else:
-                kept.append(item)
-        return kept
+        return _forward(word, self._compiled()) is None
 
     def reduce(self, f: Form) -> Form:
         """Orthogonal projection onto the complement of the ideal.
@@ -110,14 +96,15 @@ class BasicIdeal(Value):
         verbatim; this realizes the quotient map onto the calculus the
         ideal defines.
         """
-        return _form(dict(self._outside(f._terms.items())))
+        matcher = self._compiled()
+        return _form({w: t for w, t in f._terms.items() if _forward(w, matcher) is not None})
 
     def quotient_differential(self, f: Form) -> Form:
-        """Differential of the quotient calculus: differentiate, then drop
-        the ideal's words before any coefficient is reduced."""
-        return _built(self._outside(_differential_triples(f, self.vertex_count).items()))
+        """Differential of the quotient calculus: the kernel builds no word
+        of the ideal, and no coefficient is reduced before the end."""
+        return _built(_differential_triples(f, self.vertex_count, self._compiled()).items())
 
     def quotient_product(self, f: Form, g: Form) -> Form:
-        """Product of the quotient calculus: multiply, then drop the
-        ideal's words before any coefficient is reduced."""
-        return _built(self._outside(_product_triples(f, g).items()))
+        """Product of the quotient calculus: the kernel builds no word of
+        the ideal, and no coefficient is reduced before the end."""
+        return _built(_product_triples(f, g, self._compiled()).items())

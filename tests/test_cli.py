@@ -681,12 +681,19 @@ class TestParser:
             (["ideal", "reduce", "missing.ideal"], "ideal reduce needs a form expression"),
             (["substitute", "sampled"], "substitute sampled needs an input file"),
             (["substitute", "trace", "--json"], "substitute trace needs an input file"),
+            (["substitute", "circle", "no-such-file"], "substitute circle takes no input file"),
+            (["ideal", "check", "example.ideal", "e[9"], "ideal check takes no form expression"),
+            (["ideal", "check", "missing.ideal", "e[1]"], "ideal check takes no form expression"),
+            (["manifold", "check", "triangle.manifold", "--max-grade", "2"],
+             "manifold check takes no --max-grade"),
+            (["manifold", "dim", "missing.manifold", "--max-grade", "0"],
+             "manifold dim takes no --max-grade"),
         ],
     )
     def test_a_command_refuses_its_own_arity_first(self, capsys, data_dir, argv, message):
         # these refusals are worded by the commands, not by argparse, and
         # come before any input is read
-        argv = [str(data_dir / a) if a.endswith(".ideal") else a for a in argv]
+        argv = [str(data_dir / a) if a.endswith((".ideal", ".manifold")) else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error[UsageError]: finitary: {message}\n")
 

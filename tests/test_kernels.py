@@ -2,8 +2,9 @@
 scalars they build: a Form holds reduced integer triples, so the kernels
 and the quotient operations build none, and items() one per term."""
 
+import random
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, combinations, groupby
 from math import gcd
 
 import pytest
@@ -14,11 +15,20 @@ from finitary import (
     BasicIdeal,
     Form,
     Word,
+    basis_words,
     differential,
     form_product,
     inner,
+    is_subsequence,
 )
 from finitary import envelope, scalars
+from finitary.automata import (
+    _NO_BLOCK,
+    _backward,
+    _compile_matcher,
+    _forward,
+    _insertion_windows,
+)
 from finitary.scalars import GaussianRational
 
 # coprime and mixed denominators; small numerators and the units 1, -1, i, -i
@@ -36,27 +46,45 @@ coefficients = st.one_of(
 )
 
 
+def _merged_runs(letters):
+    """The word of letters with each run of equal letters written once."""
+    return Word(k for k, _ in groupby(letters))
+
+
 @st.composite
 def calculi(draw, min_vertices=1):
     """A vertex count n and two forms whose words use the letters 0..n+1,
     so some lie at or above n."""
     n = draw(st.integers(min_vertices, 4))
-    words = st.lists(st.integers(0, n + 1), min_size=1, max_size=4).map(
-        lambda letters: Word(k for k, _ in groupby(letters))
-    )
+    words = st.lists(st.integers(0, n + 1), min_size=1, max_size=4).map(_merged_runs)
     forms = st.lists(st.tuples(words, coefficients), max_size=8).map(Form)
     return n, draw(forms), draw(forms)
 
 
 @st.composite
 def quotients(draw):
-    """A BasicIdeal on n >= 2 vertices and two forms as in calculi."""
+    """A BasicIdeal on n >= 2 vertices, of at most three generators of two
+    to four letters (none: the zero ideal), and two forms as in calculi,
+    each with up to three further terms whose words lie in the ideal: a
+    generator with a letter or none put on either end."""
     n, f, g = draw(calculi(min_vertices=2))
     letters = st.integers(0, n - 1)
-    generator = st.lists(letters, min_size=2, max_size=3).map(
-        lambda ls: tuple(k for k, _ in groupby(ls))
-    ).filter(lambda w: len(w) >= 2)
-    return BasicIdeal(n, draw(st.lists(generator, max_size=3))), f, g
+    # a first letter and one to three steps, each to a different letter
+    steps = st.lists(st.integers(1, n - 1), min_size=1, max_size=3)
+    generator = st.builds(
+        lambda first, moves: Word(accumulate(moves, lambda k, m: (k + m) % n, initial=first)),
+        letters, steps,
+    )
+    gens = [draw(generator) for _ in range(draw(st.integers(0, 3)))]
+    if gens:
+        end = st.lists(letters, max_size=1)
+        inside = st.builds(
+            lambda head, gen, tail: _merged_runs(head + list(gen) + tail),
+            end, st.sampled_from(gens), end,
+        )
+        terms = st.lists(st.tuples(inside, coefficients), max_size=3).map(Form)
+        f, g = f + draw(terms), g + draw(terms)
+    return BasicIdeal(n, gens), f, g
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,6 +115,72 @@ def test_quotient_operations_match_the_reference(case):
     assert ideal.quotient_product(f, g) == ref.reduce(gens, ref.form_product(f, g))
     for w, _ in f.items():
         assert ideal.contains(w) == any(ref.is_subsequence(x, w) for x in gens)
+
+
+def _generator_sets():
+    """(n, generators), words of two to four letters: each single one on
+    two and three vertices, each pair on two, and seeded draws of two or
+    three on three and four vertices, so that blocks sit side by side."""
+    rng = random.Random(37)
+    for n in (2, 3, 4):
+        pool = [w for grade in (1, 2, 3) for w in basis_words(n, grade)]
+        if n < 4:
+            yield from ((n, [gen]) for gen in pool)
+        if n == 2:
+            yield from ((n, list(pair)) for pair in combinations(pool, 2))
+        if n > 2:
+            yield from ((n, rng.sample(pool, rng.randint(2, 3))) for _ in range(25))
+
+
+def test_one_and_decides_every_insertion_and_every_pair():
+    """Against is_subsequence, on every word of grade at most 3: a word in
+    the ideal has no windows and no forward state; an outside word's
+    window W_s meets M[k] iff inserting k at gap s gives a word of the
+    ideal; B(wb[1:]) & (F(wa) - START) is non-zero iff wa * wb is."""
+    for n, gens in _generator_sets():
+        matcher = _compile_matcher(n, gens)
+        start, masks, _ = matcher
+        words = [w for grade in range(4) for w in basis_words(n, grade)]
+        inside = {w: any(is_subsequence(gen, w) for gen in gens) for w in words}
+        outside = [w for w in words if not inside[w]]
+        for w in words:
+            assert (_insertion_windows(w, matcher) is None) == inside[w], (gens, w)
+            assert (_forward(w, matcher) is None) == inside[w], (gens, w)
+        for w in outside:
+            for s, window in enumerate(_insertion_windows(w, matcher)):
+                for k in range(n):
+                    if k not in w[max(s - 1, 0) : s + 1]:
+                        v = w[:s] + (k,) + w[s:]
+                        embeds = any(is_subsequence(gen, v) for gen in gens)
+                        assert bool(window & masks[k]) == embeds, (gens, w, s, k)
+        for wa in outside:
+            reach = _forward(wa, matcher) - start
+            for wb in outside:
+                if wb[0] == wa[-1]:
+                    v = wa + wb[1:]
+                    embeds = any(is_subsequence(gen, v) for gen in gens)
+                    assert bool(_backward(wb[1:], matcher) & reach) == embeds, (gens, wa, wb)
+
+
+def test_the_quotient_kernels_hold_no_word_of_the_ideal():
+    """The fused kernels' accumulators hold exactly the free kernels'
+    words outside the ideal, on the sum of every word of grade at most 2
+    (inside the ideal or not), with its differential, a product factor."""
+    for n, gens in _generator_sets():
+        ideal = BasicIdeal(n, gens)
+        matcher = ideal._compiled()
+        f = Form((w, 1) for grade in range(3) for w in basis_words(n, grade))
+        df = differential(f, n)
+        for kernel, args in [
+            (envelope._differential_triples, (f, n)),
+            (envelope._product_triples, (f, f)),
+            (envelope._product_triples, (df, f)),
+            (envelope._product_triples, (f, df)),
+        ]:
+            fused = kernel(*args, matcher)
+            free = kernel(*args, _NO_BLOCK)
+            assert not any(ideal.contains(w) for w in fused), (gens, kernel)
+            assert set(fused) == {w for w in free if not ideal.contains(w)}, (gens, kernel)
 
 
 def _form(terms):
