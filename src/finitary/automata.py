@@ -57,10 +57,11 @@ MAX_WORDS = 100_000
 
 
 def _compile(vertex_count: int, generators: Iterable):
-    """The packed start state, the match mask M[k] of each letter k and the
-    mask LAST of each block's top bit.  A letter outside 0..vertex_count-1
-    sets no bit, so it is never matched."""
-    masks = [0] * vertex_count
+    """The matcher (start, M by letter, LAST): the packed start state, the
+    match mask M[k] of each letter k and the mask LAST of each block's top
+    bit.  A letter the dict lacks, one outside 0..vertex_count-1, matches
+    nothing."""
+    masks = dict.fromkeys(range(vertex_count), 0)
     start = last = offset = 0
     for g in map(tuple, generators):
         if len(g) < 2:
@@ -71,14 +72,7 @@ def _compile(vertex_count: int, generators: Iterable):
         start |= 1 << offset
         offset += len(g)
         last |= 1 << (offset - 1)
-    return (_START, start), masks, last
-
-
-def _compile_matcher(vertex_count: int, generators: Iterable):
-    """The (start, M by letter, LAST) that words are tested with; a letter
-    the dict lacks, one outside 0..vertex_count-1, matches nothing."""
-    (_, start), masks, last = _compile(vertex_count, generators)
-    return start, dict(enumerate(masks)), last
+    return start, masks, last
 
 
 _NO_BLOCK = (0, {}, 0)
@@ -131,9 +125,9 @@ def _insertion_windows(word, matcher) -> list[int] | None:
     return windows
 
 
-def _successors(masks: list[int], last: int, state):
+def _successors(masks: dict[int, int], last: int, state):
     previous, s = state
-    for k, m in enumerate(masks):
+    for k, m in masks.items():
         adv = s & m
         if k != previous and not adv & last:
             yield (k, s + adv)
@@ -163,7 +157,7 @@ def avoiding_words(vertex_count: int, generators: Iterable, max_grade: int) -> I
     """Every adjacency-valid word of grade at most max_grade avoiding every
     generator as a subsequence, by the level walk of the shift-and states."""
     start, masks, last = _compile(vertex_count, generators)
-    return _walk(start, partial(_successors, masks, last), max_grade, "word enumeration")
+    return _walk((_START, start), partial(_successors, masks, last), max_grade, "word enumeration")
 
 
 def is_finite(vertex_count: int, generators: Iterable) -> bool:
@@ -198,7 +192,8 @@ def longest_avoiding_word(vertex_count: int, generators: Iterable) -> int | floa
     included; the walk raises TooLarge once it holds more.
     """
     generators = list(generators)
-    start, masks, last = _compile(vertex_count, generators)
+    matched, masks, last = _compile(vertex_count, generators)
+    start = (_START, matched)
     if not is_finite(vertex_count, generators):
         return math.inf
 

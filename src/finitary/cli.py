@@ -1,5 +1,9 @@
 """Command-line surface.
 
+Each ``finitary COMMAND OP`` has a parser of its own, which declares
+exactly the arguments the op reads: a missing argument, or one the op
+does not read, is a usage error, refused before any file is read.
+
 Exit codes: 0 success / verification passed, 1 verification failed (the
 witness is printed), 2 malformed or inadmissible input, a command line the
 parser refuses (one error[UsageError] line on stderr), or stdout closed by
@@ -43,8 +47,8 @@ class UsageError(FinitaryError):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose refusals raise UsageError instead of
-    printing usage and exiting, so they keep the exit-2 report; each
-    subcommand's parser is built of the same class."""
+    printing usage and exiting, so they keep the exit-2 report; the parser
+    of each command and of each op is built of the same class."""
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -113,8 +117,6 @@ def _print_space(space, as_json: bool) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_envelope(args) -> int:
-    if len(args.form) != (need := 1 if args.op == "d" else 2):
-        _parser().error(f"envelope {args.op} takes exactly {need} form argument(s)")
     table = fio.parse_vertex_table(args.vertices)
     forms = [fio.parse_form(text, table) for text in args.form]
     if args.op == "d":
@@ -128,10 +130,6 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    if args.op == "reduce" and args.form is None:
-        _parser().error("ideal reduce needs a form expression")
-    if args.op == "check" and args.form is not None:
-        _parser().error("ideal check takes no form expression")
     text, name = _read(args.file)
     ideal, table, given = fio.parse_ideal(text, source=name)
     if args.op == "check":
@@ -149,8 +147,6 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
-    if args.op != "info" and args.max_grade is not None:
-        _parser().error(f"manifold {args.op} takes no --max-grade")
     m = _load_manifold(args.file)
     if args.op == "check":
         return _verdict(m.check_structure())
@@ -210,10 +206,6 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_substitute(args) -> int:
-    if args.op != "circle" and args.file is None:
-        _parser().error(f"substitute {args.op} needs an input file")
-    if args.op == "circle" and args.file is not None:
-        _parser().error("substitute circle takes no input file")
     if args.op == "circle":
         covering = circle_covering(
             STANDARD_CIRCLE_ARCS,
@@ -255,53 +247,57 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The table of commands: one parser per op of each command, declaring
+    exactly the arguments the op reads, so argparse refuses a missing or a
+    surplus argument before any file is read.  FILE, --json and the
+    sampling pair --per-cell/--seed are declared once each, as parents."""
+    file, as_json, sampling = (_Parser(add_help=False) for _ in range(3))
+    file.add_argument("file")
+    as_json.add_argument("--json", action="store_true")
+    sampling.add_argument("--per-cell", type=positive, default=3)
+    sampling.add_argument("--seed", type=int, default=0)
+
     parser = _Parser(
         prog="finitary",
         description="Exact differential calculi on finite sets and their finite topologies",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("envelope", help="operate on forms of the free calculus")
-    p.add_argument("op", choices=("d", "mul", "inner"))
-    p.add_argument("form", nargs="+", help="form expression(s), e.g. 'e[1,2] - e[2,1]'")
-    p.add_argument("--vertices", required=True, help="comma-separated vertex labels")
-    p.set_defaults(fn=_cmd_envelope)
+    def command(name: str, fn, summary: str):
+        """The command's parser, run by fn; returns the maker of its ops."""
+        p = commands.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        ops = p.add_subparsers(dest="op", required=True)
+        return lambda op, *parents: ops.add_parser(op, parents=parents)
 
-    p = sub.add_parser("ideal", help="validate or apply a generator file")
-    p.add_argument("op", choices=("check", "reduce"))
-    p.add_argument("file")
-    p.add_argument("form", nargs="?", help="form expression (reduce only)")
-    p.set_defaults(fn=_cmd_ideal)
+    op = command("envelope", _cmd_envelope, "operate on forms of the free calculus")
+    for name, count in (("d", 1), ("mul", 2), ("inner", 2)):
+        p = op(name)
+        p.add_argument("form", nargs=count, help="form expression, e.g. 'e[1,2] - e[2,1]'")
+        p.add_argument("--vertices", required=True, help="comma-separated vertex labels")
 
-    p = sub.add_parser("manifold", help="inspect a manifold or relation file")
-    p.add_argument("op", choices=("info", "check", "dim"))
-    p.add_argument("file")
-    p.add_argument("--max-grade", type=non_negative, default=None)
-    p.set_defaults(fn=_cmd_manifold)
+    op = command("ideal", _cmd_ideal, "validate or apply a generator file")
+    op("check", file)
+    op("reduce", file).add_argument("form", help="form expression")
 
-    p = sub.add_parser("topology", help="the generated space of a manifold")
-    p.add_argument("op", choices=("hasse", "open-sets", "json"))
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=_cmd_topology)
+    op = command("manifold", _cmd_manifold, "inspect a manifold or relation file")
+    op("info", file).add_argument("--max-grade", type=non_negative)
+    op("check", file)
+    op("dim", file)
 
-    p = sub.add_parser("substitute", help="finitary substitutes of coverings")
-    p.add_argument("op", choices=("simplicial", "sampled", "circle", "trace"))
-    p.add_argument("file", nargs="?")
-    p.add_argument("--per-cell", type=positive, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=positive, default=4096)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_substitute)
+    op = command("topology", _cmd_topology, "the generated space of a manifold")
+    op("hasse", file).add_argument("--dot", action="store_true")
+    op("open-sets", file)
+    op("json", file)
 
-    p = sub.add_parser("verify", help="check the correspondence of the three spaces")
-    p.add_argument("op", choices=("correspondence",))
-    p.add_argument("file")
-    p.add_argument("--per-cell", type=positive, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
+    op = command("substitute", _cmd_substitute, "finitary substitutes of coverings")
+    op("simplicial", file, as_json)
+    op("sampled", file, sampling, as_json)
+    op("circle", as_json).add_argument("--samples", type=positive, default=4096)
+    op("trace", file, as_json)
 
+    op = command("verify", _cmd_verify, "check the correspondence of the three spaces")
+    op("correspondence", file, sampling, as_json)
     return parser
 
 

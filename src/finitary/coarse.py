@@ -174,18 +174,18 @@ def sampled_substitute(
     """Numerical enactment of the star coarse graining.
 
     Draws per_cell interior points in every open cell (sample's draws, read
-    a cell at a time; one generator for the whole complex); a point's trace is its support, the vertices of
-    positive weight, which are the vertex stars holding it: the cell when
-    the draw has one positive numerator per vertex (one comparison), else
-    read vertex by vertex.  The sample points under this vertex-star
-    Covering, assembled without its constructor's checks, are quotiented by
-    trace equality (trace_substitute); a draw with no positive numerator
-    lies in no star and raises UncoveredPoint, as the public Covering
-    would.  The drawn numerators are positive, so each support equals the
-    carrier cell and the result is simplicial_substitute(p) up to labels by
-    construction: a cross-check of the supports against the cells, not an
-    independent oracle.  Raises TooLarge when the cell
-    count times per_cell exceeds MAX_SAMPLES.
+    a cell at a time; one generator for the whole complex); a point's trace
+    is its support, the vertices of positive weight, which are the vertex
+    stars holding it: the cell when the draw has one positive numerator per
+    vertex (one comparison), else read vertex by vertex.  The sample points
+    under this vertex-star Covering, assembled without its constructor's
+    checks, are quotiented by trace equality (trace_substitute); a draw with
+    no positive numerator lies in no star and raises UncoveredPoint, as the
+    public Covering would.  The drawn numerators are positive, so each
+    support equals the carrier cell and the result is
+    simplicial_substitute(p) up to labels by construction: a cross-check of
+    the supports against the cells, not an independent oracle.  Raises
+    TooLarge when the cell count times per_cell exceeds MAX_SAMPLES.
     """
     if len(p) * per_cell > MAX_SAMPLES:
         raise TooLarge(f"sampling is capped at {MAX_SAMPLES} points")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable
 
-from .automata import _compile_matcher, _forward
+from .automata import _compile, _forward
 from .errors import FinitaryError, Value, _restore
 from .envelope import (
     Form,
@@ -80,9 +80,7 @@ class BasicIdeal(Value):
 
     def _compiled(self):
         if self._matcher is None:
-            object.__setattr__(
-                self, "_matcher", _compile_matcher(self.vertex_count, self.generators)
-            )
+            object.__setattr__(self, "_matcher", _compile(self.vertex_count, self.generators))
         return self._matcher
 
     def contains(self, word: Word) -> bool:

@@ -279,7 +279,10 @@ def parse_ideal(
 ) -> tuple[BasicIdeal, VertexTable, list[Word]]:
     """Returns the normalized ideal, the vertex table and the words as
     given (so callers can report dropped redundant generators)."""
-    table, entries = _table_and_entries(list(_content_lines(text)), source)
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError(source, 1, "empty ideal file")
+    table, entries = _table_and_entries(lines, source)
     words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
     try:
         ideal = BasicIdeal(table.n, words)

@@ -79,8 +79,9 @@ class FiniteSpace(Value):
     checks, and the table is built on the first read of min_open: a space
     whose table nothing reads never holds its n masks of up to n bits.
     The recipe also gives the Hasse diagram (hasse) and certifies maps
-    between spaces (coarse.verify_correspondence) without any table.  Equality, hash, copy and pickle compare or carry (labels,
-    min_open), never the recipe.
+    between spaces (coarse.verify_correspondence) without any table.
+    Equality, hash, copy and pickle compare or carry (labels, min_open),
+    never the recipe.
     """
 
     __slots__ = ("labels", "_min_open", "_recipe")

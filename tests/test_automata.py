@@ -168,7 +168,8 @@ def test_avoiding_words_agree_with_brute_force():
 def cycle_search_longest(vertex_count, generators):
     """The longest word by a depth-first walk that also finds the language
     infinite, by meeting a state again on its own path (a pumpable cycle)."""
-    start, masks, last = automata._compile(vertex_count, generators)
+    matched, masks, last = automata._compile(vertex_count, generators)
+    start = (automata._START, matched)
     longest = {start: None}
     stack = [[start, automata._successors(masks, last, start), 0]]
     while stack:

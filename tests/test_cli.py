@@ -91,6 +91,13 @@ class TestIdeal:
         )
         assert code == 0 and out.strip() == "e[3,1]"
 
+    def test_an_empty_file_is_refused(self, capsys, tmp_path):
+        f = tmp_path / "empty.ideal"
+        f.write_text("# no generators and no vertices\n")
+        assert run(capsys, "ideal", "check", str(f)) == (
+            2, "", "error[ParseError]: empty.ideal:1: empty ideal file\n"
+        )
+
 
 class TestManifold:
     def test_info(self, capsys, data_dir):
@@ -669,33 +676,58 @@ class TestParser:
         assert len(lines) == 1 and lines[0].startswith("error[UsageError]: finitary")
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, rule, tail",
         [
             (["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
-             "envelope d takes exactly 1 form argument(s)"),
+             "envelope d takes exactly 1 form argument(s)", "unrecognized arguments: e[2]"),
             (["envelope", "mul", "e[1]", "--vertices", "1,2"],
-             "envelope mul takes exactly 2 form argument(s)"),
+             "envelope mul takes exactly 2 form argument(s)", "required: form"),
             (["envelope", "inner", "e[1]", "e[1]", "e[2]", "--vertices", "1,1"],
-             "envelope inner takes exactly 2 form argument(s)"),
-            (["ideal", "reduce", "example.ideal"], "ideal reduce needs a form expression"),
-            (["ideal", "reduce", "missing.ideal"], "ideal reduce needs a form expression"),
-            (["substitute", "sampled"], "substitute sampled needs an input file"),
-            (["substitute", "trace", "--json"], "substitute trace needs an input file"),
-            (["substitute", "circle", "no-such-file"], "substitute circle takes no input file"),
-            (["ideal", "check", "example.ideal", "e[9"], "ideal check takes no form expression"),
-            (["ideal", "check", "missing.ideal", "e[1]"], "ideal check takes no form expression"),
+             "envelope inner takes exactly 2 form argument(s)", "unrecognized arguments: e[2]"),
+            (["ideal", "reduce", "example.ideal"],
+             "ideal reduce needs a form expression", "required: form"),
+            (["ideal", "reduce", "missing.ideal"],
+             "ideal reduce needs a form expression", "required: form"),
+            (["substitute", "sampled"], "substitute sampled needs an input file", "required: file"),
+            (["substitute", "trace", "--json"],
+             "substitute trace needs an input file", "required: file"),
+            (["substitute", "circle", "no-such-file"],
+             "substitute circle takes no input file", "unrecognized arguments: no-such-file"),
+            (["ideal", "check", "example.ideal", "e[9"],
+             "ideal check takes no form expression", "unrecognized arguments: e[9"),
+            (["ideal", "check", "missing.ideal", "e[1]"],
+             "ideal check takes no form expression", "unrecognized arguments: e[1]"),
             (["manifold", "check", "triangle.manifold", "--max-grade", "2"],
-             "manifold check takes no --max-grade"),
+             "manifold check takes no --max-grade", "unrecognized arguments: --max-grade 2"),
             (["manifold", "dim", "missing.manifold", "--max-grade", "0"],
-             "manifold dim takes no --max-grade"),
+             "manifold dim takes no --max-grade", "unrecognized arguments: --max-grade 0"),
+            (["topology", "json", "triangle.manifold", "--dot"],
+             "topology json takes no --dot", "unrecognized arguments: --dot"),
+            (["topology", "open-sets", "triangle.manifold", "--dot"],
+             "topology open-sets takes no --dot", "unrecognized arguments: --dot"),
+            (["substitute", "circle", "--per-cell", "5", "--seed", "3"],
+             "substitute circle takes no --per-cell or --seed",
+             "unrecognized arguments: --per-cell 5 --seed 3"),
+            (["substitute", "simplicial", "triangle_boundary.complex", "--samples", "7", "--seed", "9"],
+             "substitute simplicial takes no --samples or --seed",
+             "unrecognized arguments: --samples 7 --seed 9"),
+            (["verify", "correspondence", "missing.manifold", "--samples", "9"],
+             "verify correspondence takes no --samples", "unrecognized arguments: --samples 9"),
+            (["manifold", "dim", "triangle.manifold", "--dot"],
+             "manifold dim takes no --dot", "unrecognized arguments: --dot"),
         ],
     )
-    def test_a_command_refuses_its_own_arity_first(self, capsys, data_dir, argv, message):
-        # these refusals are worded by the commands, not by argparse, and
-        # come before any input is read
-        argv = [str(data_dir / a) if a.endswith((".ideal", ".manifold")) else a for a in argv]
+    def test_a_command_refuses_its_own_arity_first(self, capsys, data_dir, argv, rule, tail):
+        # each op's parser declares exactly the arguments the op reads, so
+        # a missing or a surplus one is refused before any input is read;
+        # the wording between the prog and the tail is argparse's, which
+        # differs across Python versions
+        argv = [str(data_dir / a) if a.endswith((".ideal", ".manifold", ".complex")) else a
+                for a in argv]
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", f"error[UsageError]: finitary: {message}\n")
+        lines = err.splitlines()
+        assert (code, out) == (2, "") and len(lines) == 1, rule
+        assert lines[0].startswith("error[UsageError]: finitary") and lines[0].endswith(tail), rule
 
     @pytest.mark.parametrize("argv", [["--help"], ["envelope", "--help"]])
     def test_help_goes_to_stdout_with_exit_zero(self, capsys, argv):
@@ -895,6 +927,16 @@ _FORMS = st.one_of(
 )
 
 
+def _envelope_run(vertices, op, forms):
+    """finitary envelope OP --vertices V -- FORM..., with as many forms
+    as the op takes: its exit code, stdout and stderr lines."""
+    argv = ["envelope", op, "--vertices", vertices, "--", *forms[: 1 if op == "d" else 2]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["1,2,3", "1,2,3", "a,b", "1,1", "1", "", "1,,2"]),
@@ -907,14 +949,16 @@ def test_every_envelope_argv_exits_zero_or_two(vertices, op, forms):
     """The exit contract over the form parser: 0 with a result on stdout,
     or 2 with one error[...] line on stderr and nothing on stdout; the --
     lets a form starting with - reach the form parser, and a form that is
-    a second -- is dropped by argparse, a usage error."""
-    argv = ["envelope", "--vertices", vertices, "--", op, *forms[: 1 if op == "d" else 2]]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    lines = err.getvalue().splitlines()
-    assert code in (0, 2), argv
+    a second -- is refused."""
+    code, out, lines = _envelope_run(vertices, op, forms)
+    assert code in (0, 2), (vertices, op, forms)
     if code == 2:
-        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error["), argv
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error["), (op, forms)
     else:
-        assert out.getvalue().strip() and not any(x.startswith("error[") for x in lines), argv
+        assert out.strip() and not any(x.startswith("error[") for x in lines), (op, forms)
+
+
+def test_the_envelope_argv_reaches_the_form_parser():
+    # the argv the fuzz test builds parses, and a form starting with -
+    # is read as a form
+    assert _envelope_run("1,2,3", "mul", ["-e[1,2]", "3/2*e[2,3]"]) == (0, "-3/2*e[1,2,3]\n", [])

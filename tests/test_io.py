@@ -316,6 +316,15 @@ class TestIdeals:
         with pytest.raises(ParseError):
             parse_ideal("vertices: 1, 2\n1\n")
 
+    @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n"])
+    def test_a_file_with_no_content_lines_is_refused(self, text):
+        with pytest.raises(ParseError, match=r"^<ideal>:1: empty ideal file$"):
+            parse_ideal(text)
+
+    def test_a_vertex_table_with_no_generators_is_the_zero_ideal(self):
+        ideal, table, given = parse_ideal("vertices: 1, 2\n")
+        assert (ideal.generators, table.labels, given) == ((), ("1", "2"), [])
+
 
 class TestComplexes:
     def test_parse_applies_closure_with_notes(self):

@@ -25,7 +25,7 @@ from finitary import envelope, scalars
 from finitary.automata import (
     _NO_BLOCK,
     _backward,
-    _compile_matcher,
+    _compile,
     _forward,
     _insertion_windows,
 )
@@ -138,7 +138,7 @@ def test_one_and_decides_every_insertion_and_every_pair():
     window W_s meets M[k] iff inserting k at gap s gives a word of the
     ideal; B(wb[1:]) & (F(wa) - START) is non-zero iff wa * wb is."""
     for n, gens in _generator_sets():
-        matcher = _compile_matcher(n, gens)
+        matcher = _compile(n, gens)
         start, masks, _ = matcher
         words = [w for grade in range(4) for w in basis_words(n, grade)]
         inside = {w: any(is_subsequence(gen, w) for gen in gens) for w in words}
