@@ -59,19 +59,21 @@ MAX_WORDS = 100_000
 def _compile(vertex_count: int, generators: Iterable):
     """The matcher (start, M by letter, LAST): the packed start state, the
     match mask M[k] of each letter k and the mask LAST of each block's top
-    bit.  A letter the dict lacks, one outside 0..vertex_count-1, matches
-    nothing."""
+    bit.  One running bit walks the letters of every generator in turn, so
+    a generator's block starts where the one before it ended.  A letter
+    the dict lacks, one outside 0..vertex_count-1, matches nothing."""
     masks = dict.fromkeys(range(vertex_count), 0)
-    start = last = offset = 0
-    for g in map(tuple, generators):
-        if len(g) < 2:
+    start, last, bit = 0, 0, 1
+    for g in generators:
+        first = bit
+        for letter in g:
+            if letter in masks:
+                masks[letter] |= bit
+            bit <<= 1
+        if bit < first << 2:
             raise ValueError("avoidance generators must have length >= 2")
-        for p, letter in enumerate(g):
-            if 0 <= letter < vertex_count:
-                masks[letter] |= 1 << (offset + p)
-        start |= 1 << offset
-        offset += len(g)
-        last |= 1 << (offset - 1)
+        start |= first
+        last |= bit >> 1
     return start, masks, last
 
 
@@ -167,12 +169,22 @@ def is_finite(vertex_count: int, generators: Iterable) -> bool:
     letter set is {a}, {b} or {a, b}.  An unblocked pair leaves the words
     abab... of every length.  An infinite language has an infinite word all
     of whose prefixes survive; the letters recurring in it, at least two,
-    embed every word spelled with them, so no pair of them is blocked.  A
-    generator with a letter outside 0..vertex_count-1 is never matched.
+    embed every word spelled with them, so no pair of them is blocked.
+
+    One loop builds the vertex mask of each generator's letter set; a
+    generator with a letter outside 0..vertex_count-1 is never matched and
+    is skipped, and the masks of at most two bits are kept.
     """
-    letters = set(range(vertex_count))
-    # the masks of the letter sets of at most two letters, all vertices
-    small = {sum(1 << k for k in g) for g in map(set, generators) if len(g) <= 2 and g <= letters}
+    small = set()
+    for g in generators:
+        mask = 0
+        for k in g:
+            if not 0 <= k < vertex_count:
+                break
+            mask |= 1 << k
+        else:
+            if mask.bit_count() <= 2:
+                small.add(mask)
     return all(
         not small.isdisjoint((1 << a, 1 << b, 1 << a | 1 << b))
         for a, b in combinations(range(vertex_count), 2)

@@ -198,10 +198,9 @@ def _cmd_topology(args) -> int:
     if args.dot:
         _write(fio.hasse_dot(diagram))
         return 0
-    print(f"points ({space.n}): " + ", ".join(space.labels))
-    print(f"edges ({len(diagram.edges)}):")
-    for lo, up in diagram.edges:
-        print(f"  {space.labels[lo]} < {space.labels[up]}")
+    lines = [f"points ({space.n}): " + ", ".join(space.labels), f"edges ({len(diagram.edges)}):"]
+    lines += [f"  {space.labels[lo]} < {space.labels[up]}" for lo, up in diagram.edges]
+    _write("\n".join(lines) + "\n")
     return 0
 
 

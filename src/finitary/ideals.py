@@ -31,7 +31,6 @@ from .envelope import (
     _form,
     _product_triples,
     is_subsequence,
-    word_key,
     word_validate,
 )
 
@@ -44,27 +43,30 @@ class BasicIdeal(Value):
     """Superword-closed span given by an antichain of generator words.
 
     The constructor normalizes: any input word that has another distinct
-    input word as a subsequence is redundant and dropped.  The retained
-    generators are sorted grade-major for reproducible output.
+    input word as a subsequence is redundant and dropped.  The generators
+    are sorted grade-major, then lexicographic, for reproducible output:
+    sorted() orders the distinct words as tuples, and a stable sort by
+    length makes the order grade-major.  The antichain filter keeps that
+    order, so the retained generators need no further sort.
     """
 
     __slots__ = ("vertex_count", "generators", "_matcher")
 
     def __init__(self, vertex_count: int, generators: Iterable = ()):
-        words = {word_validate(g, vertex_count) for g in generators}
-        for w in words:
-            if w.grade == 0:
-                raise GradeZeroGenerator(
-                    f"generator {w!r} has grade 0; ideals must vanish in grade 0"
-                )
+        words = sorted({word_validate(g, vertex_count) for g in generators})
+        words.sort(key=len)
+        if words and words[0].grade == 0:
+            raise GradeZeroGenerator(
+                f"generator {words[0]!r} has grade 0; ideals must vanish in grade 0"
+            )
         # a distinct word can embed into w only if it is strictly shorter, and
         # subsequence is transitive, so each length is tested against the
         # words kept from shorter ones (the list is read before += extends it)
         kept: list[Word] = []
-        for _, group in groupby(sorted(words, key=len), len):
+        for _, group in groupby(words, len):
             kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "generators", tuple(sorted(kept, key=word_key)))
+        object.__setattr__(self, "generators", tuple(kept))
         object.__setattr__(self, "_matcher", None)  # filled by the first test
 
     def _key(self):

@@ -29,7 +29,7 @@ import re
 from .automata import MAX_WORDS
 from .complexes import SimplicialComplex, vertex_mask
 from .coarse import Covering
-from .envelope import Form, Word, word_validate
+from .envelope import Form, Word
 from .errors import FinitaryError, TooLarge, Value, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
@@ -137,8 +137,7 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
         if letter_toks == [""]:
             raise ParseError(source, line, "word with no letters", col)
         try:
-            letters = [table.index(t) for t in letter_toks]
-            word = word_validate(letters, table.n)
+            word = Word(map(table.index, letter_toks))
         except (ValueError, FinitaryError) as exc:
             raise ParseError(source, line, str(exc), col) from None
         terms.append((word, -coeff if signs.count("-") % 2 else coeff))
@@ -230,11 +229,27 @@ def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
 
 
 def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> Word:
-    toks = [t.strip() for t in line.split(",")]
+    """The word a line spells.  table.index returns only indices inside
+    the table, so no range check follows; Word refuses equal adjacent
+    letters."""
     try:
-        return word_validate([table.index(t) for t in toks], table.n)
+        return Word(map(table.index, map(str.strip, line.split(","))))
     except (ValueError, FinitaryError) as exc:
         raise ParseError(source, lineno, str(exc)) from None
+
+
+def _generators(entries, source: str, table: VertexTable) -> list[Word]:
+    """The generator words of an ideal block, one per content line, in file
+    order.  A one-letter word is refused at its own line: an ideal must
+    vanish in grade 0."""
+    words = []
+    for lineno, line in entries:
+        word = _parse_word_line(line, lineno, source, table)
+        if len(word) == 1:
+            grade_zero = f"generator e[{table.labels[word[0]]}] has grade 0"
+            raise ParseError(source, lineno, f"{grade_zero}; ideals must vanish in grade 0")
+        words.append(word)
+    return words
 
 
 def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
@@ -260,15 +275,12 @@ def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
     if block == "relation:":
         rel = Relation(table.n, _parse_pairs(entries, source, table))
         return Manifold.from_relation(rel, labels=table.labels)
-    words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
     if block == "words:":
-        if not words:
+        if not entries:
             raise ParseError(source, lineno, "words: block lists no words")
+        words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
         return Manifold(table.labels, words=words)
-    try:
-        ideal = BasicIdeal(table.n, words)
-    except FinitaryError as exc:
-        raise ParseError(source, lineno, str(exc)) from None
+    ideal = BasicIdeal(table.n, _generators(entries, source, table))
     return Manifold.from_ideal(ideal, labels=table.labels)
 
 
@@ -283,12 +295,8 @@ def parse_ideal(
     if not lines:
         raise ParseError(source, 1, "empty ideal file")
     table, entries = _table_and_entries(lines, source)
-    words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
-    try:
-        ideal = BasicIdeal(table.n, words)
-    except FinitaryError as exc:
-        raise ParseError(source, entries[0][0] if entries else 1, str(exc)) from None
-    return ideal, table, words
+    words = _generators(entries, source, table)
+    return BasicIdeal(table.n, words), table, words
 
 
 # -- complexes ---------------------------------------------------------------

@@ -165,10 +165,39 @@ def test_avoiding_words_agree_with_brute_force():
             assert got == [w for w in expected if len(w) <= grade + 1], (n, gens, grade)
 
 
+def reference_compile(vertex_count, generators):
+    """The matcher (start, M by letter, LAST), each block placed at an
+    offset and each letter at offset + its position."""
+    masks = dict.fromkeys(range(vertex_count), 0)
+    start = last = offset = 0
+    for g in map(tuple, generators):
+        if len(g) < 2:
+            raise ValueError("avoidance generators must have length >= 2")
+        for p, letter in enumerate(g):
+            if 0 <= letter < vertex_count:
+                masks[letter] |= 1 << (offset + p)
+        start |= 1 << offset
+        offset += len(g)
+        last |= 1 << (offset - 1)
+    return start, masks, last
+
+
+def reference_is_finite(vertex_count, generators):
+    """The pair criterion on the letter sets, as sets."""
+    letters = set(range(vertex_count))
+    small = {sum(1 << k for k in g) for g in map(set, generators) if len(g) <= 2 and g <= letters}
+    return all(
+        not small.isdisjoint((1 << a, 1 << b, 1 << a | 1 << b))
+        for a, b in itertools.combinations(range(vertex_count), 2)
+    )
+
+
 def cycle_search_longest(vertex_count, generators):
     """The longest word by a depth-first walk that also finds the language
-    infinite, by meeting a state again on its own path (a pumpable cycle)."""
-    matched, masks, last = automata._compile(vertex_count, generators)
+    infinite, by meeting a state again on its own path (a pumpable cycle).
+    It compiles with the reference, so it shares no code with is_finite
+    or _compile."""
+    matched, masks, last = reference_compile(vertex_count, generators)
     start = (automata._START, matched)
     longest = {start: None}
     stack = [[start, automata._successors(masks, last, start), 0]]
@@ -199,7 +228,7 @@ def outcome(f, *args):
         return type(exc)
 
 
-def test_finiteness_criterion_agrees_with_the_cycle_search():
+def finiteness_cases():
     rng = random.Random(19)
     for _ in range(3000):
         n = rng.randint(0, 5)
@@ -213,9 +242,26 @@ def test_finiteness_criterion_agrees_with_the_cycle_search():
             gens.append(rng.choice([(0, 0), (1, 1, 1)]))
         if rng.random() < 0.02:
             gens.append((0,))  # too short: ValueError from both
+        yield n, gens
+
+
+def test_finiteness_criterion_agrees_with_the_cycle_search():
+    for n, gens in finiteness_cases():
         assert outcome(longest_avoiding_word, n, gens) == outcome(
             cycle_search_longest, n, gens
         ), (n, gens)
+
+
+def test_matcher_and_criterion_agree_with_their_references():
+    rng = random.Random(23)
+    # 30 generators of 3 letters, some outside the vertices: 90 packed bits
+    three_letters = [(6, [tuple(rng.randint(-1, 6) for _ in range(3)) for _ in range(30)])]
+    for n, gens in itertools.chain(random_avoidance_cases(), finiteness_cases(), three_letters):
+        expected = outcome(reference_compile, n, gens)
+        assert outcome(automata._compile, n, gens) == expected, (n, gens)
+        # any iterable of generators, each any iterable of letters
+        assert outcome(automata._compile, n, (iter(g) for g in gens)) == expected, (n, gens)
+        assert automata.is_finite(n, gens) == reference_is_finite(n, gens), (n, gens)
 
 
 def test_one_letter_generator_blocks_its_letter():

@@ -18,6 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from finitary import io as fio, manifolds, verify_correspondence
 from finitary.cli import main
 
+from conftest import random_antisymmetric_relation
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -96,6 +98,26 @@ class TestIdeal:
         f.write_text("# no generators and no vertices\n")
         assert run(capsys, "ideal", "check", str(f)) == (
             2, "", "error[ParseError]: empty.ideal:1: empty ideal file\n"
+        )
+
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("ideal", "check"), "vertices: 1, 2, 3\n1, 2\n2, 3\n3\n"),
+            (("ideal", "reduce"), "vertices: 1, 2, 3\n# e[1] sorts first\n2, 3\n3\n1\n"),
+            (("topology", "hasse"), "vertices: 1, 2, 3\nideal:\n1, 2\n3\n"),
+        ],
+        ids=["check", "reduce", "ideal-block"],
+    )
+    def test_a_grade_zero_generator_is_named_at_its_own_line(self, capsys, tmp_path, argv, text):
+        # the first one-letter generator, in the file's labels, at its line
+        f = tmp_path / "g0.ideal"
+        f.write_text(text)
+        extra = ("e[1,2]",) if argv[1] == "reduce" else ()
+        assert run(capsys, *argv, str(f), *extra) == (
+            2, "", "error[ParseError]: g0.ideal:4: generator e[3] has grade 0; "
+            "ideals must vanish in grade 0\n"
         )
 
 
@@ -608,6 +630,32 @@ def test_relation_path_stdout_is_pinned(capsys, tmp_path, name, command):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha1(out.encode()).hexdigest() == RELATION_STDOUT_SHA1[name, command]
+
+
+@pytest.mark.parametrize("op, opts", [("hasse", ()), ("hasse", ("--dot",)), ("json", ())])
+def test_the_ideal_route_prints_what_the_relation_route_prints(capsys, tmp_path, op, opts):
+    # the network manifold of an antisymmetric relation is the complement
+    # of the ideal its unrelated ordered pairs generate
+    rng = random.Random(39)
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        rel = random_antisymmetric_relation(rng, n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        relation = tmp_path / "r.relation"
+        relation.write_text(
+            "\n".join([f"n {n}"] + [f"{i + 1} <= {j + 1}" for i, j in pairs if rel.holds(i, j)])
+            + "\n"
+        )
+        ideal = tmp_path / "r.manifold"
+        ideal.write_text(
+            "\n".join(
+                ["vertices: " + ", ".join(str(v + 1) for v in range(n)), "ideal:"]
+                + [f"{i + 1}, {j + 1}" for i, j in pairs if not rel.holds(i, j)]
+            )
+            + "\n"
+        )
+        outputs = [run(capsys, "topology", op, str(f), *opts) for f in (relation, ideal)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1], (n, rel)
 
 
 # every demo complex has one-character labels; this one's cells join with
