@@ -51,7 +51,6 @@ from .coarse import (
     STANDARD_CIRCLE_EXTRA_POINTS,
     UncoveredPoint,
     circle_covering,
-    sample,
     sampled_substitute,
     simplicial_substitute,
     trace_substitute,
@@ -102,7 +101,6 @@ __all__ = [
     "members",
     "open_sets",
     "poset_isomorphic",
-    "sample",
     "sampled_substitute",
     "simplicial_substitute",
     "trace_substitute",

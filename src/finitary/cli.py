@@ -2,7 +2,9 @@
 
 Each ``finitary COMMAND OP`` has a parser of its own, which declares
 exactly the arguments the op reads: a missing argument, or one the op
-does not read, is a usage error, refused before any file is read.
+does not read, is a usage error, refused before any file is read.  An op
+is one function plus one ``op(name, fn, *parents)`` line in build_parser;
+the op's parser binds the function, which main runs.
 
 Exit codes: 0 success / verification passed, 1 verification failed (the
 witness is printed), 2 malformed or inadmissible input, a command line the
@@ -114,48 +116,52 @@ def _print_space(space, as_json: bool) -> None:
         print(f"  {space.labels[x]}: {points}")
 
 
-# -- subcommands -------------------------------------------------------------
+# -- ops ---------------------------------------------------------------------
+# One function per op, run by main with the parsed arguments: it returns
+# the exit code of a check, or nothing once its output is printed.
 
-def _cmd_envelope(args) -> int:
+def _forms(args):
+    """The vertex table of --vertices and the forms read over it."""
     table = fio.parse_vertex_table(args.vertices)
-    forms = [fio.parse_form(text, table) for text in args.form]
-    if args.op == "d":
-        result = differential(forms[0], table.n)
-        print(fio.print_form(result, table))
-    elif args.op == "mul":
-        print(fio.print_form(form_product(forms[0], forms[1]), table))
-    else:
-        print(str(inner(forms[0], forms[1])))
-    return 0
+    return table, [fio.parse_form(text, table) for text in args.form]
 
 
-def _cmd_ideal(args) -> int:
-    text, name = _read(args.file)
-    ideal, table, given = fio.parse_ideal(text, source=name)
-    if args.op == "check":
-        print("vertices: " + ", ".join(table.labels))
-        gens = ", ".join(fio.print_form(Form.word(g), table) for g in ideal.generators)
-        print(f"generators (antichain): {gens if gens else '(none)'}")
-        dropped = sorted(set(given) - set(ideal.generators), key=lambda w: (len(w), w))
-        for w in dropped:
-            print("dropped (redundant): " + fio.print_form(Form.word(w), table))
-        print("ok")
-        return 0
+def _envelope_d(args) -> None:
+    table, (form,) = _forms(args)
+    print(fio.print_form(differential(form, table.n), table))
+
+
+def _envelope_mul(args) -> None:
+    table, (f, g) = _forms(args)
+    print(fio.print_form(form_product(f, g), table))
+
+
+def _envelope_inner(args) -> None:
+    _, (f, g) = _forms(args)
+    print(inner(f, g))
+
+
+def _ideal_check(args) -> None:
+    ideal, table, given = fio.parse_ideal(*_read(args.file))
+    print("vertices: " + ", ".join(table.labels))
+    gens = ", ".join(fio.print_form(Form.word(g), table) for g in ideal.generators)
+    print(f"generators (antichain): {gens if gens else '(none)'}")
+    for w in sorted(set(given) - set(ideal.generators), key=lambda w: (len(w), w)):
+        print("dropped (redundant): " + fio.print_form(Form.word(w), table))
+    print("ok")
+
+
+def _ideal_reduce(args) -> None:
+    ideal, table, _ = fio.parse_ideal(*_read(args.file))
     form = fio.parse_form(args.form, table)
     print(fio.print_form(ideal.reduce(form), table))
-    return 0
 
 
-def _cmd_manifold(args) -> int:
+def _manifold_info(args) -> None:
     m = _load_manifold(args.file)
-    if args.op == "check":
-        return _verdict(m.check_structure())
-    if args.op == "dim":
-        print(_dimension(m))
-        return 0
-    # info: enumerate before the first print, so a refusal leaves stdout
-    # empty; a finite family is listed first, and its dimension read off
-    # the last grade without a second walk of the automaton
+    # enumerate before the first print, so a refusal leaves stdout empty;
+    # a finite family is listed first, and its dimension read off the last
+    # grade without a second walk of the automaton
     kind = (
         f"explicit ({sum(1 for _ in m.words())} words)"
         if m.is_explicit
@@ -175,72 +181,82 @@ def _cmd_manifold(args) -> int:
     print(f"network: {network}")
     if unlisted:
         print("words: pass --max-grade to enumerate")
-        return 0
+        return
     print("words:")
     for g in sorted(by_grade):
         print(f"  grade {g}: " + ", ".join(by_grade[g]))
-    return 0
 
 
-def _cmd_topology(args) -> int:
-    m = _load_manifold(args.file)
-    space = generated_space(m)
-    if args.op == "json":
-        _write(fio.space_json(space))
-        return 0
-    if args.op == "open-sets":
-        opens = open_sets(space)
-        print(f"open sets ({len(opens)}):")
-        for u in opens:
-            print("  {" + ", ".join(space.labels[x] for x in members(u)) + "}")
-        return 0
+def _manifold_check(args) -> int:
+    return _verdict(_load_manifold(args.file).check_structure())
+
+
+def _manifold_dim(args) -> None:
+    print(_dimension(_load_manifold(args.file)))
+
+
+def _topology_hasse(args) -> None:
+    space = generated_space(_load_manifold(args.file))
     diagram = hasse(space)
     if args.dot:
         _write(fio.hasse_dot(diagram))
-        return 0
+        return
     lines = [f"points ({space.n}): " + ", ".join(space.labels), f"edges ({len(diagram.edges)}):"]
     lines += [f"  {space.labels[lo]} < {space.labels[up]}" for lo, up in diagram.edges]
     _write("\n".join(lines) + "\n")
-    return 0
 
 
-def _cmd_substitute(args) -> int:
-    if args.op == "circle":
-        covering = circle_covering(
-            STANDARD_CIRCLE_ARCS,
-            samples=args.samples,
-            extra_points=STANDARD_CIRCLE_EXTRA_POINTS,
-        )
-        space, class_of = trace_substitute(covering)
-        arcs, angles = len(covering.cover_labels), len(covering.point_labels)
-        print(f"arcs: {arcs}, sampled angles: {angles}")
-        print(f"classes ({space.n}):")
-        for x in range(space.n):
-            trace = covering.traces[class_of.index(x)]
-            names = ",".join(covering.cover_labels[i] for i in members(trace))
-            print(f"  {space.labels[x]}: trace {{{names}}}")
-        if args.json:
-            _write(fio.space_json(space))
-        return 0
-    if args.op == "trace":
-        covering = fio.parse_covering(*_read(args.file))
-        space, _ = trace_substitute(covering)
-        _print_space(space, args.json)
-        return 0
+def _topology_open_sets(args) -> None:
+    space = generated_space(_load_manifold(args.file))
+    opens = open_sets(space)
+    print(f"open sets ({len(opens)}):")
+    for u in opens:
+        print("  {" + ", ".join(space.labels[x] for x in members(u)) + "}")
+
+
+def _topology_json(args) -> None:
+    _write(fio.space_json(generated_space(_load_manifold(args.file))))
+
+
+def _complex(args):
+    """The complex of FILE; each face the reader added is noted on stderr."""
     complex_, notes = fio.parse_complex(*_read(args.file))
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    if args.op == "simplicial":
-        space = simplicial_substitute(complex_)
-    else:
-        space = sampled_substitute(complex_, args.per_cell, args.seed)
-        print(f"per_cell: {args.per_cell}")
-        print(f"seed: {args.seed}")
+    return complex_
+
+
+def _substitute_simplicial(args) -> None:
+    _print_space(simplicial_substitute(_complex(args)), args.json)
+
+
+def _substitute_sampled(args) -> None:
+    space = sampled_substitute(_complex(args), args.per_cell, args.seed)
+    print(f"per_cell: {args.per_cell}")
+    print(f"seed: {args.seed}")
     _print_space(space, args.json)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _substitute_circle(args) -> None:
+    covering = circle_covering(STANDARD_CIRCLE_ARCS, args.samples, STANDARD_CIRCLE_EXTRA_POINTS)
+    space, class_of = trace_substitute(covering)
+    arcs, angles = len(covering.cover_labels), len(covering.point_labels)
+    print(f"arcs: {arcs}, sampled angles: {angles}")
+    print(f"classes ({space.n}):")
+    for x in range(space.n):
+        trace = covering.traces[class_of.index(x)]
+        names = ",".join(covering.cover_labels[i] for i in members(trace))
+        print(f"  {space.labels[x]}: trace {{{names}}}")
+    if args.json:
+        _write(fio.space_json(space))
+
+
+def _substitute_trace(args) -> None:
+    space, _ = trace_substitute(fio.parse_covering(*_read(args.file)))
+    _print_space(space, args.json)
+
+
+def _verify_correspondence(args) -> int:
     m = _load_manifold(args.file)
     return _verdict(verify_correspondence(m, per_cell=args.per_cell, seed=args.seed), args.json)
 
@@ -248,7 +264,8 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The table of commands: one parser per op of each command, declaring
     exactly the arguments the op reads, so argparse refuses a missing or a
-    surplus argument before any file is read.  FILE, --json and the
+    surplus argument before any file is read.  An op is one function plus
+    one ``op(name, fn, *parents)`` line here.  FILE, --json and the
     sampling pair --per-cell/--seed are declared once each, as parents."""
     file, as_json, sampling = (_Parser(add_help=False) for _ in range(3))
     file.add_argument("file")
@@ -262,41 +279,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, fn, summary: str):
-        """The command's parser, run by fn; returns the maker of its ops."""
-        p = commands.add_parser(name, help=summary)
-        p.set_defaults(fn=fn)
-        ops = p.add_subparsers(dest="op", required=True)
-        return lambda op, *parents: ops.add_parser(op, parents=parents)
+    def command(name: str, summary: str):
+        """The command's parser; returns the maker of its ops, each run by
+        its own function fn."""
+        ops = commands.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
 
-    op = command("envelope", _cmd_envelope, "operate on forms of the free calculus")
-    for name, count in (("d", 1), ("mul", 2), ("inner", 2)):
-        p = op(name)
+        def op(name: str, fn, *parents):
+            p = ops.add_parser(name, parents=parents)
+            p.set_defaults(fn=fn)
+            return p
+
+        return op
+
+    op = command("envelope", "operate on forms of the free calculus")
+    for name, fn, count in (
+        ("d", _envelope_d, 1),
+        ("mul", _envelope_mul, 2),
+        ("inner", _envelope_inner, 2),
+    ):
+        p = op(name, fn)
         p.add_argument("form", nargs=count, help="form expression, e.g. 'e[1,2] - e[2,1]'")
         p.add_argument("--vertices", required=True, help="comma-separated vertex labels")
 
-    op = command("ideal", _cmd_ideal, "validate or apply a generator file")
-    op("check", file)
-    op("reduce", file).add_argument("form", help="form expression")
+    op = command("ideal", "validate or apply a generator file")
+    op("check", _ideal_check, file)
+    op("reduce", _ideal_reduce, file).add_argument("form", help="form expression")
 
-    op = command("manifold", _cmd_manifold, "inspect a manifold or relation file")
-    op("info", file).add_argument("--max-grade", type=non_negative)
-    op("check", file)
-    op("dim", file)
+    op = command("manifold", "inspect a manifold or relation file")
+    op("info", _manifold_info, file).add_argument("--max-grade", type=non_negative)
+    op("check", _manifold_check, file)
+    op("dim", _manifold_dim, file)
 
-    op = command("topology", _cmd_topology, "the generated space of a manifold")
-    op("hasse", file).add_argument("--dot", action="store_true")
-    op("open-sets", file)
-    op("json", file)
+    op = command("topology", "the generated space of a manifold")
+    op("hasse", _topology_hasse, file).add_argument("--dot", action="store_true")
+    op("open-sets", _topology_open_sets, file)
+    op("json", _topology_json, file)
 
-    op = command("substitute", _cmd_substitute, "finitary substitutes of coverings")
-    op("simplicial", file, as_json)
-    op("sampled", file, sampling, as_json)
-    op("circle", as_json).add_argument("--samples", type=positive, default=4096)
-    op("trace", file, as_json)
+    op = command("substitute", "finitary substitutes of coverings")
+    op("simplicial", _substitute_simplicial, file, as_json)
+    op("sampled", _substitute_sampled, file, sampling, as_json)
+    op("circle", _substitute_circle, as_json).add_argument("--samples", type=positive, default=4096)
+    op("trace", _substitute_trace, file, as_json)
 
-    op = command("verify", _cmd_verify, "check the correspondence of the three spaces")
-    op("correspondence", file, sampling, as_json)
+    op = command("verify", "check the correspondence of the three spaces")
+    op("correspondence", _verify_correspondence, file, sampling, as_json)
     return parser
 
 
@@ -310,7 +336,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        code = args.fn(args)
+        code = args.fn(args) or 0
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except FinitaryError as exc:

@@ -140,24 +140,20 @@ def simplicial_substitute(p: SimplicialComplex) -> FiniteSpace:
     return FiniteSpace._lazy(p.cell_labels, p.simplices, facets)
 
 
-def sample(p: SimplicialComplex, per_cell: int, seed: int) -> list[list[tuple[int, ...]]]:
+def _draws(p: SimplicialComplex, per_cell: int, seed: int) -> Iterator[list[tuple[int, ...]]]:
     """Deterministic strictly interior samples of every open cell of p.
 
-    Returns one list per simplex of p, in canonical cell order, of per_cell
+    Yields one list per simplex of p, in canonical cell order, of per_cell
     tuples of positive integer numerators, one per vertex of the cell in
     vertex order: a vertex's barycentric weight is its numerator over the
     tuple's sum, so the weights sum exactly to 1.  One generator, seeded
     from a string built from `seed`, draws the cells in order, each cell's
     numerators as the 10-bit fields of one getrandbits call plus 1 (so
     from 1 to 1024).  A cell's draws thus depend on its position in p:
-    independent and reproducible for a given (p, per_cell, seed).
+    independent and reproducible for a given (p, per_cell, seed).  A list
+    is drawn as it is read, so a caller that reads each cell once holds no
+    more than one cell's draws.
     """
-    return list(_draws(p, per_cell, seed))
-
-
-def _draws(p: SimplicialComplex, per_cell: int, seed: int) -> Iterator[list[tuple[int, ...]]]:
-    """sample's lists, one cell's at a time as it is drawn, so a caller that
-    reads each cell once holds no more than one cell's draws."""
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
     rng = random.Random(f"sample:{seed}")
@@ -173,7 +169,7 @@ def sampled_substitute(
 ) -> FiniteSpace:
     """Numerical enactment of the star coarse graining.
 
-    Draws per_cell interior points in every open cell (sample's draws, read
+    Draws per_cell interior points in every open cell (the draws of _draws, read
     a cell at a time; one generator for the whole complex); a point's trace
     is its support, the vertices of positive weight, which are the vertex
     stars holding it: the cell when the draw has one positive numerator per

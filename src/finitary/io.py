@@ -91,12 +91,18 @@ def parse_vertex_table(
         raise ParseError(source, line, str(exc)) from None
 
 
-def _content_lines(text: str):
+def _content_lines(text: str, source: str, what: str) -> list[tuple[int, str]]:
+    """The (line number, stripped line) pairs of the lines that are neither
+    blank nor a ``#`` comment; a file with none is refused as an empty
+    ``what`` file."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    if not lines:
+        raise ParseError(source, 1, f"empty {what} file")
+    return lines
 
 
 # -- forms -----------------------------------------------------------------
@@ -172,9 +178,7 @@ def print_form(f: Form, table: VertexTable) -> str:
 # -- relations ---------------------------------------------------------------
 
 def parse_relation(text: str, source: str = "<relation>") -> Relation:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(source, 1, "empty relation file")
+    lines = _content_lines(text, source, "relation")
     return _relation(lines, source)
 
 
@@ -255,9 +259,7 @@ def _generators(entries, source: str, table: VertexTable) -> list[Word]:
 def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
     """A manifold file, or a relation file (first content line ``n`` or
     ``n ...``) read as the network manifold of its relation."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(source, 1, "empty manifold file")
+    lines = _content_lines(text, source, "manifold")
     lineno, first = lines[0]
     if first == "n" or first.startswith("n "):
         return Manifold.from_relation(_relation(lines, source))
@@ -291,9 +293,7 @@ def parse_ideal(
 ) -> tuple[BasicIdeal, VertexTable, list[Word]]:
     """Returns the normalized ideal, the vertex table and the words as
     given (so callers can report dropped redundant generators)."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(source, 1, "empty ideal file")
+    lines = _content_lines(text, source, "ideal")
     table, entries = _table_and_entries(lines, source)
     words = _generators(entries, source, table)
     return BasicIdeal(table.n, words), table, words
@@ -305,9 +305,7 @@ def parse_complex(
     text: str, source: str = "<complex>"
 ) -> tuple[SimplicialComplex, list[str]]:
     """Returns the complex and human-readable notes about added faces."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(source, 1, "empty complex file")
+    lines = _content_lines(text, source, "complex")
     table, entries = _table_and_entries(lines, source)
     simplices = []
     for lno, line in entries:
@@ -330,8 +328,8 @@ def parse_complex(
 # -- coverings ---------------------------------------------------------------
 
 def parse_covering(text: str, source: str = "<covering>") -> Covering:
-    lines = list(_content_lines(text))
-    if not lines or not lines[0][1].startswith("covers:"):
+    lines = _content_lines(text, source, "covering")
+    if not lines[0][1].startswith("covers:"):
         raise ParseError(source, 1, "covering file must start with 'covers:'")
     lineno, header = lines[0]
     cover_labels = [t.strip() for t in header.split(":", 1)[1].split(",") if t.strip()]

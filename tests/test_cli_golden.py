@@ -1,6 +1,7 @@
 """Byte-identical CLI output: stdout, stderr and exit code of every
-subcommand form over each demos/data file, and of `substitute circle`
-with and without --json, against a recorded transcript.
+subcommand form over each demos/data file, and of the `envelope` ops and
+`substitute circle` (with and without --json), against a recorded
+transcript.
 
 The transcript is cli_golden.json next to this file.  To record it again
 after a deliberate change of output, run from the repository root:
@@ -8,6 +9,7 @@ after a deliberate change of output, run from the repository root:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import argparse
 import functools
 import io
 import json
@@ -44,7 +46,13 @@ FILE_FORMS = (
     "verify correspondence {} --per-cell 1 --seed 5",
     "verify correspondence {} --json",
 )
-PLAIN_FORMS = ("substitute circle", "substitute circle --json")
+PLAIN_FORMS = (
+    "envelope d e[1,2] --vertices 1,2,3",
+    "envelope mul e[1,2] e[2,3] --vertices 1,2,3",
+    "envelope inner e[1,2]+e[2,3] e[2,3] --vertices 1,2,3",
+    "substitute circle",
+    "substitute circle --json",
+)
 
 
 def cases() -> list[tuple[str, str | None]]:
@@ -84,6 +92,18 @@ def _recorded() -> dict:
 
 def test_transcript_covers_every_case():
     assert sorted(_recorded(), key=str) == sorted(cases(), key=str)
+
+
+def test_transcript_runs_every_op():
+    # every (command, op) pair of the parser has a form in the transcript,
+    # so an op cannot land without its output pinned
+    def choices(parser):
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    ops = {(c, o) for c, p in choices(cli.build_parser()).items() for o in choices(p)}
+    assert len(ops) == 16
+    assert ops - {tuple(form.split()[:2]) for form, _ in _recorded()} == set()
 
 
 @pytest.mark.parametrize("form,name", cases(), ids=str)

@@ -20,7 +20,6 @@ from finitary import (
     is_t0,
     members,
     poset_isomorphic,
-    sample,
     sampled_substitute,
     simplicial_substitute,
     trace_substitute,
@@ -280,7 +279,7 @@ class TestSampling:
         # per_cell draws per cell, in cell order, each one numerator from 1
         # to 1024 per carrier vertex; the weights are the numerators over
         # their sum, so they sum to 1 and are positive
-        draws = sample(BOUNDARY_TRIANGLE, per_cell=10, seed=5)
+        draws = list(coarse._draws(BOUNDARY_TRIANGLE, per_cell=10, seed=5))
         assert len(draws) == len(BOUNDARY_TRIANGLE)
         for sigma, cell_draws in zip(BOUNDARY_TRIANGLE.simplices, draws):
             assert len(cell_draws) == 10
@@ -290,18 +289,18 @@ class TestSampling:
 
     def test_per_cell_below_one_rejected(self):
         with pytest.raises(ValueError, match="per_cell must be at least 1"):
-            sample(BOUNDARY_TRIANGLE, per_cell=0, seed=0)
+            list(coarse._draws(BOUNDARY_TRIANGLE, per_cell=0, seed=0))
 
     def test_sampling_is_deterministic(self):
-        a = sample(BOUNDARY_TRIANGLE, per_cell=4, seed=3)
-        b = sample(BOUNDARY_TRIANGLE, per_cell=4, seed=3)
+        a = list(coarse._draws(BOUNDARY_TRIANGLE, per_cell=4, seed=3))
+        b = list(coarse._draws(BOUNDARY_TRIANGLE, per_cell=4, seed=3))
         assert a == b
 
     def test_sample_weights_are_pinned(self):
         # The generator is seeded from a string, not from hash(), so these
         # exact draws (on the edge 12, weights 731/1709, 978/1709 and
         # 695/1370, 675/1370) hold on every interpreter.
-        assert sample(BOUNDARY_TRIANGLE, per_cell=2, seed=5) == [
+        assert list(coarse._draws(BOUNDARY_TRIANGLE, per_cell=2, seed=5)) == [
             [(986,), (561,)],
             [(126,), (148,)],
             [(758,), (956,)],

@@ -3,7 +3,6 @@
 import ast
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,19 +49,20 @@ def test_too_large_is_one_class():
 
 
 def test_every_export_has_a_caller():
-    # A public name must be used by the library, a demo or the benchmark,
-    # not only by tests: its own definition line does not count.
+    # A public name must be used in the code of the library, a demo or the
+    # benchmark, not only by tests: a name or an attribute read counts; a
+    # definition, an assignment, a docstring or a comment does not.
     package = ROOT / "src" / "finitary"
     files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
-    texts = [p.read_text() for p in files]
-    unused = []
-    for name in finitary.__all__:
-        definition = re.compile(rf"^\s*(?:def|class)\s+{name}\b|^{name}\s*[:=]", re.M)
-        use = re.compile(rf"\b{name}\b")
-        if not any(use.search(definition.sub("", t)) for t in texts):
-            unused.append(name)
-    assert unused == []
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert sorted(set(finitary.__all__) - used) == []
 
 
 def test_every_module_import_is_used():

@@ -318,8 +318,16 @@ class TestIdeals:
 
     @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n"])
     def test_a_file_with_no_content_lines_is_refused(self, text):
-        with pytest.raises(ParseError, match=r"^<ideal>:1: empty ideal file$"):
-            parse_ideal(text)
+        # every file reader, each naming its own kind of file
+        for parse, what in (
+            (parse_relation, "relation"),
+            (parse_manifold, "manifold"),
+            (parse_ideal, "ideal"),
+            (parse_complex, "complex"),
+            (parse_covering, "covering"),
+        ):
+            with pytest.raises(ParseError, match=rf"^<{what}>:1: empty {what} file$"):
+                parse(text)
 
     def test_a_vertex_table_with_no_generators_is_the_zero_ideal(self):
         ideal, table, given = parse_ideal("vertices: 1, 2\n")

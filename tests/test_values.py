@@ -23,11 +23,11 @@ from finitary import (
     circle_covering,
     generated_space,
     members,
-    sample,
     sampled_substitute,
     trace_substitute,
     verify_correspondence,
 )
+from finitary.coarse import _draws
 from finitary.complexes import vertex_mask
 from finitary.errors import Value
 from finitary.io import VertexTable
@@ -226,7 +226,7 @@ class TestAssembledValues:
         for seed, m in enumerate(self._manifolds()):
             p = m.to_simplicial()
             labels, traces = [], []
-            for cell, label, draws in zip(p.simplices, p.cell_labels, sample(p, 2, seed)):
+            for cell, label, draws in zip(p.simplices, p.cell_labels, _draws(p, 2, seed)):
                 for j, numerators in enumerate(draws):
                     labels.append(f"{label}#{j}")
                     support = [v for v, a in zip(members(cell), numerators) if a > 0]
