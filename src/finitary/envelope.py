@@ -27,7 +27,12 @@ adds, multiplies and compares integers from start to end.  items(), repr
 and inner alone build the Words and GaussianRationals a caller reads, each
 scalar wrapping a triple as it is (scalars._exact); Form(...) and scalar
 * read a scalar's triple through scalars._triple, the coercion rule of
-every scalar operator.
+every scalar operator.  Form(...) then ends in _summed, which adds the
+triples of equal words by scalars._plus and reduces each sum once; the
+form reader (io.parse_form) hands _summed the letter tuples and literal
+triples it reads, so a form read from text builds no scalar and no
+checked Word, and keeps one check, _distinct_neighbours, which Word
+makes too.
 differential and form_product keep, for each output word, one
 unnormalized triple of the sum so far: the first contribution is stored
 as it comes, and each further one is added by scalars._plus, the
@@ -88,16 +93,10 @@ class Word(tuple):
         letters = tuple(letters)
         if not letters:
             raise EmptyWord("a basis word needs at least one letter")
-        prev = None
-        for pos, letter in enumerate(letters):
+        for letter in letters:
             if not isinstance(letter, int) or isinstance(letter, bool) or letter < 0:
                 raise IndexOutOfRange(f"letter {letter!r} is not a vertex index")
-            if letter == prev:
-                raise EqualAdjacentLetters(
-                    f"equal adjacent letters at positions {pos - 1},{pos} in {letters}"
-                )
-            prev = letter
-        return super().__new__(cls, letters)
+        return super().__new__(cls, _distinct_neighbours(letters))
 
     @property
     def grade(self) -> int:
@@ -105,6 +104,19 @@ class Word(tuple):
 
     def __repr__(self):
         return "e(" + ",".join(str(i) for i in self) + ")"
+
+
+def _distinct_neighbours(letters: Iterable[int]) -> tuple[int, ...]:
+    """The tuple of the letters, refused (EqualAdjacentLetters) when two
+    neighbours are equal: the one check a letter sequence read from text
+    needs, since a vertex table gives only vertex indices."""
+    letters = tuple(letters)
+    for pos in range(1, len(letters)):
+        if letters[pos] == letters[pos - 1]:
+            raise EqualAdjacentLetters(
+                f"equal adjacent letters at positions {pos - 1},{pos} in {letters}"
+            )
+    return letters
 
 
 def _word(letters: tuple[int, ...]) -> Word:
@@ -184,16 +196,13 @@ class Form(Value):
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc: dict[Word, _Triple] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for w, c in items:
-            if not isinstance(w, Word):
-                w = Word(w)
-            # what _triple does not admit, the constructor refuses (TypeError)
-            u = _triple(c) or GaussianRational(c)._t
-            t = acc.get(w)
-            acc[w] = u if t is None else _plus(t, *u)
-        _set_terms(self, _built(acc.items())._terms)
+        # what _triple does not admit, the constructor refuses (TypeError)
+        pairs = (
+            (w if isinstance(w, Word) else Word(w), _triple(c) or GaussianRational(c)._t)
+            for w, c in items
+        )
+        _set_terms(self, _summed(pairs)._terms)
 
     @classmethod
     def word(cls, letters, coeff=1) -> "Form":
@@ -284,6 +293,17 @@ def _built(triples: Iterable[tuple[tuple[int, ...], _Triple]]) -> Form:
     """The Form of (letters, (re, im, den)) pairs, den > 0, not reduced:
     each non-zero triple reduced, the zero sums dropped."""
     return _form({w: _reduced(t) for w, t in triples if t[0] or t[1]})
+
+
+def _summed(pairs: Iterable[tuple[tuple[int, ...], _Triple]]) -> Form:
+    """The Form of (letters, (re, im, den)) pairs, den > 0, reduced or not:
+    the triples of equal letters added by _plus, each sum reduced once by
+    _built."""
+    acc: dict[tuple[int, ...], _Triple] = {}
+    for w, u in pairs:
+        t = acc.get(w)
+        acc[w] = u if t is None else _plus(t, *u)
+    return _built(acc.items())
 
 
 ZERO_FORM = Form()

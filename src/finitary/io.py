@@ -7,7 +7,11 @@ so that identical inputs give byte-identical output.  Formats:
   form      ``3/2*e[1,2] - e[2,1] + (1+2i)*e[3]``: terms ``coeff*e[labels]``,
             each but the first after a run of signs (the parity of its
             ``-`` is the sign), the coefficient bare or in parentheses;
-            ``0`` is the zero form
+            ``0`` is the zero form.  Each term is read straight into
+            the term dict a Form holds: its letter tuple from the vertex
+            table and its coefficient as the reduced triple
+            scalars._literal reads, so no scalar and no checked Word is
+            built; envelope._summed adds the terms
   relation  header ``n <count>``, then one ``i <= j`` line per pair
   manifold  ``vertices:`` line, then a ``relation:``, ``words:`` or
             ``ideal:`` block (one entry per line); or a relation file,
@@ -29,11 +33,11 @@ import re
 from .automata import MAX_WORDS
 from .complexes import SimplicialComplex, vertex_mask
 from .coarse import Covering
-from .envelope import Form, Word
-from .errors import FinitaryError, TooLarge, Value, members
+from .envelope import Form, Word, _distinct_neighbours, _summed, _word
+from .errors import FinitaryError, TooLarge, Value, _restore, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _literal
 from .topology import FiniteSpace, HasseDiagram
 
 
@@ -108,9 +112,10 @@ def _content_lines(text: str, source: str, what: str) -> list[tuple[int, str]]:
 # -- forms -----------------------------------------------------------------
 
 # one term: a sign run (its parity is the sign; required before every term
-# but the first), an optional coefficient, bare or in parentheses, with its
-# '*', and the word; spaces may follow the sign run and the word
-_TERM = re.compile(r"([+-]*)\s*(?:(\([^()]*\)|[^\s*\[\]()+-][^*\[\]()+-]*)\*)?e\[([^\]]*)\]\s*")
+# but the first), an optional coefficient, bare or in parentheses (the
+# text inside them is group 3), with its '*', and the word; spaces may
+# follow the sign run and the word
+_TERM = re.compile(r"([+-]*)\s*(?:(\(([^()]*)\)|[^\s*\[\]()+-][^*\[\]()+-]*)\*)?e\[([^\]]*)\]\s*")
 
 
 def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int = 1) -> Form:
@@ -119,35 +124,31 @@ def parse_form(text: str, table: VertexTable, source: str = "<form>", line: int 
         raise ParseError(source, line, "empty form expression")
     if body == "0":
         return Form()
-    terms, pos = [], 0
+    pairs, pos = [], 0
     while pos < len(body):
         match = _TERM.match(body, pos)
         if match is None or (pos and not match[1]):
             rest = repr(body[pos:pos + 30]) + ("..." if len(body) > pos + 30 else "")
             raise ParseError(source, line, f"cannot parse the form from {rest}", pos + 1)
-        signs, coef_tok, word_tok = match.groups()
+        signs, coef_tok, inner, word_tok = match.groups()
         col, pos = match.end(1) + 1, match.end()
         if coef_tok is None:
-            coeff = GaussianRational(1)
+            t = 1, 0, 1
         else:
-            tok = coef_tok.strip()
-            if tok.startswith("(") and tok.endswith(")"):
-                tok = tok[1:-1]
             try:
-                coeff = GaussianRational.parse(tok)
+                t = _literal(coef_tok if inner is None else inner)
             except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    source, line, f"bad coefficient {coef_tok!r}", col
-                ) from None
-        letter_toks = [t.strip() for t in word_tok.split(",")]
-        if letter_toks == [""]:
+                raise ParseError(source, line, f"bad coefficient {coef_tok!r}", col) from None
+        if not word_tok.strip():
             raise ParseError(source, line, "word with no letters", col)
         try:
-            word = Word(map(table.index, letter_toks))
+            letters = _distinct_neighbours(map(table.index, map(str.strip, word_tok.split(","))))
         except (ValueError, FinitaryError) as exc:
             raise ParseError(source, line, str(exc), col) from None
-        terms.append((word, -coeff if signs.count("-") % 2 else coeff))
-    return Form(terms)
+        if signs.count("-") & 1:
+            t = -t[0], -t[1], t[2]
+        pairs.append((letters, t))
+    return _summed(pairs)
 
 
 def _coeff_prefix(c: GaussianRational) -> tuple[int, str]:
@@ -197,7 +198,9 @@ def _relation(lines, source: str) -> Relation:
         raise ParseError(source, lineno, "vertex count must be at least 1")
     if n > MAX_WORDS:  # its n singletons are already too many words
         raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
-    table = VertexTable(str(i + 1) for i in range(n))
+    # the labels 1..n are distinct and valid by construction
+    labels = tuple(map(str, range(1, n + 1)))
+    table = _restore(VertexTable, (labels, dict(zip(labels, range(n)))))
     return Relation(n, _parse_pairs(lines[1:], source, table))
 
 
@@ -205,11 +208,11 @@ def _parse_pairs(entries, source: str, table: VertexTable) -> list[tuple[int, in
     """One ``i <= j`` pair per content line, as vertex indices."""
     pairs = []
     for lineno, line in entries:
-        if "<=" not in line:
+        left, sep, right = line.partition("<=")
+        if not sep:
             raise ParseError(source, lineno, f"expected 'i <= j', got {line!r}")
-        left, right = (s.strip() for s in line.split("<=", 1))
         try:
-            pairs.append((table.index(left), table.index(right)))
+            pairs.append((table.index(left.strip()), table.index(right.strip())))
         except ValueError as exc:
             raise ParseError(source, lineno, str(exc)) from None
     return pairs
@@ -234,10 +237,10 @@ def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
 
 def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> Word:
     """The word a line spells.  table.index returns only indices inside
-    the table, so no range check follows; Word refuses equal adjacent
-    letters."""
+    the table and a line has at least one letter, so equal neighbours are
+    all that is left to refuse, and the Word is assembled unchecked."""
     try:
-        return Word(map(table.index, map(str.strip, line.split(","))))
+        return _word(_distinct_neighbours(map(table.index, map(str.strip, line.split(",")))))
     except (ValueError, FinitaryError) as exc:
         raise ParseError(source, lineno, str(exc)) from None
 

@@ -14,8 +14,11 @@ GaussianRational, an int or a Fraction and None for anything else, so
 every operator returns NotImplemented for any other operand, and Python
 then tries that operand's reflected method (a Form's, say).  Floats are
 refused everywhere: the constructor takes int and Fraction parts only,
-and ``parse`` matches text against one ASCII grammar, _LITERAL, and
-builds the triple from its digits.
+and text has one grammar, _LITERAL, and one reader, _literal, which
+matches it once and reads the reduced triple from the groups of each
+part by int() alone.  ``parse`` wraps that triple as it is, and the form
+reader (io.parse_form) stores it in its term dict without building a
+scalar.
 
 Triples are added by one rule, _plus, without reducing, multiplied by
 _times and divided by _over, and reduced by one rule, _reduced, division
@@ -175,19 +178,8 @@ class GaussianRational(Value):
     @staticmethod
     def parse(text: str) -> "GaussianRational":
         """Parse literals like ``3``, ``-3/2``, ``.5``, ``i``, ``2i``, ``1+2i``,
-        ``1/2-i``: one _LITERAL match, spaces ignored."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar literal")
-        match = _LITERAL.fullmatch(s)
-        if match is None:
-            raise ValueError(f"not a scalar literal: {text!r}")
-        real, sign, imag = match.groups()
-        a, b = _ratio(real or "0")
-        c, d = _ratio("0" if sign is None else sign + (imag or "1"))
-        if not b or not d:
-            raise ZeroDivisionError(f"zero denominator in {text!r}")
-        return _exact(_reduced((a * d, c * b, b * d)))
+        ``1/2-i``: the scalar of _literal's triple."""
+        return _exact(_literal(text))
 
 
 _set = GaussianRational._t.__set__
@@ -201,22 +193,45 @@ def _exact(t: _Triple) -> GaussianRational:
     return z
 
 
-#: A rational part: p, p/q or a decimal (w.f, .f or w.), ASCII digits only.
-_RATIONAL = r"\d+(?:/\d+)?|\d*\.\d+|\d+\."
+#: A rational part: p, p/q or a decimal (w.f, .f or w.), ASCII digits only,
+#: one digit at least before or just after the point; its groups are the
+#: numerator digits (w for a decimal, '' for .f), the denominator (None
+#: unless p/q) and the digits after the point (None unless a decimal).
+_RATIONAL = r"(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?"
 #: A literal: a signed real part, which a sign or the end must follow (so
-#: that ``0.0.i`` is not ``0. + 0.i``), then an optional ``[+-][q]i``; the
-#: groups are the real token, the sign ('' without one, None without an
-#: imaginary part) and the imaginary magnitude (None for a bare ``i``).
-_LITERAL = re.compile(rf"([+-]?(?:{_RATIONAL})(?=[+-]|$))?(?:([+-]?)({_RATIONAL})?i)?", re.ASCII)
+#: that ``0.0.i`` is not ``0. + 0.i``), then an optional ``[+-][q]i``.  Each
+#: part gives four groups, its sign ('' unsigned, None without the part)
+#: and its _RATIONAL groups (all None for a bare ``i``).
+_LITERAL = re.compile(rf"(?:([+-]?){_RATIONAL}(?=[+-]|$))?(?:([+-]?)(?:{_RATIONAL})?i)?", re.ASCII)
 
 
-def _ratio(token: str) -> tuple[int, int]:
-    """Numerator and denominator (possibly 0) of a signed _RATIONAL token."""
-    whole, dot, digits = token.partition(".")
-    if dot:
-        return int(whole + digits), 10 ** len(digits)
-    num, _, den = token.partition("/")
-    return int(num), int(den or 1)
+def _literal(text: str) -> _Triple:
+    """The reduced triple of a literal: one _LITERAL match, spaces ignored,
+    each part's sign and digits read by int() (a decimal over a power of
+    ten); ValueError for text the grammar refuses, ZeroDivisionError for a
+    zero denominator."""
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar literal")
+    match = _LITERAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"not a scalar literal: {text!r}")
+    sign, num, den, dec, isign, inum, iden, idec = match.groups()
+    if sign is None:
+        re, d = 0, 1
+    elif dec is None:
+        re, d = int(sign + num), int(den or 1)
+    else:
+        re, d = int(sign + num + dec), 10 ** len(dec)
+    if isign is None:
+        im, e = 0, 1
+    elif idec is None:
+        im, e = int(isign + (inum or "1")), int(iden or 1)
+    else:
+        im, e = int(isign + inum + idec), 10 ** len(idec)
+    if not d or not e:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return _reduced((re * e, im * d, d * e))
 
 
 #: ints up to this width go through str(): about 600 digits, below the

@@ -18,8 +18,10 @@ from finitary import (
     TooLarge,
     Word,
     basis_words,
+    envelope,
     generated_space,
     hasse,
+    scalars,
 )
 from finitary.io import (
     ParseError,
@@ -144,7 +146,9 @@ class TestForms:
         min_size=1,
         max_size=3,
     )
-    literals = st.sampled_from(["2", "3/2", "1.5", ".5", "i", "3/2i", "0", "1+2i", "-1/2-i"])
+    literals = st.sampled_from(
+        ["2", "3/2", "1.5", ".5", "5.", "i", "-i", "3/2i", "0", "1+2i", "-1/2-i", "2.-.5i"]
+    )
     terms = st.builds(
         "{}{}{}{}e[{}]{}".format,
         st.text(alphabet="+-", max_size=3),
@@ -171,6 +175,23 @@ class TestForms:
                 parse_form(text, TABLE)
         else:
             assert parse_form(text, TABLE) == expected
+
+    def test_the_reader_builds_no_scalar_and_no_checked_word(self, monkeypatch):
+        # every literal shape, bare and in parentheses, and a repeated word
+        text = (
+            "1.5*e[1,2] + .5*e[2,3] - 5.*e[3,1] + i*e[1,3] - i*e[2,1] --(+2i)*e[3,2]"
+            " + (1/2-3/4i)*e[1,2,3] + 3/2*e[2] + (-.5i)*e[1] + 2i*e[3,1,2]"
+            " + (2.-.5i)*e[2,1] + e[2,3,1] - (1+i)*e[2,3,1] + 7*e[1,2]"
+        )
+        expected = form_reference.parse_form(text, TABLE)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reader built a scalar or a checked Word")
+
+        monkeypatch.setattr(GaussianRational, "__init__", refuse)
+        monkeypatch.setattr(scalars, "_exact", refuse)
+        monkeypatch.setattr(envelope.Word, "__new__", refuse)
+        assert parse_form(text, TABLE) == expected
 
     def test_print_canonical_order_and_signs(self):
         f = Form(
@@ -315,6 +336,19 @@ class TestIdeals:
     def test_grade_zero_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_ideal("vertices: 1, 2\n1\n")
+
+    def test_word_lines_build_no_checked_word(self, monkeypatch):
+        # the Words of a file are assembled unchecked, and equal neighbours
+        # are still refused with the message Word gives them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reader built a checked Word")
+
+        monkeypatch.setattr(envelope.Word, "__new__", refuse)
+        _, _, given = parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1\n")
+        assert given == [(0, 1, 0), (2, 0)] and {type(w) for w in given} == {Word}
+        message = r"^<ideal>:3: equal adjacent letters at positions 1,2 in \(2, 0, 0\)$"
+        with pytest.raises(ParseError, match=message):
+            parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1, 1\n")
 
     @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n"])
     def test_a_file_with_no_content_lines_is_refused(self, text):

@@ -99,6 +99,10 @@ def test_the_constructor_takes_ints_and_fractions_only():
         ("-1/2+3i", gr(Fraction(-1, 2), 3)),
         ("1.5-.25i", gr(Fraction(3, 2), Fraction(-1, 4))),
         ("2.+ 3/6i", gr(2, Fraction(1, 2))),
+        (".5", gr(Fraction(1, 2))),
+        ("5.", gr(5)),
+        ("+i", gr(0, 1)),
+        ("-.5i", gr(0, Fraction(-1, 2))),
     ],
 )
 def test_parse_literals(text, expected):
