@@ -8,11 +8,17 @@ from finitary import Form, basis_words, differential, inner, unit
 
 n = 3  # three vertices, indexed 0, 1, 2
 
+
+def e(w):
+    """A word, a tuple of vertex indices, written as forms write it."""
+    return "e(" + ",".join(map(str, w)) + ")"
+
+
 # grade-r basis words are vertex sequences of length r+1 with no equal
 # adjacent letters; there are n*(n-1)^r of them
 for r in range(3):
     words = list(basis_words(n, r))
-    print(f"grade {r}: {len(words)} words:", ", ".join(map(repr, words)))
+    print(f"grade {r}: {len(words)} words:", ", ".join(map(e, words)))
 
 # the overlap product concatenates when the junction letters match,
 # writing the shared letter once, and is zero otherwise

@@ -3,18 +3,29 @@
 # Dividing the free calculus by one gives a calculus in which exactly the
 # contained words vanish.
 
-from finitary import BasicIdeal, Form, Word, differential
+from finitary import BasicIdeal, Form, differential
 
 n = 2
 
+
+def e(w):
+    """A word, a tuple of vertex indices, written as forms write it."""
+    return "e(" + ",".join(map(str, w)) + ")"
+
+
+def spelled(words):
+    """A tuple of words written as Python writes a tuple."""
+    return str(tuple(map(e, words))).replace("'", "")
+
+
 # the constructor normalizes: e(1,0,1) contains e(0,1) as a subsequence,
 # so it is a redundant generator and gets dropped
-ideal = BasicIdeal(n, [Word((0, 1)), Word((1, 0, 1))])
-print("generators:", ideal.generators)
+ideal = BasicIdeal(n, [(0, 1), (1, 0, 1)])
+print("generators:", spelled(ideal.generators))
 
 # membership is a subsequence scan
-for w in [Word((0, 1)), Word((1, 0)), Word((1, 0, 1)), Word((0, 1, 0))]:
-    print(f"contains {w!r}? {ideal.contains(w)}")
+for w in [(0, 1), (1, 0), (1, 0, 1), (0, 1, 0)]:
+    print(f"contains {e(w)}? {ideal.contains(w)}")
 
 # reduce projects a form onto the surviving words
 f = differential(Form.word((0,)), n)
@@ -31,7 +42,7 @@ print(
 )
 
 # killing both grade-2 words makes d vanish on 1-forms entirely
-flat = BasicIdeal(n, [Word((0, 1, 0)), Word((1, 0, 1))])
+flat = BasicIdeal(n, [(0, 1, 0), (1, 0, 1)])
 print()
-print("with generators", flat.generators)
+print("with generators", spelled(flat.generators))
 print("quotient d e(0,1) =", flat.quotient_differential(Form.word((0, 1))))

@@ -11,9 +11,14 @@ from finitary import (
     Manifold,
     NotAntisymmetric,
     Relation,
-    Word,
     longest_avoiding_word,
 )
+
+
+def e(w):
+    """A word, a tuple of vertex indices, written as forms write it."""
+    return "e(" + ",".join(map(str, w)) + ")"
+
 
 # with no generators every alternating word survives: already two vertices
 # give words 0101... of every length
@@ -22,10 +27,10 @@ print("no generators over two vertices -> dimension", free.dimension())
 print("words up to grade 3:", [free.word_label(w) for w in free.words(max_grade=3)])
 
 # forbidding the word (0,1) leaves only 0, 1 and 10
-m = Manifold.from_ideal(BasicIdeal(2, [Word((0, 1))]))
+m = Manifold.from_ideal(BasicIdeal(2, [(0, 1)]))
 print()
 print("forbidding e(0,1) -> dimension", m.dimension())
-print("surviving words:", list(m.words()))
+print("surviving words:", "[" + ", ".join(map(e, m.words())) + "]")
 
 # the raw automaton answer: longest valid word avoiding the generators
 print()

@@ -23,10 +23,10 @@ def random_manifold(rng, max_vertices=6, max_dim=3):
             elif roll < 2 / 3:
                 pairs.append((j, i))
     m = Manifold.from_relation(Relation(n, pairs))
-    words = [w for w in m.words() if w.grade <= max_dim]
-    top = max(w.grade for w in words)
+    words = [w for w in m.words() if len(w) - 1 <= max_dim]
+    top = max(len(w) - 1 for w in words)
     if top >= 1 and rng.random() < 0.5:
-        removed = {w for w in words if w.grade == top and rng.random() < 0.5}
+        removed = {w for w in words if len(w) - 1 == top and rng.random() < 0.5}
         words = [w for w in words if w not in removed]
     return Manifold(m.labels, words=words)
 

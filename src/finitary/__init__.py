@@ -12,7 +12,6 @@ from .envelope import (
     EqualAdjacentLetters,
     Form,
     IndexOutOfRange,
-    Word,
     WordError,
     basis_words,
     differential,
@@ -86,7 +85,6 @@ __all__ = [
     "StructureViolation",
     "TooLarge",
     "UncoveredPoint",
-    "Word",
     "WordError",
     "basis_words",
     "circle_covering",

@@ -174,7 +174,7 @@ def _manifold_info(args) -> None:
     by_grade: dict[int, list[str]] = {}
     if not unlisted:
         for w in m.words(max_grade=args.max_grade):
-            by_grade.setdefault(w.grade, []).append(m.word_label(w))
+            by_grade.setdefault(len(w) - 1, []).append(m.word_label(w))
     print("vertices: " + ", ".join(m.labels))
     print(f"representation: {kind}")
     print(dimension)

@@ -6,10 +6,11 @@ its grade is the sequence length minus one.  The grade-r component of the
 algebra is spanned by the grade-r words, so a form is a finitely supported
 map from words to exact scalars.
 
-A word w enters the calculus as the form Form.word(w), and every
-operation acts on forms.  The overlap product of two words concatenates
-them when the last letter of the first equals the first letter of the
-second, writing that junction letter once, and is 0 otherwise:
+A word is the plain tuple of its letters.  It enters the calculus as the
+form Form.word(w), and every operation acts on forms.  The overlap
+product of two words concatenates them when the last letter of the first
+equals the first letter of the second, writing that junction letter
+once, and is 0 otherwise:
 
     e_a * e_b  =  e_(a + b[1:]) if a[-1] == b[0], else 0
 
@@ -24,15 +25,15 @@ exhaustively in the test suite).
 A Form holds each coefficient as a reduced integer triple (re, im, den),
 den > 0 and gcd 1: the triple a GaussianRational holds.  So the calculus
 adds, multiplies and compares integers from start to end.  items(), repr
-and inner alone build the Words and GaussianRationals a caller reads, each
-scalar wrapping a triple as it is (scalars._exact); Form(...) and scalar
-* read a scalar's triple through scalars._triple, the coercion rule of
-every scalar operator.  Form(...) then ends in _summed, which adds the
-triples of equal words by scalars._plus and reduces each sum once; the
-form reader (io.parse_form) hands _summed the letter tuples and literal
-triples it reads, so a form read from text builds no scalar and no
-checked Word, and keeps one check, _distinct_neighbours, which Word
-makes too.
+and inner alone build the GaussianRationals a caller reads, each scalar
+wrapping a triple as it is (scalars._exact); Form(...) and scalar * read
+a scalar's triple through scalars._triple, the coercion rule of every
+scalar operator.  Form(...) checks each word by _checked_word and then
+ends in _summed, which adds the triples of equal words by scalars._plus
+and reduces each sum once; the form reader (io.parse_form) hands _summed
+the letter tuples and literal triples it reads, so a form read from text
+builds no scalar and skips _checked_word, keeping the one check it
+needs, _distinct_neighbours.
 differential and form_product keep, for each output word, one
 unnormalized triple of the sum so far: the first contribution is stored
 as it comes, and each further one is added by scalars._plus, the
@@ -84,26 +85,16 @@ class EqualAdjacentLetters(WordError):
     """Signals a zero/undefined monomial; filtering callers catch this."""
 
 
-class Word(tuple):
-    """Basis monomial: a tuple of vertex indices, no two adjacent equal."""
-
-    __slots__ = ()
-
-    def __new__(cls, letters: Iterable[int]):
-        letters = tuple(letters)
-        if not letters:
-            raise EmptyWord("a basis word needs at least one letter")
-        for letter in letters:
-            if not isinstance(letter, int) or isinstance(letter, bool) or letter < 0:
-                raise IndexOutOfRange(f"letter {letter!r} is not a vertex index")
-        return super().__new__(cls, _distinct_neighbours(letters))
-
-    @property
-    def grade(self) -> int:
-        return len(self) - 1
-
-    def __repr__(self):
-        return "e(" + ",".join(str(i) for i in self) + ")"
+def _checked_word(letters: Iterable[int]) -> tuple[int, ...]:
+    """The basis word the letters spell: a nonempty tuple of vertex indices
+    (non-bool ints >= 0), no two neighbours equal, else a WordError."""
+    letters = tuple(letters)
+    if not letters:
+        raise EmptyWord("a basis word needs at least one letter")
+    for letter in letters:
+        if not isinstance(letter, int) or isinstance(letter, bool) or letter < 0:
+            raise IndexOutOfRange(f"letter {letter!r} is not a vertex index")
+    return _distinct_neighbours(letters)
 
 
 def _distinct_neighbours(letters: Iterable[int]) -> tuple[int, ...]:
@@ -119,21 +110,20 @@ def _distinct_neighbours(letters: Iterable[int]) -> tuple[int, ...]:
     return letters
 
 
-def _word(letters: tuple[int, ...]) -> Word:
-    """A Word from letters that are valid by construction, unchecked."""
-    return tuple.__new__(Word, letters)
+def _monomial(w: tuple[int, ...]) -> str:
+    """A word as reprs and messages write it: e(0,1)."""
+    return "e(" + ",".join(map(str, w)) + ")"
 
 
-def word_key(w: Word):
+def word_key(w: tuple[int, ...]):
     """Canonical sort key: grade-major, then lexicographic."""
-    return (len(w), tuple(w))
+    return (len(w), w)
 
 
-def word_validate(letters: Iterable[int], vertex_count: int) -> Word:
+def word_validate(letters: Iterable[int], vertex_count: int) -> tuple[int, ...]:
     """Boundary validation of a letter sequence against a vertex table size:
-    the Word it spells (a Word is taken as is, already checked), with every
-    letter below vertex_count."""
-    word = letters if type(letters) is Word else Word(letters)
+    the word it spells, with every letter below vertex_count."""
+    word = _checked_word(letters)
     for letter in word:
         if letter >= vertex_count:
             raise IndexOutOfRange(
@@ -148,7 +138,7 @@ def is_subsequence(inner: Iterable[int], outer: Iterable[int]) -> bool:
     return all(letter in it for letter in inner)
 
 
-def deletions(w: Word) -> Iterator[tuple[int, ...]]:
+def deletions(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The one-letter deletions of w that are again words, by position:
     none of a one-letter word, none leaving equal letters side by side."""
     last = len(w) - 1
@@ -158,7 +148,7 @@ def deletions(w: Word) -> Iterator[tuple[int, ...]]:
         yield w[:pos] + w[pos + 1 :]
 
 
-def basis_words(vertex_count: int, grade: int) -> Iterator[Word]:
+def basis_words(vertex_count: int, grade: int) -> Iterator[tuple[int, ...]]:
     """All grade-r basis words over the vertex table, in lexicographic order.
 
     There are exactly n*(n-1)^r of them.  The arguments are checked at the
@@ -169,9 +159,9 @@ def basis_words(vertex_count: int, grade: int) -> Iterator[Word]:
     if grade < 0:
         raise ValueError("grade must be non-negative")
 
-    def extend(prefix: tuple[int, ...]) -> Iterator[Word]:
+    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if len(prefix) == grade + 1:
-            yield Word(prefix)
+            yield prefix
             return
         for k in range(vertex_count):
             if prefix and prefix[-1] == k:
@@ -187,10 +177,9 @@ class Form(Value):
     Canonical sparse representation: each word's letter tuple maps to its
     coefficient as a reduced integer triple (re, im, den), den > 0 and
     gcd 1, and zero coefficients are never stored, so equality of forms is
-    literal term-map equality.  A key may be a plain tuple, since a Word
-    hashes and compares as its tuple.  items() and repr build the Words and
-    GaussianRationals a caller reads.  Instances are immutable and safe to
-    share between threads.
+    literal term-map equality.  items() and repr build the GaussianRationals
+    a caller reads; the words are the keys themselves.  Instances are
+    immutable and safe to share between threads.
     """
 
     __slots__ = ("_terms",)
@@ -199,19 +188,19 @@ class Form(Value):
         items = terms.items() if isinstance(terms, dict) else terms
         # what _triple does not admit, the constructor refuses (TypeError)
         pairs = (
-            (w if isinstance(w, Word) else Word(w), _triple(c) or GaussianRational(c)._t)
+            (_checked_word(w), _triple(c) or GaussianRational(c)._t)
             for w, c in items
         )
         _set_terms(self, _summed(pairs)._terms)
 
     @classmethod
     def word(cls, letters, coeff=1) -> "Form":
-        return cls(((Word(letters), coeff),))
+        return cls(((letters, coeff),))
 
-    def items(self) -> list[tuple[Word, GaussianRational]]:
+    def items(self) -> list[tuple[tuple[int, ...], GaussianRational]]:
         """Terms in canonical order (grade-major, then lexicographic)."""
         ordered = sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
-        return [(_word(w), _exact(t)) for w, t in ordered]
+        return [(w, _exact(t)) for w, t in ordered]
 
     def __len__(self):
         return len(self._terms)
@@ -258,7 +247,7 @@ class Form(Value):
             return "Form(0)"
         bits = []
         for w, c in self.items():
-            bits.append(f"{c}*{w!r}" if c != 1 else repr(w))
+            bits.append(f"{c}*{_monomial(w)}" if c != 1 else _monomial(w))
         return "Form(" + " + ".join(bits) + ")"
 
 
@@ -311,7 +300,7 @@ ZERO_FORM = Form()
 
 def unit(vertex_count: int) -> Form:
     """Sum of all grade-0 idempotents; the two-sided identity."""
-    return Form((Word((i,)), 1) for i in range(vertex_count))
+    return Form(((i,), 1) for i in range(vertex_count))
 
 
 def _product_triples(f: Form, g: Form, matcher) -> dict:

@@ -25,10 +25,10 @@ from .automata import _compile, _forward
 from .errors import FinitaryError, Value, _restore
 from .envelope import (
     Form,
-    Word,
     _built,
     _differential_triples,
     _form,
+    _monomial,
     _product_triples,
     is_subsequence,
     word_validate,
@@ -55,14 +55,14 @@ class BasicIdeal(Value):
     def __init__(self, vertex_count: int, generators: Iterable = ()):
         words = sorted({word_validate(g, vertex_count) for g in generators})
         words.sort(key=len)
-        if words and words[0].grade == 0:
+        if words and len(words[0]) == 1:
             raise GradeZeroGenerator(
-                f"generator {words[0]!r} has grade 0; ideals must vanish in grade 0"
+                f"generator {_monomial(words[0])} has grade 0; ideals must vanish in grade 0"
             )
         # a distinct word can embed into w only if it is strictly shorter, and
         # subsequence is transitive, so each length is tested against the
         # words kept from shorter ones (the list is read before += extends it)
-        kept: list[Word] = []
+        kept: list[tuple[int, ...]] = []
         for _, group in groupby(words, len):
             kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -77,7 +77,7 @@ class BasicIdeal(Value):
         return _restore, (type(self), (*self._key(), None))
 
     def __repr__(self):
-        gens = ", ".join(repr(g) for g in self.generators)
+        gens = ", ".join(map(_monomial, self.generators))
         return f"BasicIdeal(n={self.vertex_count}, [{gens}])"
 
     def _compiled(self):
@@ -85,7 +85,7 @@ class BasicIdeal(Value):
             object.__setattr__(self, "_matcher", _compile(self.vertex_count, self.generators))
         return self._matcher
 
-    def contains(self, word: Word) -> bool:
+    def contains(self, word: tuple[int, ...]) -> bool:
         """True iff some generator embeds into the word as a subsequence."""
         return _forward(word, self._compiled()) is None
 

@@ -10,8 +10,9 @@ so that identical inputs give byte-identical output.  Formats:
             ``0`` is the zero form.  Each term is read straight into
             the term dict a Form holds: its letter tuple from the vertex
             table and its coefficient as the reduced triple
-            scalars._literal reads, so no scalar and no checked Word is
-            built; envelope._summed adds the terms
+            scalars._literal reads, so no scalar is built and no word
+            passes the library's boundary check; envelope._summed adds
+            the terms
   relation  header ``n <count>``, then one ``i <= j`` line per pair
   manifold  ``vertices:`` line, then a ``relation:``, ``words:`` or
             ``ideal:`` block (one entry per line); or a relation file,
@@ -33,7 +34,7 @@ import re
 from .automata import MAX_WORDS
 from .complexes import SimplicialComplex, vertex_mask
 from .coarse import Covering
-from .envelope import Form, Word, _distinct_neighbours, _summed, _word
+from .envelope import Form, _distinct_neighbours, _summed
 from .errors import FinitaryError, TooLarge, Value, _restore, members
 from .ideals import BasicIdeal
 from .manifolds import Manifold, Relation
@@ -235,17 +236,17 @@ def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
         raise ParseError(source, 1, str(exc)) from None
 
 
-def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> Word:
+def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> tuple[int, ...]:
     """The word a line spells.  table.index returns only indices inside
     the table and a line has at least one letter, so equal neighbours are
-    all that is left to refuse, and the Word is assembled unchecked."""
+    all that is left to refuse."""
     try:
-        return _word(_distinct_neighbours(map(table.index, map(str.strip, line.split(",")))))
+        return _distinct_neighbours(map(table.index, map(str.strip, line.split(","))))
     except (ValueError, FinitaryError) as exc:
         raise ParseError(source, lineno, str(exc)) from None
 
 
-def _generators(entries, source: str, table: VertexTable) -> list[Word]:
+def _generators(entries, source: str, table: VertexTable) -> list[tuple[int, ...]]:
     """The generator words of an ideal block, one per content line, in file
     order.  A one-letter word is refused at its own line: an ideal must
     vanish in grade 0."""
@@ -293,7 +294,7 @@ def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
 
 def parse_ideal(
     text: str, source: str = "<ideal>"
-) -> tuple[BasicIdeal, VertexTable, list[Word]]:
+) -> tuple[BasicIdeal, VertexTable, list[tuple[int, ...]]]:
     """Returns the normalized ideal, the vertex table and the words as
     given (so callers can report dropped redundant generators)."""
     lines = _content_lines(text, source, "ideal")

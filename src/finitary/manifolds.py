@@ -35,7 +35,7 @@ from .complexes import (
 )
 # basis_words is unused here but stays bound: the traced benchmark op in
 # bench/workloads.py replaces manifolds.basis_words to count words examined.
-from .envelope import Word, _word, basis_words, deletions, word_key, word_validate  # noqa: F401
+from .envelope import basis_words, deletions, word_key, word_validate  # noqa: F401
 from .errors import FinitaryError, Value, _restore, members
 from .ideals import BasicIdeal
 
@@ -96,7 +96,7 @@ class Relation(Value):
         return f"Relation(n={self.n}, {list(self.strict_pairs())})"
 
 
-def _chains(rel: Relation) -> Iterator[Word]:
+def _chains(rel: Relation) -> Iterator[tuple[int, ...]]:
     """The arrangements of distinct vertices, each related to every later
     one, by the level walk.  A chain's state masks the common strict
     successors of its vertices; vertex k extends it to admissible & after[k].
@@ -112,8 +112,7 @@ def _chains(rel: Relation) -> Iterator[Word]:
         return nxt
 
     # a chain has at most n letters; distinct letters make valid words
-    walk = _walk((_START, (1 << rel.n) - 1), extend, rel.n - 1, "relation path enumeration")
-    return map(_word, walk)
+    return _walk((_START, (1 << rel.n) - 1), extend, rel.n - 1, "relation path enumeration")
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,9 @@ class Manifold(Value):
         """
         if self._words is None:
             return longest_avoiding_word(self.n, self.ideal.generators) - 1
-        return self._words[-1].grade if self._words else -1
+        return len(self._words[-1]) - 1 if self._words else -1
 
-    def words(self, max_grade=None) -> Iterator[Word]:
+    def words(self, max_grade=None) -> Iterator[tuple[int, ...]]:
         """Nonvanishing words, grade-major then lexicographic.
 
         Ideal-complement manifolds of infinite dimension require max_grade;
@@ -247,22 +246,21 @@ class Manifold(Value):
             n, gens = self.n, self.ideal.generators
             # the automaton never places equal letters side by side
             if max_grade is not None:
-                return map(_word, avoiding_words(n, gens, max_grade))
+                return avoiding_words(n, gens, max_grade)
             if not is_finite(n, gens):
                 raise InfiniteDimensional("infinite family of words; pass max_grade to truncate")
             # MAX_WORDS words cannot reach grade MAX_WORDS: the cap stops first
-            walk = avoiding_words(n, gens, MAX_WORDS)
-            object.__setattr__(self, "_words", tuple(map(_word, walk)))
+            object.__setattr__(self, "_words", tuple(avoiding_words(n, gens, MAX_WORDS)))
         if max_grade is None:
             return iter(self._words)
-        return takewhile(lambda w: w.grade <= max_grade, self._words)
+        return takewhile(lambda w: len(w) - 1 <= max_grade, self._words)
 
     # -- structure -----------------------------------------------------
 
     def relation(self) -> Relation:
         """The binary relation read off the 1-forms: i <= j iff the word
         (i, j) is nonvanishing (plus the diagonal)."""
-        return Relation(self.n, (w for w in self.words(max_grade=1) if w.grade == 1))
+        return Relation(self.n, (w for w in self.words(max_grade=1) if len(w) == 2))
 
     def is_network(self) -> bool:
         """True iff the word family equals all fully ordered arrangements of
@@ -306,18 +304,17 @@ class Manifold(Value):
 
         for w in words:
             for sub in deletions(w):
-                if sub not in word_set:  # a Word hashes and compares as its tuple
-                    subword = _word(sub)
+                if sub not in word_set:
                     failures.append(
                         StructureFailure(
                             "hereditarity",
-                            (w, subword),
+                            (w, sub),
                             f"{self.word_label(w)} present but its face "
-                            f"{self.word_label(subword)} is missing",
+                            f"{self.word_label(sub)} is missing",
                         )
                     )
 
-        by_set: dict[int, list[Word]] = {}  # each group in canonical word order
+        by_set: dict[int, list[tuple[int, ...]]] = {}  # each group in canonical word order
         for w in words:
             by_set.setdefault(vertex_mask(w), []).append(w)
         if failures or len(by_set) < len(words):  # (a) or (c) fails

@@ -269,7 +269,7 @@ def open_sets(s: FiniteSpace) -> tuple[int, ...]:
     minimal open set in turn, so any preorder works, T0 or not.
 
     Guarded to at most 20 points; an antichain already has 2^n opens.
-    (Word enumeration of an ideal complement has its own cap,
+    (Listing the words of an ideal complement has its own cap,
     automata.MAX_WORDS = 100 000 words.)
     """
     if s.n > 20:

@@ -7,23 +7,25 @@ GaussianRational interface is used, and ideal membership is decided by
 is_subsequence against the generators, not by the automaton masks.
 """
 
-from finitary import Form, Word, is_subsequence
+from finitary import Form, is_subsequence
 from finitary.scalars import GaussianRational
 
 
-def _accumulate(acc: dict, w: Word, c: GaussianRational) -> None:
+def _accumulate(acc: dict, w: tuple[int, ...], c: GaussianRational) -> None:
     old = acc.get(w)
     acc[w] = c if old is None else old + c
 
 
-def _insert_letters(acc: dict, w: Word, c: GaussianRational, vertex_count: int) -> None:
+def _insert_letters(
+    acc: dict, w: tuple[int, ...], c: GaussianRational, vertex_count: int
+) -> None:
     """Add c * d(w) into acc, gap s carrying sign (-1)^s."""
     for s in range(len(w) + 1):
         coeff = c if s % 2 == 0 else -c
         for k in range(vertex_count):
             if (s and w[s - 1] == k) or (s < len(w) and w[s] == k):
                 continue
-            _accumulate(acc, Word(w[:s] + (k,) + w[s:]), coeff)
+            _accumulate(acc, w[:s] + (k,) + w[s:], coeff)
 
 
 def differential(f: Form, vertex_count: int) -> Form:
@@ -33,7 +35,7 @@ def differential(f: Form, vertex_count: int) -> Form:
     return Form(acc)
 
 
-def differential_word(w: Word, vertex_count: int) -> Form:
+def differential_word(w: tuple[int, ...], vertex_count: int) -> Form:
     acc: dict = {}
     _insert_letters(acc, w, GaussianRational(1), vertex_count)
     return Form(acc)
@@ -44,7 +46,7 @@ def form_product(f: Form, g: Form) -> Form:
     for wa, ca in f.items():
         for wb, cb in g.items():
             if wa[-1] == wb[0]:
-                _accumulate(acc, Word(wa + wb[1:]), ca * cb)
+                _accumulate(acc, wa + wb[1:], ca * cb)
     return Form(acc)
 
 

@@ -60,9 +60,9 @@ def random_manifold(rng: random.Random, max_vertices: int = 6, max_dim: int = 3)
     Produces a mix of network and non-network manifolds."""
     n = rng.randint(1, max_vertices)
     m = Manifold.from_relation(random_antisymmetric_relation(rng, n))
-    words = [w for w in m.words() if w.grade <= max_dim]
-    top = max(w.grade for w in words)
+    words = [w for w in m.words() if len(w) - 1 <= max_dim]
+    top = max(len(w) - 1 for w in words)
     if top >= 1 and rng.random() < 0.5:
-        removed = {w for w in words if w.grade == top and rng.random() < 0.5}
+        removed = {w for w in words if len(w) - 1 == top and rng.random() < 0.5}
         words = [w for w in words if w not in removed]
     return Manifold(m.labels, words=words)

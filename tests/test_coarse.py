@@ -14,7 +14,6 @@ from finitary import (
     Relation,
     SimplicialComplex,
     UncoveredPoint,
-    Word,
     circle_covering,
     generated_space,
     is_t0,
@@ -476,7 +475,7 @@ class TestCorrespondence:
             assert report.generated.labels[x] == report.symbolic.labels[y]
 
     def test_singleton_manifold(self):
-        m = Manifold(("1",), words=[Word((0,))])
+        m = Manifold(("1",), words=[(0,)])
         report = verify_correspondence(m, per_cell=1, seed=0)
         assert report.ok
         assert report.generated.n == report.sampled.n == 1

@@ -16,7 +16,6 @@ from finitary import (
     EqualAdjacentLetters,
     Form,
     IndexOutOfRange,
-    Word,
     basis_words,
     differential,
     form_product,
@@ -28,7 +27,7 @@ from finitary.scalars import GaussianRational
 
 
 def W(*letters):
-    return Word(letters)
+    return letters
 
 
 def F(*words):
@@ -38,14 +37,14 @@ def F(*words):
 class TestWordValidate:
     def test_alternating_word_is_valid(self):
         w = word_validate((0, 1, 0), 2)
-        assert w.grade == 2
+        assert w == (0, 1, 0) and type(w) is tuple
 
     def test_equal_adjacent_letters(self):
         with pytest.raises(EqualAdjacentLetters):
             word_validate((0, 0), 2)
 
     def test_singleton(self):
-        assert word_validate((0,), 3).grade == 0
+        assert word_validate((0,), 3) == (0,)
 
     def test_empty(self):
         with pytest.raises(EmptyWord):
@@ -56,6 +55,32 @@ class TestWordValidate:
             word_validate((0, 2), 2)
         with pytest.raises(IndexOutOfRange):
             word_validate((-1,), 2)
+
+    @pytest.mark.parametrize(
+        "letters, error",
+        [
+            ((), EmptyWord),
+            ((True,), IndexOutOfRange),
+            ((-1,), IndexOutOfRange),
+            ((1.0,), IndexOutOfRange),
+            (("0",), IndexOutOfRange),
+            ((0, 0), EqualAdjacentLetters),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            lambda w: Form.word(w),
+            lambda w: Form([(w, 1)]),
+            lambda w: word_validate(w, 3),
+        ],
+        ids=["Form.word", "Form", "word_validate"],
+    )
+    def test_every_boundary_refuses_a_letter_sequence_that_is_no_word(
+        self, boundary, letters, error
+    ):
+        with pytest.raises(error):
+            boundary(letters)
 
 
 class TestEnumerateBasis:
@@ -130,7 +155,7 @@ class TestProducts:
         # all triples over 3 vertices with total grade <= 4
         pool = [w for r in range(5) for w in basis_words(3, r)]
         for a, b, c in itertools.product(pool, repeat=3):
-            if a.grade + b.grade + c.grade > 4:
+            if len(a) + len(b) + len(c) - 3 > 4:
                 continue
             fa, fb, fc = F(a), F(b), F(c)
             assert form_product(form_product(fa, fb), fc) == form_product(
@@ -169,7 +194,7 @@ class TestProducts:
         for a in basis_words(3, 1):
             for b in basis_words(3, 2):
                 prod = Form.word(a) * Form.word(b)
-                assert all(w.grade == 3 for w, _ in prod.items())
+                assert all(len(w) - 1 == 3 for w, _ in prod.items())
 
 
 class TestDifferential:
@@ -188,7 +213,7 @@ class TestDifferential:
             for r in range(3):
                 for w in basis_words(n, r):
                     img = differential(Form.word(w), n)
-                    assert all(v.grade == r + 1 for v, _ in img.items())
+                    assert all(len(v) - 1 == r + 1 for v, _ in img.items())
                     assert all(len(v) == len(w) + 1 for v, _ in img.items())
 
     def test_every_term_is_a_one_letter_superword(self):
@@ -212,10 +237,10 @@ class TestDifferential:
     def test_graded_leibniz_small(self):
         pool = [w for r in range(4) for w in basis_words(3, r)]
         for a, b in itertools.product(pool, repeat=2):
-            if a.grade + b.grade > 3:
+            if len(a) + len(b) - 2 > 3:
                 continue
             lhs = differential(Form.word(a) * Form.word(b), 3)
-            sign = -1 if a.grade % 2 else 1
+            sign = -1 if (len(a) - 1) % 2 else 1
             rhs = form_product(differential(Form.word(a), 3), F(b)) + form_product(
                 F(a), differential(Form.word(b), 3)
             ) * sign
@@ -267,6 +292,7 @@ class TestFormRepresentation:
             with pytest.raises(TypeError):
                 op()
         assert repr(Form()) == "Form(0)"
+        assert repr(f) == "Form(-1/3*e(1) + 2*e(0,1))"
 
 
 class TestAccumulators:

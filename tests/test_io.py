@@ -16,7 +16,6 @@ from finitary import (
     Relation,
     SimplicialComplex,
     TooLarge,
-    Word,
     basis_words,
     envelope,
     generated_space,
@@ -61,14 +60,14 @@ class TestForms:
             ("(1+2i)*e[1,2]", Form.word((0, 1), GaussianRational(1, 2))),
             (
                 "e[1,2] - e[2,1]",
-                Form([(Word((0, 1)), 1), (Word((1, 0)), -1)]),
+                Form([((0, 1), 1), ((1, 0), -1)]),
             ),
-            ("e[1,2]-e[2,1]", Form([(Word((0, 1)), 1), (Word((1, 0)), -1)])),
+            ("e[1,2]-e[2,1]", Form([((0, 1), 1), ((1, 0), -1)])),
             ("e[1] + e[1]", Form.word((0,), 2)),
             # a sign run's parity is the sign; spaces may precede a '*'
             ("--e[1]", Form.word((0,))),
             ("+-e[1]", Form.word((0,), -1)),
-            ("e[1]--e[2]", Form([(Word((0,)), 1), (Word((1,)), 1)])),
+            ("e[1]--e[2]", Form([((0,), 1), ((1,), 1)])),
             ("2 *e[1]", Form.word((0,), 2)),
         ],
     )
@@ -186,19 +185,19 @@ class TestForms:
         expected = form_reference.parse_form(text, TABLE)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the reader built a scalar or a checked Word")
+            raise AssertionError("the reader built a scalar or checked a word at the boundary")
 
         monkeypatch.setattr(GaussianRational, "__init__", refuse)
         monkeypatch.setattr(scalars, "_exact", refuse)
-        monkeypatch.setattr(envelope.Word, "__new__", refuse)
+        monkeypatch.setattr(envelope, "_checked_word", refuse)
         assert parse_form(text, TABLE) == expected
 
     def test_print_canonical_order_and_signs(self):
         f = Form(
             [
-                (Word((1, 0)), 1),
-                (Word((0, 1)), Fr(-3, 2)),
-                (Word((0,)), GaussianRational(1, -2)),
+                ((1, 0), 1),
+                ((0, 1), Fr(-3, 2)),
+                ((0,), GaussianRational(1, -2)),
             ]
         )
         assert print_form(f, TABLE) == "(1-2i)*e[1] - 3/2*e[1,2] + e[2,1]"
@@ -273,12 +272,12 @@ class TestManifolds:
     def test_parse_relation_block(self):
         m = parse_manifold(TRIANGLE_TEXT)
         assert m.dimension() == 1
-        assert [m.word_label(w) for w in m.words() if w.grade == 1] == ["12", "23", "31"]
+        assert [m.word_label(w) for w in m.words() if len(w) == 2] == ["12", "23", "31"]
 
     def test_parse_words_block(self):
         text = "vertices: a, b\nwords:\na\nb\na, b\n"
         m = parse_manifold(text)
-        assert m.word_label(Word((0, 1))) == "ab"
+        assert m.word_label((0, 1)) == "ab"
 
     def test_parse_ideal_block(self):
         text = "vertices: 1, 2\nideal:\n1, 2\n"
@@ -292,7 +291,7 @@ class TestManifolds:
         assert parse_manifold(text) == m
 
     def test_round_trip_ideal(self):
-        m = Manifold.from_ideal(BasicIdeal(2, [Word((0, 1))]))
+        m = Manifold.from_ideal(BasicIdeal(2, [(0, 1)]))
         assert parse_manifold("vertices: 1, 2\nideal:\n1, 2\n") == m
 
     def test_relation_file_is_its_network_manifold(self):
@@ -320,8 +319,8 @@ class TestManifolds:
 class TestIdeals:
     def test_parse_reports_originals(self):
         ideal, table, given = parse_ideal("vertices: 1, 2, 3\n1, 2\n3, 1, 2\n")
-        assert ideal.generators == (Word((0, 1)),)
-        assert Word((2, 0, 1)) in given
+        assert ideal.generators == ((0, 1),)
+        assert (2, 0, 1) in given
 
     def test_vertex_table_inferred_when_missing(self):
         ideal, table, _ = parse_ideal("1, 2\n2, 1\n")
@@ -329,7 +328,7 @@ class TestIdeals:
         assert len(ideal.generators) == 2
 
     def test_round_trip(self):
-        ideal = BasicIdeal(3, [Word((0, 1)), Word((1, 0))])
+        ideal = BasicIdeal(3, [(0, 1), (1, 0)])
         parsed, parsed_table, _ = parse_ideal("vertices: 1, 2, 3\n1, 2\n2, 1\n")
         assert parsed == ideal and parsed_table.labels == ("1", "2", "3")
 
@@ -338,17 +337,18 @@ class TestIdeals:
             parse_ideal("vertices: 1, 2\n1\n")
 
     def test_word_lines_build_no_checked_word(self, monkeypatch):
-        # the Words of a file are assembled unchecked, and equal neighbours
-        # are still refused with the message Word gives them
-        def refuse(*args, **kwargs):
-            raise AssertionError("the reader built a checked Word")
-
-        monkeypatch.setattr(envelope.Word, "__new__", refuse)
+        # the reader refuses equal neighbours itself, with the message of the
+        # boundary check, and checks no word twice: each word of the file
+        # passes the boundary check once, when the ideal validates it
+        boundary, checked = envelope._checked_word, []
+        monkeypatch.setattr(envelope, "_checked_word", lambda w: checked.append(w) or boundary(w))
         _, _, given = parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1\n")
-        assert given == [(0, 1, 0), (2, 0)] and {type(w) for w in given} == {Word}
+        assert given == [(0, 1, 0), (2, 0)] and {type(w) for w in given} == {tuple}
+        assert checked == given
         message = r"^<ideal>:3: equal adjacent letters at positions 1,2 in \(2, 0, 0\)$"
         with pytest.raises(ParseError, match=message):
             parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1, 1\n")
+        assert checked == given
 
     @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n"])
     def test_a_file_with_no_content_lines_is_refused(self, text):

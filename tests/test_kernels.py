@@ -14,7 +14,6 @@ import calculus_reference as ref
 from finitary import (
     BasicIdeal,
     Form,
-    Word,
     basis_words,
     differential,
     form_product,
@@ -48,7 +47,7 @@ coefficients = st.one_of(
 
 def _merged_runs(letters):
     """The word of letters with each run of equal letters written once."""
-    return Word(k for k, _ in groupby(letters))
+    return tuple(k for k, _ in groupby(letters))
 
 
 @st.composite
@@ -72,7 +71,7 @@ def quotients(draw):
     # a first letter and one to three steps, each to a different letter
     steps = st.lists(st.integers(1, n - 1), min_size=1, max_size=3)
     generator = st.builds(
-        lambda first, moves: Word(accumulate(moves, lambda k, m: (k + m) % n, initial=first)),
+        lambda first, moves: tuple(accumulate(moves, lambda k, m: (k + m) % n, initial=first)),
         letters, steps,
     )
     gens = [draw(generator) for _ in range(draw(st.integers(0, 3)))]
@@ -186,7 +185,7 @@ def test_the_quotient_kernels_hold_no_word_of_the_ideal():
 def _form(terms):
     """The form of (word, (a, p, b, q)) terms, coefficient a/p + (b/q)i."""
     return Form(
-        (Word(w), GaussianRational(Fraction(a, p), Fraction(b, q))) for w, (a, p, b, q) in terms
+        (w, GaussianRational(Fraction(a, p), Fraction(b, q))) for w, (a, p, b, q) in terms
     )
 
 
@@ -302,7 +301,7 @@ def test_quotient_operations_build_no_scalar_and_items_one_per_term(quotient, sc
     assert out and scalars_counted == {"constructor": 0, "arithmetic": 0, "envelope": 0}
     terms = out.items()
     assert scalars_counted == {"constructor": 0, "arithmetic": 0, "envelope": len(out)}
-    assert all(type(w) is Word and type(c) is GaussianRational for w, c in terms)
+    assert all(type(w) is tuple and type(c) is GaussianRational for w, c in terms)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from finitary import (
     NotAntisymmetric,
     Relation,
     StructureViolation,
-    Word,
     basis_words,
     generated_space,
     manifolds,
@@ -27,7 +26,7 @@ from conftest import random_antisymmetric_relation
 
 
 def W(*letters):
-    return Word(letters)
+    return letters
 
 
 TRIANGLE_REL = Relation(3, [(0, 1), (1, 2), (2, 0)])
@@ -38,7 +37,7 @@ class TestFromRelation:
     def test_triangle_words(self):
         m = Manifold.from_relation(TRIANGLE_REL)
         assert set(m.words()) == {W(0), W(1), W(2), W(0, 1), W(1, 2), W(2, 0)}
-        assert [m.word_label(w) for w in m.words(max_grade=1) if w.grade == 1] == [
+        assert [m.word_label(w) for w in m.words(max_grade=1) if len(w) == 2] == [
             "12",
             "23",
             "31",
@@ -195,7 +194,7 @@ class TestDimension:
             ]
             words = list(m.words(max_grade=6) if math.isinf(dim) else m.words())
             assert words == oracle
-            assert max(w.grade for w in words) == top
+            assert max(len(w) - 1 for w in words) == top
 
     def test_generated_space_walks_the_automaton_once(self, monkeypatch):
         calls = []
@@ -356,7 +355,7 @@ def all_four_scans(m):
     rel = m.relation()
     failures = []
     for w in words:
-        for sub in map(Word, deletions(w)):
+        for sub in deletions(w):
             if sub not in word_set:
                 failures.append(
                     StructureFailure(
@@ -405,7 +404,7 @@ def random_word_family(rng, n):
     ordering of a word's vertex set, a repeated letter, or any word."""
     words = set(Manifold.from_relation(random_antisymmetric_relation(rng, n)).words())
     top = rng.randint(0, n - 1)
-    words = {w for w in words if w.grade <= top}
+    words = {w for w in words if len(w) - 1 <= top}
     for _ in range(rng.choice((0, 0, 1, 2, 3))):
         w = rng.choice(sorted(words))
         edit = rng.randrange(4)
@@ -450,7 +449,7 @@ class TestWordFamilies:
                             for s in range(size)
                             for t in range(s + 1, size)
                         ):
-                            expected.add(Word(perm))
+                            expected.add(perm)
             assert chains == expected
 
 

@@ -16,7 +16,6 @@ from finitary import (
     Relation,
     SimplicialComplex,
     TooLarge,
-    Word,
     BasicIdeal,
     basis_words,
     circle_covering,
@@ -126,7 +125,7 @@ class TestGeneratedSpace:
         assert by["12"] == {"12"}
 
     def test_singleton_manifold(self):
-        m = Manifold(("1",), words=[Word((0,))])
+        m = Manifold(("1",), words=[(0,)])
         s = generated_space(m)
         assert s.n == 1 and s.min_open == (0b1,)
 
@@ -272,7 +271,7 @@ class TestOrderAndHasse:
         for _ in range(150):  # every pair blocked, so the family is finite
             n = rng.randint(2, 4)
             pairs = [w for w in basis_words(n, 1) if w[0] < w[1] or rng.random() < 0.5]
-            pairs += [Word(w[::-1]) for w in pairs if w[0] < w[1] and rng.random() < 0.3]
+            pairs += [w[::-1] for w in pairs if w[0] < w[1] and rng.random() < 0.3]
             triples = list(basis_words(n, 2))
             triples = rng.sample(triples, rng.randint(0, min(4, len(triples))))
             spaces.append(generated_space(Manifold.from_ideal(BasicIdeal(n, pairs + triples))))

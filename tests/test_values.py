@@ -19,7 +19,6 @@ from finitary import (
     Manifold,
     Relation,
     SimplicialComplex,
-    Word,
     circle_covering,
     generated_space,
     members,
@@ -140,13 +139,13 @@ def test_an_ideal_is_the_same_value_after_its_first_membership_test():
     protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     pickles = [pickle.dumps(ideal, p) for p in protocols]
     before = hash(ideal)
-    assert ideal.contains(Word((2, 0, 1))) and not ideal.contains(Word((2, 1)))
+    assert ideal.contains((2, 0, 1)) and not ideal.contains((2, 1))
     assert ideal == fresh and hash(ideal) == hash(fresh) == before
     assert copy.copy(ideal) is ideal and copy.deepcopy(ideal) is ideal
     assert [pickle.dumps(ideal, p) for p in protocols] == pickles
     assert pickle.dumps(ideal) == pickle.dumps(fresh)
     twin = pickle.loads(pickles[-1])
-    assert twin == ideal and twin.contains(Word((0, 1))) and not twin.contains(Word((2, 1)))
+    assert twin == ideal and twin.contains((0, 1)) and not twin.contains((2, 1))
 
 
 class TestValueEquality:
@@ -207,7 +206,7 @@ class TestAssembledValues:
     def test_a_relation_manifold(self):
         # the twin's report is its scans' result, the one m keeps unscanned
         for m in self._relation_manifolds():
-            assert all(type(w) is Word for w in m.words())
+            assert all(type(w) is tuple for w in m.words())
             twin = Manifold(m.labels, words=list(m.words()))
             twin.check_structure()
             assert Value._key(m) == Value._key(twin)
