@@ -60,7 +60,8 @@ class Value:
     BasicIdeal its generators and not its matcher).  _restore also assembles
     the values whose invariants the library has just established (a
     relation's manifold and report, its complex, a sampled covering, the
-    spaces FiniteSpace._lazy builds), unchecked.
+    spaces FiniteSpace._lazy builds, the ideals and word manifolds a file
+    reader reads), unchecked.
     """
 
     __slots__ = ()

@@ -39,6 +39,24 @@ class GradeZeroGenerator(FinitaryError):
     pass
 
 
+def _antichain(words: Iterable) -> tuple[tuple[int, ...], ...]:
+    """The generators an ideal keeps of its checked words, in canonical
+    order; a grade-0 word is refused."""
+    words = sorted(set(words))
+    words.sort(key=len)
+    if words and len(words[0]) == 1:
+        raise GradeZeroGenerator(
+            f"generator {_monomial(words[0])} has grade 0; ideals must vanish in grade 0"
+        )
+    # a distinct word can embed into w only if it is strictly shorter, and
+    # subsequence is transitive, so each length is tested against the
+    # words kept from shorter ones (the list is read before += extends it)
+    kept: list[tuple[int, ...]] = []
+    for _, group in groupby(words, len):
+        kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
+    return tuple(kept)
+
+
 class BasicIdeal(Value):
     """Superword-closed span given by an antichain of generator words.
 
@@ -53,21 +71,16 @@ class BasicIdeal(Value):
     __slots__ = ("vertex_count", "generators", "_matcher")
 
     def __init__(self, vertex_count: int, generators: Iterable = ()):
-        words = sorted({word_validate(g, vertex_count) for g in generators})
-        words.sort(key=len)
-        if words and len(words[0]) == 1:
-            raise GradeZeroGenerator(
-                f"generator {_monomial(words[0])} has grade 0; ideals must vanish in grade 0"
-            )
-        # a distinct word can embed into w only if it is strictly shorter, and
-        # subsequence is transitive, so each length is tested against the
-        # words kept from shorter ones (the list is read before += extends it)
-        kept: list[tuple[int, ...]] = []
-        for _, group in groupby(words, len):
-            kept += [w for w in group if not any(is_subsequence(g, w) for g in kept)]
+        kept = _antichain(word_validate(g, vertex_count) for g in generators)
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "generators", tuple(kept))
+        object.__setattr__(self, "generators", kept)
         object.__setattr__(self, "_matcher", None)  # filled by the first test
+
+    @classmethod
+    def _of_words(cls, vertex_count: int, words: Iterable) -> "BasicIdeal":
+        """The ideal of words already checked, each letter below
+        vertex_count (as a file reader reads them), assembled unchecked."""
+        return _restore(cls, (vertex_count, _antichain(words), None))
 
     def _key(self):
         return self.vertex_count, self.generators

@@ -239,7 +239,8 @@ def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
 def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> tuple[int, ...]:
     """The word a line spells.  table.index returns only indices inside
     the table and a line has at least one letter, so equal neighbours are
-    all that is left to refuse."""
+    all that is left to refuse, and the ideal or manifold of such words is
+    assembled with no second check (its _of_words)."""
     try:
         return _distinct_neighbours(map(table.index, map(str.strip, line.split(","))))
     except (ValueError, FinitaryError) as exc:
@@ -285,8 +286,8 @@ def parse_manifold(text: str, source: str = "<manifold>") -> Manifold:
         if not entries:
             raise ParseError(source, lineno, "words: block lists no words")
         words = [_parse_word_line(line, lno, source, table) for lno, line in entries]
-        return Manifold(table.labels, words=words)
-    ideal = BasicIdeal(table.n, _generators(entries, source, table))
+        return Manifold._of_words(table.labels, words)
+    ideal = BasicIdeal._of_words(table.n, _generators(entries, source, table))
     return Manifold.from_ideal(ideal, labels=table.labels)
 
 
@@ -300,7 +301,7 @@ def parse_ideal(
     lines = _content_lines(text, source, "ideal")
     table, entries = _table_and_entries(lines, source)
     words = _generators(entries, source, table)
-    return BasicIdeal(table.n, words), table, words
+    return BasicIdeal._of_words(table.n, words), table, words
 
 
 # -- complexes ---------------------------------------------------------------

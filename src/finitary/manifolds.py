@@ -201,6 +201,14 @@ class Manifold(Value):
         labels = default_labels(ideal.vertex_count) if labels is None else tuple(labels)
         return cls(labels, ideal=ideal)
 
+    @classmethod
+    def _of_words(cls, labels: tuple[str, ...], words) -> "Manifold":
+        """The explicit manifold of at least one word already checked, each
+        letter below len(labels) (as a file reader reads them), assembled
+        unchecked."""
+        listing = tuple(sorted(set(words), key=word_key))
+        return _restore(cls, (labels, listing, None, label_separator(labels), None, None))
+
     # -- basic queries -------------------------------------------------
 
     @property

@@ -20,12 +20,8 @@ from finitary.envelope import word_key
 from finitary.scalars import GaussianRational
 
 
-def W(*letters):
-    return letters
-
-
 def F(*words):
-    return Form((W(*w), 1) for w in words)
+    return Form((w, 1) for w in words)
 
 
 def subseq_oracle(a, b):
@@ -62,17 +58,17 @@ def test_greedy_scan_agrees_with_combination_oracle():
 
 class TestNormalization:
     def test_superword_generator_is_redundant(self):
-        ideal = BasicIdeal(3, [W(0, 1), W(2, 0, 1)])
-        assert ideal.generators == (W(0, 1),)
+        ideal = BasicIdeal(3, [(0, 1), (2, 0, 1)])
+        assert ideal.generators == ((0, 1),)
 
     def test_incomparable_generators_are_kept(self):
-        ideal = BasicIdeal(2, [W(0, 1), W(1, 0)])
-        assert ideal.generators == (W(0, 1), W(1, 0))
+        ideal = BasicIdeal(2, [(0, 1), (1, 0)])
+        assert ideal.generators == ((0, 1), (1, 0))
 
     def test_grade_zero_generator_rejected(self):
         message = r"^generator e\(0\) has grade 0; ideals must vanish in grade 0$"
         with pytest.raises(GradeZeroGenerator, match=message):
-            BasicIdeal(2, [W(0)])
+            BasicIdeal(2, [(0,)])
 
     def test_repr_writes_each_generator_as_e(self):
         assert repr(BasicIdeal(2, [(0, 1)])) == "BasicIdeal(n=2, [e(0,1)])"
@@ -111,19 +107,19 @@ def test_generators_are_the_minimal_input_words(case, rng):
 
 class TestMembership:
     def test_superword_contained(self):
-        assert BasicIdeal(3, [W(0, 1)]).contains(W(2, 0, 1))
+        assert BasicIdeal(3, [(0, 1)]).contains((2, 0, 1))
 
     def test_reversed_word_not_contained(self):
-        assert not BasicIdeal(2, [W(0, 1)]).contains(W(1, 0))
+        assert not BasicIdeal(2, [(0, 1)]).contains((1, 0))
 
     def test_generator_contains_itself(self):
-        assert BasicIdeal(2, [W(0, 1)]).contains(W(0, 1))
+        assert BasicIdeal(2, [(0, 1)]).contains((0, 1))
 
     def test_a_letter_outside_the_table_matches_nothing(self):
-        ideal = BasicIdeal(2, [W(0, 1)])
-        assert ideal.contains(W(0, 5, 1))
-        assert not ideal.contains(W(5))
-        assert not ideal.contains(W(1, 7, 0))
+        ideal = BasicIdeal(2, [(0, 1)])
+        assert ideal.contains((0, 5, 1))
+        assert not ideal.contains((5,))
+        assert not ideal.contains((1, 7, 0))
 
     def test_superword_closure_exhaustive(self):
         rng = random.Random(11)
@@ -151,15 +147,15 @@ class TestMembership:
 
 class TestReduce:
     def test_projects_out_contained_terms(self):
-        ideal = BasicIdeal(2, [W(0, 1)])
+        ideal = BasicIdeal(2, [(0, 1)])
         d_vertex = F((1, 0)) - F((0, 1))
         assert ideal.reduce(d_vertex) == F((1, 0))
 
     def test_zero(self):
-        assert not BasicIdeal(2, [W(0, 1)]).reduce(Form())
+        assert not BasicIdeal(2, [(0, 1)]).reduce(Form())
 
     def test_generator_vanishes(self):
-        assert not BasicIdeal(2, [W(0, 1)]).reduce(F((0, 1)))
+        assert not BasicIdeal(2, [(0, 1)]).reduce(F((0, 1)))
 
     def test_idempotent_orthogonal_projection(self):
         rng = random.Random(17)
@@ -180,16 +176,16 @@ class TestReduce:
 
 class TestQuotientCalculus:
     def test_differential_can_vanish_entirely(self):
-        ideal = BasicIdeal(2, [W(0, 1, 0), W(1, 0, 1)])
+        ideal = BasicIdeal(2, [(0, 1, 0), (1, 0, 1)])
         assert not ideal.quotient_differential(F((0, 1)))
 
     def test_product_falls_into_ideal(self):
-        ideal = BasicIdeal(2, [W(0, 1)])
+        ideal = BasicIdeal(2, [(0, 1)])
         # (1,0)*(0,1) = (1,0,1) which contains (0,1) as a subsequence
         assert not ideal.quotient_product(F((1, 0)), F((0, 1)))
 
     def test_differential_of_zero(self):
-        assert not BasicIdeal(2, [W(0, 1)]).quotient_differential(Form())
+        assert not BasicIdeal(2, [(0, 1)]).quotient_differential(Form())
 
     def test_differential_closure(self):
         rng = random.Random(19)

@@ -337,18 +337,23 @@ class TestIdeals:
             parse_ideal("vertices: 1, 2\n1\n")
 
     def test_word_lines_build_no_checked_word(self, monkeypatch):
-        # the reader refuses equal neighbours itself, with the message of the
-        # boundary check, and checks no word twice: each word of the file
-        # passes the boundary check once, when the ideal validates it
-        boundary, checked = envelope._checked_word, []
-        monkeypatch.setattr(envelope, "_checked_word", lambda w: checked.append(w) or boundary(w))
-        _, _, given = parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1\n")
+        # the words of a file pass no boundary check, in an ideal file or a
+        # manifold's words: or ideal: block, and equal neighbours are still
+        # refused with the message the boundary check gives them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reader checked a word at the boundary")
+
+        monkeypatch.setattr(envelope, "_checked_word", refuse)
+        ideal, _, given = parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1\n")
         assert given == [(0, 1, 0), (2, 0)] and {type(w) for w in given} == {tuple}
-        assert checked == given
+        assert ideal.generators == ((2, 0), (0, 1, 0))
+        m = parse_manifold("vertices: a, b\nwords:\nb\na, b\na\nb\n")
+        assert list(m.words()) == [(0,), (1,), (0, 1)]
+        m = parse_manifold("vertices: 1, 2\nideal:\n1, 2\n")
+        assert m.ideal.generators == ((0, 1),)
         message = r"^<ideal>:3: equal adjacent letters at positions 1,2 in \(2, 0, 0\)$"
         with pytest.raises(ParseError, match=message):
             parse_ideal("vertices: 1, 2, 3\n1, 2, 1\n3, 1, 1\n")
-        assert checked == given
 
     @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n"])
     def test_a_file_with_no_content_lines_is_refused(self, text):

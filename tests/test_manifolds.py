@@ -25,10 +25,6 @@ from finitary.manifolds import StructureFailure
 from conftest import random_antisymmetric_relation
 
 
-def W(*letters):
-    return letters
-
-
 TRIANGLE_REL = Relation(3, [(0, 1), (1, 2), (2, 0)])
 TOTAL_ORDER_3 = Relation(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -36,7 +32,7 @@ TOTAL_ORDER_3 = Relation(3, [(0, 1), (0, 2), (1, 2)])
 class TestFromRelation:
     def test_triangle_words(self):
         m = Manifold.from_relation(TRIANGLE_REL)
-        assert set(m.words()) == {W(0), W(1), W(2), W(0, 1), W(1, 2), W(2, 0)}
+        assert set(m.words()) == {(0,), (1,), (2,), (0, 1), (1, 2), (2, 0)}
         assert [m.word_label(w) for w in m.words(max_grade=1) if len(w) == 2] == [
             "12",
             "23",
@@ -51,7 +47,7 @@ class TestFromRelation:
 
     def test_total_order_gives_full_simplex(self):
         m = Manifold.from_relation(TOTAL_ORDER_3)
-        assert W(0, 1, 2) in set(m.words())
+        assert (0, 1, 2) in set(m.words())
         assert m.dimension() == 2
         assert len(list(m.words())) == 7
 
@@ -72,7 +68,7 @@ class TestRelationOf:
         assert m.relation() == TRIANGLE_REL
 
     def test_singletons_only_gives_identity(self):
-        m = Manifold(("1", "2", "3"), words=[W(0), W(1), W(2)])
+        m = Manifold(("1", "2", "3"), words=[(0,), (1,), (2,)])
         assert m.relation() == Relation(3)
         assert m.dimension() == 0
 
@@ -160,9 +156,9 @@ class TestDimension:
         assert m.dimension() == math.inf
 
     def test_ideal_complement_finite(self):
-        m = Manifold.from_ideal(BasicIdeal(2, [W(0, 1)]))
+        m = Manifold.from_ideal(BasicIdeal(2, [(0, 1)]))
         assert m.dimension() == 1
-        assert set(m.words()) == {W(0), W(1), W(1, 0)}
+        assert set(m.words()) == {(0,), (1,), (1, 0)}
 
     def test_infinite_enumeration_needs_truncation(self):
         m = Manifold.from_ideal(BasicIdeal(2))
@@ -170,7 +166,7 @@ class TestDimension:
             list(m.words())
         truncated = list(m.words(max_grade=2))
         assert truncated == [
-            W(0), W(1), W(0, 1), W(1, 0), W(0, 1, 0), W(1, 0, 1),
+            (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1),
         ]
 
     def test_automaton_agrees_with_filtered_enumeration(self):
@@ -210,9 +206,9 @@ class TestDimension:
         assert calls == ["avoiding_words"]
 
     def test_truncated_listing_of_an_unlisted_ideal(self):
-        for ideal in (BasicIdeal(3), BasicIdeal(3, [W(0, 1), W(1, 0)])):
+        for ideal in (BasicIdeal(3), BasicIdeal(3, [(0, 1), (1, 0)])):
             m = Manifold.from_ideal(ideal)
-            assert list(m.words(max_grade=0)) == [W(0), W(1), W(2)]
+            assert list(m.words(max_grade=0)) == [(0,), (1,), (2,)]
 
     def test_zero_vertices_list_no_words(self):
         m = Manifold.from_ideal(BasicIdeal(0))
@@ -248,16 +244,16 @@ class TestIsNetwork:
 
     def test_removing_a_top_word_breaks_network(self):
         m = Manifold.from_relation(TOTAL_ORDER_3)
-        words = [w for w in m.words() if w != W(0, 1, 2)]
+        words = [w for w in m.words() if w != (0, 1, 2)]
         pruned = Manifold(m.labels, words=words)
         assert not pruned.is_network()
 
     def test_singletons_with_identity_relation_is_network(self):
-        m = Manifold(("1", "2"), words=[W(0), W(1)])
+        m = Manifold(("1", "2"), words=[(0,), (1,)])
         assert m.is_network()
 
     def test_two_orderings_is_not_network(self):
-        m = Manifold(("1", "2"), words=[W(0), W(1), W(0, 1), W(1, 0)])
+        m = Manifold(("1", "2"), words=[(0,), (1,), (0, 1), (1, 0)])
         assert not m.is_network()
 
 
@@ -268,7 +264,7 @@ class TestCheckStructure:
         assert "ok" in str(report)
 
     def test_two_orderings_fail_uniqueness(self):
-        m = Manifold(("1", "2"), words=[W(0), W(1), W(0, 1), W(1, 0)])
+        m = Manifold(("1", "2"), words=[(0,), (1,), (0, 1), (1, 0)])
         report = m.check_structure()
         assert not report.ok
         assert any(f.check == "uniqueness" for f in report.failures)
@@ -276,7 +272,7 @@ class TestCheckStructure:
     def test_missing_face_fails_hereditarity(self):
         m = Manifold(
             ("1", "2", "3"),
-            words=[W(0), W(1), W(2), W(0, 1, 2), W(0, 2), W(1, 2)],
+            words=[(0,), (1,), (2,), (0, 1, 2), (0, 2), (1, 2)],
         )
         report = m.check_structure()
         witnesses = {
@@ -284,10 +280,10 @@ class TestCheckStructure:
             for f in report.failures
             if f.check == "hereditarity"
         }
-        assert (W(0, 1, 2), W(0, 1)) in witnesses
+        assert ((0, 1, 2), (0, 1)) in witnesses
 
     def test_missing_singleton_reported(self):
-        m = Manifold(("1", "2"), words=[W(0)])
+        m = Manifold(("1", "2"), words=[(0,)])
         report = m.check_structure()
         assert any(f.check == "singletons" for f in report.failures)
 
@@ -297,14 +293,14 @@ class TestCheckStructure:
             raise AssertionError("relation built")
 
         monkeypatch.setattr(Manifold, "relation", relation)
-        m = Manifold(("1", "2", "3"), words=[W(0), W(1), W(0, 1)])
+        m = Manifold(("1", "2", "3"), words=[(0,), (1,), (0, 1)])
         assert [f.check for f in m.check_structure().failures] == ["singletons"]
 
     def test_unrelated_pair_fails_fully_ordered(self):
         # word (0,1,2) present but the 1-form (0,2) missing: pair unrelated
         m = Manifold(
             ("1", "2", "3"),
-            words=[W(0), W(1), W(2), W(0, 1), W(1, 2), W(0, 1, 2)],
+            words=[(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)],
         )
         report = m.check_structure()
         assert any(f.check == "fully-ordered" for f in report.failures)
@@ -322,7 +318,7 @@ class TestCheckStructure:
         assert 300 < passing < 1700
 
     def test_report_of_every_failure_kind_is_pinned(self):
-        words = [W(0), W(1), W(0, 1), W(1, 0), W(0, 2), W(0, 1, 0), W(0, 1, 2)]
+        words = [(0,), (1,), (0, 1), (1, 0), (0, 2), (0, 1, 0), (0, 1, 2)]
         report = Manifold(("1", "2", "3"), words=words).check_structure()
         assert str(report).splitlines() == [
             "hereditarity: FAIL - 13 present but its face 3 is missing",
@@ -336,14 +332,14 @@ class TestCheckStructure:
             "singletons: FAIL - singleton 3 is missing",
         ]
         assert [f.witness for f in report.failures] == [
-            (W(0, 2), W(2)),
-            (W(0, 1, 2), W(1, 2)),
-            (W(0, 1), (0, 1)),
-            (W(1, 0), (1, 0)),
-            (W(0, 1, 0),),
-            (W(0, 1, 2), (0, 1)),
-            (W(0, 1, 2), (1, 2)),
-            (W(0, 1), W(1, 0), W(0, 1, 0)),
+            ((0, 2), (2,)),
+            ((0, 1, 2), (1, 2)),
+            ((0, 1), (0, 1)),
+            ((1, 0), (1, 0)),
+            ((0, 1, 0),),
+            ((0, 1, 2), (0, 1)),
+            ((0, 1, 2), (1, 2)),
+            ((0, 1), (1, 0), (0, 1, 0)),
             (2,),
         ]
 
@@ -392,7 +388,7 @@ def all_four_scans(m):
             message = f"vertex set {{{vertices}}} carries several orderings: {names}"
             failures.append(StructureFailure("uniqueness", tuple(group), message))
     for i in range(m.n):
-        if W(i) not in word_set:
+        if (i,) not in word_set:
             message = f"singleton {m.labels[i]} is missing"
             failures.append(StructureFailure("singletons", (i,), message))
     return tuple(failures)
@@ -411,14 +407,14 @@ def random_word_family(rng, n):
         if edit == 0 and len(words) > 1:
             words.discard(w)
         elif edit == 1 and len(w) > 1:
-            words.add(W(*reversed(w)))
+            words.add(w[::-1])
         elif edit == 2 and len(w) > 1 and w[-1] != w[0]:
-            words.add(W(*w, w[0]))
+            words.add((*w, w[0]))
         elif edit == 3:
             letters = [rng.randrange(n)]
             for _ in range(rng.randrange(4) if n > 1 else 0):
                 letters.append(rng.choice([v for v in range(n) if v != letters[-1]]))
-            words.add(W(*letters))
+            words.add(tuple(letters))
     return Manifold(tuple(str(i + 1) for i in range(n)), words=words)
 
 
@@ -495,7 +491,7 @@ class TestToSimplicial:
         assert p.cell_labels[p.simplices.index(0b101)] == "31"
 
     def test_singletons_only(self):
-        m = Manifold(("1", "2"), words=[W(0), W(1)])
+        m = Manifold(("1", "2"), words=[(0,), (1,)])
         assert m.to_simplicial().simplices == (0b01, 0b10)
 
     def test_total_order_full_simplex(self):
@@ -504,6 +500,6 @@ class TestToSimplicial:
         assert p.simplices[-1] == 0b111
 
     def test_structure_violation_raises(self):
-        m = Manifold(("1", "2"), words=[W(0), W(1), W(0, 1), W(1, 0)])
+        m = Manifold(("1", "2"), words=[(0,), (1,), (0, 1), (1, 0)])
         with pytest.raises(StructureViolation):
             m.to_simplicial()
