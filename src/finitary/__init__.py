@@ -38,7 +38,6 @@ from .topology import (
     TooLarge,
     generated_space,
     hasse,
-    is_t0,
     open_sets,
     poset_isomorphic,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "hasse",
     "inner",
     "is_subsequence",
-    "is_t0",
     "longest_avoiding_word",
     "members",
     "open_sets",

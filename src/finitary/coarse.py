@@ -401,9 +401,9 @@ def _recipes_match(a: FiniteSpace, b: FiniteSpace, phi) -> bool:
     mask inclusion (a complex's cells, always facet-closed, or class
     traces), the identity is one when both list the same masks.
     """
-    if a._recipe is None or b._recipe is None or b._recipe[1] is not facets:
+    (xs, a_faces), (ys, b_faces) = a._recipe, b._recipe
+    if b_faces is not facets:
         return False
-    (xs, a_faces), (ys, _) = a._recipe, b._recipe
     if a_faces is facets and phi == tuple(range(a.n)):
         return xs == ys
     image = dict(zip(xs, map(ys.__getitem__, phi)))

@@ -247,7 +247,8 @@ class Form(Value):
             return "Form(0)"
         bits = []
         for w, c in self.items():
-            bits.append(f"{c}*{_monomial(w)}" if c != 1 else _monomial(w))
+            coeff = f"({c})*" if c.re and c.im else "" if c == 1 else f"{c}*"
+            bits.append(coeff + _monomial(w))
         return "Form(" + " + ".join(bits) + ")"
 
 

@@ -56,12 +56,11 @@ class Value:
     overrides it, between values of one exact type.  Since a value never
     changes, a copy or deep copy is the value itself, and unpickling
     restores the slots as they were, without running the constructor again
-    (FiniteSpace pickles its table and not the recipe it is built from,
-    BasicIdeal its generators and not its matcher).  _restore also assembles
-    the values whose invariants the library has just established (a
-    relation's manifold and report, its complex, a sampled covering, the
-    spaces FiniteSpace._lazy builds, the ideals and word manifolds a file
-    reader reads), unchecked.
+    (so a FiniteSpace keeps its recipe; BasicIdeal pickles its generators
+    and not its matcher).  _restore also assembles the values whose
+    invariants the library has just established (a relation's manifold and
+    report, its complex, a sampled covering, the spaces FiniteSpace._lazy
+    builds, the ideals and word manifolds a file reader reads), unchecked.
     """
 
     __slots__ = ()

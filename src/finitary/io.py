@@ -223,17 +223,18 @@ def _parse_pairs(entries, source: str, table: VertexTable) -> list[tuple[int, in
 
 def _table_and_entries(lines, source: str) -> tuple[VertexTable, list]:
     """The ``vertices:`` table if the first line gives one, else the sorted
-    labels used by the lines; plus the remaining content lines."""
+    labels used by the lines, the first bad one in file order refused at
+    its line; plus the remaining content lines."""
     if lines and lines[0][1].startswith("vertices:"):
         lineno, first = lines[0]
         return parse_vertex_table(first.split(":", 1)[1], source, lineno), lines[1:]
     seen: set[str] = set()
-    for _, line in lines:
-        seen.update(t.strip() for t in line.split(","))
-    try:
-        return VertexTable(sorted(seen)), lines
-    except ValueError as exc:
-        raise ParseError(source, 1, str(exc)) from None
+    for lineno, line in lines:
+        for label in map(str.strip, line.split(",")):
+            if label not in seen and not _LABEL.match(label):
+                raise ParseError(source, lineno, f"bad vertex label {label!r}")
+            seen.add(label)
+    return VertexTable(sorted(seen)), lines
 
 
 def _parse_word_line(line: str, lineno: int, source: str, table: VertexTable) -> tuple[int, ...]:
@@ -334,9 +335,9 @@ def parse_complex(
 
 def parse_covering(text: str, source: str = "<covering>") -> Covering:
     lines = _content_lines(text, source, "covering")
-    if not lines[0][1].startswith("covers:"):
-        raise ParseError(source, 1, "covering file must start with 'covers:'")
     lineno, header = lines[0]
+    if not header.startswith("covers:"):
+        raise ParseError(source, lineno, "covering file must start with 'covers:'")
     cover_labels = [t.strip() for t in header.split(":", 1)[1].split(",") if t.strip()]
     if not cover_labels:
         raise ParseError(source, lineno, "covers: line lists no cover sets")

@@ -6,23 +6,23 @@ Each min_open(x) is one int bitmask over the point indices: bit y is set
 when y belongs to it, so union, intersection and inclusion are |, & and
 u & ~v == 0, and members() lists the points of a mask.  The map determines
 the topology, and the specialization preorder is read off as x <= y iff bit
-x of min_open(y) is set.  The space is T0 exactly when min_open is
-injective, i.e. when the preorder is a partial order.
+x of min_open(y) is set.
 
 For spaces generated by a manifold the points are the nonvanishing words
 and min_open(a) collects every word having a as a subsequence; under the
 orientation above, larger words sit *below* their faces, matching the
 usual picture where an edge lies under its endpoints in the Hasse graph.
 
-The library's own spaces keep the recipe their table comes from (the
-words of the manifold, or the masks of a substitute) and build min_open
-on its first read; only the public constructor takes a table.  Words
-take the subsequence closure, and masks (cells of a complex, class
+A space is the recipe its table comes from (the words of the manifold,
+or the masks of a substitute) and builds min_open on its first read.
+Words take the subsequence closure, and masks (cells of a complex, class
 traces) the one trace-quotient rule: min_open(T) holds every mask
-containing T.  When the recipe is face-closed, every face of every item
-again an item, its face relation is the cover relation (Stong), so the
-Hasse diagram is read off the recipe and builds no table; any other
-space takes the transitive reduction of its table.
+containing T.  Distinct items have distinct min_open sets under either
+rule, so every space is T0: its preorder is a partial order.  When the
+recipe is face-closed, every face of every item again an item, its face
+relation is the cover relation (Stong), so the Hasse diagram is read off
+the recipe and builds no table; any other space takes the transitive
+reduction of its table.
 """
 
 from __future__ import annotations
@@ -62,58 +62,34 @@ class FiniteSpace(Value):
     """Points with display labels plus the minimal-open-set map, one int
     bitmask per point (bit y of min_open[x] set iff y lies in it).
 
-    The public constructor takes the table and checks that min_open(x)
-    contains x and no point outside the space, and the nesting coherence
-    y in min_open(x) => min_open(y) subset of min_open(x); together these
-    make min_open the basis of an actual topology.
-
-    The spaces the library builds (generated_space and the substitutes in
-    coarse) carry a recipe instead: their items in point order (words,
-    cell masks or class traces) and the function listing an item's faces
+    A space is its recipe: its distinct items in point order (words, cell
+    masks or class traces) and the function listing an item's faces
     (one-letter deletions, or facets of a mask).  The faces decide the
     table rule: words take the subsequence closure (_subsequence_opens),
     masks the trace-quotient rule (_holder_opens).  That table is nested
-    and the labels are unique by construction (word and cell labels are
-    joined under a separator, a class takes the label of its first point,
-    a sample's label is its cell's plus #j), so the space skips the
-    checks, and the table is built on the first read of min_open: a space
-    whose table nothing reads never holds its n masks of up to n bits.
-    The recipe also gives the Hasse diagram (hasse) and certifies maps
-    between spaces (coarse.verify_correspondence) without any table.
-    Equality, hash, copy and pickle compare or carry (labels, min_open),
-    never the recipe.
+    and T0, and the labels are unique by construction (word and cell
+    labels are joined under a separator, a class takes the label of its
+    first point, a sample's label is its cell's plus #j), so there is
+    nothing to check: generated_space and the substitutes in coarse build
+    every space through _lazy, and there is no public constructor.  A T0
+    table of one's own is the trace quotient of its minimal-open-set
+    covering, trace_substitute(Covering(labels, labels, traces))[0], the
+    trace of x holding every y whose min_open holds x.
+
+    The table is built on the first read of min_open: a space whose table
+    nothing reads never holds its n masks of up to n bits.  The recipe
+    also gives the Hasse diagram (hasse) and certifies maps between spaces
+    (coarse.verify_correspondence) without any table.  Equality and hash
+    compare (labels, min_open), never the recipe; a pickle carries the
+    recipe, so an unpickled space still reads its covers off it.
     """
 
     __slots__ = ("labels", "_min_open", "_recipe")
 
-    def __init__(self, labels: Sequence[str], min_open: Sequence[int]):
-        labels, opens = tuple(labels), tuple(min_open)
-        if len(labels) != len(opens):
-            raise ValueError("one min_open mask per point required")
-        for x, u in enumerate(opens):
-            if type(u) is not int:
-                raise TypeError("min_open masks must be ints")
-            if not u >> x & 1:
-                raise ValueError(f"point {labels[x]} missing from its own min_open")
-            if u >> len(opens):
-                raise ValueError(f"min_open of {labels[x]} mentions unknown points")
-        for x, u in enumerate(opens):
-            for y in members(u):
-                if opens[y] & ~u:
-                    raise ValueError(
-                        f"min_open({labels[y]}) not nested inside min_open({labels[x]})"
-                    )
-        if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be unique")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_min_open", opens)
-        object.__setattr__(self, "_recipe", None)
-
     @classmethod
     def _lazy(cls, labels: Iterable[str], items: tuple, faces: Callable):
-        """A space whose table its recipe (items, faces) makes on its first
-        read; its labels are unique by construction, so it is assembled
-        unchecked."""
+        """The space whose table its recipe (items, faces) makes on its
+        first read, assembled unchecked."""
         return _restore(cls, (tuple(labels), None, (items, faces)))
 
     @property
@@ -126,11 +102,6 @@ class FiniteSpace(Value):
 
     def _key(self):
         return self.labels, self.min_open
-
-    def __reduce__(self):
-        # the slots labels, _min_open, _recipe: an unread space builds its
-        # table here, and the twin carries no recipe
-        return _restore, (type(self), (*self._key(), None))
 
     @property
     def n(self) -> int:
@@ -226,30 +197,21 @@ def _face_edges(items: Sequence, faces: Callable) -> list[tuple[int, int]] | Non
     return edges
 
 
-def is_t0(s: FiniteSpace) -> bool:
-    """T0 iff distinct points have distinct minimal open sets."""
-    return len(set(s.min_open)) == s.n
-
-
 def hasse(s: FiniteSpace) -> HasseDiagram:
-    """The covering pairs of the specialization order of a T0 space.
+    """The covering pairs of the specialization order of a space.
 
-    A library-built space whose recipe is face-closed (every face of every
-    item is again an item) reads them off the recipe: its order is the
+    A space whose recipe is face-closed (every face of every item is again
+    an item) reads them off the recipe: its order is the
     reflexive-transitive closure of the face relation (Stong, Trans. AMS
     123 (1966) 325), a face drops one letter or one vertex, so no face is
-    reached by a longer chain, and the covers are exactly the faces.  Its
-    items are distinct, so it is T0, and no table is built.  Any other
-    space takes the transitive reduction of its table: the covers of y
-    are below(y) minus everything below a point of below(y); a table that
-    is not T0 raises ValueError.
+    reached by a longer chain, and the covers are exactly the faces; no
+    table is built.  Any other space (a trace quotient, or a word family
+    missing a face) takes the transitive reduction of its table: the
+    covers of y are below(y) minus everything below a point of below(y).
     """
-    if s._recipe is not None:
-        edges = _face_edges(*s._recipe)
-        if edges is not None:
-            return HasseDiagram(s.labels, tuple(sorted(edges)))
-    if not is_t0(s):
-        raise ValueError("Hasse diagram requires a T0 space")
+    edges = _face_edges(*s._recipe)
+    if edges is not None:
+        return HasseDiagram(s.labels, tuple(sorted(edges)))
     below = [u & ~(1 << y) for y, u in enumerate(s.min_open)]
     edges = []
     for y, b in enumerate(below):
@@ -266,7 +228,7 @@ _FLIP = str.maketrans("01", "10")
 def open_sets(s: FiniteSpace) -> tuple[int, ...]:
     """Every open set, as a mask: all unions of minimal open sets, by size
     and then by members.  The empty set is closed under union with each
-    minimal open set in turn, so any preorder works, T0 or not.
+    minimal open set in turn.
 
     Guarded to at most 20 points; an antichain already has 2^n opens.
     (Listing the words of an ideal complement has its own cap,

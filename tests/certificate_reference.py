@@ -12,8 +12,6 @@ from finitary.complexes import facets
 
 
 def recipes_match(a, b, phi) -> bool:
-    if a._recipe is None or b._recipe is None:
-        return False
     (xs, a_faces), (ys, b_faces) = a._recipe, b._recipe
     if a_faces is b_faces is facets and phi == tuple(range(a.n)):
         return xs == ys

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from finitary import Manifold, Relation, topology
+from finitary import Covering, FiniteSpace, Manifold, Relation, topology, trace_substitute
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -32,6 +32,16 @@ def table_builds(monkeypatch) -> dict[str, int]:
     )
     monkeypatch.setattr(topology, "_holder_opens", counted("trace", topology._holder_opens))
     return counts
+
+
+def table_space(labels, min_open) -> FiniteSpace:
+    """The space with these labels and this T0 min_open table: the trace
+    quotient of its minimal-open-set covering, point x's trace every y
+    whose min_open holds x.  Distinct points have distinct traces, and
+    min_open(x) holds y exactly when the trace of y holds that of x, so
+    the quotient keeps the labels and the table."""
+    traces = [sum(1 << y for y, u in enumerate(min_open) if u >> x & 1) for x in range(len(labels))]
+    return trace_substitute(Covering(labels, labels, traces))[0]
 
 
 @pytest.fixture

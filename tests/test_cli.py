@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from finitary import io as fio, manifolds, verify_correspondence
 from finitary.cli import main
 
-from conftest import random_antisymmetric_relation
+from conftest import random_antisymmetric_relation, table_space
 
 
 def run(capsys, *argv):
@@ -542,7 +542,7 @@ class TestVerify:
     def test_isomorphism_failure_maps_to_exit_one(self, capsys, data_dir, monkeypatch):
         # unreachable with a correct engine, so break the symbolic route:
         # the edge 12 no longer lies below the vertex 1
-        from finitary import FiniteSpace, coarse
+        from finitary import coarse
 
         real = coarse.simplicial_substitute
 
@@ -550,7 +550,7 @@ class TestVerify:
             s = real(p)
             opens = list(s.min_open)
             opens[s.labels.index("1")] &= ~(1 << s.labels.index("12"))
-            return FiniteSpace(s.labels, opens)
+            return table_space(s.labels, opens)
 
         monkeypatch.setattr(coarse, "simplicial_substitute", sabotaged)
         code, out, _ = run(

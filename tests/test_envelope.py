@@ -279,6 +279,9 @@ class TestFormRepresentation:
                 op()
         assert repr(Form()) == "Form(0)"
         assert repr(f) == "Form(-1/3*e(1) + 2*e(0,1))"
+        # a coefficient with both parts is parenthesised, as io prints it
+        g = Form([((2, 0, 1), GaussianRational(1, -2)), ((0,), GaussianRational(0, -1))])
+        assert repr(g) == "Form(-i*e(0) + (1-2i)*e(2,0,1))"
 
 
 class TestAccumulators:

@@ -327,6 +327,21 @@ class TestIdeals:
         assert table.labels == ("1", "2")
         assert len(ideal.generators) == 2
 
+    @pytest.mark.parametrize(
+        "text, line, label",
+        [
+            # the first line in file order holding a bad label, not the
+            # first bad label in sorted order
+            ("# c\n1, 2\nx y, 3\n", 3, "x y"),
+            ("n 2\n1 <= 2\n2 <= 1\n", 1, "n 2"),
+            ("1, 2\nb c, a b\n", 2, "b c"),
+        ],
+    )
+    def test_an_inferred_table_names_the_line_of_its_bad_label(self, text, line, label):
+        with pytest.raises(ParseError) as err:
+            parse_ideal(text, source="bad.ideal")
+        assert str(err.value) == f"bad.ideal:{line}: bad vertex label {label!r}"
+
     def test_round_trip(self):
         ideal = BasicIdeal(3, [(0, 1), (1, 0)])
         parsed, parsed_table, _ = parse_ideal("vertices: 1, 2, 3\n1, 2\n2, 1\n")
@@ -429,6 +444,8 @@ class TestCoverings:
         [
             ("covers: A\np: A\nq:\n", "point q lies in no cover set"),
             ("covers: A, B\np: A\np: B\n", "point labels must be unique"),
+            # no header: the first content line is named
+            ("# a comment\n\np: A\n", "covering file must start with 'covers:'"),
         ],
     )
     def test_point_errors_name_the_point_line(self, text, message):

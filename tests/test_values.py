@@ -21,6 +21,7 @@ from finitary import (
     SimplicialComplex,
     circle_covering,
     generated_space,
+    hasse,
     members,
     sampled_substitute,
     trace_substitute,
@@ -31,7 +32,7 @@ from finitary.complexes import vertex_mask
 from finitary.errors import Value
 from finitary.io import VertexTable
 
-from conftest import random_antisymmetric_relation, random_manifold
+from conftest import random_antisymmetric_relation, random_manifold, table_space
 
 
 def _triangle():
@@ -125,6 +126,15 @@ def test_the_value_types_share_one_base():
     assert all(issubclass(k, Value) for k in kinds)
 
 
+def test_an_unpickled_space_keeps_its_recipe(table_builds):
+    # its Hasse diagram is read off the recipe, as the original's is
+    s = generated_space(_triangle())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(s, protocol))
+        assert hasse(twin) == hasse(s)
+    assert table_builds == {"generated": 0, "trace": 0}
+
+
 def test_mutation_message_names_the_type():
     with pytest.raises(AttributeError, match="^Relation is immutable$"):
         Relation(1).n = 2
@@ -167,11 +177,14 @@ class TestValueEquality:
         assert Relation(2).__eq__(BasicIdeal(2)) is NotImplemented
         assert len({Relation(2), Relation(2), BasicIdeal(2)}) == 2
 
-    def test_a_lazy_space_equals_the_eager_space_of_its_table(self):
+    def test_spaces_compare_by_labels_and_table_not_recipe(self):
+        # the trace quotient of the table's covering: other masks, the
+        # same labels and table
         lazy, twin = _lazy_sampled(), _lazy_sampled()
-        eager = FiniteSpace(twin.labels, twin.min_open)
-        assert lazy == eager and hash(lazy) == hash(eager)
-        assert eager == _lazy_sampled()
+        other = table_space(twin.labels, twin.min_open)
+        assert other._recipe != lazy._recipe
+        assert lazy == other and hash(lazy) == hash(other)
+        assert other == _lazy_sampled()
 
     def test_simplicial_complex_ignores_display_labels(self):
         p = _triangle().to_simplicial()
