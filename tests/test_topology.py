@@ -16,6 +16,7 @@ from finitary import (
     Relation,
     SimplicialComplex,
     TooLarge,
+    UncoveredPoint,
     BasicIdeal,
     basis_words,
     circle_covering,
@@ -111,6 +112,19 @@ class TestFiniteSpace:
             assert s.labels == labels and s.min_open == tuple(table)
 
 
+class TestFiniteSpaceValidation:
+    # a table of one's own becomes a space through the covering by its
+    # minimal open sets, and that covering is checked
+    def test_point_must_be_in_its_min_open(self):
+        # a lies in no min_open, its own included, so its trace is empty
+        with pytest.raises(UncoveredPoint, match="point a lies in no cover set"):
+            space(("a", "b"), [{1}, {1}])
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="point labels must be unique"):
+            space(("a", "a"), [{0}, {1}])
+
+
 class TestGeneratedSpace:
     def test_triangle_min_opens(self):
         s = generated_space(TRIANGLE)
@@ -194,6 +208,16 @@ class TestT0:
         for _ in range(40):
             s = generated_space(random_manifold(rng, max_vertices=5))
             assert len(set(s.min_open)) == s.n
+
+    def test_indiscrete_pair_is_not_t0(self):
+        # a and b lie in the same open sets: the quotient keeps one of them
+        s = space(("a", "b"), [{0, 1}, {0, 1}])
+        assert s.labels == ("a",) and s.min_open == (0b1,)
+
+    def test_one_point_space(self):
+        s = space(("x",), [{0}])
+        assert s.labels == ("x",) and s.min_open == (0b1,)
+        assert hasse(s).edges == ()
 
     def test_trace_quotient_merges_equal_traces(self):
         traces = [mask(t) for t in ({0}, {0, 1}, {0}, {1})]
