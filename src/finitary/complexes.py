@@ -1,10 +1,12 @@
 """Abstract simplicial complexes over an indexed vertex set.
 
 A complex is a hereditary family of nonempty vertex subsets containing
-every singleton.  A simplex is an int vertex mask (bit v for vertex v),
-the index-set format of the rest of the library.  Each cell has one label:
-its vertex labels joined in order, or in the complex of a manifold
-(Manifold.to_simplicial) the label of its one nonvanishing word.
+every singleton; SimplicialComplex builds it as the closure of any
+nonempty vertex masks, adding their missing faces and the singletons.  A
+simplex is an int vertex mask (bit v for vertex v), the index-set format
+of the rest of the library.  Each cell has one label: its vertex labels
+joined in order, or in the complex of a manifold (Manifold.to_simplicial)
+the label of its one nonvanishing word.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import FinitaryError, TooLarge, Value, members
 
-#: Cap on the cells SimplicialComplex.closed builds: a 12-vertex simplex
+#: Cap on the cells of a SimplicialComplex closure: a 12-vertex simplex
 #: (4095 cells) passes, a 13-vertex one is refused.
 MAX_CELLS = 4096
 
@@ -76,27 +78,27 @@ def _check(simplex, vertex_count: int) -> int:
 
 
 class SimplicialComplex(Value):
-    """The simplices, as vertex masks in canonical order (size first, then
-    sorted vertices), and cell_labels, one label per simplex in that order.
-    A mask is also the trace of its open cell in the covering by open vertex
-    stars, so the face order is mask inclusion.  _key ignores the labels."""
+    """The closure of the given nonempty vertex masks: they, their faces and
+    every singleton.  Raises TooLarge as soon as it grows past MAX_CELLS
+    cells.  Stored are the simplices, as vertex masks in canonical order
+    (size first, then sorted vertices), and cell_labels, one label per
+    simplex in that order.  A mask is also the trace of its open cell in
+    the covering by open vertex stars, so the face order is mask
+    inclusion.  _key ignores the labels."""
 
     __slots__ = ("vertex_count", "labels", "simplices", "cell_labels")
 
     def __init__(self, vertex_count: int, simplices: Iterable[int], labels=None):
-        ordered = sorted({_check(s, vertex_count) for s in simplices}, key=simplex_key)
-        present = set(ordered)
-        for v in range(vertex_count):
-            if 1 << v not in present:
-                raise NotASimplex(f"missing singleton {{{v}}}")
-        # finding every facet of every simplex proves the family hereditary
-        for s in ordered:
-            for f in facets(s):
-                if f not in present:
-                    raise NotASimplex(
-                        f"family is not hereditary: {set(members(s))} "
-                        f"lacks face {set(members(f))}"
-                    )
+        given = {_check(s, vertex_count) for s in simplices}
+        closure = set()
+        for s in [*given, *(1 << v for v in range(vertex_count))]:
+            face = s
+            while face:  # every nonempty submask of s
+                closure.add(face)
+                if len(closure) > MAX_CELLS:
+                    raise TooLarge(f"complex closure is capped at {MAX_CELLS} cells")
+                face = (face - 1) & s
+        ordered = sorted(closure, key=simplex_key)
         labels = default_labels(vertex_count) if labels is None else tuple(labels)
         if len(labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
@@ -106,24 +108,6 @@ class SimplicialComplex(Value):
         object.__setattr__(self, "simplices", tuple(ordered))
         cells = (sep.join(labels[v] for v in members(s)) for s in ordered)
         object.__setattr__(self, "cell_labels", tuple(cells))
-
-    @classmethod
-    def closed(cls, vertex_count: int, simplices: Iterable[int], labels=None):
-        """Build from arbitrary nonempty vertex masks (empty ones are
-        skipped), adding all missing faces and singletons.  Returns
-        (complex, added) with the added faces in canonical order.  Raises
-        TooLarge as soon as the closure grows past MAX_CELLS cells."""
-        given = {_check(s, vertex_count) for s in simplices if s != 0}
-        closure = set()
-        for s in [*given, *(1 << v for v in range(vertex_count))]:
-            face = s
-            while face:
-                closure.add(face)
-                if len(closure) > MAX_CELLS:
-                    raise TooLarge(f"complex closure is capped at {MAX_CELLS} cells")
-                face = (face - 1) & s
-        complex_ = cls(vertex_count, closure, labels=labels)
-        return complex_, [s for s in complex_.simplices if s not in given]
 
     def __len__(self):
         return len(self.simplices)

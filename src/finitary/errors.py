@@ -23,8 +23,8 @@ class TooLarge(FinitaryError):
     one is told by its generators);
     coarse.MAX_SAMPLES, 100 000 sample points on the circle or in the cells
     of a complex; 20 points for topology.open_sets; complexes.MAX_CELLS,
-    4096 cells in the closure SimplicialComplex.closed builds from a
-    complex file.
+    4096 cells in a SimplicialComplex, the closure of the masks it is
+    given (a complex file's simplices among them).
     """
 
 

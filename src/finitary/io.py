@@ -21,7 +21,8 @@ so that identical inputs give byte-identical output.  Formats:
             as comma-separated labels
   complex   optional ``vertices:`` line, then one simplex per line;
             missing faces are added (reported back to the caller)
-  covering  ``covers:`` header line, then ``point: set1, set2`` lines
+  covering  ``covers:`` header line, then ``point: set1, set2`` lines;
+            a point label follows the vertex-label rule
 
 Lines starting with ``#`` and blank lines are ignored everywhere.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 
-from .automata import MAX_WORDS
+from . import automata
 from .complexes import SimplicialComplex, vertex_mask
 from .coarse import Covering
 from .envelope import Form, _distinct_neighbours, _summed
@@ -192,13 +193,15 @@ def _relation(lines, source: str) -> Relation:
     if not (count.isascii() and count.isdigit()):  # isdigit alone takes "²" and "١٢"
         raise ParseError(source, lineno, f"expected header 'n <count>', got {header!r}")
     # int() refuses past 4300 digits, leading zeros included, so only the
-    # significant ones are read; more of them than MAX_WORDS has is too large
+    # significant ones are read; more of them than the cap has is too large.
+    # The cap is read at each call, so raising automata.MAX_WORDS lifts it
+    cap = automata.MAX_WORDS
     digits = count.lstrip("0")
-    n = int(digits or "0") if len(digits) <= len(str(MAX_WORDS)) else MAX_WORDS + 1
+    n = int(digits or "0") if len(digits) <= len(str(cap)) else cap + 1
     if n < 1:
         raise ParseError(source, lineno, "vertex count must be at least 1")
-    if n > MAX_WORDS:  # its n singletons are already too many words
-        raise TooLarge(f"relation path enumeration is capped at {MAX_WORDS} words")
+    if n > cap:  # its n singletons are already too many words
+        raise TooLarge(f"relation path enumeration is capped at {cap} words")
     # the labels 1..n are distinct and valid by construction
     labels = tuple(map(str, range(1, n + 1)))
     table = _restore(VertexTable, (labels, dict(zip(labels, range(n)))))
@@ -323,11 +326,9 @@ def parse_complex(
         if simplex.bit_count() != len(toks):
             raise ParseError(source, lno, f"simplex {line!r} repeats a vertex")
         simplices.append(simplex)
-    complex_, added = SimplicialComplex.closed(
-        table.n, simplices, labels=table.labels
-    )
-    added, cells = set(added), zip(complex_.simplices, complex_.cell_labels)
-    notes = [f"added missing face {label}" for s, label in cells if s in added]
+    complex_ = SimplicialComplex(table.n, simplices, labels=table.labels)
+    given, cells = set(simplices), zip(complex_.simplices, complex_.cell_labels)
+    notes = [f"added missing face {label}" for s, label in cells if s not in given]
     return complex_, notes
 
 
@@ -349,6 +350,8 @@ def parse_covering(text: str, source: str = "<covering>") -> Covering:
         if ":" not in line:
             raise ParseError(source, lno, f"expected 'point: set1, set2', got {line!r}")
         label, body = (s.strip() for s in line.split(":", 1))
+        if not _LABEL.match(label):
+            raise ParseError(source, lno, f"bad point label {label!r}")
         trace = 0
         for tok in (t.strip() for t in body.split(",") if t.strip()):
             if tok not in index:

@@ -1,14 +1,15 @@
 """Discrete differential manifolds: a finite vertex set plus the family of
 nonvanishing basis words of a calculus on it.
 
-Two representations are supported.  An explicit manifold stores the finite
-word family directly, as one tuple in canonical order (grade-major, then
-lexicographic).  An ideal-complement manifold stores a BasicIdeal and
-treats every word outside the ideal as nonvanishing; that family may be
-infinite, so only dimension detection and grade-truncated enumeration are
-offered for it.  Whether it is finite is read off the ideal's generators
-(automata.is_finite); when it is, its first full listing is kept in the
-same tuple.
+Two representations are supported.  An explicit manifold,
+Manifold(labels, words), stores the finite word family directly, as one
+tuple in canonical order (grade-major, then lexicographic).  An
+ideal-complement manifold, Manifold.from_ideal(ideal, labels), stores a
+BasicIdeal and treats every word outside the ideal as nonvanishing; that
+family may be infinite, so only dimension detection and grade-truncated
+enumeration are offered for it.  Whether it is finite is read off the
+ideal's generators (automata.is_finite); when it is, its first full
+listing is kept in the same tuple.
 
 A manifold built from a reflexive relation r ("network" construction)
 takes as words exactly the sequences (i_0, ..., i_k) with i_s r i_t for
@@ -150,28 +151,21 @@ _CHECKS = ("hereditarity", "fully-ordered", "uniqueness", "singletons")
 
 
 class Manifold(Value):
-    """A vertex table plus the family of nonvanishing words (explicit or as
-    the complement of a basic ideal)."""
+    """A vertex table plus the family of nonvanishing words: explicit, as
+    the constructor takes them, or the complement of a basic ideal
+    (from_ideal), or a relation's chains (from_relation)."""
 
     __slots__ = ("labels", "_words", "ideal", "_separator", "_report", "_word_labels")
 
-    def __init__(self, labels: tuple[str, ...], words=None, ideal: BasicIdeal | None = None):
-        if (words is None) == (ideal is None):
-            raise ValueError("provide exactly one of words= or ideal=")
+    def __init__(self, labels: tuple[str, ...], words):
         labels = tuple(labels)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_separator", label_separator(labels))
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "_words", None)
-        object.__setattr__(self, "_report", None)
-        object.__setattr__(self, "_word_labels", None)
-        if words is not None:
-            validated = {word_validate(w, len(labels)) for w in words}
-            if not validated:
-                raise ValueError("explicit manifold needs at least one word")
-            object.__setattr__(self, "_words", tuple(sorted(validated, key=word_key)))
-        elif ideal.vertex_count != len(labels):
-            raise ValueError("ideal vertex count does not match label count")
+        separator = label_separator(labels)
+        validated = {word_validate(w, len(labels)) for w in words}
+        if not validated:
+            raise ValueError("explicit manifold needs at least one word")
+        listing = tuple(sorted(validated, key=word_key))
+        for name, item in zip(self.__slots__, (labels, listing, None, separator, None, None)):
+            object.__setattr__(self, name, item)
 
     # -- construction -------------------------------------------------
 
@@ -198,8 +192,12 @@ class Manifold(Value):
 
     @classmethod
     def from_ideal(cls, ideal: BasicIdeal, labels=None) -> "Manifold":
+        """The ideal-complement manifold: every word outside the ideal is
+        nonvanishing.  Nothing is listed until it is asked for."""
         labels = default_labels(ideal.vertex_count) if labels is None else tuple(labels)
-        return cls(labels, ideal=ideal)
+        if ideal.vertex_count != len(labels):
+            raise ValueError("ideal vertex count does not match label count")
+        return _restore(cls, (labels, None, ideal, label_separator(labels), None, None))
 
     @classmethod
     def _of_words(cls, labels: tuple[str, ...], words) -> "Manifold":

@@ -397,7 +397,7 @@ class TestSampledSubstitute:
         assert poset_isomorphic(simplicial_substitute(BOUNDARY_TRIANGLE), space) is not None
 
     def test_full_triangle_gives_face_poset(self):
-        p = SimplicialComplex.closed(3, [cell(0, 1, 2)])[0]
+        p = SimplicialComplex(3, [cell(0, 1, 2)])
         space = sampled_substitute(p, per_cell=5, seed=2)
         assert space.n == 7
         assert poset_isomorphic(simplicial_substitute(p), space) is not None

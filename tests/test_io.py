@@ -16,6 +16,7 @@ from finitary import (
     Relation,
     SimplicialComplex,
     TooLarge,
+    automata,
     basis_words,
     envelope,
     generated_space,
@@ -262,6 +263,14 @@ class TestRelations:
         with pytest.raises(TooLarge):
             parse_relation(f"n {count}\n")
 
+    def test_the_cap_is_read_when_the_file_is_read(self, monkeypatch):
+        # raising automata.MAX_WORDS lifts the header cap as it lifts the
+        # cap of the word walk
+        monkeypatch.setattr(automata, "MAX_WORDS", 100_001)
+        assert parse_relation("n 100001\n") == Relation(100_001)
+        with pytest.raises(TooLarge, match="capped at 100001 words"):
+            parse_relation("n 100002\n")
+
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_relation("n 2\n# fine\n1 <= 9", source="rel.txt")
@@ -401,6 +410,12 @@ class TestComplexes:
         expected = SimplicialComplex(3, [0b001, 0b010, 0b100, 0b011, 0b110])
         assert complex_ == expected and notes == []
 
+    def test_notes_name_exactly_the_cells_the_file_did_not_list(self):
+        complex_, notes = parse_complex("vertices: a, b, c, d\na, b, c\nc, d\nc\n")
+        listed = {0b0111, 0b1100, 0b0100}
+        assert complex_ == SimplicialComplex(4, listed)
+        assert notes == [f"added missing face {c}" for c in ("a", "b", "d", "ab", "ac", "bc")]
+
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ParseError):
             parse_complex("vertices: 1, 2\n1, 1\n")
@@ -453,6 +468,17 @@ class TestCoverings:
             parse_covering(text, source="unc.covering")
         assert err.value.line == 3
         assert str(err.value) == f"unc.covering:3: {message}"
+
+    @pytest.mark.parametrize(
+        "text, label",
+        [("covers: A\np, q: A\nr: A\n", "p, q"), ("covers: A\n: A\n", "")],
+        ids=["comma", "empty"],
+    )
+    def test_a_point_label_follows_the_vertex_label_rule(self, text, label):
+        # the output could not show these: "p, q" reads as two points
+        with pytest.raises(ParseError) as err:
+            parse_covering(text, source="bad.covering")
+        assert str(err.value) == f"bad.covering:2: bad point label {label!r}"
 
 
 TRIANGLE_DOT = """\

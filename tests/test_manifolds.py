@@ -449,16 +449,17 @@ class TestWordFamilies:
             assert chains == expected
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({}, "provide exactly one of words= or ideal="),
-        ({"words": []}, "explicit manifold needs at least one word"),
-    ],
-)
-def test_a_manifold_needs_one_word_family(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        Manifold(("1", "2"), **kwargs)
+def test_a_manifold_needs_one_word_family():
+    with pytest.raises(ValueError, match="explicit manifold needs at least one word"):
+        Manifold(("1", "2"), words=[])
+
+
+def test_the_constructor_takes_words_only():
+    # an ideal complement has one spelling, Manifold.from_ideal
+    with pytest.raises(TypeError):
+        Manifold(("1", "2"), ideal=BasicIdeal(2))
+    with pytest.raises(TypeError):
+        Manifold(("1", "2"))
 
 
 def test_duplicate_vertex_labels_are_refused():
