@@ -4,7 +4,10 @@ Each ``finitary COMMAND OP`` has a parser of its own, which declares
 exactly the arguments the op reads: a missing argument, or one the op
 does not read, is a usage error, refused before any file is read.  An op
 is one function plus one ``op(name, fn, *parents)`` line in build_parser;
-the op's parser binds the function, which main runs.
+the op's parser binds the function, which main runs.  main finds the
+op's parser from the first two words of the command line and gives it
+the rest; the full parser, which nests the same op parsers, answers
+help and every refusal.
 
 Exit codes: 0 success / verification passed, 1 verification failed (the
 witness is printed), 2 malformed or inadmissible input, a command line the
@@ -23,7 +26,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import io as fio
 from .automata import is_finite
@@ -57,9 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> tuple[str, str]:
-    p = Path(path)
+    """The text of the file at path and its name.  The readers split the
+    text with str.splitlines, so CRLF and lone-CR line ends read as in
+    text mode; an empty path names no file."""
     try:
-        return p.read_text(encoding="utf-8-sig"), p.name
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8-sig"), os.path.basename(path)
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
     except UnicodeDecodeError:
@@ -265,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The table of commands: one parser per op of each command, declaring
     exactly the arguments the op reads, so argparse refuses a missing or a
     surplus argument before any file is read.  An op is one function plus
-    one ``op(name, fn, *parents)`` line here.  FILE, --json and the
-    sampling pair --per-cell/--seed are declared once each, as parents."""
+    one ``op(name, fn, *parents)`` line here, which also records the op's
+    parser in the returned parser's ``ops`` table, keyed by (command, op).
+    FILE, --json and the sampling pair --per-cell/--seed are declared once
+    each, as parents."""
     file, as_json, sampling = (_Parser(add_help=False) for _ in range(3))
     file.add_argument("file")
     as_json.add_argument("--json", action="store_true")
@@ -277,15 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finitary",
         description="Exact differential calculi on finite sets and their finite topologies",
     )
+    parser.ops = {}  # (command, op) -> the op's parser, for main's dispatch
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str):
+    def command(cmd: str, summary: str):
         """The command's parser; returns the maker of its ops, each run by
         its own function fn."""
-        ops = commands.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
+        ops = commands.add_parser(cmd, help=summary).add_subparsers(dest="op", required=True)
 
         def op(name: str, fn, *parents):
-            p = ops.add_parser(name, parents=parents)
+            p = parser.ops[cmd, name] = ops.add_parser(name, parents=parents)
             p.set_defaults(fn=fn)
             return p
 
@@ -328,14 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of main and kept for the rest
-    of the process."""
+    """The parser and, as its ``ops``, the table of its op parsers, built
+    together on the first call of main and kept for the rest of the
+    process."""
     return build_parser()
 
 
 def main(argv=None) -> int:
+    """Run ``finitary`` on argv (default: the process's arguments) and
+    return the exit code.  When the first two words name an op, the op's
+    own parser reads the rest, as the nested parser would hand it on;
+    input that names no op, or leaves arguments over, goes to the full
+    parser, whose refusal names the top-level prog."""
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        argv = sys.argv[1:] if argv is None else argv
+        op = parser.ops.get(tuple(argv[:2]))
+        args, rest = op.parse_known_args(argv[2:]) if op else (None, None)
+        if op is None or rest:
+            args = parser.parse_args(argv)
         code = args.fn(args) or 0
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

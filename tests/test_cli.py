@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes and error mapping."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -684,6 +685,61 @@ def test_multichar_complex_output_is_pinned(capsys, tmp_path, form):
     assert hashlib.sha1(err.encode()).hexdigest() == MULTICHAR_STDERR_SHA1
 
 
+# command lines the parser refuses: each exits 2 with one error[UsageError]
+# line; in the second table, with the rule it breaks and the line's tail
+_USAGE_ERRORS = [
+    ["verify", "correspondence"],
+    ["envelope", "d", "-3/2i*e[1]", "--vertices", "1,2"],
+    ["envelope", "--vertices", "1,2", "--", "d", "--"],
+    ["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
+    ["envelope", "mul", "e[1]", "--vertices", "1,2"],
+    ["substitute", "sampled"],
+    ["ideal", "reduce", "example.ideal"],
+    ["manifold", "size", "triangle.manifold"],
+    ["bogus"],
+    [],
+]
+_ARITY_RULES = [
+    (["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
+     "envelope d takes exactly 1 form argument(s)", "unrecognized arguments: e[2]"),
+    (["envelope", "mul", "e[1]", "--vertices", "1,2"],
+     "envelope mul takes exactly 2 form argument(s)", "required: form"),
+    (["envelope", "inner", "e[1]", "e[1]", "e[2]", "--vertices", "1,1"],
+     "envelope inner takes exactly 2 form argument(s)", "unrecognized arguments: e[2]"),
+    (["ideal", "reduce", "example.ideal"],
+     "ideal reduce needs a form expression", "required: form"),
+    (["ideal", "reduce", "missing.ideal"],
+     "ideal reduce needs a form expression", "required: form"),
+    (["substitute", "sampled"], "substitute sampled needs an input file", "required: file"),
+    (["substitute", "trace", "--json"],
+     "substitute trace needs an input file", "required: file"),
+    (["substitute", "circle", "no-such-file"],
+     "substitute circle takes no input file", "unrecognized arguments: no-such-file"),
+    (["ideal", "check", "example.ideal", "e[9"],
+     "ideal check takes no form expression", "unrecognized arguments: e[9"),
+    (["ideal", "check", "missing.ideal", "e[1]"],
+     "ideal check takes no form expression", "unrecognized arguments: e[1]"),
+    (["manifold", "check", "triangle.manifold", "--max-grade", "2"],
+     "manifold check takes no --max-grade", "unrecognized arguments: --max-grade 2"),
+    (["manifold", "dim", "missing.manifold", "--max-grade", "0"],
+     "manifold dim takes no --max-grade", "unrecognized arguments: --max-grade 0"),
+    (["topology", "json", "triangle.manifold", "--dot"],
+     "topology json takes no --dot", "unrecognized arguments: --dot"),
+    (["topology", "open-sets", "triangle.manifold", "--dot"],
+     "topology open-sets takes no --dot", "unrecognized arguments: --dot"),
+    (["substitute", "circle", "--per-cell", "5", "--seed", "3"],
+     "substitute circle takes no --per-cell or --seed",
+     "unrecognized arguments: --per-cell 5 --seed 3"),
+    (["substitute", "simplicial", "triangle_boundary.complex", "--samples", "7", "--seed", "9"],
+     "substitute simplicial takes no --samples or --seed",
+     "unrecognized arguments: --samples 7 --seed 9"),
+    (["verify", "correspondence", "missing.manifold", "--samples", "9"],
+     "verify correspondence takes no --samples", "unrecognized arguments: --samples 9"),
+    (["manifold", "dim", "triangle.manifold", "--dot"],
+     "manifold dim takes no --dot", "unrecognized arguments: --dot"),
+]
+
+
 class TestParser:
     def test_built_once_per_process(self, capsys, data_dir, monkeypatch):
         from finitary import cli
@@ -700,21 +756,7 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "correspondence"],
-            ["envelope", "d", "-3/2i*e[1]", "--vertices", "1,2"],
-            ["envelope", "--vertices", "1,2", "--", "d", "--"],
-            ["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
-            ["envelope", "mul", "e[1]", "--vertices", "1,2"],
-            ["substitute", "sampled"],
-            ["ideal", "reduce", "example.ideal"],
-            ["manifold", "size", "triangle.manifold"],
-            ["bogus"],
-            [],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS)
     def test_usage_errors_keep_the_exit_contract(self, capsys, data_dir, argv):
         # the wording is argparse's, which differs across Python versions
         argv = [str(data_dir / a) if a.endswith((".ideal", ".manifold")) else a for a in argv]
@@ -723,48 +765,7 @@ class TestParser:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error[UsageError]: finitary")
 
-    @pytest.mark.parametrize(
-        "argv, rule, tail",
-        [
-            (["envelope", "d", "e[1]", "e[2]", "--vertices", "1,2"],
-             "envelope d takes exactly 1 form argument(s)", "unrecognized arguments: e[2]"),
-            (["envelope", "mul", "e[1]", "--vertices", "1,2"],
-             "envelope mul takes exactly 2 form argument(s)", "required: form"),
-            (["envelope", "inner", "e[1]", "e[1]", "e[2]", "--vertices", "1,1"],
-             "envelope inner takes exactly 2 form argument(s)", "unrecognized arguments: e[2]"),
-            (["ideal", "reduce", "example.ideal"],
-             "ideal reduce needs a form expression", "required: form"),
-            (["ideal", "reduce", "missing.ideal"],
-             "ideal reduce needs a form expression", "required: form"),
-            (["substitute", "sampled"], "substitute sampled needs an input file", "required: file"),
-            (["substitute", "trace", "--json"],
-             "substitute trace needs an input file", "required: file"),
-            (["substitute", "circle", "no-such-file"],
-             "substitute circle takes no input file", "unrecognized arguments: no-such-file"),
-            (["ideal", "check", "example.ideal", "e[9"],
-             "ideal check takes no form expression", "unrecognized arguments: e[9"),
-            (["ideal", "check", "missing.ideal", "e[1]"],
-             "ideal check takes no form expression", "unrecognized arguments: e[1]"),
-            (["manifold", "check", "triangle.manifold", "--max-grade", "2"],
-             "manifold check takes no --max-grade", "unrecognized arguments: --max-grade 2"),
-            (["manifold", "dim", "missing.manifold", "--max-grade", "0"],
-             "manifold dim takes no --max-grade", "unrecognized arguments: --max-grade 0"),
-            (["topology", "json", "triangle.manifold", "--dot"],
-             "topology json takes no --dot", "unrecognized arguments: --dot"),
-            (["topology", "open-sets", "triangle.manifold", "--dot"],
-             "topology open-sets takes no --dot", "unrecognized arguments: --dot"),
-            (["substitute", "circle", "--per-cell", "5", "--seed", "3"],
-             "substitute circle takes no --per-cell or --seed",
-             "unrecognized arguments: --per-cell 5 --seed 3"),
-            (["substitute", "simplicial", "triangle_boundary.complex", "--samples", "7", "--seed", "9"],
-             "substitute simplicial takes no --samples or --seed",
-             "unrecognized arguments: --samples 7 --seed 9"),
-            (["verify", "correspondence", "missing.manifold", "--samples", "9"],
-             "verify correspondence takes no --samples", "unrecognized arguments: --samples 9"),
-            (["manifold", "dim", "triangle.manifold", "--dot"],
-             "manifold dim takes no --dot", "unrecognized arguments: --dot"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, rule, tail", _ARITY_RULES)
     def test_a_command_refuses_its_own_arity_first(self, capsys, data_dir, argv, rule, tail):
         # each op's parser declares exactly the arguments the op reads, so
         # a missing or a surplus one is refused before any input is read;
@@ -784,6 +785,64 @@ class TestParser:
         captured = capsys.readouterr()
         assert exc.value.code == 0
         assert captured.out.startswith("usage: finitary") and captured.err == ""
+
+    def test_one_build_gives_the_parser_and_its_op_table(self):
+        from finitary import cli
+
+        def choices(parser):
+            (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return action.choices
+
+        parser = cli.build_parser()
+        nested = {(c, o): p for c, cp in choices(parser).items() for o, p in choices(cp).items()}
+        assert len(nested) == 16 and parser.ops.keys() == nested.keys()
+        assert all(parser.ops[key] is nested[key] for key in nested)
+        assert cli._parser().ops.keys() == nested.keys()
+
+    def test_dispatch_agrees_with_the_nested_parser(self, data_dir, monkeypatch):
+        # main hands an op's arguments to the op's parser; with the op table
+        # emptied, every command line goes through the nested parser, which
+        # must print the same bytes and exit the same way
+        from finitary import cli
+
+        def transcript(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # --help
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        def path(word):
+            named = word.endswith((".ideal", ".manifold", ".complex"))
+            return str(data_dir / word) if named else word
+
+        golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+        corpus = [[str(data_dir / r["file"]) if w == "{}" else w for w in r["form"].split()]
+                  for r in golden]
+        corpus += [[path(w) for w in argv] for argv in _USAGE_ERRORS]
+        corpus += [[path(w) for w in argv] for argv, _, _ in _ARITY_RULES]
+        f = str(data_dir / "triangle.manifold")
+        corpus += [
+            ["--help"], ["verify", "--help"], ["verify", "correspondence", "--help"],
+            ["verify", "correspondence", f, "-h"], ["-h", "verify"],
+            ["envelope", "d", "--vertices", "1,2", "--", "-e[1]"],
+            ["verify", "correspondence", "--", f],
+            ["verify", "correspondence", f, "--per", "2"],
+            ["verify", "correspondence", f, "--per-cell=2", "--se", "1"],
+            ["--json", "verify", "correspondence", f],
+            ["verify", "correspondence", f, "extra"],
+            ["topology", "hasse", f, "--dot", "extra", "--more"],
+            ["verify", "corr", f],
+        ]
+        dispatched = [transcript(argv) for argv in corpus]
+        monkeypatch.setattr(cli._parser(), "ops", {})
+        for argv, expected in zip(corpus, dispatched):
+            assert transcript(argv) == expected, argv
+        assert dispatched[corpus.index(["verify", "correspondence", f, "extra"])] == (
+            2, "", "error[UsageError]: finitary: unrecognized arguments: extra\n"
+        )
 
 
 class TestInputErrors:
@@ -820,6 +879,55 @@ class TestInputErrors:
         expected = run(capsys, "verify", "correspondence", str(plain))
         assert expected[0] == 0 and expected[1].endswith("correspondence: VERIFIED\n")
         assert run(capsys, "verify", "correspondence", str(marked)) == expected
+
+    def test_an_empty_path_is_a_missing_file(self, capsys):
+        code, out, err = run(capsys, "topology", "hasse", "")
+        assert (code, out) == (2, "")
+        assert err == "error[ParseError]: :0: cannot read file: No such file or directory\n"
+
+    def test_a_directory_is_not_a_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "topology", "hasse", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: {tmp_path}:0: cannot read file: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("triangle.manifold", None), ("order.relation", "# a chain\n\nn 3\n1 <= 2\n2 <= 3\n")],
+    )
+    def test_line_ends_and_a_byte_order_mark_read_as_in_text_mode(
+        self, capsys, data_dir, tmp_path, name, text
+    ):
+        # the same file with LF, CRLF and lone-CR line ends, and after a
+        # byte-order mark, prints the same bytes; a bad line at its end is
+        # refused at the same line number
+        text = text or (data_dir / name).read_text()
+
+        def variants(text):
+            return {
+                "lf": text.encode(),
+                "crlf": text.replace("\n", "\r\n").encode(),
+                "cr": text.replace("\n", "\r").encode(),
+                "bom": b"\xef\xbb\xbf" + text.encode(),
+            }
+
+        bad_text = text + "\n# end\n\n1 <= 9\n"
+        results = {}
+        for (style, data), bad_data in zip(variants(text).items(), variants(bad_text).values()):
+            good, bad = tmp_path / style / name, tmp_path / f"bad-{style}" / name
+            good.parent.mkdir(), bad.parent.mkdir()
+            good.write_bytes(data)
+            bad.write_bytes(bad_data)
+            results[style] = (
+                run(capsys, "verify", "correspondence", str(good)),
+                run(capsys, "manifold", "info", str(good)),
+                run(capsys, "manifold", "dim", str(bad)),
+            )
+        verified, info, refused = results["lf"]
+        assert verified[0] == 0 and verified[1].endswith("correspondence: VERIFIED\n")
+        assert info[0] == 0 and info[1].startswith("vertices: ")
+        lineno = bad_text.count("\n")
+        assert refused == (2, "", f"error[ParseError]: {name}:{lineno}: unknown vertex label '9'\n")
+        assert all(result == results["lf"] for result in results.values())
 
     def test_a_negative_max_grade(self, capsys, data_dir):
         f = str(data_dir / "triangle.manifold")
